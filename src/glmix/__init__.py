@@ -56,7 +56,6 @@ from .integrator import (
     psi_step_residual,
     run_ensemble,
     simulate,
-    step,
     write_trajectory_csv,
 )
 from .doeblin import (

@@ -27,14 +27,11 @@ from .doeblin import (
     read_kernel,
     small_set_search,
 )
+from .field import fmt_float
 from .integrator import ode_comparison, run_ensemble, write_trajectory_csv
 from .mixing import EnsembleSpec, mixing_report, moment_bound, report_csv, report_summary
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _header(cfg: RunConfig, subcommand: str) -> list[str]:
@@ -73,7 +70,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
         print("failure = trajectory_abort")
         for tid, t in aborted:
             print(f"trajectory = {tid}")
-            print(f"time = {_fmt(t)}")
+            print(f"time = {fmt_float(t)}")
         return 1
     return 0
 
@@ -84,13 +81,13 @@ def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
     body = ["ic,t,estimate,stderr,n_traj,n_aborted"]
     for e in table.entries:
         body.append(
-            f"{e.ic_index},{_fmt(e.t)},{_fmt(e.estimate)},{_fmt(e.stderr)},"
+            f"{e.ic_index},{fmt_float(e.t)},{fmt_float(e.estimate)},{fmt_float(e.stderr)},"
             f"{e.n_traj},{e.n_aborted}"
         )
     _write(out / "moments.csv", _header(cfg, "moments"), "\n".join(body) + "\n")
     verdict = table.uniformity
     summary = [
-        f"max_ratio = {_fmt(verdict.max_ratio)}",
+        f"max_ratio = {fmt_float(verdict.max_ratio)}",
         f"ratio_ok = {int(verdict.ratio_ok)}",
         f"ci_overlap_ok = {int(verdict.ci_overlap_ok)}",
         f"uniform = {int(verdict.uniform)}",
@@ -136,7 +133,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         print("failure = no_common_component")
         return 1
     dprime = condition_b(kernel, k_set)
-    print(f"delta_prime = {_fmt(dprime)}")
+    print(f"delta_prime = {fmt_float(dprime)}")
     if cert.m == 1 and dprime > 0.0:
         cert = dataclasses.replace(cert, delta_prime=dprime)
     block = certificate_text(cert)
@@ -146,13 +143,13 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         eps = cert.delta * cert.delta_prime
         try:
             worst = contraction_check(kernel, cert)
-            print(f"contraction_factor = {_fmt(worst)}")
+            print(f"contraction_factor = {fmt_float(worst)}")
         except ValueError as err:
             failures.append(("contraction", str(err)))
         if 0.0 < eps < 1.0:
             try:
                 gap = geometric_bound_check(kernel, cert, n=50)
-                print(f"geometric_gap = {_fmt(gap)}")
+                print(f"geometric_gap = {fmt_float(gap)}")
             except ValueError as err:
                 failures.append(("geometric_bound", str(err)))
     mu0 = (
@@ -184,13 +181,13 @@ def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:
                 for t in cfg.ode_ts:
                     r = ode_comparison(q, c, y0, t)
                     rows.append(
-                        f"{q},{_fmt(c)},{_fmt(y0)},{_fmt(t)},{_fmt(r.y_final)},"
-                        f"{_fmt(r.forcing_integral)},{_fmt(r.corrected_bound)},"
-                        f"{_fmt(r.literal_bound)},{int(r.corrected_holds)},"
+                        f"{q},{fmt_float(c)},{fmt_float(y0)},{fmt_float(t)},{fmt_float(r.y_final)},"
+                        f"{fmt_float(r.forcing_integral)},{fmt_float(r.corrected_bound)},"
+                        f"{fmt_float(r.literal_bound)},{int(r.corrected_holds)},"
                         f"{int(r.literal_holds)}"
                     )
                     print(
-                        f"q = {q} c = {_fmt(c)} y0 = {_fmt(y0)} t = {_fmt(t)} "
+                        f"q = {q} c = {fmt_float(c)} y0 = {fmt_float(y0)} t = {fmt_float(t)} "
                         f"corrected_holds = {int(r.corrected_holds)} "
                         f"literal_holds = {int(r.literal_holds)}"
                     )
@@ -223,6 +220,9 @@ def main(argv=None) -> int:
     try:
         text = Path(args.config).read_text() if args.config else ""
         cfg = resolve_config(text)
+        if cfg.doeblin_kernel is not None and not Path(cfg.doeblin_kernel).is_absolute():
+            # relative to the config file, echoed absolute so headers rerun anywhere
+            cfg.doeblin_kernel = str((Path(args.config).parent / cfg.doeblin_kernel).resolve())
         if args.seed is not None:
             cfg.seed = args.seed
         out = Path(args.out)

@@ -15,8 +15,9 @@ Sections and keys:
              amplitude overrides q0, q1, ...
   [ensemble] ic1, ic2, ... (each 'zero', 'scaled-random:R', or an explicit
              coefficient list), n_traj, gamma, p, times, n_boot
-  [doeblin]  kernel (path), K ('all' or index list), m, mu0 ('uniform' or a
-             weight list)
+  [doeblin]  kernel (path; the CLI resolves a relative one against the
+             config file's directory), K ('all' or index list), m, mu0
+             ('uniform' or a weight list)
   [odecheck] qs, cs, y0s, ts
 
 The 'scaled-random:R' preset is the fixed pseudo-random direction scaled to
@@ -25,13 +26,14 @@ norm R in the gamma = 1 topology; it does not depend on the run seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .field import DriftPolynomial, scaled_random_field
+from .field import DriftPolynomial, fmt_float, scaled_random_field
 from .integrator import SimulationParams
 from .noise import NoiseSpectrum
 
@@ -134,10 +136,6 @@ class _Block:
         return default if item is None else item[0]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 @dataclass
 class RunConfig:
     """Fully resolved run settings; see the module docstring for the keys."""
@@ -174,18 +172,16 @@ class RunConfig:
     ode_ts: list = dataclass_field(default_factory=lambda: [0.5])
 
     def spectrum(self) -> NoiseSpectrum:
-        k = np.arange(self.n_modes + 1, dtype=float)
-        q = np.zeros(self.n_modes + 1)
-        tail = np.arange(self.n_modes + 1) > self.k_star
-        q[tail] = self.c2 * k[tail] ** (-2.0 * self.beta)
+        spectrum = NoiseSpectrum.default(
+            self.n_modes, alpha=self.alpha, beta=self.beta,
+            c1=self.c1, c2=self.c2, k_star=self.k_star,
+        )
+        q = spectrum.q.copy()
         for kk, val in self.q_overrides.items():
             if not 0 <= kk <= self.n_modes:
                 raise ConfigError(f"q{kk} override is outside 0..n_modes")
             q[kk] = val
-        return NoiseSpectrum(
-            q=q, alpha=self.alpha, beta=self.beta,
-            c1=self.c1, c2=self.c2, k_star=self.k_star,
-        )
+        return dataclasses.replace(spectrum, q=q)
 
     def params(self) -> SimulationParams:
         poly = None if self.poly is None else DriftPolynomial(self.poly)
@@ -214,25 +210,25 @@ class RunConfig:
         lines = [
             "[model]",
             f"n_modes = {self.n_modes}",
-            f"dt = {_fmt(self.dt)}",
-            f"t_final = {_fmt(self.t_final)}",
-            "poly = " + ("none" if self.poly is None else " ".join(_fmt(c) for c in self.poly)),
-            f"alpha = {_fmt(self.alpha)}",
-            f"beta = {_fmt(self.beta)}",
-            f"c1 = {_fmt(self.c1)}",
-            f"c2 = {_fmt(self.c2)}",
+            f"dt = {fmt_float(self.dt)}",
+            f"t_final = {fmt_float(self.t_final)}",
+            "poly = " + ("none" if self.poly is None else " ".join(fmt_float(c) for c in self.poly)),
+            f"alpha = {fmt_float(self.alpha)}",
+            f"beta = {fmt_float(self.beta)}",
+            f"c1 = {fmt_float(self.c1)}",
+            f"c2 = {fmt_float(self.c2)}",
             f"k_star = {self.k_star}",
             f"seed = {self.seed}",
-            f"blowup_guard = {_fmt(self.blowup_guard)}",
+            f"blowup_guard = {fmt_float(self.blowup_guard)}",
         ]
-        lines += [f"q{k} = {_fmt(v)}" for k, v in sorted(self.q_overrides.items())]
+        lines += [f"q{k} = {fmt_float(v)}" for k, v in sorted(self.q_overrides.items())]
         lines += ["", "[ensemble]"]
         lines += [f"ic{j + 1} = {spec}" for j, spec in enumerate(self.ics)]
         lines += [
             f"n_traj = {self.n_traj}",
-            f"gamma = {_fmt(self.gamma)}",
-            f"p = {_fmt(self.p)}",
-            "times = " + " ".join(_fmt(t) for t in self.resolved_times()),
+            f"gamma = {fmt_float(self.gamma)}",
+            f"p = {fmt_float(self.p)}",
+            "times = " + " ".join(fmt_float(t) for t in self.resolved_times()),
             f"n_boot = {self.n_boot}",
         ]
         if self.doeblin_kernel is not None:
@@ -248,9 +244,9 @@ class RunConfig:
             "",
             "[odecheck]",
             "qs = " + " ".join(str(q) for q in self.ode_qs),
-            "cs = " + " ".join(_fmt(c) for c in self.ode_cs),
-            "y0s = " + " ".join(_fmt(y) for y in self.ode_y0s),
-            "ts = " + " ".join(_fmt(t) for t in self.ode_ts),
+            "cs = " + " ".join(fmt_float(c) for c in self.ode_cs),
+            "y0s = " + " ".join(fmt_float(y) for y in self.ode_y0s),
+            "ts = " + " ".join(fmt_float(t) for t in self.ode_ts),
         ]
         return lines
 
@@ -260,20 +256,20 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
         return "zero"
     if value.startswith("scaled-random:"):
         tail = value.partition(":")[2]
-        return "scaled-random:" + _fmt(_parse_scalar(float, tail, lineno, key))
+        return "scaled-random:" + fmt_float(_parse_scalar(float, tail, lineno, key))
     coeffs = _parse_list(float, value, lineno, key)
     if len(coeffs) != 2 * n_modes + 1:
         raise ConfigError(
             f"line {lineno}: key {key!r} lists {len(coeffs)} coefficients, "
             f"expected {2 * n_modes + 1} for n_modes = {n_modes}"
         )
-    return " ".join(_fmt(c) for c in coeffs)
+    return " ".join(fmt_float(c) for c in coeffs)
 
 
 def _canonical_mu0(value: str, lineno: int) -> str:
     if value == "uniform":
         return "uniform"
-    return " ".join(_fmt(w) for w in _parse_list(float, value, lineno, "mu0"))
+    return " ".join(fmt_float(w) for w in _parse_list(float, value, lineno, "mu0"))
 
 
 def _canonical_K(value: str, lineno: int) -> str:

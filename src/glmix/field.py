@@ -349,3 +349,8 @@ def sup_norm_values(coeffs: np.ndarray, n_modes: int, oversample: int = 8) -> np
     m = max(oversample * n_modes, 64)
     vals = coeffs_to_values(coeffs, n_modes, m)
     return np.max(np.abs(vals), axis=-1)
+
+
+def fmt_float(x: float) -> str:
+    """Shortest text that reads back as the same float: every written number."""
+    return repr(float(x))

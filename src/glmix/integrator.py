@@ -16,10 +16,13 @@ convolution path W_L is driven by the same draws, so the remainder
 Psi = Phi - W_L satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to
 rounding error, step by step.
 
-Ensembles are stepped as (trajectories x slots) blocks through batched FFTs;
-each trajectory consumes its own counter-based stream, so results do not
-depend on block sizes or thread schedules.  Rows that cross the blow-up
-guard are set to NaN and stay NaN.
+ExponentialEulerStepper holds the per-slot factors of one step, and one
+block loop advances (trajectories x slots) blocks of it through batched
+FFTs.  That loop serves run_ensemble, simulate (a one-row ensemble with the
+convolution path recorded) and noise.sup_gaussian_check (a drift-free
+ensemble from zero).  Each trajectory consumes its own counter-based
+stream, so results do not depend on block sizes or thread schedules.  Rows
+that cross the blow-up guard are set to NaN and stay NaN.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .field import (
     coeffs_to_values,
     dealias_points,
     eigenvalues,
+    fmt_float,
     sup_norm_values,
     values_to_coeffs,
 )
@@ -48,7 +52,6 @@ __all__ = [
     "EnsembleResult",
     "ExponentialEulerStepper",
     "TrajectoryBlowup",
-    "step",
     "simulate",
     "run_ensemble",
     "psi_step_residual",
@@ -130,9 +133,9 @@ class ExponentialEulerStepper:
         self.params = params
         self.n_modes = params.n_modes
         ell = eigenvalues(self.n_modes)
-        self.decay = np.exp(-ell * params.dt)
         self.phi = -np.expm1(-ell * params.dt) / ell
         self.sampler = ConvolutionStepSampler(params.spectrum)
+        self.decay = self.sampler.decay(params.dt)
         self.std = self.sampler.step_std(params.dt)
         self.poly = params.poly
         self.guard_sq = params.blowup_guard**2
@@ -154,28 +157,6 @@ class ExponentialEulerStepper:
         """Guard mask; NaN rows (already aborted) report False."""
         with np.errstate(invalid="ignore"):
             return np.sum(u * u, axis=-1) > self.guard_sq
-
-
-def step(
-    u: SpectralField,
-    h: float,
-    poly: DriftPolynomial | None,
-    sampler: ConvolutionStepSampler,
-    rng: np.random.Generator,
-) -> SpectralField:
-    """Single exponential-Euler step of size h on one field."""
-    if u.n_modes != sampler.n_modes:
-        raise ValueError("field and sampler mode counts differ")
-    ell = eigenvalues(u.n_modes)
-    decay = np.exp(-ell * h)
-    g = rng.standard_normal(2 * u.n_modes + 1)
-    noise = sampler.step_std(h) * g
-    if poly is None:
-        return SpectralField(u.n_modes, decay * u.coeffs + noise)
-    vals = coeffs_to_values(u.coeffs, u.n_modes, dealias_points(u.n_modes, poly.degree))
-    nl = values_to_coeffs(vals - poly(vals), u.n_modes)
-    phi = -np.expm1(-ell * h) / ell
-    return SpectralField(u.n_modes, decay * u.coeffs + phi * nl + noise)
 
 
 @dataclass
@@ -206,79 +187,6 @@ class Trajectory:
         return SpectralField(self.params.n_modes, row)
 
 
-def simulate(
-    x: SpectralField | np.ndarray,
-    params: SimulationParams,
-    trajectory_id: int = 0,
-    record_dense: bool = False,
-    raise_on_blowup: bool = False,
-) -> Trajectory:
-    """Integrate one trajectory to t_final, recording integer times.
-
-    The convolution path W_L is advanced by the same noise draws as the
-    state.  On blow-up the trajectory is flagged (or TrajectoryBlowup raised
-    when raise_on_blowup) with the crossing time in the diagnostic.
-    """
-    coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
-    n_slots = 2 * params.n_modes + 1
-    if coeffs.shape != (n_slots,):
-        raise ValueError("initial condition length does not match n_modes")
-    stepper = ExponentialEulerStepper(params)
-    rng = trajectory_generator(params.seed, trajectory_id)
-
-    n_steps = params.n_steps
-    per_unit = params.steps_per_unit
-    rec_times = np.arange(int(math.floor(params.t_final + 1e-9)) + 1, dtype=float)
-    states = np.full((rec_times.size, n_slots), np.nan)
-    wl_rec = np.full((rec_times.size, n_slots), np.nan)
-    states[0] = coeffs
-    wl_rec[0] = 0.0
-
-    if record_dense:
-        dense_times = params.dt * np.arange(n_steps + 1)
-        dense_states = np.full((n_steps + 1, n_slots), np.nan)
-        dense_wl = np.full((n_steps + 1, n_slots), np.nan)
-        dense_states[0] = coeffs
-        dense_wl[0] = 0.0
-    else:
-        dense_times = dense_states = dense_wl = None
-
-    u = coeffs.copy()
-    w = np.zeros(n_slots)
-    aborted = False
-    abort_time = None
-    for n in range(1, n_steps + 1):
-        g = rng.standard_normal(n_slots)
-        u = stepper.step_block(u, g)
-        w = stepper.decay * w + stepper.std * g
-        if stepper.blown_up(u):
-            aborted = True
-            abort_time = n * params.dt
-            if raise_on_blowup:
-                raise TrajectoryBlowup(abort_time, float(np.sqrt(np.sum(u * u))))
-            break
-        if record_dense:
-            dense_states[n] = u
-            dense_wl[n] = w
-        if n % per_unit == 0 and n // per_unit < rec_times.size:
-            states[n // per_unit] = u
-            wl_rec[n // per_unit] = w
-
-    return Trajectory(
-        params=params,
-        trajectory_id=trajectory_id,
-        initial=coeffs.copy(),
-        times=rec_times,
-        states=states,
-        wl=wl_rec,
-        aborted=aborted,
-        abort_time=abort_time,
-        dense_times=dense_times,
-        dense_states=dense_states,
-        dense_wl=dense_wl,
-    )
-
-
 @dataclass
 class EnsembleResult:
     """Integer-time records for a batch of trajectories from one start point."""
@@ -289,6 +197,7 @@ class EnsembleResult:
     states: np.ndarray  # (n_traj, n_times, slots), NaN at and after abort
     aborted: np.ndarray  # (n_traj,) bool
     abort_times: np.ndarray
+    abort_norms: np.ndarray  # (n_traj,) norm at the guard crossing, NaN if none
     window_sup: np.ndarray | None = None
     wl: np.ndarray | None = None
 
@@ -299,6 +208,10 @@ class EnsembleResult:
     def states_at(self, t: float) -> np.ndarray:
         i = int(np.flatnonzero(np.isclose(self.times, t))[0])
         return self.states[:, i, :]
+
+
+def _integer_times(params: SimulationParams) -> np.ndarray:
+    return np.arange(int(math.floor(params.t_final + 1e-9)) + 1, dtype=float)
 
 
 def _slab_steps(block: int, n_slots: int, budget_bytes: int = 64 << 20) -> int:
@@ -323,6 +236,7 @@ def _run_block(
     w = np.zeros((n, n_slots)) if out.wl is not None else None
     alive = np.ones(n, dtype=bool)
     abort_t = np.full(n, np.nan)
+    abort_norm = np.full(n, np.nan)
     sup_run = np.zeros(n) if window_steps is not None else None
     gens = [trajectory_generator(seed, int(j)) for j in ids]
 
@@ -346,6 +260,8 @@ def _run_block(
             blown = stepper.blown_up(u) & alive
             if blown.any():
                 abort_t[blown] = step_no * params.dt
+                hit = u[blown]
+                abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
                 u[blown] = np.nan
                 alive &= ~blown
             if sup_run is not None and window_steps[0] < step_no <= window_steps[1]:
@@ -361,6 +277,7 @@ def _run_block(
 
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t
+    out.abort_norms[rows] = abort_norm
     if sup_run is not None:
         out.window_sup[rows] = sup_run
 
@@ -390,7 +307,7 @@ def run_ensemble(
         raise ValueError("initial condition length does not match n_modes")
     ids = np.asarray(traj_ids, dtype=np.int64)
     if record_times is None:
-        record_times = np.arange(int(math.floor(params.t_final + 1e-9)) + 1, dtype=float)
+        record_times = _integer_times(params)
     else:
         record_times = np.asarray(record_times, dtype=float)
     rec_steps: dict[int, int] = {}
@@ -415,6 +332,7 @@ def run_ensemble(
         states=np.full((ids.size, record_times.size, n_slots), np.nan),
         aborted=np.zeros(ids.size, dtype=bool),
         abort_times=np.full(ids.size, np.nan),
+        abort_norms=np.full(ids.size, np.nan),
         window_sup=np.zeros(ids.size) if window_steps is not None else None,
         wl=np.full((ids.size, record_times.size, n_slots), np.nan) if record_wl else None,
     )
@@ -443,26 +361,68 @@ def run_ensemble(
     return out
 
 
+def simulate(
+    x: SpectralField | np.ndarray,
+    params: SimulationParams,
+    trajectory_id: int = 0,
+    record_dense: bool = False,
+    raise_on_blowup: bool = False,
+) -> Trajectory:
+    """Integrate one trajectory to t_final, recording integer times.
+
+    A one-row run_ensemble that also records the convolution path W_L,
+    advanced by the same noise draws as the state, at every step when
+    record_dense.  On blow-up the trajectory is flagged, or TrajectoryBlowup
+    is raised when raise_on_blowup, with the crossing time and norm.
+    """
+    dense_times = params.dt * np.arange(params.n_steps + 1) if record_dense else None
+    ens = run_ensemble(x, params, [trajectory_id], record_times=dense_times, record_wl=True)
+    aborted = bool(ens.aborted[0])
+    if aborted and raise_on_blowup:
+        raise TrajectoryBlowup(float(ens.abort_times[0]), float(ens.abort_norms[0]))
+    times = _integer_times(params)
+    states, wl = ens.states[0], ens.wl[0]
+    dense_states = dense_wl = None
+    if record_dense:
+        dense_states, dense_wl = states, wl
+        rows = params.steps_per_unit * np.arange(times.size)
+        states, wl = states[rows], wl[rows]
+    return Trajectory(
+        params=params,
+        trajectory_id=trajectory_id,
+        initial=ens.states[0, 0].copy(),
+        times=times,
+        states=states,
+        wl=wl,
+        aborted=aborted,
+        abort_time=float(ens.abort_times[0]) if aborted else None,
+        dense_times=dense_times,
+        dense_states=dense_states,
+        dense_wl=dense_wl,
+    )
+
+
 def psi_step_residual(traj: Trajectory) -> float:
     """Max defect of the remainder recursion on the dense records.
 
     Psi = Phi - W_L must satisfy Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L)
     exactly (the noise cancels), so this is rounding-level for any valid run.
+    Every step is predicted at once from the stepper's factors, up to the
+    first aborted record.
     """
     if traj.dense_states is None:
         raise ValueError("dense records required; simulate with record_dense=True")
-    stepper = ExponentialEulerStepper(traj.params)
-    psi = traj.dense_states - traj.dense_wl
     ok = np.all(np.isfinite(traj.dense_states), axis=1)
-    worst = 0.0
-    for n in range(len(psi) - 1):
-        if not (ok[n] and ok[n + 1]):
-            break
-        pred = stepper.decay * psi[n]
-        if stepper.poly is not None:
-            pred = pred + stepper.phi * stepper.nonlinearity(psi[n] + traj.dense_wl[n])
-        worst = max(worst, float(np.max(np.abs(psi[n + 1] - pred))))
-    return worst
+    n = int(np.logical_and.accumulate(ok).sum())  # rows before the abort
+    if n < 2:
+        return 0.0
+    stepper = ExponentialEulerStepper(traj.params)
+    wl = traj.dense_wl[:n - 1]
+    psi = traj.dense_states[:n] - traj.dense_wl[:n]
+    pred = stepper.decay * psi[:-1]
+    if stepper.poly is not None:
+        pred = pred + stepper.phi * stepper.nonlinearity(psi[:-1] + wl)
+    return float(np.max(np.abs(psi[1:] - pred)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +566,6 @@ def ode_comparison(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(
     path,
     results,
@@ -653,11 +609,11 @@ def write_trajectory_csv(
                 u = states[i]
                 n0 = math.sqrt(float(np.sum(u * u)))
                 ng = math.sqrt(float(np.sum(weights * u * u)))
-                fields = [_fmt(n0), _fmt(ng), _fmt(sups[i]), "0"]
-                fields += [_fmt(u[j]) for j in range(n_coeff_cols)]
+                fields = [fmt_float(n0), fmt_float(ng), fmt_float(sups[i]), "0"]
+                fields += [fmt_float(u[j]) for j in range(n_coeff_cols)]
             else:
                 fields = ["", "", "", "1"] + [""] * n_coeff_cols
-            lines.append(f"{tid},{_fmt(t)}," + ",".join(fields))
+            lines.append(f"{tid},{fmt_float(t)}," + ",".join(fields))
     text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

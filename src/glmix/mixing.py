@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .field import SpectralField, eigenvalues
+from .field import eigenvalues, fmt_float
 from .integrator import EnsembleResult, SimulationParams, run_ensemble
 
 __all__ = [
@@ -74,13 +74,6 @@ class EnsembleSpec:
     def traj_ids(self, ic_index: int) -> np.ndarray:
         lo = ic_index * self.n_traj
         return np.arange(lo, lo + self.n_traj, dtype=np.int64)
-
-
-def _coeff_array(x, n_modes: int) -> np.ndarray:
-    c = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
-    if c.shape != (2 * n_modes + 1,):
-        raise ValueError("initial condition length does not match n_modes")
-    return c
 
 
 def observables(states: np.ndarray, gamma: float) -> np.ndarray:
@@ -293,9 +286,8 @@ def moment_bound(
         raise ValueError("t must lie in (0, t_final]")
     entries = []
     for i, ic in enumerate(spec.initial_conditions):
-        x = _coeff_array(ic, spec.params.n_modes)
         ens = run_ensemble(
-            x, spec.params, spec.traj_ids(i), record_times=[t],
+            ic, spec.params, spec.traj_ids(i), record_times=[t],
             block_size=block_size, threads=threads,
         )
         vals = _norm_power(ens.states_at(t), spec.gamma, spec.p)
@@ -330,9 +322,8 @@ def sup_window_bound(
         raise ValueError("window must satisfy 0 < t1 < t2 <= t_final")
     entries = []
     for i, ic in enumerate(spec.initial_conditions):
-        x = _coeff_array(ic, spec.params.n_modes)
         ens = run_ensemble(
-            x, spec.params, spec.traj_ids(i),
+            ic, spec.params, spec.traj_ids(i),
             record_times=[spec.params.t_final], sup_window=(t1, t2),
             block_size=block_size, threads=threads, oversample=oversample,
         )
@@ -467,10 +458,9 @@ def mixing_report(
 
     ensembles: list[EnsembleResult] = []
     for i, ic in enumerate(spec.initial_conditions):
-        x = _coeff_array(ic, params.n_modes)
         ensembles.append(
             run_ensemble(
-                x, params, spec.traj_ids(i), record_times=times,
+                ic, params, spec.traj_ids(i), record_times=times,
                 block_size=block_size, threads=threads,
             )
         )
@@ -550,18 +540,14 @@ def mixing_report(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def report_csv(report: MixingReport, header_lines=()) -> str:
     """CSV body of the distance track: t, distance, stderr."""
     lines = [f"# {h}" for h in header_lines]
     lines.append("t,distance,stderr")
     for j in range(report.times.size):
         lines.append(
-            f"{_fmt(report.times[j])},{_fmt(report.distances[j])},"
-            f"{_fmt(report.distance_stderr[j])}"
+            f"{fmt_float(report.times[j])},{fmt_float(report.distances[j])},"
+            f"{fmt_float(report.distance_stderr[j])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -570,11 +556,11 @@ def report_summary(report: MixingReport) -> str:
     """Key = value summary block of the fitted decay."""
     fit = report.fit
     lines = [
-        f"lambda = {_fmt(fit.lam)}",
-        f"lambda_ci_low = {_fmt(fit.ci_low)}",
-        f"lambda_ci_high = {_fmt(fit.ci_high)}",
-        f"C = {_fmt(fit.intercept)}",
-        f"floor = {_fmt(report.floor)}",
+        f"lambda = {fmt_float(fit.lam)}",
+        f"lambda_ci_low = {fmt_float(fit.ci_low)}",
+        f"lambda_ci_high = {fmt_float(fit.ci_high)}",
+        f"C = {fmt_float(fit.intercept)}",
+        f"floor = {fmt_float(report.floor)}",
         f"n_used = {fit.n_used}",
         f"identifiable = {int(fit.identifiable)}",
         f"ci_method = {fit.method}",

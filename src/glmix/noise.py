@@ -87,13 +87,24 @@ class NoiseSpectrum:
         return self.q.size - 1
 
     @classmethod
-    def default(cls, n_modes: int = 32) -> "NoiseSpectrum":
-        """q_k = k^-4 for k > 3, zero on k <= 3 (alpha = beta = 2)."""
+    def default(
+        cls,
+        n_modes: int = 32,
+        alpha: float = 2.0,
+        beta: float = 2.0,
+        c1: float = 1.0,
+        c2: float = 1.0,
+        k_star: int = 3,
+    ) -> "NoiseSpectrum":
+        """q_k = c2 * k^(-2 beta) for k > k_star, zero on k <= k_star.
+
+        With the default constants this is q_k = k^-4 for k > 3.
+        """
         k = np.arange(n_modes + 1, dtype=float)
         q = np.zeros(n_modes + 1)
-        tail = k > 3
-        q[tail] = k[tail] ** -4.0
-        return cls(q=q, alpha=2.0, beta=2.0, c1=1.0, c2=1.0, k_star=3)
+        tail = k > k_star
+        q[tail] = c2 * k[tail] ** (-2.0 * beta)
+        return cls(q=q, alpha=alpha, beta=beta, c1=c1, c2=c2, k_star=k_star)
 
     def per_slot(self) -> np.ndarray:
         """Amplitudes expanded to the flat coefficient layout (2N+1,)."""
@@ -221,25 +232,20 @@ def sup_gaussian_check(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E sup_{s <= t} ||W_L(s)||_inf^p.
 
-    Simulates the exact per-mode recursion on the step grid and tracks the
-    running grid sup norm.  Returns (estimate, standard error).
+    Runs the drift-free model from zero as an ensemble of trajectories
+    0..n_samples-1 and tracks the running grid sup norm over (0, t].  The
+    arguments must form valid SimulationParams: t >= 1, 1/h an integer, t a
+    multiple of h and an admissible spectrum.  Returns (estimate, standard
+    error).
     """
-    from .field import sup_norm_values
+    from .integrator import SimulationParams, run_ensemble
 
-    if t <= 0:
-        raise ValueError("t must be positive")
-    sampler = ConvolutionStepSampler(spectrum)
-    n_steps = int(round(t / h))
-    if abs(n_steps * h - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("t must be an integer multiple of h")
-    dec = sampler.decay(h)
-    std = sampler.step_std(h)
-    sups = np.zeros(n_samples)
-    w = np.zeros((n_samples, sampler.n_slots))
-    gens = [trajectory_generator(seed, j) for j in range(n_samples)]
-    for _ in range(n_steps):
-        g = np.stack([gen.standard_normal(sampler.n_slots) for gen in gens])
-        w = dec * w + std * g
-        np.maximum(sups, sup_norm_values(w, spectrum.n_modes, oversample), out=sups)
-    vals = sups**p
+    params = SimulationParams(
+        n_modes=spectrum.n_modes, dt=h, t_final=t, poly=None, spectrum=spectrum, seed=seed
+    )
+    ens = run_ensemble(
+        np.zeros(2 * spectrum.n_modes + 1), params, range(n_samples),
+        record_times=[t], sup_window=(0.0, t), oversample=oversample,
+    )
+    vals = ens.window_sup**p
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))

@@ -302,6 +302,28 @@ def test_doeblin_two_state_certificates_and_search(tmp_path, capsys):
     assert np.array_equal(search.nu.weights, [1.0, 0.0])
 
 
+def test_doeblin_kernel_path_is_relative_to_the_config_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "data").mkdir()
+    run_dir = tmp_path / "runs" / "here"
+    run_dir.mkdir(parents=True)
+    kernel = tmp_path / "data" / "two_state.txt"
+    kernel.write_text(KERNEL_FILE.read_text())
+    write_cfg(tmp_path / "cfg", "[doeblin]\nkernel = ../data/two_state.txt\n")
+    monkeypatch.chdir(run_dir)
+    rc = main(["doeblin", "--config", "../../cfg/run.cfg", "--out", "out"])
+    assert rc == 0
+    first = (run_dir / "out" / "certificate.txt").read_text()
+    header = [l[2:] for l in first.splitlines() if l.startswith("# ")]
+    assert f"kernel = {kernel.resolve()}" in header
+    # the echoed header reruns the same certificate from another directory
+    write_cfg(tmp_path, "\n".join(header[1:]) + "\n", name="rerun.cfg")
+    monkeypatch.chdir(tmp_path / "data")
+    assert main(["doeblin", "--config", "../rerun.cfg", "--out", "again"]) == 0
+    assert (tmp_path / "data" / "again" / "certificate.txt").read_text() == first
+    capsys.readouterr()
+
+
 def test_doeblin_without_section_is_a_config_failure(tmp_path, capsys):
     rc = main(["doeblin", "--out", str(tmp_path)])
     text = capsys.readouterr().out

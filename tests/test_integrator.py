@@ -147,6 +147,15 @@ def test_remainder_recursion_is_exact_to_rounding():
                               spectrum=NoiseSpectrum.default(8))
     traj = simulate(np.ones(17) * 0.3, params, record_dense=True)
     assert psi_step_residual(traj) <= 1e-12
+    # the batched prediction equals a per-record loop over the stepper's factors
+    stepper = ExponentialEulerStepper(params)
+    psi = traj.dense_states - traj.dense_wl
+    worst = 0.0
+    for n in range(len(psi) - 1):
+        pred = stepper.decay * psi[n]
+        pred = pred + stepper.phi * stepper.nonlinearity(psi[n] + traj.dense_wl[n])
+        worst = max(worst, float(np.max(np.abs(psi[n + 1] - pred))))
+    assert psi_step_residual(traj) == worst
     plain = simulate(np.ones(17) * 0.3, params)
     with pytest.raises(ValueError, match="dense"):
         psi_step_residual(plain)
@@ -293,13 +302,25 @@ def test_ensemble_matches_single_trajectories():
 def test_ensemble_is_bitwise_invariant_to_batching():
     params = SimulationParams(n_modes=4, dt=1.0 / 64.0,
                               spectrum=NoiseSpectrum.default(4))
-    x = np.full(9, 0.5)
-    base = run_ensemble(x, params, traj_ids=range(7))
-    for block_size in (1, 3, 512):
-        for threads in (1, 4):
-            other = run_ensemble(x, params, traj_ids=range(7),
-                                 block_size=block_size, threads=threads)
-            assert np.array_equal(base.states, other.states, equal_nan=True)
+    calm = np.full(9, 0.5)
+    # c0 = 20 makes the explicit cubic step overshoot until the guard trips
+    wild = np.zeros(9)
+    wild[0] = 20.0
+    kw = dict(traj_ids=range(7), record_wl=True, sup_window=(0.25, 1.0))
+    fields = ("states", "wl", "window_sup", "aborted", "abort_times", "abort_norms")
+    for x in (calm, wild):
+        base = run_ensemble(x, params, **kw)
+        for block_size in (1, 3, 512):
+            for threads in (1, 4):
+                other = run_ensemble(x, params, block_size=block_size,
+                                     threads=threads, **kw)
+                for name in fields:
+                    assert np.array_equal(getattr(base, name), getattr(other, name),
+                                          equal_nan=True), name
+        if x is calm:
+            assert not base.aborted.any() and np.all(np.isnan(base.abort_norms))
+        else:
+            assert base.aborted.all() and np.all(base.abort_norms > params.blowup_guard)
 
 
 def test_ensemble_record_times_and_windows():

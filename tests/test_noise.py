@@ -206,12 +206,17 @@ def test_sup_gaussian_check_zero_noise_and_scaling():
     base = NoiseSpectrum.default(8)
     doubled = NoiseSpectrum(q=2.0 * base.q, c1=2.0, c2=2.0)
     assert validate(doubled) is None
-    e1, _ = sup_gaussian_check(base, t=1.0, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
+    e1, se1 = sup_gaussian_check(base, t=1.0, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     e2, _ = sup_gaussian_check(doubled, t=1.0, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
+    # pinned, so any drift in the shared ensemble loop shows here
+    assert e1 == pytest.approx(4.0394550277134756e-10, rel=1e-12)
+    assert se1 == pytest.approx(7.507568384390057e-12, rel=1e-12)
     # doubling every amplitude scales the p = 2 moment by exactly 4 pathwise
     assert np.isclose(e2, 4.0 * e1, rtol=1e-12)
     with pytest.raises(ValueError):
         sup_gaussian_check(base, t=0.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        sup_gaussian_check(base, t=0.5, h=1.0 / 32.0)
     with pytest.raises(ValueError):
         sup_gaussian_check(base, t=1.0, h=0.3)
 
