@@ -220,9 +220,8 @@ def main(argv=None) -> int:
     try:
         text = Path(args.config).read_text() if args.config else ""
         cfg = resolve_config(text)
-        if cfg.doeblin_kernel is not None and not Path(cfg.doeblin_kernel).is_absolute():
-            # relative to the config file, echoed absolute so headers rerun anywhere
-            cfg.doeblin_kernel = str((Path(args.config).parent / cfg.doeblin_kernel).resolve())
+        if args.config:
+            cfg.anchor_paths(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         out = Path(args.out)

@@ -15,9 +15,9 @@ Sections and keys:
              amplitude overrides q0, q1, ...
   [ensemble] ic1, ic2, ... (each 'zero', 'scaled-random:R', or an explicit
              coefficient list), n_traj, gamma, p, times, n_boot
-  [doeblin]  kernel (path; the CLI resolves a relative one against the
-             config file's directory), K ('all' or index list), m, mu0
-             ('uniform' or a weight list)
+  [doeblin]  kernel (path; load_config and the CLI resolve a relative one
+             against the config file's directory), K ('all' or index
+             list), m, mu0 ('uniform' or a weight list)
   [odecheck] qs, cs, y0s, ts
 
 The 'scaled-random:R' preset is the fixed pseudo-random direction scaled to
@@ -30,6 +30,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 
@@ -170,6 +171,12 @@ class RunConfig:
     ode_cs: list = dataclass_field(default_factory=lambda: [1.0])
     ode_y0s: list = dataclass_field(default_factory=lambda: [10.0])
     ode_ts: list = dataclass_field(default_factory=lambda: [0.5])
+
+    def anchor_paths(self, config_path) -> None:
+        """Resolve a relative [doeblin] kernel against the directory of the
+        config file it was read from; absolute, so headers rerun anywhere."""
+        if self.doeblin_kernel is not None and not Path(self.doeblin_kernel).is_absolute():
+            self.doeblin_kernel = str((Path(config_path).parent / self.doeblin_kernel).resolve())
 
     def spectrum(self) -> NoiseSpectrum:
         spectrum = NoiseSpectrum.default(
@@ -358,5 +365,8 @@ def resolve_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Read and resolve a config file, its kernel path anchored to the file."""
     with open(path) as fh:
-        return resolve_config(fh.read())
+        cfg = resolve_config(fh.read())
+    cfg.anchor_paths(path)
+    return cfg

@@ -17,10 +17,14 @@ is stored as the flat coefficient vector
 so that ||u||^2 = c_0^2 + sum_k (a_k^2 + b_k^2) and the fractional norms are
 ||u||_gamma = ||L^gamma u|| = sqrt(sum l_k^{2 gamma} coeff^2).
 
-Grid synthesis and analysis go through real FFTs.  Polynomial nonlinearities
-are evaluated pseudospectrally on a padded grid large enough to resolve the
-full product bandwidth q*N exactly, so truncation back to N modes equals the
-exact coefficient convolution.
+Grid synthesis and analysis go through numpy's real FFTs and take optional
+output and work arrays, so a caller stepping many times can reuse its
+buffers.  Polynomial nonlinearities are evaluated pseudospectrally on a
+padded grid of at least (q+1)N+1 points: a degree-q product has bandwidth
+qN, and on M points mode k' aliases onto k' - M, which for k' <= qN lands
+below -N whenever M > (q+1)N.  Truncation back to N modes therefore equals
+the exact coefficient convolution (Orszag's rule for products of degree q),
+although the aliased modes above N are wrong.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
+from scipy.fft import next_fast_len
 
 __all__ = [
     "SpectralField",
@@ -65,15 +69,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     ell = 1.0 + 4.0 * np.pi**2 * mode_numbers(n_modes).astype(float) ** 2
     ell.setflags(write=False)
     return ell
-
-
-@lru_cache(maxsize=None)
-def _synthesis_scale(n_modes: int) -> np.ndarray:
-    """Physical amplitude sqrt(2/l_k) of each basis vector (1 for slot 0)."""
-    s = np.sqrt(2.0 / eigenvalues(n_modes))
-    s[0] = 1.0
-    s.setflags(write=False)
-    return s
 
 
 @dataclass(frozen=True)
@@ -170,6 +165,23 @@ class DriftPolynomial:
             out = out * y + p
         return out
 
+    def nonlinearity(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """N(y) = y - P(y) pointwise, by Horner in place on out (not y).
+
+        Zero coefficients of y - P(y) cost no pass: the cubic [0, -1, 0, 1]
+        takes four, ((-y) y + 2) y.  out is allocated when None.
+        """
+        r = -self.coeffs
+        r[1] += 1.0
+        out = np.multiply(y, r[-1], out=out)
+        for c in r[-2:0:-1]:
+            if c != 0.0:
+                out += c
+            out *= y
+        if r[0] != 0.0:
+            out += r[0]
+        return out
+
     def __repr__(self):
         return f"DriftPolynomial({list(self.coeffs)})"
 
@@ -249,47 +261,77 @@ def smoothing_norm_check(u: SpectralField, t: float, gamma: float, sigma: float)
 # ---------------------------------------------------------------------------
 
 
-def coeffs_to_values(coeffs: np.ndarray, n_modes: int, n_points: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _bin_scales(n_modes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot factors from [a_1, b_1, a_2, ...] to the (re, im) pairs of rfft
+    bins 1..n_modes on n_points points, and back.
+
+    Bin k is (n_points / 2) sqrt(2 / l_k) (a_k - i b_k), sqrt(2 / l_k) the
+    physical amplitude of the basis vectors e_k^cos and e_k^sin.
+    """
+    sign = np.tile([1.0, -1.0], n_modes)
+    synthesis = 0.5 * n_points * np.sqrt(2.0 / eigenvalues(n_modes)[1:]) * sign
+    analysis = 1.0 / synthesis
+    synthesis.setflags(write=False)
+    analysis.setflags(write=False)
+    return synthesis, analysis
+
+
+def _check_grid(n_points: int, n_modes: int) -> None:
+    if n_points < 2 * n_modes + 1:
+        raise ValueError(
+            f"grid of {n_points} points is too small for {n_modes} modes "
+            f"(need at least {2 * n_modes + 1})"
+        )
+
+
+def coeffs_to_values(
+    coeffs: np.ndarray,
+    n_modes: int,
+    n_points: int,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
     """Synthesize point values on the uniform n_points grid (exact).
 
     coeffs has shape (..., 2*n_modes+1); requires n_points >= 2*n_modes+1 so
-    no mode is lost or aliased.
+    no mode is lost or aliased.  The values go to out (shape (..., n_points))
+    and the half spectrum is built in spectrum (complex, shape
+    (..., n_points // 2 + 1)); each is allocated when None.
     """
-    if n_points < 2 * n_modes + 1:
-        raise ValueError(
-            f"grid of {n_points} points is too small for {n_modes} modes "
-            f"(need at least {2 * n_modes + 1})"
-        )
+    _check_grid(n_points, n_modes)
     coeffs = np.asarray(coeffs, dtype=float)
-    s = _synthesis_scale(n_modes)
-    spec = np.zeros(coeffs.shape[:-1] + (n_points // 2 + 1,), dtype=complex)
-    spec[..., 0] = coeffs[..., 0] * n_points
-    half = 0.5 * n_points
-    a = coeffs[..., 1::2] * s[1::2]
-    b = coeffs[..., 2::2] * s[2::2]
-    spec[..., 1 : n_modes + 1] = half * (a - 1j * b)
-    return sfft.irfft(spec, n=n_points, axis=-1)
+    if spectrum is None:
+        spectrum = np.empty(coeffs.shape[:-1] + (n_points // 2 + 1,), dtype=complex)
+    synthesis, _ = _bin_scales(n_modes, n_points)
+    spectrum[..., 0] = coeffs[..., 0] * n_points
+    np.multiply(coeffs[..., 1:], synthesis, out=spectrum[..., 1 : n_modes + 1].view(float))
+    spectrum[..., n_modes + 1 :] = 0.0
+    return np.fft.irfft(spectrum, n=n_points, axis=-1, out=out)
 
 
-def values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
+def values_to_coeffs(
+    values: np.ndarray,
+    n_modes: int,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
     """Analyze grid values back to coefficients, truncating to n_modes.
 
     Exact for trigonometric polynomials of bandwidth <= (n_points - 1) / 2.
+    The coefficients go to out (shape (..., 2*n_modes+1)) and the half
+    spectrum to spectrum (complex, shape (..., n_points // 2 + 1)); each is
+    allocated when None.
     """
     values = np.asarray(values, dtype=float)
     n_points = values.shape[-1]
-    if n_points < 2 * n_modes + 1:
-        raise ValueError(
-            f"grid of {n_points} points is too small for {n_modes} modes "
-            f"(need at least {2 * n_modes + 1})"
-        )
-    spec = sfft.rfft(values, axis=-1)
-    s = _synthesis_scale(n_modes)
-    out = np.zeros(values.shape[:-1] + (2 * n_modes + 1,))
-    out[..., 0] = spec[..., 0].real / n_points
-    band = spec[..., 1 : n_modes + 1] * (2.0 / n_points)
-    out[..., 1::2] = band.real / s[1::2]
-    out[..., 2::2] = -band.imag / s[2::2]
+    _check_grid(n_points, n_modes)
+    spectrum = np.fft.rfft(values, axis=-1, out=spectrum)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
+    _, analysis = _bin_scales(n_modes, n_points)
+    np.divide(spectrum.real[..., 0], n_points, out=out[..., 0])
+    np.multiply(spectrum[..., 1 : n_modes + 1].view(float), analysis, out=out[..., 1:])
     return out
 
 
@@ -305,12 +347,14 @@ def from_grid(grid: GridField, n_modes: int) -> SpectralField:
 
 @lru_cache(maxsize=None)
 def dealias_points(n_modes: int, degree: int) -> int:
-    """Grid size resolving a degree-q product of an N-mode field exactly.
+    """Grid size on which modes 0..N of a degree-q product come out exact.
 
-    The product has bandwidth q*N, so q*N*2 + 1 samples suffice; rounded up
-    to an FFT-friendly length.
+    The product has bandwidth q*N.  Only modes up to N are kept, and on M
+    points a product mode k' aliases onto k' - M (or k' + M), which misses
+    [-N, N] for every |k'| <= q*N once M >= (q+1)*N + 1.  Rounded up to an
+    FFT-friendly length.
     """
-    return sfft.next_fast_len(max(2 * degree * n_modes + 1, 4), real=True)
+    return next_fast_len(max((degree + 1) * n_modes + 1, 4), real=True)
 
 
 def eval_polynomial_values(poly: DriftPolynomial, coeffs: np.ndarray, n_modes: int):
@@ -323,8 +367,9 @@ def eval_polynomial_values(poly: DriftPolynomial, coeffs: np.ndarray, n_modes: i
 def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
     """P(u) projected back onto modes 0..n_modes, dealiased hence exact.
 
-    Synthesizes u on a grid resolving the full product bandwidth, applies P
-    pointwise, analyzes back and truncates.  Agrees with the exact
+    Synthesizes u on the (q+1)N+1-point dealiasing grid, applies P
+    pointwise, analyzes back and truncates.  The modes above N alias on
+    that grid but never onto modes 0..N, so the result agrees with the exact
     coefficient-sequence convolution to rounding error.
     """
     _, pv = eval_polynomial_values(poly, u.coeffs, u.n_modes)

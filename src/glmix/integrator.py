@@ -20,14 +20,18 @@ ExponentialEulerStepper holds the per-slot factors of one step, and one
 block loop advances (trajectories x slots) blocks of it through batched
 FFTs.  That loop serves run_ensemble, simulate (a one-row ensemble with the
 convolution path recorded) and noise.sup_gaussian_check (a drift-free
-ensemble from zero).  Each trajectory consumes its own counter-based
-stream, so results do not depend on block sizes or thread schedules.  Rows
-that cross the blow-up guard are set to NaN and stay NaN.
+ensemble from zero).  Each block allocates its work arrays once (a
+StepBuffers set and a slab of normal draws filled in place) and updates its
+state in place, so a step allocates no block-sized array.  Each trajectory
+consumes its own counter-based stream, so results do not depend on block
+sizes, slab lengths or thread schedules.  Rows that cross the blow-up guard
+are set to NaN and stay NaN; a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -126,6 +130,21 @@ class SimulationParams:
         return n
 
 
+@dataclass
+class StepBuffers:
+    """Work arrays for stepping one block of rows in place.
+
+    One set per block, made by ExponentialEulerStepper.buffers and never
+    shared between threads.  The grid arrays are None without a polynomial.
+    """
+
+    slots: np.ndarray  # (rows, slots) step temporary
+    nonlin: np.ndarray | None = None  # (rows, slots) coefficients of N(u)
+    values: np.ndarray | None = None  # (rows, grid) values of u
+    reaction: np.ndarray | None = None  # (rows, grid) values of N(u)
+    spectrum: np.ndarray | None = None  # (rows, grid // 2 + 1) complex half spectrum
+
+
 class ExponentialEulerStepper:
     """Precomputed per-slot factors for one step of the scheme."""
 
@@ -142,21 +161,51 @@ class ExponentialEulerStepper:
         if self.poly is not None:
             self.grid_points = dealias_points(self.n_modes, self.poly.degree)
 
-    def nonlinearity(self, u: np.ndarray) -> np.ndarray:
-        """Coefficients of N(u) = u - P(u), dealiased."""
-        vals = coeffs_to_values(u, self.n_modes, self.grid_points)
-        return values_to_coeffs(vals - self.poly(vals), self.n_modes)
-
-    def step_block(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Advance a (..., slots) coefficient block with unit normals g."""
+    def buffers(self, lead: tuple[int, ...]) -> StepBuffers:
+        """Work arrays for coefficient blocks of shape lead + (slots,)."""
+        slots = (*lead, 2 * self.n_modes + 1)
         if self.poly is None:
-            return self.decay * u + self.std * g
-        return self.decay * u + self.phi * self.nonlinearity(u) + self.std * g
+            return StepBuffers(np.empty(slots))
+        grid = (*lead, self.grid_points)
+        return StepBuffers(
+            slots=np.empty(slots),
+            nonlin=np.empty(slots),
+            values=np.empty(grid),
+            reaction=np.empty(grid),
+            spectrum=np.empty((*lead, self.grid_points // 2 + 1), dtype=complex),
+        )
 
-    def blown_up(self, u: np.ndarray) -> np.ndarray:
+    def nonlinearity(self, u: np.ndarray, buf: StepBuffers | None = None) -> np.ndarray:
+        """Coefficients of N(u) = u - P(u), dealiased, written to buf.nonlin
+        (to fresh arrays when buf is None)."""
+        if buf is None:
+            buf = self.buffers(u.shape[:-1])
+        vals = coeffs_to_values(
+            u, self.n_modes, self.grid_points, out=buf.values, spectrum=buf.spectrum
+        )
+        self.poly.nonlinearity(vals, out=buf.reaction)
+        return values_to_coeffs(
+            buf.reaction, self.n_modes, out=buf.nonlin, spectrum=buf.spectrum
+        )
+
+    def step_block(self, u: np.ndarray, g: np.ndarray, buf: StepBuffers) -> None:
+        """Advance a (rows, slots) block in place with unit normals g:
+        u <- decay u + phi N(u) + std g, summed in that order."""
+        if self.poly is None:
+            u *= self.decay
+        else:
+            nonlin = self.nonlinearity(u, buf)
+            nonlin *= self.phi
+            u *= self.decay
+            u += nonlin
+        np.multiply(g, self.std, out=buf.slots)
+        u += buf.slots
+
+    def blown_up(self, u: np.ndarray, buf: StepBuffers) -> np.ndarray:
         """Guard mask; NaN rows (already aborted) report False."""
+        np.multiply(u, u, out=buf.slots)
         with np.errstate(invalid="ignore"):
-            return np.sum(u * u, axis=-1) > self.guard_sq
+            return np.sum(buf.slots, axis=-1) > self.guard_sq
 
 
 @dataclass
@@ -239,41 +288,45 @@ def _run_block(
     abort_norm = np.full(n, np.nan)
     sup_run = np.zeros(n) if window_steps is not None else None
     gens = [trajectory_generator(seed, int(j)) for j in ids]
+    buf = stepper.buffers((n,))
+    n_steps = params.n_steps
+    slab_len = min(_slab_steps(n, n_slots), n_steps)
+    noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
 
     if 0 in rec_steps:
         out.states[rows, rec_steps[0], :] = u
         if out.wl is not None:
             out.wl[rows, rec_steps[0], :] = 0.0
 
-    n_steps = params.n_steps
-    slab = _slab_steps(n, n_slots)
-    done = 0
-    while done < n_steps:
-        m = min(slab, n_steps - done)
-        g = np.stack([gen.standard_normal((m, n_slots)) for gen in gens])
-        for s in range(m):
-            step_no = done + s + 1
-            gs = g[:, s, :]
-            u = stepper.step_block(u, gs)
-            if w is not None:
-                w = stepper.decay * w + stepper.std * gs
-            blown = stepper.blown_up(u) & alive
-            if blown.any():
-                abort_t[blown] = step_no * params.dt
-                hit = u[blown]
-                abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
-                u[blown] = np.nan
-                alive &= ~blown
-            if sup_run is not None and window_steps[0] < step_no <= window_steps[1]:
-                vals = sup_norm_values(u, params.n_modes, oversample)
-                sup_run = np.where(np.isnan(vals), np.nan, np.maximum(sup_run, vals))
-            if step_no in rec_steps:
-                out.states[rows, rec_steps[step_no], :] = u
-                if out.wl is not None:
-                    out.wl[rows, rec_steps[step_no], :] = np.where(
-                        alive[:, None], w, np.nan
-                    )
-        done += m
+    for step_no in range(1, n_steps + 1):
+        s = (step_no - 1) % slab_len
+        if s == 0:
+            m = min(slab_len, n_steps - step_no + 1)
+            for gen, slab in zip(gens, noise):
+                gen.standard_normal(out=slab[:m])
+        gs = noise[:, s, :]
+        stepper.step_block(u, gs, buf)
+        if w is not None:
+            w *= stepper.decay
+            np.multiply(gs, stepper.std, out=buf.slots)
+            w += buf.slots
+        blown = stepper.blown_up(u, buf) & alive
+        if blown.any():
+            abort_t[blown] = step_no * params.dt
+            hit = u[blown]
+            abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
+            u[blown] = np.nan
+            alive &= ~blown
+            if sup_run is not None and step_no <= window_steps[1]:
+                sup_run[blown] = np.nan
+        if sup_run is not None and window_steps[0] < step_no <= window_steps[1]:
+            np.maximum(sup_run, sup_norm_values(u, params.n_modes, oversample), out=sup_run)
+        if step_no in rec_steps:
+            out.states[rows, rec_steps[step_no], :] = u
+            if out.wl is not None:
+                out.wl[rows, rec_steps[step_no], :] = np.where(alive[:, None], w, np.nan)
+        if not alive.any():
+            break  # the later records stay NaN, as out was made
 
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t
@@ -298,7 +351,8 @@ def run_ensemble(
     traj_ids are the per-trajectory stream ids (distinct ids give independent
     noise under the same seed).  Results are bitwise independent of
     block_size and threads because every trajectory owns its stream and rows
-    are written by index.  sup_window = (t1, t2) tracks the running grid sup
+    are written by index.  At most one worker thread runs per block and per
+    core this process may use.  sup_window = (t1, t2) tracks the running grid sup
     norm over that open-left window.
     """
     coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
@@ -341,8 +395,13 @@ def run_ensemble(
         (slice(lo, min(lo + block_size, ids.size)), ids[lo : lo + block_size])
         for lo in range(0, ids.size, block_size)
     ]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity query on this platform
+        cores = os.cpu_count() or 1
+    workers = min(threads, len(blocks), cores)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
                     _run_block, stepper, coeffs, params.seed, bid, rec_steps, out,

@@ -142,8 +142,21 @@ def test_doeblin_section_canonicalization():
     assert "[doeblin]" not in resolve_config("").resolved_lines()
 
 
-def test_load_config(tmp_path):
+def test_load_config(tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
     path.write_text("[model]\nn_modes = 4\nseed = 9\n")
     cfg = load_config(path)
     assert cfg.n_modes == 4 and cfg.seed == 9
+    # a relative kernel path is read against the config file, not the
+    # working directory: config in cfg/, kernel in data/, read from elsewhere
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "data").mkdir()
+    (tmp_path / "work").mkdir()
+    kernel = tmp_path / "data" / "k.txt"
+    (tmp_path / "cfg" / "run.cfg").write_text("[doeblin]\nkernel = ../data/k.txt\n")
+    monkeypatch.chdir(tmp_path / "work")
+    cfg = load_config("../cfg/run.cfg")
+    assert cfg.doeblin_kernel == str(kernel.resolve())
+    # an absolute path is kept as written
+    (tmp_path / "cfg" / "abs.cfg").write_text(f"[doeblin]\nkernel = {kernel}\n")
+    assert load_config("../cfg/abs.cfg").doeblin_kernel == str(kernel)

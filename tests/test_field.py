@@ -17,6 +17,7 @@ from glmix.field import (
     apply_semigroup,
     basis_field,
     coeffs_to_values,
+    dealias_points,
     eigenvalues,
     eval_polynomial,
     from_grid,
@@ -226,6 +227,15 @@ def test_eval_polynomial_matches_convolution_oracle():
             got = eval_polynomial(DriftPolynomial(pc), u).coeffs
             want = oracles.poly_by_convolution(pc, u.coeffs)
             assert np.allclose(got, want, atol=1e-10)
+            # (q+1)N+1 points is the smallest exact grid: on (q+1)N points the
+            # top product mode qN aliases onto mode N, and only there
+            for m in (4 * n_modes + 1, 4 * n_modes):
+                vals = coeffs_to_values(u.coeffs, n_modes, m)
+                back = values_to_coeffs(DriftPolynomial(pc)(vals), n_modes)
+                err = np.abs(back - want)
+                assert np.all(err[:-2] <= 1e-10)
+                assert (np.max(err[-2:]) <= 1e-10) == (m % 2 == 1)
+    assert dealias_points(32, 3) == 135
 
 
 def test_eval_polynomial_higher_degrees_match_convolution():
@@ -255,6 +265,18 @@ def test_drift_polynomial_validation_and_evaluation():
     p = DriftPolynomial([1.0, -2.0, 0.5, 3.0])
     ys = np.linspace(-2, 2, 11)
     assert np.allclose(p(ys), np.polyval([3.0, 0.5, -2.0, 1.0], ys), rtol=1e-14)
+    # the fused in-place y - P(y) agrees with y - p(y) within the Horner
+    # error bound, r the coefficients of y - P(y)
+    ys = np.linspace(-3.0, 3.0, 603).reshape(3, 201)
+    for pc in ([0.0, -1.0, 0.0, 1.0], [0.0, -1.5, 0.3, -0.7, 0.2, 1.0], [0.5, -1.0, 0.25, 2.0]):
+        p = DriftPolynomial(pc)
+        r = -np.array(pc)
+        r[1] += 1.0
+        bound = 16 * np.finfo(float).eps * np.polyval(np.abs(r[::-1]), np.abs(ys))
+        out = np.full_like(ys, np.nan)
+        assert p.nonlinearity(ys, out) is out
+        assert np.all(np.abs(out - (ys - p(ys))) <= bound)
+        assert np.array_equal(p.nonlinearity(ys), out)
 
 
 def test_sup_norm_cases():
@@ -350,3 +372,16 @@ def test_coeffs_to_values_batched_shapes():
     assert vals.shape == (4, 3, 16)
     back = values_to_coeffs(vals, 4)
     assert np.allclose(back, block, atol=1e-12)
+    # output and work arrays give bitwise the allocating results, whatever
+    # the work array held before
+    for coeffs in (block, block[1, 2]):
+        want = coeffs_to_values(coeffs, 4, 16)
+        spectrum = np.full(coeffs.shape[:-1] + (9,), np.nan, dtype=complex)
+        out = np.empty_like(want)
+        assert coeffs_to_values(coeffs, 4, 16, out=out, spectrum=spectrum) is out
+        assert np.array_equal(out, want)
+        want = values_to_coeffs(out, 4)
+        spectrum.fill(np.nan)
+        coeffs_out = np.empty_like(want)
+        assert values_to_coeffs(out, 4, out=coeffs_out, spectrum=spectrum) is coeffs_out
+        assert np.array_equal(coeffs_out, want)

@@ -5,6 +5,8 @@ Oracle routes: closed-form linear flows, an adaptive scalar ODE reference
 tests/oracles.py for a hand-built single step.
 """
 
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -181,7 +183,7 @@ def test_same_stream_reproduces_and_ids_differ():
     assert not np.array_equal(a.states, c.states)
 
 
-def test_blowup_flags_and_exception():
+def test_blowup_flags_and_exception(monkeypatch):
     params = quiet_params(n_modes=3)
     x = np.zeros(7)
     x[0] = 1e8
@@ -190,9 +192,15 @@ def test_blowup_flags_and_exception():
     assert np.all(np.isnan(traj.states[1:]))
     with pytest.raises(ValueError, match="aborted"):
         traj.state_at(1.0)
+    steps = []
+    step_block = ExponentialEulerStepper.step_block
+    monkeypatch.setattr(ExponentialEulerStepper, "step_block",
+                        lambda self, *args: steps.append(1) or step_block(self, *args))
     with pytest.raises(TrajectoryBlowup) as err:
         simulate(x, params, raise_on_blowup=True)
     assert err.value.time == params.dt and err.value.norm > params.blowup_guard
+    # the block stops once its only row has aborted, not at step 256
+    assert params.n_steps == 256 and len(steps) == 1
 
 
 def test_relaxation_from_large_initial_norm():
@@ -300,15 +308,19 @@ def test_ensemble_matches_single_trajectories():
 
 
 def test_ensemble_is_bitwise_invariant_to_batching():
-    params = SimulationParams(n_modes=4, dt=1.0 / 64.0,
-                              spectrum=NoiseSpectrum.default(4))
+    small = SimulationParams(n_modes=4, dt=1.0 / 64.0,
+                             spectrum=NoiseSpectrum.default(4))
     calm = np.full(9, 0.5)
     # c0 = 20 makes the explicit cubic step overshoot until the guard trips
     wild = np.zeros(9)
     wild[0] = 20.0
-    kw = dict(traj_ids=range(7), record_wl=True, sup_window=(0.25, 1.0))
+    # the default cubic model on its 135-point grid, where multi-row FFTs run
+    big = SimulationParams(n_modes=32)
+    assert ExponentialEulerStepper(big).grid_points == 135
     fields = ("states", "wl", "window_sup", "aborted", "abort_times", "abort_norms")
-    for x in (calm, wild):
+    for params, x, n_traj in ((small, calm, 7), (small, wild, 7),
+                              (big, scaled_random_field(32, 100.0).coeffs, 13)):
+        kw = dict(traj_ids=range(n_traj), record_wl=True, sup_window=(0.25, 1.0))
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
             for threads in (1, 4):
@@ -317,10 +329,35 @@ def test_ensemble_is_bitwise_invariant_to_batching():
                 for name in fields:
                     assert np.array_equal(getattr(base, name), getattr(other, name),
                                           equal_nan=True), name
-        if x is calm:
-            assert not base.aborted.any() and np.all(np.isnan(base.abort_norms))
-        else:
+        if x is wild:
+            # every row aborts before the window opens, and the block stops
             assert base.aborted.all() and np.all(base.abort_norms > params.blowup_guard)
+            assert np.all(base.abort_times == 0.0625)
+            assert np.all(np.isnan(base.window_sup))
+            assert np.all(np.isnan(base.states[:, 1:])) and np.all(np.isnan(base.wl[:, 1:]))
+        else:
+            assert not base.aborted.any() and np.all(np.isnan(base.abort_norms))
+            assert np.all(np.isfinite(base.window_sup))
+
+
+def test_run_ensemble_clamps_worker_threads(monkeypatch):
+    import glmix.integrator as integrator
+
+    workers = []
+
+    class Recording(integrator.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(integrator, "ThreadPoolExecutor", Recording)
+    params = quiet_params(n_modes=3)
+    x = np.full(7, 0.5)
+    ens = run_ensemble(x, params, traj_ids=range(3), block_size=1, threads=8)
+    # no more threads than blocks or usable cores
+    want = min(3, len(os.sched_getaffinity(0)))
+    assert workers == ([want] if want > 1 else [])
+    assert np.array_equal(ens.states, run_ensemble(x, params, traj_ids=range(3)).states)
 
 
 def test_ensemble_record_times_and_windows():
