@@ -27,7 +27,6 @@ norm R in the gamma = 1 topology; it does not depend on the run seed.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import DriftPolynomial, fmt_float, scaled_random_field
-from .integrator import SimulationParams
+from .integrator import SimulationParams, integer_times
 from .noise import NoiseSpectrum
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "resolve_config", "load_config"]
@@ -200,7 +199,7 @@ class RunConfig:
     def resolved_times(self) -> list[float]:
         if self.times:
             return [float(t) for t in self.times]
-        return [float(t) for t in range(1, int(math.floor(self.t_final + 1e-9)) + 1)]
+        return [float(t) for t in integer_times(self.t_final)[1:]]
 
     def ic_array(self, i: int) -> np.ndarray:
         spec = self.ics[i]
@@ -359,8 +358,9 @@ def resolve_config(text: str) -> RunConfig:
     cfg.ode_y0s = ode.list("y0s", float, defaults.ode_y0s)
     cfg.ode_ts = ode.list("ts", float, defaults.ode_ts)
 
-    if cfg.n_traj < 1:
-        raise ConfigError("n_traj must be at least 1")
+    for key, least in (("n_traj", 1), ("n_boot", 0)):  # the defaults pass
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"line {ensemble.raw(key)[1]}: {key} must be at least {least}")
     return cfg
 
 

@@ -359,7 +359,9 @@ def small_set_search(
     when no triple passes the covering thresholds at this refinement.
     """
     mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
-    if mu.shape != (kernel.n,) or np.any(mu <= 0.0):
+    if mu.shape != (kernel.n,):
+        raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
+    if np.any(mu <= 0.0):
         raise ValueError("mu0 must be strictly positive on all states")
     if abs(mu.sum() - 1.0) > 1e-9:
         raise ValueError("mu0 must be a probability measure")

@@ -357,13 +357,6 @@ def dealias_points(n_modes: int, degree: int) -> int:
     return next_fast_len(max((degree + 1) * n_modes + 1, 4), real=True)
 
 
-def eval_polynomial_values(poly: DriftPolynomial, coeffs: np.ndarray, n_modes: int):
-    """(grid values of u, grid values of P(u)) on the dealiased grid."""
-    m = dealias_points(n_modes, poly.degree)
-    vals = coeffs_to_values(coeffs, n_modes, m)
-    return vals, poly(vals)
-
-
 def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
     """P(u) projected back onto modes 0..n_modes, dealiased hence exact.
 
@@ -372,28 +365,30 @@ def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
     that grid but never onto modes 0..N, so the result agrees with the exact
     coefficient-sequence convolution to rounding error.
     """
-    _, pv = eval_polynomial_values(poly, u.coeffs, u.n_modes)
-    return SpectralField(u.n_modes, values_to_coeffs(pv, u.n_modes))
+    m = dealias_points(u.n_modes, poly.degree)
+    values = poly(coeffs_to_values(u.coeffs, u.n_modes, m))
+    return SpectralField(u.n_modes, values_to_coeffs(values, u.n_modes))
 
 
-def sup_norm(u: SpectralField, oversample: int = 8) -> float:
-    """Max of |u| on an oversampled grid (>= 8N points by default).
+SUP_POINTS_PER_MODE = 8  # sup-norm grid density; the grid has at least 64 points
 
-    A grid maximum is a lower bound on the true sup norm; at 8 points per
-    shortest wavelength it is within a fraction of a percent for generic
-    fields and exact for pure unshifted cosine modes.
+
+def sup_norm_values(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
+    """Grid sup norm over the last axis of a coefficient array.
+
+    The grid has max(8 N, 64) points (SUP_POINTS_PER_MODE = 8).  A grid
+    maximum is a lower bound on the true sup norm; at 8 points per shortest
+    wavelength it is within a fraction of a percent for generic fields and
+    exact for pure unshifted cosine modes.
     """
-    if oversample < 2:
-        raise ValueError("oversample must be at least 2")
-    m = max(oversample * u.n_modes, 64)
-    return float(np.max(np.abs(coeffs_to_values(u.coeffs, u.n_modes, m))))
-
-
-def sup_norm_values(coeffs: np.ndarray, n_modes: int, oversample: int = 8) -> np.ndarray:
-    """Batched grid sup norm over the last axis of a coefficient array."""
-    m = max(oversample * n_modes, 64)
+    m = max(SUP_POINTS_PER_MODE * n_modes, 64)
     vals = coeffs_to_values(coeffs, n_modes, m)
     return np.max(np.abs(vals), axis=-1)
+
+
+def sup_norm(u: SpectralField) -> float:
+    """Max of |u| on the sup-norm grid: one row of sup_norm_values."""
+    return float(sup_norm_values(u.coeffs, u.n_modes))
 
 
 def fmt_float(x: float) -> str:

@@ -58,6 +58,7 @@ __all__ = [
     "TrajectoryBlowup",
     "simulate",
     "run_ensemble",
+    "integer_times",
     "psi_step_residual",
     "dini_check",
     "fit_dini_constants",
@@ -84,8 +85,9 @@ class SimulationParams:
     """Resolved model and discretization parameters.
 
     dt must divide 1 exactly in the rational sense (so integer times fall on
-    the step grid) and t_final must be at least 1.  poly = None selects the
-    pure Ornstein-Uhlenbeck dynamics N == 0.
+    the step grid), t_final must be finite and at least 1, seed must lie in
+    [0, 2^64) (it keys the Philox streams) and blowup_guard must be positive.
+    poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
     n_modes: int = 32
@@ -106,6 +108,8 @@ class SimulationParams:
         per_unit = round(1.0 / self.dt)
         if abs(per_unit * self.dt - 1.0) > 1e-9:
             raise ValueError("dt must divide 1 exactly (1/dt integer)")
+        if not math.isfinite(self.t_final):
+            raise ValueError("t_final must be finite")
         if self.t_final < 1.0:
             raise ValueError("t_final must be at least 1")
         if self.spectrum is None:
@@ -115,8 +119,10 @@ class SimulationParams:
         bad = validate(self.spectrum)
         if bad is not None:
             raise ValueError("inadmissible noise spectrum:\n" + str(bad))
-        if self.blowup_guard <= 0:
+        if not self.blowup_guard > 0:  # NaN included
             raise ValueError("blowup_guard must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
     @property
     def steps_per_unit(self) -> int:
@@ -259,12 +265,15 @@ class EnsembleResult:
         return self.states[:, i, :]
 
 
-def _integer_times(params: SimulationParams) -> np.ndarray:
-    return np.arange(int(math.floor(params.t_final + 1e-9)) + 1, dtype=float)
+def integer_times(t_final: float) -> np.ndarray:
+    """The integer times 0, 1, ..., floor(t_final) as floats."""
+    if not math.isfinite(t_final):
+        raise ValueError("t_final must be finite")
+    return np.arange(int(math.floor(t_final + 1e-9)) + 1, dtype=float)
 
 
-def _slab_steps(block: int, n_slots: int, budget_bytes: int = 64 << 20) -> int:
-    return max(1, min(256, budget_bytes // max(1, 8 * block * n_slots)))
+# A block draws its normals in slabs of at most 256 steps and 64 MB.
+_SLAB_BYTES = 64 << 20
 
 
 def _run_block(
@@ -276,7 +285,6 @@ def _run_block(
     out: EnsembleResult,
     rows: slice,
     window_steps: tuple[int, int] | None,
-    oversample: int,
 ):
     params = stepper.params
     n = ids.size
@@ -290,7 +298,7 @@ def _run_block(
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
     n_steps = params.n_steps
-    slab_len = min(_slab_steps(n, n_slots), n_steps)
+    slab_len = max(1, min(256, n_steps, _SLAB_BYTES // (8 * n * n_slots)))
     noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
 
     if 0 in rec_steps:
@@ -320,7 +328,7 @@ def _run_block(
             if sup_run is not None and step_no <= window_steps[1]:
                 sup_run[blown] = np.nan
         if sup_run is not None and window_steps[0] < step_no <= window_steps[1]:
-            np.maximum(sup_run, sup_norm_values(u, params.n_modes, oversample), out=sup_run)
+            np.maximum(sup_run, sup_norm_values(u, params.n_modes), out=sup_run)
         if step_no in rec_steps:
             out.states[rows, rec_steps[step_no], :] = u
             if out.wl is not None:
@@ -344,16 +352,16 @@ def run_ensemble(
     record_wl: bool = False,
     block_size: int = 512,
     threads: int = 1,
-    oversample: int = 8,
 ) -> EnsembleResult:
     """Integrate an ensemble from one initial condition.
 
     traj_ids are the per-trajectory stream ids (distinct ids give independent
     noise under the same seed).  Results are bitwise independent of
     block_size and threads because every trajectory owns its stream and rows
-    are written by index.  At most one worker thread runs per block and per
-    core this process may use.  sup_window = (t1, t2) tracks the running grid sup
-    norm over that open-left window.
+    are written by index.  The blocks run on a thread pool of
+    min(threads, blocks, cores) workers (at least one), cores being those
+    this process may use.  sup_window = (t1, t2) tracks the running grid sup
+    norm (field.sup_norm_values) over that open-left window.
     """
     coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -361,7 +369,7 @@ def run_ensemble(
         raise ValueError("initial condition length does not match n_modes")
     ids = np.asarray(traj_ids, dtype=np.int64)
     if record_times is None:
-        record_times = _integer_times(params)
+        record_times = integer_times(params.t_final)
     else:
         record_times = np.asarray(record_times, dtype=float)
     rec_steps: dict[int, int] = {}
@@ -399,24 +407,17 @@ def run_ensemble(
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity query on this platform
         cores = os.cpu_count() or 1
-    workers = min(threads, len(blocks), cores)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_block, stepper, coeffs, params.seed, bid, rec_steps, out,
-                    rows, window_steps, oversample,
-                )
-                for rows, bid in blocks
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for rows, bid in blocks:
-            _run_block(
-                stepper, coeffs, params.seed, bid, rec_steps, out, rows,
-                window_steps, oversample,
+    workers = max(1, min(threads, len(blocks), cores))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(
+                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out,
+                rows, window_steps,
             )
+            for rows, bid in blocks
+        ]
+        for f in futures:
+            f.result()
     return out
 
 
@@ -439,7 +440,7 @@ def simulate(
     aborted = bool(ens.aborted[0])
     if aborted and raise_on_blowup:
         raise TrajectoryBlowup(float(ens.abort_times[0]), float(ens.abort_norms[0]))
-    times = _integer_times(params)
+    times = integer_times(params.t_final)
     states, wl = ens.states[0], ens.wl[0]
     dense_states = dense_wl = None
     if record_dense:
@@ -489,7 +490,7 @@ def psi_step_residual(traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dini_data(traj: Trajectory, oversample: int = 8):
+def _dini_data(traj: Trajectory):
     if traj.dense_states is None:
         raise ValueError("dense records required; simulate with record_dense=True")
     if traj.params.poly is None:
@@ -497,44 +498,39 @@ def _dini_data(traj: Trajectory, oversample: int = 8):
     n_modes = traj.params.n_modes
     ok = np.all(np.isfinite(traj.dense_states), axis=1)
     psi = traj.dense_states[ok] - traj.dense_wl[ok]
-    sup_psi = sup_norm_values(psi, n_modes, oversample)
-    sup_wl = sup_norm_values(traj.dense_wl[ok], n_modes, oversample)
+    sup_psi = sup_norm_values(psi, n_modes)
+    sup_wl = sup_norm_values(traj.dense_wl[ok], n_modes)
     h = traj.params.dt
     quot = (sup_psi[1:] - sup_psi[:-1]) / h
     q = traj.params.poly.degree
     return quot, sup_psi[1:] ** q, sup_wl[1:] ** q
 
 
-def dini_check(
-    traj: Trajectory,
-    c1: float,
-    c2: float,
-    c3: float,
-    oversample: int = 8,
-) -> float:
+def dini_check(traj: Trajectory, c1: float, c2: float, c3: float) -> float:
     """Fraction of steps satisfying the pathwise decay inequality.
 
     Checks the backward difference quotient of ||Psi||_inf against
     c1 - c2 ||Psi||_inf^q + c3 ||W_L||_inf^q at the right endpoint of each
-    recorded step.
+    recorded step; the sup norms are field.sup_norm_values grid maxima
+    (8 points per mode, at least 64 points).
     """
     if min(c1, c2, c3) <= 0:
         raise ValueError("constants must be positive")
-    quot, psi_q, wl_q = _dini_data(traj, oversample)
+    quot, psi_q, wl_q = _dini_data(traj)
     if quot.size == 0:
         raise ValueError("trajectory has no usable steps")
     good = quot <= c1 - c2 * psi_q + c3 * wl_q + 1e-12
     return float(np.mean(good))
 
 
-def fit_dini_constants(traj: Trajectory, oversample: int = 8) -> tuple[float, float, float]:
+def fit_dini_constants(traj: Trajectory) -> tuple[float, float, float]:
     """Propose positive (c1, c2, c3) making the decay inequality hold on traj.
 
     Least-squares fit of the quotient against (1, -||Psi||^q, ||W_L||^q) with
     the slopes floored at small positive values, then c1 inflated to cover
     every sample with margin.
     """
-    quot, psi_q, wl_q = _dini_data(traj, oversample)
+    quot, psi_q, wl_q = _dini_data(traj)
     a = np.column_stack([np.ones_like(quot), -psi_q, wl_q])
     kappa, *_ = np.linalg.lstsq(a, quot, rcond=None)
     c2 = max(float(kappa[1]), 1e-6)
@@ -547,6 +543,9 @@ def fit_dini_constants(traj: Trajectory, oversample: int = 8) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # scalar comparison ODE
 # ---------------------------------------------------------------------------
+
+
+_ODE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -567,7 +566,6 @@ def ode_comparison(
     y0: float,
     t: float,
     forcing=None,
-    tol: float = 1e-8,
 ) -> OdeComparison:
     """Integrate y' = -c y^q + f(s) on [0, t] and compare both decay bounds.
 
@@ -576,6 +574,7 @@ def ode_comparison(
     variant (q c t)^(-1/(q-1)) + int_0^t f is reported as well and can fail.
     forcing is a piecewise-constant step function as (start_time, value)
     pairs, start times increasing from 0, values nonnegative; None means 0.
+    A bound holds when y(t) exceeds it by at most _ODE_TOL = 1e-8.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 3 and q % 2 == 1):
         raise ValueError("q must be an odd integer >= 3")
@@ -615,8 +614,8 @@ def ode_comparison(
         forcing_integral=f_int,
         corrected_bound=corrected,
         literal_bound=literal,
-        corrected_holds=bool(y <= corrected + tol),
-        literal_holds=bool(y <= literal + tol),
+        corrected_holds=bool(y <= corrected + _ODE_TOL),
+        literal_holds=bool(y <= literal + _ODE_TOL),
     )
 
 
@@ -630,26 +629,20 @@ def write_trajectory_csv(
     results,
     gamma: float,
     header_lines: list[str],
-    oversample: int = 8,
 ) -> str:
     """Write integer-time records as CSV with a '#'-prefixed header block.
 
-    results is a list of EnsembleResult objects or (trajectory_id, times,
-    states) triples; rows carry a trajectory column.  Aborted spans appear
-    as rows with aborted = 1 and empty numeric fields.  Returns the text.
+    results is a list of EnsembleResult objects; rows carry a trajectory
+    column.  norm_sup is the field.sup_norm_values grid maximum (8 points per
+    mode, at least 64 points).  Aborted spans appear as rows with aborted = 1
+    and empty numeric fields.  Returns the text.
     """
-    rows = []
-    n_modes = None
-    for item in results:
-        if isinstance(item, EnsembleResult):
-            n_modes = item.params.n_modes
-            for j in range(item.n_traj):
-                rows.append((int(item.traj_ids[j]), item.times, item.states[j]))
-        else:
-            tid, times, states = item
-            n_modes = (states.shape[-1] - 1) // 2
-            rows.append((int(tid), times, states))
-
+    rows = [
+        (int(ens.traj_ids[j]), ens.times, ens.states[j])
+        for ens in results
+        for j in range(ens.n_traj)
+    ]
+    n_modes = results[-1].params.n_modes
     ell = eigenvalues(n_modes)
     weights = ell ** (2.0 * gamma)
     n_coeff_cols = min(6, 2 * n_modes + 1)
@@ -662,7 +655,7 @@ def write_trajectory_csv(
         finite = np.all(np.isfinite(states), axis=-1)
         sups = np.full(len(times), np.nan)
         if finite.any():
-            sups[finite] = sup_norm_values(states[finite], n_modes, oversample)
+            sups[finite] = sup_norm_values(states[finite], n_modes)
         for i, t in enumerate(times):
             if finite[i]:
                 u = states[i]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .field import eigenvalues, fmt_float
-from .integrator import EnsembleResult, SimulationParams, run_ensemble
+from .integrator import EnsembleResult, SimulationParams, integer_times, run_ensemble
 
 __all__ = [
     "EnsembleSpec",
@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 _N_BINS = 32
+# Uniformity verdict: estimates agree when every pairwise ratio is at most
+# _RATIO_THRESHOLD and every pair of +-_Z stderr intervals overlaps.
+_RATIO_THRESHOLD = 2.0
+_Z = 1.96
+# Rate fit window: points at or above _FIT_WINDOW times the floor, at least
+# _FIT_MIN_POINTS of them.
+_FIT_WINDOW = 4.0
+_FIT_MIN_POINTS = 4
 
 
 @dataclass
@@ -220,13 +228,11 @@ class SupWindowTable:
     uniformity: UniformityVerdict
 
 
-def _uniformity(
-    estimates, stderrs, ratio_threshold: float = 2.0, z: float = 1.96
-) -> UniformityVerdict:
+def _uniformity(estimates, stderrs) -> UniformityVerdict:
     est = np.asarray(estimates, dtype=float)
     se = np.asarray(stderrs, dtype=float)
-    lo = est - z * se
-    hi = est + z * se
+    lo = est - _Z * se
+    hi = est + _Z * se
     ratio_ok = True
     max_ratio = 1.0
     ci_ok = True
@@ -240,7 +246,7 @@ def _uniformity(
             else:
                 ratio = big / small
             max_ratio = max(max_ratio, ratio)
-            if ratio > ratio_threshold:
+            if ratio > _RATIO_THRESHOLD:
                 ratio_ok = False
             if lo[i] > hi[j] or lo[j] > hi[i]:
                 ci_ok = False
@@ -266,20 +272,13 @@ def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
     return np.sum(w * states * states, axis=-1) ** (p / 2.0)
 
 
-def moment_bound(
-    spec: EnsembleSpec,
-    t: float,
-    ratio_threshold: float = 2.0,
-    z: float = 1.96,
-    block_size: int = 512,
-    threads: int = 1,
-) -> MomentTable:
+def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
     """Monte Carlo table of E ||Phi_t(x)||_gamma^p per initial condition.
 
     Runs one ensemble per initial condition, estimates the moment with its
     standard error (aborted trajectories are excluded and counted), and
     reports whether the estimates are uniform across initial conditions:
-    pairwise ratios within ratio_threshold and z-score confidence intervals
+    pairwise ratios at most 2 and the 1.96-stderr confidence intervals
     pairwise overlapping.
     """
     if t <= 0.0 or t > spec.params.t_final + 1e-9:
@@ -287,15 +286,11 @@ def moment_bound(
     entries = []
     for i, ic in enumerate(spec.initial_conditions):
         ens = run_ensemble(
-            ic, spec.params, spec.traj_ids(i), record_times=[t],
-            block_size=block_size, threads=threads,
+            ic, spec.params, spec.traj_ids(i), record_times=[t], threads=threads
         )
         vals = _norm_power(ens.states_at(t), spec.gamma, spec.p)
         entries.append(_mean_entry(i, t, vals, spec.n_traj))
-    verdict = _uniformity(
-        [e.estimate for e in entries], [e.stderr for e in entries],
-        ratio_threshold, z,
-    )
+    verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
     return MomentTable(
         t=float(t), gamma=spec.gamma, p=spec.p,
         entries=tuple(entries), uniformity=verdict,
@@ -303,20 +298,14 @@ def moment_bound(
 
 
 def sup_window_bound(
-    spec: EnsembleSpec,
-    t1: float,
-    t2: float,
-    ratio_threshold: float = 2.0,
-    z: float = 1.96,
-    block_size: int = 512,
-    threads: int = 1,
-    oversample: int = 8,
+    spec: EnsembleSpec, t1: float, t2: float, threads: int = 1
 ) -> SupWindowTable:
     """Monte Carlo table of E sup_{t1 < s <= t2} ||Phi_s(x)||_inf per start.
 
-    The sup is tracked densely (every step inside the window) on an
-    oversampled grid, so no dense state storage is needed.  Uniformity is
-    reported exactly as in moment_bound.
+    The sup is tracked densely (every step inside the window) on the
+    field.sup_norm_values grid (8 points per mode, at least 64 points), so
+    no dense state storage is needed.  Uniformity is reported exactly as in
+    moment_bound.
     """
     if not (0.0 < t1 < t2 <= spec.params.t_final + 1e-9):
         raise ValueError("window must satisfy 0 < t1 < t2 <= t_final")
@@ -324,14 +313,10 @@ def sup_window_bound(
     for i, ic in enumerate(spec.initial_conditions):
         ens = run_ensemble(
             ic, spec.params, spec.traj_ids(i),
-            record_times=[spec.params.t_final], sup_window=(t1, t2),
-            block_size=block_size, threads=threads, oversample=oversample,
+            record_times=[spec.params.t_final], sup_window=(t1, t2), threads=threads,
         )
         entries.append(_mean_entry(i, t2, ens.window_sup, spec.n_traj))
-    verdict = _uniformity(
-        [e.estimate for e in entries], [e.stderr for e in entries],
-        ratio_threshold, z,
-    )
+    verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
     return SupWindowTable(
         t1=float(t1), t2=float(t2), entries=tuple(entries), uniformity=verdict
     )
@@ -357,32 +342,26 @@ class RateFit:
     message: str = ""
 
 
-def fit_rate(
-    times,
-    distances,
-    floor: float | None = None,
-    min_points: int = 4,
-    window_factor: float = 4.0,
-) -> RateFit:
+def fit_rate(times, distances, floor: float | None = None) -> RateFit:
     """Least-squares exponential rate on the points clearly above the floor.
 
     floor = None estimates the statistical floor as 1.25 times the smallest
-    distance; only points with distance >= window_factor * floor enter the
-    log-linear fit.  Fewer than min_points usable points (for example when
-    the distances are constant) yields an unidentifiable result rather than
-    a rate.  The confidence interval is the OLS two-sided 95% interval from
+    distance; only points with distance >= 4 * floor enter the log-linear
+    fit.  Fewer than 4 usable points (for example when the distances are
+    constant) yields an unidentifiable result rather than a rate; fewer than
+    4 points in all is an error.  The confidence interval is the OLS two-sided 95% interval from
     the fit residuals; pipeline callers replace it by a bootstrap interval.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
-    if t.shape != d.shape or t.size < min_points:
-        raise ValueError(f"need at least {min_points} (time, distance) pairs")
+    if t.shape != d.shape or t.size < _FIT_MIN_POINTS:
+        raise ValueError(f"need at least {_FIT_MIN_POINTS} (time, distance) pairs")
     if np.any(~np.isfinite(d)) or np.any(d < 0.0):
         raise ValueError("distances must be finite and nonnegative")
     used_floor = 1.25 * float(d.min()) if floor is None else float(floor)
-    mask = d >= window_factor * max(used_floor, 0.0)
+    mask = d >= _FIT_WINDOW * max(used_floor, 0.0)
     mask &= d > 0.0
-    if np.count_nonzero(mask) < min_points:
+    if np.count_nonzero(mask) < _FIT_MIN_POINTS:
         return RateFit(
             lam=math.nan, intercept=math.nan, ci_low=math.nan, ci_high=math.nan,
             n_used=int(np.count_nonzero(mask)), floor=used_floor,
@@ -412,14 +391,13 @@ def fit_rate(
 
 @dataclass
 class MixingReport:
-    """Distances between two evolving ensembles, their decay fit, moments."""
+    """Distances between two evolving ensembles and their decay fit."""
 
     times: np.ndarray
     distances: np.ndarray
     distance_stderr: np.ndarray
     fit: RateFit
     floor: float
-    moment_table: tuple
     gamma: float
     p: float
     sliced_means: np.ndarray = dataclass_field(default_factory=lambda: np.array([]))
@@ -434,7 +412,6 @@ def mixing_report(
     spec: EnsembleSpec,
     times=None,
     n_boot: int = 200,
-    block_size: int = 512,
     threads: int = 1,
 ) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
@@ -444,14 +421,14 @@ def mixing_report(
     by half-splitting each ensemble (distance between same-law halves), fits
     the exponential rate above that floor, and attaches a trajectory
     bootstrap (n_boot resamples) confidence interval for the rate and a
-    standard error for each distance.  The moment table covers every initial
-    condition at every time.
+    standard error for each distance.  times = None means 1, 2, ...,
+    floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
         raise ValueError("mixing_report needs two initial conditions")
     params = spec.params
     if times is None:
-        times = np.arange(1.0, math.floor(params.t_final + 1e-9) + 1.0)
+        times = integer_times(params.t_final)[1:]
     times = np.asarray(times, dtype=float)
     if times.size < 4:
         raise ValueError("need at least 4 report times")
@@ -460,8 +437,7 @@ def mixing_report(
     for i, ic in enumerate(spec.initial_conditions):
         ensembles.append(
             run_ensemble(
-                ic, params, spec.traj_ids(i), record_times=times,
-                block_size=block_size, threads=threads,
+                ic, params, spec.traj_ids(i), record_times=times, threads=threads
             )
         )
 
@@ -521,19 +497,12 @@ def mixing_report(
             method="bootstrap",
         )
 
-    moment_entries = []
-    for i, ens in enumerate(ensembles):
-        for j, t in enumerate(times):
-            vals = _norm_power(ens.states[:, j, :], spec.gamma, spec.p)
-            moment_entries.append(_mean_entry(i, t, vals, spec.n_traj))
-
     return MixingReport(
         times=times,
         distances=distances,
         distance_stderr=distance_stderr,
         fit=fit,
         floor=floor,
-        moment_table=tuple(moment_entries),
         gamma=spec.gamma,
         p=spec.p,
         sliced_means=sliced,

@@ -228,12 +228,12 @@ def sup_gaussian_check(
     h: float = 1.0 / 256.0,
     n_samples: int = 1000,
     seed: int = 0,
-    oversample: int = 8,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E sup_{s <= t} ||W_L(s)||_inf^p.
 
     Runs the drift-free model from zero as an ensemble of trajectories
-    0..n_samples-1 and tracks the running grid sup norm over (0, t].  The
+    0..n_samples-1 and tracks the running grid sup norm over (0, t] on the
+    field.sup_norm_values grid (8 points per mode, at least 64 points).  The
     arguments must form valid SimulationParams: t >= 1, 1/h an integer, t a
     multiple of h and an admissible spectrum.  Returns (estimate, standard
     error).
@@ -245,7 +245,7 @@ def sup_gaussian_check(
     )
     ens = run_ensemble(
         np.zeros(2 * spectrum.n_modes + 1), params, range(n_samples),
-        record_times=[t], sup_window=(0.0, t), oversample=oversample,
+        record_times=[t], sup_window=(0.0, t),
     )
     vals = ens.window_sup**p
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))

@@ -348,3 +348,53 @@ def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):
     assert "error = validation" in text
     assert "violation = beta_window" in text
     assert "beta must lie in (alpha - 1/8, alpha]" in text
+
+
+def run_exit_two(tmp_path, capsys, argv, cfg_text=None):
+    """Run main, require exit 2 with no exception, return its stdout."""
+    if cfg_text is not None:
+        argv = argv + ["--config", str(write_cfg(tmp_path, cfg_text))]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.out + captured.err
+    return captured.out
+
+
+def test_seed_outside_uint64_exits_two(tmp_path, capsys):
+    for cfg_text, argv in [
+        ("[model]\nseed = -1\n", ["simulate"]),
+        (None, ["simulate", "--seed", "-1"]),
+        (None, ["moments", "--seed", str(2**64)]),
+    ]:
+        text = run_exit_two(tmp_path, capsys, argv, cfg_text)
+        assert "error = validation" in text
+        assert "seed must lie in [0, 2^64)" in text
+
+
+def test_non_finite_t_final_and_nan_guard_exit_two(tmp_path, capsys):
+    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = inf\n")
+    assert "error = validation" in text and "t_final must be finite" in text
+    # doeblin never builds the model, but echoing t_final's times must not crash
+    cfg = f"[model]\nt_final = inf\n[doeblin]\nkernel = {KERNEL_FILE}\n"
+    text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
+    assert "error = validation" in text and "t_final must be finite" in text
+    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nblowup_guard = nan\n")
+    assert "error = validation" in text and "blowup_guard must be positive" in text
+
+
+def test_negative_n_boot_exits_two_with_its_line(tmp_path, capsys):
+    cfg = (
+        "[model]\nn_modes = 4\nt_final = 4\n\n"
+        "[ensemble]\nic1 = zero\nic2 = scaled-random:1\nn_traj = 4\nn_boot = -3\n"
+    )
+    text = run_exit_two(tmp_path, capsys, ["mixing"], cfg)
+    assert "error = config" in text
+    assert "line 9: n_boot must be at least 0" in text
+
+
+def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
+    cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = 0.5 0.25 0.25\n"
+    text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
+    assert "error = validation" in text
+    assert "mu0 has 3 weights for a kernel on 2 states" in text

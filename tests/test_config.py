@@ -1,11 +1,17 @@
 """Tests for the line-oriented run configuration and its canonical form."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from glmix.config import ConfigError, RunConfig, load_config, resolve_config
-from glmix.field import scaled_random_field
-from glmix.noise import NoiseSpectrum
+from glmix.field import fmt_float, scaled_random_field
+from glmix.noise import NoiseSpectrum, trajectory_generator
+
+# Fixed example sets, so every run checks the same cases.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 def test_empty_text_resolves_to_defaults():
@@ -76,8 +82,11 @@ def test_parse_error_line_numbers():
         resolve_config("[ensemble]\ntimes =\n")
     with pytest.raises(ConfigError, match=r"\[doeblin\] requires a kernel path"):
         resolve_config("[doeblin]\nm = 2\n")
-    with pytest.raises(ConfigError, match="n_traj must be at least 1"):
+    with pytest.raises(ConfigError, match="line 2: n_traj must be at least 1"):
         resolve_config("[ensemble]\nn_traj = 0\n")
+    with pytest.raises(ConfigError, match="line 3: n_boot must be at least 0"):
+        resolve_config("[ensemble]\nn_traj = 5\nn_boot = -3\n")
+    assert resolve_config("[ensemble]\nn_boot = 0\n").n_boot == 0
 
 
 def test_ic_canonicalization_and_errors():
@@ -160,3 +169,112 @@ def test_load_config(tmp_path, monkeypatch):
     # an absolute path is kept as written
     (tmp_path / "cfg" / "abs.cfg").write_text(f"[doeblin]\nkernel = {kernel}\n")
     assert load_config("../cfg/abs.cfg").doeblin_kernel == str(kernel)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def joined(values):
+    return " ".join(fmt_float(v) for v in values)
+
+
+@st.composite
+def run_configs(draw):
+    """Configs in canonical form, as resolve_config returns them for some text."""
+    n_modes = draw(st.integers(1, 6))
+    n_slots = 2 * n_modes + 1
+    ic = st.one_of(
+        st.just("zero"),
+        FINITE.map(lambda r: "scaled-random:" + fmt_float(r)),
+        st.lists(FINITE, min_size=n_slots, max_size=n_slots).map(joined),
+    )
+    cfg = RunConfig(
+        n_modes=n_modes,
+        dt=2.0 ** -draw(st.integers(0, 10)),
+        t_final=float(draw(st.integers(1, 6))),
+        poly=draw(st.none() | st.lists(FINITE, min_size=1, max_size=6)),
+        alpha=draw(FINITE),
+        beta=draw(FINITE),
+        c1=draw(FINITE),
+        c2=draw(FINITE),
+        k_star=draw(st.integers(-3, 10)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        blowup_guard=draw(FINITE),
+        q_overrides=draw(st.dictionaries(st.integers(0, n_modes), FINITE, max_size=3)),
+        ics=draw(st.lists(ic, min_size=1, max_size=3)),
+        n_traj=draw(st.integers(1, 10**6)),
+        gamma=draw(FINITE),
+        p=draw(FINITE),
+        times=draw(st.lists(FINITE, min_size=1, max_size=5)),
+        n_boot=draw(st.integers(0, 10**4)),
+        ode_qs=draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)),
+        ode_cs=draw(st.lists(FINITE, min_size=1, max_size=3)),
+        ode_y0s=draw(st.lists(FINITE, min_size=1, max_size=3)),
+        ode_ts=draw(st.lists(FINITE, min_size=1, max_size=3)),
+    )
+    if draw(st.booleans()):
+        cfg.doeblin_kernel = draw(st.text("abc_./0123456789", min_size=1, max_size=12))
+        cfg.doeblin_K = draw(
+            st.just("all")
+            | st.lists(st.integers(-5, 50), min_size=1, max_size=4).map(
+                lambda ks: " ".join(str(k) for k in ks)
+            )
+        )
+        cfg.doeblin_m = draw(st.integers(-5, 50))
+        cfg.doeblin_mu0 = draw(
+            st.just("uniform") | st.lists(FINITE, min_size=1, max_size=4).map(joined)
+        )
+    return cfg
+
+
+@PROPERTY
+@given(run_configs())
+def test_resolved_lines_are_a_fixed_point(cfg):
+    lines = cfg.resolved_lines()
+    again = resolve_config("\n".join(lines))
+    assert again == cfg
+    assert again.resolved_lines() == lines
+
+
+TOKENS = ["-1", "0", "2", "0.5", "inf", "-inf", "nan", "1e-300", "x", "none",
+          "zero", "all", "uniform", "scaled-random:-1", "1 2 3"]
+SECTION_KEYS = {
+    "model": ["n_modes", "dt", "t_final", "poly", "alpha", "beta", "c1", "c2",
+              "k_star", "seed", "blowup_guard", "q0", "q2"],
+    "ensemble": ["ic1", "ic2", "n_traj", "gamma", "p", "times", "n_boot"],
+    "doeblin": ["kernel", "K", "m", "mu0"],
+    "odecheck": ["qs", "cs", "y0s", "ts"],
+}
+
+
+@st.composite
+def adversarial_texts(draw):
+    """Up to four known keys, each with a token value, grouped by section."""
+    entry = st.tuples(
+        st.sampled_from([(sec, key) for sec, keys in SECTION_KEYS.items() for key in keys]),
+        st.sampled_from(TOKENS),
+    )
+    entries = draw(st.lists(entry, max_size=4, unique_by=lambda e: e[0]))
+    lines = []
+    for section in SECTION_KEYS:
+        chosen = [f"{key} = {value}" for (sec, key), value in entries if sec == section]
+        if chosen:
+            lines += [f"[{section}]", *chosen]
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(adversarial_texts())
+@example("[model]\nseed = -1\n")  # too small for the uint64 stream key
+@example("[model]\nt_final = inf\n")  # has no integer times
+def test_adversarial_values_raise_only_config_or_value_errors(text):
+    # ConfigError is a ValueError; anything else escapes and fails the test
+    try:
+        cfg = resolve_config(text)
+    except ValueError:
+        return
+    with contextlib.suppress(ValueError):
+        cfg.resolved_lines()
+    with contextlib.suppress(ValueError):
+        params = cfg.params()
+        trajectory_generator(params.seed, 0)  # an accepted seed keys a stream

@@ -313,6 +313,9 @@ def test_small_set_search_mu0_validation():
     kernel = FiniteKernel(WORKED)
     with pytest.raises(ValueError, match="strictly positive"):
         small_set_search(kernel, [1.0, 0.0])
+    # a length mismatch is named as such, not as a positivity failure
+    with pytest.raises(ValueError, match="mu0 has 3 weights for a kernel on 2 states"):
+        small_set_search(kernel, [0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="probability"):
         small_set_search(kernel, [0.5, 0.4])
     with pytest.raises(ValueError, match="partition"):

@@ -319,7 +319,6 @@ def test_mixing_report_structure_and_exports():
     assert report.distances.shape == (4,) and np.all(report.distances >= 0.0)
     assert report.distance_stderr.shape == (4,) and np.all(report.distance_stderr >= 0.0)
     assert report.floor > 0.0
-    assert len(report.moment_table) == 2 * 4
     assert report.sliced_means.shape == (4,)
     assert isinstance(report.fit, RateFit)
     if report.fit.identifiable:
