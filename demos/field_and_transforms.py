@@ -15,14 +15,14 @@ from glmix.field import (
     DriftPolynomial,
     apply_semigroup,
     basis_field,
+    coeffs_to_values,
     eigenvalues,
     eval_polynomial,
-    from_grid,
     norm_gamma,
     scaled_random_field,
     smoothing_norm_check,
     sup_norm,
-    to_grid,
+    values_to_coeffs,
 )
 
 
@@ -79,9 +79,9 @@ def main():
     print(f"sup norm on the grid:     {sup_norm(u):.6f}")
 
     print("\n== grid round-trip ==")
-    back = from_grid(to_grid(u, 64), n_modes)
-    print(f"max coefficient error after to_grid/from_grid: "
-          f"{np.abs(back.coeffs - u.coeffs).max():.2e}")
+    back = values_to_coeffs(coeffs_to_values(u.coeffs, n_modes, 64), n_modes)
+    print(f"max coefficient error after coeffs_to_values/values_to_coeffs: "
+          f"{np.abs(back - u.coeffs).max():.2e}")
 
     print("\n== dealiased polynomial evaluation ==")
     poly = DriftPolynomial([0.0, -1.0, 0.0, 1.0])

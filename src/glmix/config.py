@@ -37,7 +37,7 @@ from .field import DriftPolynomial, fmt_float, scaled_random_field
 from .integrator import SimulationParams, integer_times
 from .noise import NoiseSpectrum
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "resolve_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "resolve_config", "load_config"]
 
 
 class ConfigError(ValueError):

@@ -88,14 +88,9 @@ class FiniteKernel:
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Nonnegative measure on 0..n-1, optionally carrying a weight function.
-
-    The weight function v, when present, must be >= 1 everywhere; it enters
-    only through the weighted variation norm.
-    """
+    """Nonnegative measure on 0..n-1."""
 
     weights: np.ndarray
-    v: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -105,12 +100,6 @@ class WeightedMeasure:
             raise ValueError("weights must be finite and nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.v is not None:
-            v = np.array(self.v, dtype=float)
-            if v.shape != w.shape or np.any(v < 1.0 - _TOL):
-                raise ValueError("weight function must match length and be >= 1")
-            v.setflags(write=False)
-            object.__setattr__(self, "v", v)
 
     @property
     def n(self) -> int:
@@ -123,9 +112,6 @@ class WeightedMeasure:
     @property
     def is_probability(self) -> bool:
         return abs(self.mass - 1.0) <= 1e-9
-
-    def variation(self, v=None) -> float:
-        return variation_norm(self.weights, self.v if v is None else v)
 
 
 def _as_state_tuple(k, n: int) -> tuple[int, ...]:

@@ -37,14 +37,11 @@ from scipy.fft import next_fast_len
 
 __all__ = [
     "SpectralField",
-    "GridField",
     "DriftPolynomial",
     "eigenvalues",
     "norm_gamma",
     "apply_semigroup",
     "smoothing_norm_check",
-    "to_grid",
-    "from_grid",
     "eval_polynomial",
     "sup_norm",
     "zero_field",
@@ -89,50 +86,6 @@ class SpectralField:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def c0(self) -> float:
-        return float(self.coeffs[0])
-
-    def mode(self, k: int) -> tuple[float, float]:
-        """(cos, sin) coefficient pair of mode k >= 1."""
-        if not 1 <= k <= self.n_modes:
-            raise ValueError(f"mode {k} out of range 1..{self.n_modes}")
-        return float(self.coeffs[2 * k - 1]), float(self.coeffs[2 * k])
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode count mismatch")
-        return SpectralField(self.n_modes, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode count mismatch")
-        return SpectralField(self.n_modes, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.n_modes, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Point values on the uniform grid xi_j = j / n_points, j = 0..n_points-1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_points(self) -> int:
-        return self.values.size
 
 
 class DriftPolynomial:
@@ -256,8 +209,8 @@ def smoothing_norm_check(u: SpectralField, t: float, gamma: float, sigma: float)
 # ---------------------------------------------------------------------------
 # grid transforms
 #
-# Batched raw-coefficient versions operate on the last axis so the integrator
-# can push whole ensembles through one FFT call.
+# Both directions act on raw coefficient arrays along the last axis, so the
+# integrator can push whole ensembles through one FFT call.
 # ---------------------------------------------------------------------------
 
 
@@ -333,16 +286,6 @@ def values_to_coeffs(
     np.divide(spectrum.real[..., 0], n_points, out=out[..., 0])
     np.multiply(spectrum[..., 1 : n_modes + 1].view(float), analysis, out=out[..., 1:])
     return out
-
-
-def to_grid(u: SpectralField, n_points: int) -> GridField:
-    """Sample u on the uniform grid; n_points >= 2*n_modes+1 required."""
-    return GridField(coeffs_to_values(u.coeffs, u.n_modes, n_points))
-
-
-def from_grid(grid: GridField, n_modes: int) -> SpectralField:
-    """Recover modes 0..n_modes from grid values (exact if band-limited)."""
-    return SpectralField(n_modes, values_to_coeffs(grid.values, n_modes))
 
 
 @lru_cache(maxsize=None)

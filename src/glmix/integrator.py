@@ -18,14 +18,16 @@ rounding error, step by step.
 
 ExponentialEulerStepper holds the per-slot factors of one step, and one
 block loop advances (trajectories x slots) blocks of it through batched
-FFTs.  That loop serves run_ensemble, simulate (a one-row ensemble with the
-convolution path recorded) and noise.sup_gaussian_check (a drift-free
-ensemble from zero).  Each block allocates its work arrays once (a
-StepBuffers set and a slab of normal draws filled in place) and updates its
-state in place, so a step allocates no block-sized array.  Each trajectory
-consumes its own counter-based stream, so results do not depend on block
-sizes, slab lengths or thread schedules.  Rows that cross the blow-up guard
-are set to NaN and stay NaN; a block stops stepping once all its rows have.
+FFTs.  That loop serves run_ensemble and simulate (a one-row ensemble with
+the convolution path recorded); it only steps, guards and records.
+window_sup, behind noise.sup_gaussian_check and mixing.sup_window_bound,
+records every step of a time window and takes the sup norms afterwards.
+Each block allocates its work arrays once (a StepBuffers set and a slab of
+normal draws filled in place) and updates its state in place, so a step
+allocates no block-sized array.  Each trajectory consumes its own
+counter-based stream, so results do not depend on block sizes, slab
+lengths or thread schedules.  Rows that cross the blow-up guard are set to
+NaN and stay NaN; a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "TrajectoryBlowup",
     "simulate",
     "run_ensemble",
+    "window_sup",
     "integer_times",
     "psi_step_residual",
     "dini_check",
@@ -85,8 +88,9 @@ class SimulationParams:
     """Resolved model and discretization parameters.
 
     dt must divide 1 exactly in the rational sense (so integer times fall on
-    the step grid), t_final must be finite and at least 1, seed must lie in
-    [0, 2^64) (it keys the Philox streams) and blowup_guard must be positive.
+    the step grid), t_final must be finite and at least 1, the step count
+    t_final / dt must fit in int64, seed must lie in [0, 2^64) (it keys the
+    Philox streams) and blowup_guard must be positive.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
@@ -103,15 +107,17 @@ class SimulationParams:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if not (0.0 < self.dt <= 1.0):
-            raise ValueError("dt must lie in (0, 1]")
-        per_unit = round(1.0 / self.dt)
-        if abs(per_unit * self.dt - 1.0) > 1e-9:
-            raise ValueError("dt must divide 1 exactly (1/dt integer)")
         if not math.isfinite(self.t_final):
             raise ValueError("t_final must be finite")
         if self.t_final < 1.0:
             raise ValueError("t_final must be at least 1")
+        if not (0.0 < self.dt <= 1.0):
+            raise ValueError("dt must lie in (0, 1]")
+        if self.t_final / self.dt >= 2**63:
+            raise ValueError(f"dt = {fmt_float(self.dt)} makes more steps than int64 holds")
+        per_unit = round(1.0 / self.dt)
+        if abs(per_unit * self.dt - 1.0) > 1e-9:
+            raise ValueError("dt must divide 1 exactly (1/dt integer)")
         if self.spectrum is None:
             self.spectrum = NoiseSpectrum.default(self.n_modes)
         if self.spectrum.n_modes != self.n_modes:
@@ -253,7 +259,6 @@ class EnsembleResult:
     aborted: np.ndarray  # (n_traj,) bool
     abort_times: np.ndarray
     abort_norms: np.ndarray  # (n_traj,) norm at the guard crossing, NaN if none
-    window_sup: np.ndarray | None = None
     wl: np.ndarray | None = None
 
     @property
@@ -269,7 +274,12 @@ def integer_times(t_final: float) -> np.ndarray:
     """The integer times 0, 1, ..., floor(t_final) as floats."""
     if not math.isfinite(t_final):
         raise ValueError("t_final must be finite")
-    return np.arange(int(math.floor(t_final + 1e-9)) + 1, dtype=float)
+    try:
+        return np.arange(int(math.floor(t_final + 1e-9)) + 1, dtype=float)
+    except MemoryError:
+        raise ValueError(
+            f"t_final = {fmt_float(t_final)} has more integer times than memory holds"
+        ) from None
 
 
 # A block draws its normals in slabs of at most 256 steps and 64 MB.
@@ -284,7 +294,6 @@ def _run_block(
     rec_steps: dict[int, int],
     out: EnsembleResult,
     rows: slice,
-    window_steps: tuple[int, int] | None,
 ):
     params = stepper.params
     n = ids.size
@@ -294,7 +303,6 @@ def _run_block(
     alive = np.ones(n, dtype=bool)
     abort_t = np.full(n, np.nan)
     abort_norm = np.full(n, np.nan)
-    sup_run = np.zeros(n) if window_steps is not None else None
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
     n_steps = params.n_steps
@@ -325,10 +333,6 @@ def _run_block(
             abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
             u[blown] = np.nan
             alive &= ~blown
-            if sup_run is not None and step_no <= window_steps[1]:
-                sup_run[blown] = np.nan
-        if sup_run is not None and window_steps[0] < step_no <= window_steps[1]:
-            np.maximum(sup_run, sup_norm_values(u, params.n_modes), out=sup_run)
         if step_no in rec_steps:
             out.states[rows, rec_steps[step_no], :] = u
             if out.wl is not None:
@@ -339,8 +343,6 @@ def _run_block(
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t
     out.abort_norms[rows] = abort_norm
-    if sup_run is not None:
-        out.window_sup[rows] = sup_run
 
 
 def run_ensemble(
@@ -348,7 +350,6 @@ def run_ensemble(
     params: SimulationParams,
     traj_ids,
     record_times=None,
-    sup_window: tuple[float, float] | None = None,
     record_wl: bool = False,
     block_size: int = 512,
     threads: int = 1,
@@ -360,8 +361,7 @@ def run_ensemble(
     block_size and threads because every trajectory owns its stream and rows
     are written by index.  The blocks run on a thread pool of
     min(threads, blocks, cores) workers (at least one), cores being those
-    this process may use.  sup_window = (t1, t2) tracks the running grid sup
-    norm (field.sup_norm_values) over that open-left window.
+    this process may use.
     """
     coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -379,24 +379,25 @@ def run_ensemble(
             raise ValueError(f"record time {t} is not on the step grid")
         rec_steps[n] = i
 
-    window_steps = None
-    if sup_window is not None:
-        t1, t2 = sup_window
-        if not 0 <= t1 < t2 <= params.t_final:
-            raise ValueError("sup window must satisfy 0 <= t1 < t2 <= t_final")
-        window_steps = (round(t1 / params.dt), round(t2 / params.dt))
-
     stepper = ExponentialEulerStepper(params)
+    shape = (ids.size, record_times.size, n_slots)
+    try:
+        states = np.full(shape, np.nan)
+        wl = np.full(shape, np.nan) if record_wl else None
+    except MemoryError:
+        raise ValueError(
+            f"records of {shape[0]} trajectories at {shape[1]} times up to "
+            f"t_final = {fmt_float(params.t_final)} do not fit in memory"
+        ) from None
     out = EnsembleResult(
         params=params,
         traj_ids=ids,
         times=record_times,
-        states=np.full((ids.size, record_times.size, n_slots), np.nan),
+        states=states,
         aborted=np.zeros(ids.size, dtype=bool),
         abort_times=np.full(ids.size, np.nan),
         abort_norms=np.full(ids.size, np.nan),
-        window_sup=np.zeros(ids.size) if window_steps is not None else None,
-        wl=np.full((ids.size, record_times.size, n_slots), np.nan) if record_wl else None,
+        wl=wl,
     )
 
     blocks = [
@@ -411,14 +412,36 @@ def run_ensemble(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
-                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out,
-                rows, window_steps,
+                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out, rows
             )
             for rows, bid in blocks
         ]
         for f in futures:
             f.result()
     return out
+
+
+def window_sup(
+    x: SpectralField | np.ndarray,
+    params: SimulationParams,
+    traj_ids,
+    t1: float,
+    t2: float,
+    threads: int = 1,
+) -> np.ndarray:
+    """Per trajectory, the largest grid sup norm over the steps in (t1, t2].
+
+    run_ensemble records every step of the window, and each record column
+    goes through field.sup_norm_values (8 points per mode, at least 64
+    points).  A row that aborts at or before t2 gives NaN.
+    """
+    if not 0 <= t1 < t2 <= params.t_final:
+        raise ValueError("sup window must satisfy 0 <= t1 < t2 <= t_final")
+    k1, k2 = round(t1 / params.dt), round(t2 / params.dt)
+    times = params.dt * np.arange(k1 + 1, k2 + 1)
+    ens = run_ensemble(x, params, traj_ids, record_times=times, threads=threads)
+    return np.max([sup_norm_values(ens.states[:, j], params.n_modes)
+                   for j in range(times.size)], axis=0)
 
 
 def simulate(

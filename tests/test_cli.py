@@ -398,3 +398,17 @@ def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
     text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
     assert "error = validation" in text
     assert "mu0 has 3 weights for a kernel on 2 states" in text
+
+
+def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
+    # 1e300 steps: the run used to start and never end
+    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\ndt = 1e-300\n")
+    assert "error = validation" in text
+    assert "dt = 1e-300 makes more steps than int64 holds" in text
+
+
+def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
+    # 10^12 + 1 integer times need 7.28 TiB: numpy's allocation error used to escape
+    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")
+    assert "error = validation" in text
+    assert "t_final = 1000000000000.0 has more integer times than memory holds" in text

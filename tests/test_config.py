@@ -1,6 +1,7 @@
 """Tests for the line-oriented run configuration and its canonical form."""
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -267,14 +268,20 @@ def adversarial_texts(draw):
 @given(adversarial_texts())
 @example("[model]\nseed = -1\n")  # too small for the uint64 stream key
 @example("[model]\nt_final = inf\n")  # has no integer times
+@example("[model]\nk_star = -1\n")  # the default tail must not take 0^(-2 beta)
+@example("[model]\ndt = 1e-300\n")  # 1e300 steps do not fit in int64
 def test_adversarial_values_raise_only_config_or_value_errors(text):
-    # ConfigError is a ValueError; anything else escapes and fails the test
-    try:
-        cfg = resolve_config(text)
-    except ValueError:
-        return
-    with contextlib.suppress(ValueError):
-        cfg.resolved_lines()
-    with contextlib.suppress(ValueError):
-        params = cfg.params()
-        trajectory_generator(params.seed, 0)  # an accepted seed keys a stream
+    # ConfigError is a ValueError; anything else escapes and fails the test,
+    # and so does a numpy RuntimeWarning raised on the way to validation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = resolve_config(text)
+        except ValueError:
+            return
+        with contextlib.suppress(ValueError):
+            cfg.resolved_lines()
+        with contextlib.suppress(ValueError):
+            params = cfg.params()
+            trajectory_generator(params.seed, 0)  # an accepted seed keys a stream
+            assert params.n_steps < 2**63

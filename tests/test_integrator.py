@@ -9,8 +9,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+import glmix.integrator as integrator
 import oracles
 from glmix.field import (
     DriftPolynomial,
@@ -18,6 +20,7 @@ from glmix.field import (
     eigenvalues,
     norm_gamma,
     scaled_random_field,
+    sup_norm_values,
     zero_field,
 )
 from glmix.integrator import (
@@ -26,10 +29,12 @@ from glmix.integrator import (
     TrajectoryBlowup,
     dini_check,
     fit_dini_constants,
+    integer_times,
     ode_comparison,
     psi_step_residual,
     run_ensemble,
     simulate,
+    window_sup,
     write_trajectory_csv,
 )
 from glmix.noise import NoiseSpectrum
@@ -61,8 +66,21 @@ def test_params_validation():
         SimulationParams(blowup_guard=0.0)
     with pytest.raises(ValueError, match="multiple"):
         SimulationParams(dt=0.5, t_final=1.25).n_steps
+    # 1/dt overflows to inf at the smallest subnormal
+    for dt in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="more steps than int64 holds"):
+            SimulationParams(dt=dt)
     p = SimulationParams(dt=1.0 / 128.0, t_final=3.0)
     assert p.steps_per_unit == 128 and p.n_steps == 384
+
+
+def test_records_that_do_not_fit_in_memory_raise_value_errors():
+    # 8e16 bytes of integer times and 1.6e15 of states: no allocator grants either
+    with pytest.raises(ValueError, match=r"t_final = 1e\+16 has more integer times"):
+        integer_times(1e16)
+    params = quiet_params(n_modes=1000, t_final=1e5, dt=1.0)
+    with pytest.raises(ValueError, match="records of 1000000 trajectories at 100001 times"):
+        run_ensemble(np.zeros(2001), params, traj_ids=range(10**6))
 
 
 def test_pure_decay_matches_semigroup():
@@ -307,42 +325,63 @@ def test_ensemble_matches_single_trajectories():
     assert np.array_equal(ens.states_at(2.0), ens.states[:, 2, :])
 
 
+SMALL = SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4))
+CALM = np.full(9, 0.5)
+# c0 = 20 makes the explicit cubic step overshoot until the guard trips
+WILD = np.zeros(9)
+WILD[0] = 20.0
+ENSEMBLE_FIELDS = ("states", "wl", "aborted", "abort_times", "abort_norms")
+
+
 def test_ensemble_is_bitwise_invariant_to_batching():
-    small = SimulationParams(n_modes=4, dt=1.0 / 64.0,
-                             spectrum=NoiseSpectrum.default(4))
-    calm = np.full(9, 0.5)
-    # c0 = 20 makes the explicit cubic step overshoot until the guard trips
-    wild = np.zeros(9)
-    wild[0] = 20.0
     # the default cubic model on its 135-point grid, where multi-row FFTs run
     big = SimulationParams(n_modes=32)
     assert ExponentialEulerStepper(big).grid_points == 135
-    fields = ("states", "wl", "window_sup", "aborted", "abort_times", "abort_norms")
-    for params, x, n_traj in ((small, calm, 7), (small, wild, 7),
+    for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7),
                               (big, scaled_random_field(32, 100.0).coeffs, 13)):
-        kw = dict(traj_ids=range(n_traj), record_wl=True, sup_window=(0.25, 1.0))
+        kw = dict(traj_ids=range(n_traj), record_wl=True)
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
             for threads in (1, 4):
                 other = run_ensemble(x, params, block_size=block_size,
                                      threads=threads, **kw)
-                for name in fields:
+                for name in ENSEMBLE_FIELDS:
                     assert np.array_equal(getattr(base, name), getattr(other, name),
                                           equal_nan=True), name
-        if x is wild:
-            # every row aborts before the window opens, and the block stops
+        if x is WILD:
+            # every row aborts at the fourth step, and the block stops
             assert base.aborted.all() and np.all(base.abort_norms > params.blowup_guard)
             assert np.all(base.abort_times == 0.0625)
-            assert np.all(np.isnan(base.window_sup))
             assert np.all(np.isnan(base.states[:, 1:])) and np.all(np.isnan(base.wl[:, 1:]))
         else:
             assert not base.aborted.any() and np.all(np.isnan(base.abort_norms))
-            assert np.all(np.isfinite(base.window_sup))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    wild=st.booleans(),
+    block_size=st.integers(1, 8),
+    threads=st.sampled_from([1, 2, 4]),
+    slab_len=st.integers(1, SMALL.n_steps),
+)
+def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
+    wild, block_size, threads, slab_len
+):
+    x = WILD if wild else CALM
+    kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1),
+              record_wl=True)
+    # one block, one slab of every step
+    base = run_ensemble(x, SMALL, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        # full blocks draw slabs of slab_len steps; a shorter last block, longer ones
+        mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len)
+        other = run_ensemble(x, SMALL, block_size=block_size, threads=threads, **kw)
+    for name in ENSEMBLE_FIELDS:
+        assert np.array_equal(getattr(base, name), getattr(other, name), equal_nan=True), name
+    assert base.aborted.all() if wild else not base.aborted.any()
 
 
 def test_run_ensemble_clamps_worker_threads(monkeypatch):
-    import glmix.integrator as integrator
-
     workers = []
 
     class Recording(integrator.ThreadPoolExecutor):
@@ -364,18 +403,18 @@ def test_ensemble_record_times_and_windows():
     params = SimulationParams(n_modes=3, dt=1.0 / 32.0, t_final=2.0,
                               spectrum=NoiseSpectrum.default(3, ))
     x = np.zeros(7)
-    ens = run_ensemble(x, params, traj_ids=[0, 1],
-                       record_times=[0.5, 1.0, 2.0], sup_window=(0.5, 2.0))
+    ens = run_ensemble(x, params, traj_ids=[0, 1], record_times=[0.5, 1.0, 2.0])
     assert ens.states.shape == (2, 3, 7)
-    # the windowed running sup dominates the sup at each recorded time inside
-    from glmix.field import sup_norm_values
-
+    # the window sup dominates the sup at each recorded time inside
     sups = sup_norm_values(ens.states[:, 1:, :].reshape(-1, 7), 3).reshape(2, 2)
-    assert np.all(ens.window_sup + 1e-12 >= sups.max(axis=1))
+    assert np.all(window_sup(x, params, [0, 1], 0.5, 2.0) + 1e-12 >= sups.max(axis=1))
+    # WILD aborts at step 4 (t = 0.0625): NaN once the window reaches it
+    assert np.all(np.isfinite(window_sup(WILD, SMALL, range(3), 0.0, 0.046875)))
+    assert np.all(np.isnan(window_sup(WILD, SMALL, range(3), 0.0, 0.0625)))
     with pytest.raises(ValueError, match="step grid"):
         run_ensemble(x, params, traj_ids=[0], record_times=[0.013])
     with pytest.raises(ValueError, match="sup window"):
-        run_ensemble(x, params, traj_ids=[0], sup_window=(1.5, 1.0))
+        window_sup(x, params, [0], 1.5, 1.0)
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):

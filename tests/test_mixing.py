@@ -294,17 +294,40 @@ def test_sup_window_bound_cases():
     table = sup_window_bound(quiet, t1=0.25, t2=1.0)
     assert table.entries[0].estimate == 0.0
     noisy = EnsembleSpec(
-        initial_conditions=[np.zeros(17)], n_traj=20,
+        initial_conditions=[np.zeros(17), np.full(17, 0.5)], n_traj=20,
         params=small_params(t_final=2.0), gamma=1.0, p=2.0,
     )
     narrow = sup_window_bound(noisy, t1=0.5, t2=1.0)
     wide = sup_window_bound(noisy, t1=0.5, t2=2.0)
-    # same trajectories, wider window: the pathwise sup can only grow
-    assert wide.entries[0].estimate >= narrow.entries[0].estimate - 1e-12
+    # pinned (estimate, stderr) per start, so any drift in the window shows here
+    pins = [
+        (narrow, [(2.0467111920151738e-05, 8.031162749504301e-07),
+                  (0.8418578983044552, 8.103066290789496e-07)]),
+        (wide, [(2.3337984975284024e-05, 6.216279721098643e-07),
+                (0.973533147159333, 1.0963692056804978e-06)]),
+    ]
+    for table, pinned in pins:
+        for entry, (est, se) in zip(table.entries, pinned, strict=True):
+            assert entry.estimate == pytest.approx(est, rel=1e-12)
+            assert entry.stderr == pytest.approx(se, rel=1e-12)
+            assert entry.n_aborted == 0
+        assert not table.uniformity.uniform
+    for i in range(2):
+        # same trajectories, wider window: the pathwise sup can only grow
+        assert wide.entries[i].estimate >= narrow.entries[i].estimate
     with pytest.raises(ValueError, match="window"):
         sup_window_bound(noisy, t1=0.0, t2=1.0)
     with pytest.raises(ValueError, match="window"):
         sup_window_bound(noisy, t1=1.5, t2=1.0)
+    # c0 = 20 trips the guard at t = 0.0625, before the window opens
+    wild = np.zeros(9)
+    wild[0] = 20.0
+    spec = EnsembleSpec(
+        initial_conditions=[wild], n_traj=4,
+        params=SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4)),
+    )
+    with pytest.raises(ValueError, match="all trajectories aborted for initial condition 0"):
+        sup_window_bound(spec, t1=0.5, t2=1.0)
 
 
 def test_mixing_report_structure_and_exports():
