@@ -24,7 +24,6 @@ __all__ = [
     "FiniteKernel",
     "WeightedMeasure",
     "SmallSetCertificate",
-    "variation_norm",
     "minorization",
     "condition_b",
     "contraction_check",
@@ -41,19 +40,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-
-
-def variation_norm(vec, v=None) -> float:
-    """Weighted variation norm of a signed measure given as a vector.
-
-    With v = None this is the total mass of the absolute value, so the
-    distance between two distinct Dirac measures is 2.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if v is None:
-        return float(np.sum(np.abs(vec)))
-    v = np.asarray(v, dtype=float)
-    return float(np.sum(v * np.abs(vec)))
+_EPS = np.finfo(float).eps
 
 
 class FiniteKernel:
@@ -71,7 +58,7 @@ class FiniteKernel:
         bad = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
         if bad.size:
             raise ValueError(
-                f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within 1e-12"
+                f"row {bad[0]} sums to {float(sums[bad[0]])!r}, not 1 within 1e-12"
             )
         rows.setflags(write=False)
         self.rows = rows
@@ -219,8 +206,10 @@ def contraction_check(
     (P^2 mu)(y) >= delta delta_prime nu(y) for every state y and Dirac mu,
     then that the worst ratio ||P^2 mu - P^2 nu|| / ||mu - nu|| over all
     Dirac pairs is at most 1 - delta delta_prime, and that no random measure
-    pair beats the Dirac pairs (they are extremal for this coefficient).
-    Returns the worst observed ratio.
+    pair beats the Dirac pairs (they are extremal for this coefficient).  The
+    n_random pairs are drawn as one (n_random, 2, n) array and pushed through
+    P^2 in one product; the error names the first offending pair in draw
+    order.  Returns the worst observed ratio.
     """
     if cert.m != 1:
         raise ValueError("contraction check requires a one-step certificate")
@@ -245,20 +234,17 @@ def contraction_check(
         if diffs.size:
             worst = max(worst, float(np.abs(diffs).sum(axis=1).max()) / 2.0)
 
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        mu = rng.random(kernel.n)
-        nu = rng.random(kernel.n)
-        mu /= mu.sum()
-        nu /= nu.sum()
-        base = variation_norm(mu - nu)
-        if base < 1e-12:
-            continue
-        ratio = variation_norm((mu - nu) @ p2) / base
-        if ratio > worst + _TOL:
-            raise ValueError(
-                f"random pair beats Dirac pairs: ratio {ratio!r} > {worst!r}"
-            )
+    pairs = np.random.default_rng(seed).random((n_random, 2, kernel.n))
+    pairs /= pairs.sum(axis=2, keepdims=True)
+    diffs = pairs[:, 0] - pairs[:, 1]
+    base = np.abs(diffs).sum(axis=1)
+    kept = base >= 1e-12
+    ratios = np.abs(diffs[kept] @ p2).sum(axis=1) / base[kept]
+    beats = np.flatnonzero(ratios > worst + _TOL)
+    if beats.size:
+        raise ValueError(
+            f"random pair beats Dirac pairs: ratio {float(ratios[beats[0]])!r} > {worst!r}"
+        )
 
     if worst > 1.0 - eps + _TOL:
         raise ValueError(
@@ -311,10 +297,11 @@ def geometric_bound_check(
     q = np.eye(kernel.n)
     worst = -np.inf
     for k in range(n + 1):
+        if k:
+            q = q @ kernel.rows
         dists = np.abs(q - mu_star[None, :]).sum(axis=1)
         bound = 2.0 * (1.0 - eps) ** (k // 2)
         worst = max(worst, float(dists.max() - bound))
-        q = q @ kernel.rows
     if worst > 1e-9:
         raise ValueError(f"geometric bound violated by {worst!r}")
     return worst
@@ -340,9 +327,15 @@ def small_set_search(
     that S^2 covers at least 7/8 of U x V and of V x W in mu0 x mu0 mass.
     The certificate is then K = D = {x in U : mu0(S_x cap V) >= 3/4 mu0(V)},
     m = 2, nu = mu0 restricted to E = {z in W : mu0(S_z* cap V) >= 3/4 mu0(V)}
-    and normalized, delta = mu0(V) mu0(E) / 8.  Among admissible triples the
-    one with the largest delta is returned (ties broken by cell index); None
-    when no triple passes the covering thresholds at this refinement.
+    and normalized, delta = mu0(V) mu0(E) / 8.  None when no triple passes
+    the covering thresholds at this refinement.
+
+    D depends only on (U, V) and E, delta only on (V, W), so the scan is a
+    few products of the cell-indicator matrix with S^2 and mu0: a (V, W)
+    matrix of delta, and for each V the first U that covers it and has a
+    nonempty D.  The winner has the largest delta; ties go to the smallest
+    U index, then V, then W.  Its D, E and delta are then recounted state
+    by state.
     """
     mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
     if mu.shape != (kernel.n,):
@@ -359,39 +352,64 @@ def small_set_search(
     s2 = kernel.rows / mu[None, :] > 0.5
 
     cell_mass = np.array([mu[c].sum() for c in cells])
-    n_cells = len(cells)
-    cover = np.empty((n_cells, n_cells))
-    for a in range(n_cells):
-        for b in range(n_cells):
-            block = s2[np.ix_(cells[a], cells[b])]
-            cover[a, b] = (mu[cells[a]][:, None] * mu[cells[b]][None, :] * block).sum()
-    good_pair = cover >= 0.875 * cell_mass[:, None] * cell_mass[None, :]
+    cell_of = np.empty(kernel.n, dtype=int)
+    for j, cell in enumerate(cells):
+        cell_of[cell] = j
+    ind = np.eye(len(cells))[cell_of]  # ind[x, j] = 1 when x lies in cell j
+    sizes = np.bincount(cell_of)
 
-    best = None
-    for a in range(n_cells):
-        for b in range(n_cells):
-            if not good_pair[a, b]:
-                continue
-            v_cell = cells[b]
-            v_mass = cell_mass[b]
-            sx_in_v = (s2[:, v_cell] * mu[v_cell][None, :]).sum(axis=1)
-            for c in range(n_cells):
-                if not good_pair[b, c]:
-                    continue
-                d_states = cells[a][sx_in_v[cells[a]] >= 0.75 * v_mass]
-                sz_in_v = (s2[np.ix_(v_cell, cells[c])] * mu[v_cell][:, None]).sum(axis=0)
-                e_states = cells[c][sz_in_v >= 0.75 * v_mass]
-                if d_states.size == 0 or e_states.size == 0:
-                    continue
-                e_mass = float(mu[e_states].sum())
-                delta = v_mass * e_mass / 8.0
-                key = (delta, -a, -b, -c)
-                if best is None or key > best[0]:
-                    best = (key, d_states, e_states, e_mass, delta, v_mass)
+    # The products sum each mu0 mass in another order than a scan over one
+    # cell pair would.  A sum of k nonnegative terms moves by at most about
+    # k eps relative between two orders, so only entries that close to their
+    # threshold are summed again the scan's way, where a partition can put
+    # them exactly on it.
+    def near(fast, floor, terms):
+        return np.abs(fast - floor) <= 4.0 * terms * _EPS * np.maximum(fast, floor)
 
-    if best is None:
+    def sx_in_v(b):  # mu0(S_x cap V) for every state x, V the cell b
+        return (s2[:, cells[b]] * mu[cells[b]][None, :]).sum(axis=1)
+
+    def sz_in_v(b, c):  # mu0(S*_z cap V) for z in the cell c
+        return (s2[np.ix_(cells[b], cells[c])] * mu[cells[b]][:, None]).sum(axis=0)
+
+    w = s2 * mu[None, :]  # w[x, y] = mu0(y) on S^2, else 0
+    cover = ind.T @ (mu[:, None] * w) @ ind
+    pair_floor = 0.875 * cell_mass[:, None] * cell_mass[None, :]
+    good = cover >= pair_floor
+    for a, b in np.argwhere(near(cover, pair_floor, sizes[:, None] * sizes[None, :])):
+        block = s2[np.ix_(cells[a], cells[b])]
+        scan = (mu[cells[a]][:, None] * mu[cells[b]][None, :] * block).sum()
+        good[a, b] = scan >= pair_floor[a, b]
+    three_q = 0.75 * cell_mass
+    d_sum = w @ ind  # [x, b]
+    in_d = d_sum >= three_q[None, :]
+    for b in np.flatnonzero(near(d_sum, three_q[None, :], sizes[None, :]).any(axis=0)):
+        in_d[:, b] = sx_in_v(b) >= three_q[b]
+    e_sum = ind.T @ (mu[:, None] * s2)  # [b, z]
+    in_e = e_sum >= three_q[:, None]
+    for b, c in {(b, cell_of[z]) for b, z in
+                 np.argwhere(near(e_sum, three_q[:, None], sizes[:, None]))}:
+        in_e[b, cells[c]] = sz_in_v(b, c) >= three_q[b]
+
+    ab = good & (ind.T @ in_d > 0.0)  # U covers V and has a nonempty D
+    bc = ab.any(axis=0)[:, None] & good
+    e_mass = (in_e * mu[None, :]) @ ind  # [b, c]; exact when the cell c is one state
+    delta_bc = np.where(bc & (e_mass > 0.0), cell_mass[:, None] * e_mass / 8.0, -np.inf)
+    if not np.isfinite(delta_bc).any():
         return None
-    _, d_states, e_states, e_mass, delta, v_mass = best
+    top = delta_bc.max() * (1.0 - 8.0 * sizes.max() * _EPS)
+    for b, c in np.argwhere((delta_bc >= top) & (sizes > 1)[None, :]):
+        delta_bc[b, c] = cell_mass[b] * float(mu[cells[c][in_e[b, cells[c]]]].sum()) / 8.0
+    b_top, c_top = np.nonzero(delta_bc == delta_bc.max())  # ordered by b, then c
+    a_top = ab.argmax(axis=0)[b_top]
+    i = int(np.argmin(a_top))
+    a, b, c = int(a_top[i]), int(b_top[i]), int(c_top[i])
+
+    v_mass = cell_mass[b]
+    d_states = cells[a][sx_in_v(b)[cells[a]] >= 0.75 * v_mass]
+    e_states = cells[c][sz_in_v(b, c) >= 0.75 * v_mass]
+    e_mass = float(mu[e_states].sum())
+    delta = v_mass * e_mass / 8.0
     # the density-level two-step bound behind the certificate must hold with
     # the advertised constant before the measure-level claim is even formed
     p2 = (kernel.rows @ kernel.rows) / mu[None, :]
@@ -487,18 +505,39 @@ def write_kernel(path, kernel: FiniteKernel) -> None:
 
 
 def read_kernel(path) -> FiniteKernel:
-    """Read a kernel written by write_kernel."""
+    """Read a kernel written by write_kernel.
+
+    Blank lines are skipped.  A malformed state count, row count, row length
+    or entry raises ValueError naming its line in the file and what was
+    expected there.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    rows_text = [line for line in tokens if line.strip()]
-    if not rows_text:
+        lines = [(no, line) for no, line in enumerate(fh.read().split("\n"), start=1)
+                 if line.strip()]
+    if not lines:
         raise ValueError("empty kernel file")
-    n = int(rows_text[0])
-    if len(rows_text) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(rows_text) - 1}")
-    rows = [[float(tok) for tok in line.split()] for line in rows_text[1:]]
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length does not match the state count")
+    no, head = lines[0]
+    try:
+        n = int(head)
+    except ValueError:
+        raise ValueError(f"line {no}: expected the state count, got {head.strip()!r}") from None
+    if n < 1:
+        raise ValueError(f"line {no}: state count {n}, expected at least 1")
+    if len(lines) > n + 1:
+        raise ValueError(f"line {lines[n + 1][0]}: one row too many, expected {n} rows")
+    if len(lines) < n + 1:
+        raise ValueError(
+            f"line {lines[-1][0] + 1}: file ends after {len(lines) - 1} rows, expected {n} rows"
+        )
+    rows = []
+    for no, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ValueError(f"line {no}: row length {len(tokens)}, expected {n} entries")
+        try:
+            rows.append(np.array(tokens, dtype=float))
+        except ValueError:
+            raise ValueError(f"line {no}: expected {n} numbers, got {line.strip()!r}") from None
     return FiniteKernel(rows)
 
 

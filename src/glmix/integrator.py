@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -433,12 +433,15 @@ def window_sup(
 
     run_ensemble records every step of the window, and each record column
     goes through field.sup_norm_values (8 points per mode, at least 64
-    points).  A row that aborts at or before t2 gives NaN.
+    points).  The run ends at t2, or at t = 1 (the shortest horizon
+    SimulationParams admits) when t2 < 1.  A row that aborts at or before
+    t2 gives NaN.
     """
     if not 0 <= t1 < t2 <= params.t_final:
         raise ValueError("sup window must satisfy 0 <= t1 < t2 <= t_final")
     k1, k2 = round(t1 / params.dt), round(t2 / params.dt)
     times = params.dt * np.arange(k1 + 1, k2 + 1)
+    params = replace(params, t_final=max(k2 * params.dt, 1.0))
     ens = run_ensemble(x, params, traj_ids, record_times=times, threads=threads)
     return np.max([sup_norm_values(ens.states[:, j], params.n_modes)
                    for j in range(times.size)], axis=0)

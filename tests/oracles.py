@@ -222,3 +222,52 @@ def fd_heat_decay(k, t, n_grid=256):
         upp = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h2
         u = u + dt * (upp - u)
     return float(u[0])
+
+
+def small_set_search_reference(rows, mu, cells):
+    """The cell-triple scan of the two-step small-set search, one triple at a time.
+
+    rows is the kernel matrix, mu the strictly positive reference measure and
+    cells the partition as sorted index arrays in search order.  Scans every
+    (a, b, c) with S^2 = {rows / mu > 1/2} covering 7/8 of a x b and of b x c,
+    keeping the largest (delta, -a, -b, -c).  Returns (K, delta, nu weights,
+    mu0(V), mu0(E)) for the winner, or None when no triple passes.
+    """
+    s2 = rows / mu[None, :] > 0.5
+    cell_mass = np.array([mu[c].sum() for c in cells])
+    n_cells = len(cells)
+    cover = np.empty((n_cells, n_cells))
+    for a in range(n_cells):
+        for b in range(n_cells):
+            block = s2[np.ix_(cells[a], cells[b])]
+            cover[a, b] = (mu[cells[a]][:, None] * mu[cells[b]][None, :] * block).sum()
+    good_pair = cover >= 0.875 * cell_mass[:, None] * cell_mass[None, :]
+
+    best = None
+    for a in range(n_cells):
+        for b in range(n_cells):
+            if not good_pair[a, b]:
+                continue
+            v_cell = cells[b]
+            v_mass = cell_mass[b]
+            sx_in_v = (s2[:, v_cell] * mu[v_cell][None, :]).sum(axis=1)
+            for c in range(n_cells):
+                if not good_pair[b, c]:
+                    continue
+                d_states = cells[a][sx_in_v[cells[a]] >= 0.75 * v_mass]
+                sz_in_v = (s2[np.ix_(v_cell, cells[c])] * mu[v_cell][:, None]).sum(axis=0)
+                e_states = cells[c][sz_in_v >= 0.75 * v_mass]
+                if d_states.size == 0 or e_states.size == 0:
+                    continue
+                e_mass = float(mu[e_states].sum())
+                delta = v_mass * e_mass / 8.0
+                key = (delta, -a, -b, -c)
+                if best is None or key > best[0]:
+                    best = (key, d_states, e_states, e_mass, delta, v_mass)
+
+    if best is None:
+        return None
+    _, d_states, e_states, e_mass, delta, v_mass = best
+    nu = np.zeros(rows.shape[0])
+    nu[e_states] = mu[e_states] / e_mass
+    return tuple(int(x) for x in d_states), float(delta), nu, float(v_mass), e_mass

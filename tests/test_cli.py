@@ -7,10 +7,14 @@ RNG keyed by seed and trajectory id), so any drift in the simulator or the
 certificate toolkit shows up here as a byte-level diff.
 """
 
+import contextlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from glmix.cli import main
 from glmix.doeblin import parse_certificate, read_kernel
@@ -412,3 +416,71 @@ def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")
     assert "error = validation" in text
     assert "t_final = 1000000000000.0 has more integer times than memory holds" in text
+
+
+def parses_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+# one whitespace-free token that no float parser accepts
+JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+               min_size=1, max_size=6).filter(
+    lambda tok: tok.split() == [tok] and not parses_as_float(tok))
+
+
+@st.composite
+def broken_kernel_texts(draw):
+    """A kernel file of 1-4 states with one defect that makes it invalid."""
+    n = draw(st.integers(1, 4))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) + 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    lines = [str(n)] + [" ".join(repr(float(x)) for x in row) for row in rows]
+    row = draw(st.integers(1, n))
+    tokens = lines[row].split()
+    col = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(["count", "drop_row", "extra_row", "drop_token",
+                                   "add_token", "junk_token", "bad_value", "junk_line",
+                                   "empty"]))
+    if defect == "count":
+        lines[0] = draw(st.integers(-3, 6).filter(lambda m: m != n).map(str) | JUNK)
+    elif defect == "drop_row":
+        del lines[row]
+    elif defect == "extra_row":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines[1:]) | JUNK))
+    elif defect == "drop_token":
+        lines[row] = " ".join(tokens[:col] + tokens[col + 1:])
+    elif defect == "add_token":
+        lines[row] = " ".join(tokens + [draw(JUNK | st.just("0.0"))])
+    elif defect == "junk_token":
+        tokens[col] = draw(JUNK)
+        lines[row] = " ".join(tokens)
+    elif defect == "bad_value":
+        # each breaks the row sum, the sign or finiteness
+        tokens[col] = draw(st.sampled_from(["0", "-0.5", "2.0", "nan", "-inf", "1e308"]))
+        lines[row] = " ".join(tokens)
+    elif defect == "junk_line":
+        lines[row] = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+                          .map(lambda t: t.replace("\n", " ").replace("\r", " "))
+                          .filter(lambda t: not all(map(parses_as_float, t.split()))))
+    else:
+        return draw(st.sampled_from(["", "\n", "  \n\t\n"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(broken_kernel_texts())
+@example("2\n0.5 0.5\nabc 1\n")
+def test_broken_kernel_files_exit_two_without_a_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "k.txt").write_text(text, encoding="utf-8")
+        cfg = write_cfg(Path(tmp), "[doeblin]\nkernel = k.txt\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["doeblin", "--config", str(cfg), "--out", str(Path(tmp, "out"))])
+    assert rc == 2
+    assert "error = validation" in out.getvalue().splitlines()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

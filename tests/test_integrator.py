@@ -417,6 +417,25 @@ def test_ensemble_record_times_and_windows():
         window_sup(x, params, [0], 1.5, 1.0)
 
 
+def test_window_sup_stops_stepping_at_the_window_end(monkeypatch):
+    params = SimulationParams(n_modes=3, dt=1.0 / 64.0, t_final=2.0,
+                              spectrum=NoiseSpectrum.default(3))
+    x = np.full(7, 0.5)
+    whole = run_ensemble(x, params, traj_ids=[0, 1], record_times=params.dt * np.arange(33, 65))
+    want = np.max([sup_norm_values(whole.states[:, j], 3) for j in range(32)], axis=0)
+    steps = []
+    step_block = ExponentialEulerStepper.step_block
+    monkeypatch.setattr(ExponentialEulerStepper, "step_block",
+                        lambda self, *args: steps.append(1) or step_block(self, *args))
+    # the (0.5, 1] window of a t_final = 2 model takes the 64 steps to t = 1
+    assert np.array_equal(window_sup(x, params, [0, 1], 0.5, 1.0), want)
+    assert len(steps) == 64
+    # a window ending before t = 1 still runs to t = 1, the shortest horizon
+    steps.clear()
+    window_sup(x, params, [0, 1], 0.0, 0.25)
+    assert len(steps) == 64
+
+
 def test_trajectory_csv_format_and_round_trip(tmp_path):
     params = SimulationParams(n_modes=4, dt=1.0 / 32.0, t_final=2.0,
                               spectrum=NoiseSpectrum.default(4))
