@@ -282,8 +282,9 @@ def integer_times(t_final: float) -> np.ndarray:
         ) from None
 
 
-# A block draws its normals in slabs of at most 256 steps and 64 MB.
-_SLAB_BYTES = 64 << 20
+# A block draws its normals in slabs of at most 256 steps and 16 MB: 63 steps
+# of a 512 x 65 block.  Larger slabs raise the peak memory without saving time.
+_SLAB_BYTES = 16 << 20
 
 
 def _run_block(

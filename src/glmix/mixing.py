@@ -2,11 +2,12 @@
 
 The distance between laws of the field at a fixed time cannot be estimated
 in the full state space, so every state is first projected to the observable
-vector O(u) = (||u||_gamma, c0, a1, b1, a2, b2).  Distances are histogram
-total-variation estimates on these observables, weighted by
-V_{gamma,p}(u) = ||u||_gamma^p + 1 evaluated at bin centers of the norm
-axis; the binning (32 equal-width bins per axis over the pooled sample
-range) is deterministic given the samples.  The fitted decay rate is a
+vector O(u) = (||u||_gamma, c0, a1, b1, a2, b2), once per report time.
+Distances are histogram total-variation estimates between these observable
+rows, weighted by V_{gamma,p}(u) = ||u||_gamma^p + 1 evaluated at bin
+centers of the norm axis; the binning (32 equal-width bins per axis over
+the pooled sample range) is deterministic given the samples, and the
+bootstrap resamples observable rows.  The fitted decay rate is a
 proxy: it witnesses that exponential decay happens, it does not reproduce
 any particular constant.  Moment tables report per-initial-condition Monte
 Carlo estimates together with an explicit uniformity verdict (pairwise
@@ -98,85 +99,52 @@ def observables(states: np.ndarray, gamma: float) -> np.ndarray:
     return np.column_stack([norms, states[:, :n_coeff]])
 
 
-def _bin_codes(obs_a: np.ndarray, obs_b: np.ndarray):
-    """Shared equal-width binning over the pooled range; returns codes and
-    the axis-0 bin centers lookup."""
-    pooled = np.vstack([obs_a, obs_b])
-    lo = pooled.min(axis=0)
-    hi = pooled.max(axis=0)
-    width = (hi - lo) / _N_BINS
-
-    def codes(obs):
-        idx = np.zeros(obs.shape, dtype=np.int64)
-        for j in range(obs.shape[1]):
-            if width[j] > 0.0:
-                idx[:, j] = np.clip(
-                    np.floor((obs[:, j] - lo[j]) / width[j]).astype(np.int64),
-                    0,
-                    _N_BINS - 1,
-                )
-        key = np.zeros(obs.shape[0], dtype=np.int64)
-        for j in range(obs.shape[1]):
-            key = key * _N_BINS + idx[:, j]
-        return key
-
-    n_axes = obs_a.shape[1]
-
-    def axis0_center(key):
-        i0 = key // (_N_BINS ** (n_axes - 1))
-        if width[0] > 0.0:
-            return lo[0] + (np.asarray(i0, dtype=float) + 0.5) * width[0]
-        return np.full(np.shape(i0), lo[0], dtype=float)
-
-    return codes, axis0_center
-
-
 def law_distance(
-    states_a: np.ndarray,
-    states_b: np.ndarray,
-    gamma: float,
-    p: float,
-    weighted: bool = True,
+    obs_a: np.ndarray, obs_b: np.ndarray, p: float, weighted: bool = True
 ) -> float:
-    """Weighted histogram total-variation proxy between two sample clouds.
+    """Weighted histogram total-variation proxy between two observable clouds.
 
-    Both inputs are (n, slots) coefficient arrays drawn at the same time.
-    The proxy is sum over occupied bins of V(center) |p_A - p_B| with
-    V = (norm-axis bin center)^p + 1, or V = 1 when weighted is False; it is
-    symmetric, vanishes on identical samples, and is bounded by twice the
-    largest V over the occupied range.
+    Both inputs are (n, k) observable rows (see observables) of states drawn
+    at the same time.  Every axis is cut into 32 equal-width bins over the
+    pooled range (one bin when the axis is constant).  The proxy is the sum
+    over occupied cells of V(center) |p_A - p_B| with V = (norm-axis bin
+    center)^p + 1, or V = 1 when weighted is False; it is symmetric,
+    vanishes on identical samples, and is bounded by twice the largest V
+    over the occupied range.
     """
-    a = np.atleast_2d(np.asarray(states_a, dtype=float))
-    b = np.atleast_2d(np.asarray(states_b, dtype=float))
+    a = np.atleast_2d(np.asarray(obs_a, dtype=float))
+    b = np.atleast_2d(np.asarray(obs_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("ensembles must be nonempty")
     if a.shape[1] != b.shape[1]:
-        raise ValueError("ensembles live on different mode counts")
+        raise ValueError("observable rows come from different mode counts")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("ensembles contain non-finite rows; drop aborted rows first")
-    obs_a = observables(a, gamma)
-    obs_b = observables(b, gamma)
-    codes, axis0_center = _bin_codes(obs_a, obs_b)
-    keys_a, counts_a = np.unique(codes(obs_a), return_counts=True)
-    keys_b, counts_b = np.unique(codes(obs_b), return_counts=True)
-    keys = np.union1d(keys_a, keys_b)
-    pa = np.zeros(keys.size)
-    pb = np.zeros(keys.size)
-    pa[np.searchsorted(keys, keys_a)] = counts_a / obs_a.shape[0]
-    pb[np.searchsorted(keys, keys_b)] = counts_b / obs_b.shape[0]
+    # one contiguous row per axis: column reductions of (n, k) rows are slow
+    pooled = np.concatenate([a, b]).T.copy()
+    lo = pooled.min(axis=1)
+    width = (pooled.max(axis=1) - lo) / _N_BINS
+    # a constant axis divides zeros by 1: every sample lands in its bin 0
+    scale = np.where(width > 0.0, width, 1.0)
+    bins = np.floor((pooled - lo[:, None]) / scale[:, None]).astype(np.int64)
+    bins = np.clip(bins, 0, _N_BINS - 1)
+    # cell key: the bins are the base-32 digits of an integer, axis 0 first
+    keys = _N_BINS ** np.arange(a.shape[1] - 1, -1, -1) @ bins
+    cells, inverse = np.unique(keys, return_inverse=True)
+    pa = np.bincount(inverse[: a.shape[0]], minlength=cells.size) / a.shape[0]
+    pb = np.bincount(inverse[a.shape[0] :], minlength=cells.size) / b.shape[0]
+    v = 1.0
     if weighted:
-        v = axis0_center(keys) ** p + 1.0
-    else:
-        v = np.ones(keys.size)
+        norm_bin = cells // _N_BINS ** (a.shape[1] - 1)
+        v = (lo[0] + (norm_bin + 0.5) * width[0]) ** p + 1.0
     return float(np.sum(v * np.abs(pa - pb)))
 
 
-def sliced_mean_difference(
-    states_a: np.ndarray, states_b: np.ndarray, gamma: float
-) -> float:
-    """Largest standardized per-observable mean gap (unweighted diagnostic)."""
-    obs_a = observables(np.atleast_2d(states_a), gamma)
-    obs_b = observables(np.atleast_2d(states_b), gamma)
+def sliced_mean_difference(obs_a: np.ndarray, obs_b: np.ndarray) -> float:
+    """Largest standardized per-observable mean gap between two observable
+    clouds (unweighted diagnostic)."""
+    obs_a = np.atleast_2d(obs_a)
+    obs_b = np.atleast_2d(obs_b)
     pooled = np.vstack([obs_a, obs_b])
     scale = np.maximum(pooled.std(axis=0), 1e-12)
     gap = np.abs(obs_a.mean(axis=0) - obs_b.mean(axis=0)) / scale
@@ -412,13 +380,14 @@ def mixing_report(
 ) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
 
-    Runs one ensemble per initial condition, computes the weighted histogram
-    distance at each requested integer time, estimates the statistical floor
-    by half-splitting each ensemble (distance between same-law halves), fits
-    the exponential rate above that floor, and attaches a trajectory
-    bootstrap (n_boot resamples) confidence interval for the rate and a
-    standard error for each distance.  times = None means 1, 2, ...,
-    floor(t_final).
+    Runs one ensemble per initial condition and projects the finite rows of
+    the first two to observables once per requested integer time.  From
+    those rows it computes the weighted histogram distance at each time,
+    estimates the statistical floor by half-splitting each ensemble
+    (distance between same-law halves), fits the exponential rate above
+    that floor, and attaches a trajectory bootstrap (n_boot resamples of
+    row indices) confidence interval for the rate and a standard error for
+    each distance.  times = None means 1, 2, ..., floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
         raise ValueError("mixing_report needs two initial conditions")
@@ -437,48 +406,42 @@ def mixing_report(
             )
         )
 
-    state_a = [_finite_rows(ensembles[0].states[:, j, :]) for j in range(times.size)]
-    state_b = [_finite_rows(ensembles[1].states[:, j, :]) for j in range(times.size)]
+    # observable rows of the finite trajectories, projected once per report time
+    obs_a, obs_b = (
+        [observables(_finite_rows(ens.states[:, j, :]), spec.gamma) for j in range(times.size)]
+        for ens in ensembles[:2]
+    )
     for j, t in enumerate(times):
-        if state_a[j].shape[0] < 2 or state_b[j].shape[0] < 2:
+        if obs_a[j].shape[0] < 2 or obs_b[j].shape[0] < 2:
             raise ValueError(f"too many aborted trajectories at t = {t}")
 
     distances = np.array(
-        [
-            law_distance(state_a[j], state_b[j], spec.gamma, spec.p)
-            for j in range(times.size)
-        ]
+        [law_distance(obs_a[j], obs_b[j], spec.p) for j in range(times.size)]
     )
     sliced = np.array(
-        [
-            sliced_mean_difference(state_a[j], state_b[j], spec.gamma)
-            for j in range(times.size)
-        ]
+        [sliced_mean_difference(obs_a[j], obs_b[j]) for j in range(times.size)]
     )
 
     # statistical floor: same-law half-split distances, median over times
     floors = []
     for j in range(times.size):
-        for side in (state_a[j], state_b[j]):
+        for side in (obs_a[j], obs_b[j]):
             half = side.shape[0] // 2
-            floors.append(
-                law_distance(side[:half], side[half:], spec.gamma, spec.p)
-            )
+            floors.append(law_distance(side[:half], side[half:], spec.p))
     floor = float(np.median(floors))
 
     fit = fit_rate(times, distances, floor=floor)
 
+    # trajectory bootstrap: resample observable rows, ia then ib per (b, j)
     rng = np.random.default_rng([params.seed, 0xB007])
     boot_lams = []
     boot_d = np.empty((n_boot, times.size))
     for b in range(n_boot):
         da = np.empty(times.size)
         for j in range(times.size):
-            ia = rng.integers(0, state_a[j].shape[0], state_a[j].shape[0])
-            ib = rng.integers(0, state_b[j].shape[0], state_b[j].shape[0])
-            da[j] = law_distance(
-                state_a[j][ia], state_b[j][ib], spec.gamma, spec.p
-            )
+            ia = rng.integers(0, obs_a[j].shape[0], obs_a[j].shape[0])
+            ib = rng.integers(0, obs_b[j].shape[0], obs_b[j].shape[0])
+            da[j] = law_distance(obs_a[j][ia], obs_b[j][ib], spec.p)
         boot_d[b] = da
         bfit = fit_rate(times, da, floor=floor)
         if bfit.identifiable:

@@ -271,3 +271,49 @@ def small_set_search_reference(rows, mu, cells):
     nu = np.zeros(rows.shape[0])
     nu[e_states] = mu[e_states] / e_mass
     return tuple(int(x) for x in d_states), float(delta), nu, float(v_mass), e_mass
+
+
+def law_distance_reference(obs_a, obs_b, p, weighted=True):
+    """The histogram law distance binned axis by axis, as separate counts.
+
+    obs_a and obs_b are (n, k) observable rows.  Each axis is cut into 32
+    equal-width bins over the pooled range (bin 0 on a constant axis), one
+    axis at a time; the cell key is built by Horner steps, each cloud is
+    counted on its own with np.unique, and the two counts are aligned on the
+    union of their keys.  V is (axis-0 bin center)^p + 1, or 1 when weighted
+    is False.
+    """
+    obs_a = np.asarray(obs_a, dtype=float)
+    obs_b = np.asarray(obs_b, dtype=float)
+    pooled = np.vstack([obs_a, obs_b])
+    lo = pooled.min(axis=0)
+    hi = pooled.max(axis=0)
+    width = (hi - lo) / 32
+
+    def codes(obs):
+        idx = np.zeros(obs.shape, dtype=np.int64)
+        for j in range(obs.shape[1]):
+            if width[j] > 0.0:
+                idx[:, j] = np.clip(
+                    np.floor((obs[:, j] - lo[j]) / width[j]).astype(np.int64), 0, 31
+                )
+        key = np.zeros(obs.shape[0], dtype=np.int64)
+        for j in range(obs.shape[1]):
+            key = key * 32 + idx[:, j]
+        return key
+
+    keys_a, counts_a = np.unique(codes(obs_a), return_counts=True)
+    keys_b, counts_b = np.unique(codes(obs_b), return_counts=True)
+    keys = np.union1d(keys_a, keys_b)
+    pa = np.zeros(keys.size)
+    pb = np.zeros(keys.size)
+    pa[np.searchsorted(keys, keys_a)] = counts_a / obs_a.shape[0]
+    pb[np.searchsorted(keys, keys_b)] = counts_b / obs_b.shape[0]
+    if not weighted:
+        v = np.ones(keys.size)
+    elif width[0] > 0.0:
+        i0 = keys // 32 ** (obs_a.shape[1] - 1)
+        v = (lo[0] + (np.asarray(i0, dtype=float) + 0.5) * width[0]) ** p + 1.0
+    else:
+        v = np.full(keys.size, lo[0]) ** p + 1.0
+    return float(np.sum(v * np.abs(pa - pb)))

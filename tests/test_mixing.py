@@ -1,14 +1,16 @@
 """Tests for ensemble moments, the histogram law-distance proxy, rate fits.
 
-Independent routes: a pure-dict histogram recount of the proxy, an analytic
-1-D Gaussian total-variation value via erf, and exact synthetic exponential
-tracks for the rate fitter.
+Independent routes: a pure-dict histogram recount of the proxy, the
+axis-by-axis histogram of oracles.law_distance_reference (bitwise), an
+analytic 1-D Gaussian total-variation value via erf, and exact synthetic
+exponential tracks for the rate fitter.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from glmix.field import scaled_random_field
@@ -76,20 +78,21 @@ def test_observables_content():
 
 def test_law_distance_basic_properties():
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(300, 9))
-    b = rng.normal(size=(300, 9)) + 0.3
-    d_ab = law_distance(a, b, gamma=1.0, p=2.0)
-    d_ba = law_distance(b, a, gamma=1.0, p=2.0)
+    a = observables(rng.normal(size=(300, 9)), gamma=1.0)
+    b = observables(rng.normal(size=(300, 9)) + 0.3, gamma=1.0)
+    d_ab = law_distance(a, b, p=2.0)
+    d_ba = law_distance(b, a, p=2.0)
     assert d_ab == d_ba and d_ab >= 0.0
-    assert law_distance(a, a, gamma=1.0, p=2.0) == 0.0
+    assert law_distance(a, a, p=2.0) == 0.0
     with pytest.raises(ValueError, match="nonempty"):
-        law_distance(np.zeros((0, 9)), b, 1.0, 2.0)
+        law_distance(observables(np.zeros((0, 9)), 1.0), b, 2.0)
+    # 3-slot states give 4 observable columns, 9-slot states 6
     with pytest.raises(ValueError, match="mode counts"):
-        law_distance(a, rng.normal(size=(10, 7)), 1.0, 2.0)
-    bad = a.copy()
+        law_distance(a, observables(rng.normal(size=(10, 3)), 1.0), 2.0)
+    bad = rng.normal(size=(300, 9))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        law_distance(bad, b, 1.0, 2.0)
+        law_distance(observables(bad, 1.0), b, 2.0)
 
 
 def dict_histogram_distance(a, b, gamma, p, weighted):
@@ -140,12 +143,54 @@ def test_law_distance_matches_dict_recount():
     a = rng.normal(size=(400, 9)) * 0.5
     b = rng.normal(size=(400, 9)) * 0.5 + 0.2
     for weighted in (True, False):
-        got = law_distance(a, b, gamma=1.0, p=2.0, weighted=weighted)
+        got = law_distance(observables(a, 1.0), observables(b, 1.0), p=2.0, weighted=weighted)
         want = dict_histogram_distance(a, b, 1.0, 2.0, weighted)
         assert np.isclose(got, want, rtol=1e-12)
-    got = law_distance(a, b, gamma=0.5, p=1.0)
+    got = law_distance(observables(a, 0.5), observables(b, 0.5), p=1.0)
     want = dict_histogram_distance(a, b, 0.5, 1.0, True)
     assert np.isclose(got, want, rtol=1e-12)
+
+
+@st.composite
+def observable_clouds(draw):
+    """Two clouds of observable rows with constant columns, repeated values,
+    values on bin edges, unequal sizes and single rows."""
+    k = draw(st.integers(1, 6))
+    n_a, n_b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    n = n_a + n_b
+    cols = []
+    for j in range(k):
+        kind = draw(st.sampled_from(["constant", "grid", "float"]))
+        if kind == "constant":
+            col = np.full(n, draw(st.floats(-10.0, 10.0)))
+        elif kind == "grid":
+            # offset + scale * {0..32}: pooled ranges of 32 steps put rows on edges
+            ints = np.array(draw(st.lists(st.integers(0, 32), min_size=n, max_size=n)))
+            col = draw(st.floats(-5.0, 5.0)) + draw(st.floats(1e-3, 1e3)) * ints
+        else:
+            col = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        # axis 0 is a norm: nonnegative, so center**2.5 stays real
+        cols.append(np.abs(col) if j == 0 else col)
+    rows = np.column_stack(cols)
+    a, b = rows[:n_a], rows[n_a:]
+    if draw(st.booleans()):
+        b = a[np.arange(n_b) % n_a]  # b repeats rows of a
+    return a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    clouds=observable_clouds(),
+    p=st.sampled_from([1.0, 2.0, 2.5]),
+    weighted=st.booleans(),
+)
+@example(clouds=(np.array([[0.0, 1.0]]), np.array([[2.0, 1.0]])), p=2.5, weighted=True)
+@example(clouds=(np.zeros((3, 6)), np.zeros((1, 6))), p=1.0, weighted=True)
+def test_law_distance_equals_the_axis_by_axis_histogram(clouds, p, weighted):
+    a, b = clouds
+    want = oracles.law_distance_reference(a, b, p, weighted)
+    assert law_distance(a, b, p, weighted) == want
+    assert law_distance(b, a, p, weighted) == oracles.law_distance_reference(b, a, p, weighted)
 
 
 def test_law_distance_gaussian_oracle():
@@ -157,7 +202,7 @@ def test_law_distance_gaussian_oracle():
     b = np.zeros((n, 5))
     a[:, 0] = rng.normal(0.0, 1.0, n)
     b[:, 0] = rng.normal(2.0, 1.0, n)
-    proxy = law_distance(a, b, gamma=1.0, p=2.0, weighted=False)
+    proxy = law_distance(observables(a, 1.0), observables(b, 1.0), p=2.0, weighted=False)
     analytic = 2.0 * (2.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 1.0)
     assert abs(proxy - analytic) / analytic < 0.10
 
@@ -165,22 +210,23 @@ def test_law_distance_gaussian_oracle():
 def test_law_distance_disjoint_and_weighting():
     a = np.tile([-5.0, 0.0, 0.0, 0.0, 0.0], (50, 1))
     b = np.tile([5.0, 0.0, 0.0, 0.0, 0.0], (50, 1))
-    assert law_distance(a, b, gamma=0.0, p=1.0, weighted=False) == 2.0
+    assert law_distance(observables(a, 0.0), observables(b, 0.0), p=1.0, weighted=False) == 2.0
     rng = np.random.default_rng(1)
-    c = rng.normal(size=(200, 5))
-    d = rng.normal(size=(200, 5)) + 1.0
-    unweighted = law_distance(c, d, gamma=1.0, p=2.0, weighted=False)
-    weighted = law_distance(c, d, gamma=1.0, p=2.0, weighted=True)
+    c = observables(rng.normal(size=(200, 5)), 1.0)
+    d = observables(rng.normal(size=(200, 5)) + 1.0, 1.0)
+    unweighted = law_distance(c, d, p=2.0, weighted=False)
+    weighted = law_distance(c, d, p=2.0, weighted=True)
     assert weighted >= unweighted - 1e-12
 
 
 def test_sliced_mean_difference_cases():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(500, 5))
-    assert sliced_mean_difference(a, a, gamma=1.0) == 0.0
+    obs_a = observables(a, 1.0)
+    assert sliced_mean_difference(obs_a, obs_a) == 0.0
     b = a + np.array([10.0, 0.0, 0.0, 0.0, 0.0])
     # the pooled-std scaling saturates a pure mean shift at 2
-    assert sliced_mean_difference(a, b, gamma=1.0) > 1.5
+    assert sliced_mean_difference(obs_a, observables(b, 1.0)) > 1.5
 
 
 def test_chain_consistency_at_the_floor():
@@ -190,11 +236,10 @@ def test_chain_consistency_at_the_floor():
     x = np.full(17, 0.2)
     ens_a = run_ensemble(x, params, range(0, 100), record_times=[1.0])
     ens_b = run_ensemble(x, params, range(100, 200), record_times=[1.0])
-    sa, sb = ens_a.states_at(1.0), ens_b.states_at(1.0)
-    d = law_distance(sa, sb, gamma=1.0, p=2.0)
-    floors = [
-        law_distance(side[:50], side[50:], gamma=1.0, p=2.0) for side in (sa, sb)
-    ]
+    sa = observables(ens_a.states_at(1.0), 1.0)
+    sb = observables(ens_b.states_at(1.0), 1.0)
+    d = law_distance(sa, sb, p=2.0)
+    floors = [law_distance(side[:50], side[50:], p=2.0) for side in (sa, sb)]
     floor = float(np.median(floors))
     assert 0.5 * floor <= d <= 2.0 * floor
 
@@ -359,6 +404,37 @@ def test_mixing_report_structure_and_exports():
     for key in ("lambda =", "lambda_ci_low =", "lambda_ci_high =", "C =",
                 "floor =", "n_used =", "identifiable =", "ci_method ="):
         assert key in summary
+
+
+def test_mixing_report_pinned():
+    # recorded when every distance call still projected resampled states;
+    # the bootstrap now resamples rows of observables computed once per time
+    # (ia, then ib, per resample and time), and must agree to the last bit
+    params = SimulationParams(
+        n_modes=4, dt=1.0 / 64.0, t_final=4.0, spectrum=NoiseSpectrum.default(4), seed=7
+    )
+    spec = EnsembleSpec(
+        initial_conditions=[np.zeros(9), np.full(9, 0.2)], n_traj=64,
+        params=params, gamma=1.0, p=2.0,
+    )
+    report = mixing_report(spec, n_boot=20, threads=2)
+    assert report.distances.tolist() == [
+        2.249221122251502, 2.69833670643334, 2.9598433574032046, 3.02473384017096,
+    ]
+    assert report.distance_stderr.tolist() == [
+        0.0011946023677693826, 0.0035028526914061458,
+        0.005118775912740558, 0.014264897229417399,
+    ]
+    assert report.floor == 2.250240270434366
+    assert report.sliced_means.tolist() == [
+        2.0, 2.0000000000000004, 1.999999999999999, 1.9999999999999998,
+    ]
+    # repr pins every field, the NaN ones included
+    assert repr(report.fit) == (
+        "RateFit(lam=nan, intercept=nan, ci_low=nan, ci_high=nan, n_used=0, "
+        "floor=2.250240270434366, identifiable=False, method='ols', "
+        "message='rate not identifiable: 0 points above the floor window')"
+    )
 
 
 def test_mixing_report_validation():
