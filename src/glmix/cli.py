@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import locale  # argparse's gettext imports it when main builds the parser
 from pathlib import Path
 
 import numpy as np

@@ -20,11 +20,12 @@ so that ||u||^2 = c_0^2 + sum_k (a_k^2 + b_k^2) and the fractional norms are
 Grid synthesis and analysis go through numpy's real FFTs and take optional
 output and work arrays, so a caller stepping many times can reuse its
 buffers.  Polynomial nonlinearities are evaluated pseudospectrally on a
-padded grid of at least (q+1)N+1 points: a degree-q product has bandwidth
-qN, and on M points mode k' aliases onto k' - M, which for k' <= qN lands
-below -N whenever M > (q+1)N.  Truncation back to N modes therefore equals
-the exact coefficient convolution (Orszag's rule for products of degree q),
-although the aliased modes above N are wrong.
+padded grid of at least (q+1)N+1 points, rounded up to the next 5-smooth
+length (dealias_points): a degree-q product has bandwidth qN, and on M
+points mode k' aliases onto k' - M, which for k' <= qN lands below -N
+whenever M > (q+1)N.  Truncation back to N modes therefore equals the exact
+coefficient convolution (Orszag's rule for products of degree q), although
+the aliased modes above N are wrong.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
+import numpy.fft
+import numpy.random
 
 __all__ = [
     "SpectralField",
@@ -294,10 +296,19 @@ def dealias_points(n_modes: int, degree: int) -> int:
 
     The product has bandwidth q*N.  Only modes up to N are kept, and on M
     points a product mode k' aliases onto k' - M (or k' + M), which misses
-    [-N, N] for every |k'| <= q*N once M >= (q+1)*N + 1.  Rounded up to an
-    FFT-friendly length.
+    [-N, N] for every |k'| <= q*N once M >= (q+1)*N + 1.  Rounded up to the
+    next 5-smooth length (prime factors 2, 3 and 5 only), which the FFTs
+    handle fastest.
     """
-    return next_fast_len(max((degree + 1) * n_modes + 1, 4), real=True)
+    m = max((degree + 1) * n_modes + 1, 4)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
@@ -316,16 +327,20 @@ def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
 SUP_POINTS_PER_MODE = 8  # sup-norm grid density; the grid has at least 64 points
 
 
+def sup_points(n_modes: int) -> int:
+    """Size of the sup-norm grid: max(8 N, 64) points."""
+    return max(SUP_POINTS_PER_MODE * n_modes, 64)
+
+
 def sup_norm_values(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     """Grid sup norm over the last axis of a coefficient array.
 
-    The grid has max(8 N, 64) points (SUP_POINTS_PER_MODE = 8).  A grid
-    maximum is a lower bound on the true sup norm; at 8 points per shortest
-    wavelength it is within a fraction of a percent for generic fields and
-    exact for pure unshifted cosine modes.
+    The grid has sup_points(N) = max(8 N, 64) points (SUP_POINTS_PER_MODE =
+    8).  A grid maximum is a lower bound on the true sup norm; at 8 points
+    per shortest wavelength it is within a fraction of a percent for generic
+    fields and exact for pure unshifted cosine modes.
     """
-    m = max(SUP_POINTS_PER_MODE * n_modes, 64)
-    vals = coeffs_to_values(coeffs, n_modes, m)
+    vals = coeffs_to_values(coeffs, n_modes, sup_points(n_modes))
     return np.max(np.abs(vals), axis=-1)
 
 

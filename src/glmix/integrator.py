@@ -38,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .field import (
     DriftPolynomial,
@@ -48,6 +47,7 @@ from .field import (
     eigenvalues,
     fmt_float,
     sup_norm_values,
+    sup_points,
     values_to_coeffs,
 )
 from .noise import ConvolutionStepSampler, NoiseSpectrum, trajectory_generator, validate
@@ -620,6 +620,8 @@ def ode_comparison(
     vals = values[: len(edges) - 1]
     f_int = sum(v * (b - a) for v, a, b in zip(vals, edges[:-1], edges[1:]))
 
+    from scipy.integrate import solve_ivp  # only this check needs scipy
+
     y = y0
     for v, a, b in zip(vals, edges[:-1], edges[1:]):
         sol = solve_ivp(
@@ -660,39 +662,43 @@ def write_trajectory_csv(
     """Write integer-time records as CSV with a '#'-prefixed header block.
 
     results is a list of EnsembleResult objects; rows carry a trajectory
-    column.  norm_sup is the field.sup_norm_values grid maximum (8 points per
-    mode, at least 64 points).  Aborted spans appear as rows with aborted = 1
-    and empty numeric fields.  Returns the text.
+    column.  The norms and coefficient columns of the finite rows of each
+    result are computed in array operations.  norm_sup is the
+    field.sup_norm_values grid maximum (8 points per mode, at least 64
+    points), taken in row chunks whose grid arrays fill at most _SLAB_BYTES.
+    Aborted spans appear as rows with aborted = 1 and empty numeric fields.
+    Returns the text.
     """
-    rows = [
-        (int(ens.traj_ids[j]), ens.times, ens.states[j])
-        for ens in results
-        for j in range(ens.n_traj)
-    ]
     n_modes = results[-1].params.n_modes
-    ell = eigenvalues(n_modes)
-    weights = ell ** (2.0 * gamma)
+    weights = eigenvalues(n_modes) ** (2.0 * gamma)
     n_coeff_cols = min(6, 2 * n_modes + 1)
     coeff_names = ["c0", "a1", "b1", "a2", "b2", "a3"][:n_coeff_cols]
+    # a sup-norm row holds its grid, half spectrum and |grid|: 24 bytes a point
+    chunk = max(1, _SLAB_BYTES // (24 * sup_points(n_modes)))
+    aborted_fields = ",,,1" + "," * n_coeff_cols
     lines = [f"# {h}" for h in header_lines]
     lines.append(
         "trajectory,t,norm_0,norm_gamma,norm_sup,aborted," + ",".join(coeff_names)
     )
-    for tid, times, states in rows:
-        finite = np.all(np.isfinite(states), axis=-1)
-        sups = np.full(len(times), np.nan)
-        if finite.any():
-            sups[finite] = sup_norm_values(states[finite], n_modes)
-        for i, t in enumerate(times):
-            if finite[i]:
-                u = states[i]
-                n0 = math.sqrt(float(np.sum(u * u)))
-                ng = math.sqrt(float(np.sum(weights * u * u)))
-                fields = [fmt_float(n0), fmt_float(ng), fmt_float(sups[i]), "0"]
-                fields += [fmt_float(u[j]) for j in range(n_coeff_cols)]
-            else:
-                fields = ["", "", "", "1"] + [""] * n_coeff_cols
-            lines.append(f"{tid},{fmt_float(t)}," + ",".join(fields))
+    for ens in results:
+        finite = np.all(np.isfinite(ens.states), axis=-1)  # (n_traj, n_times)
+        u = ens.states[finite]  # finite rows, trajectory-major like the file
+        norm_0 = np.sqrt(np.sum(u * u, axis=-1))
+        norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
+        norm_sup = np.empty(len(u))
+        for lo in range(0, len(u), chunk):
+            norm_sup[lo : lo + chunk] = sup_norm_values(u[lo : lo + chunk], n_modes)
+        numbers = (
+            ",".join(map(fmt_float, (n0, ng, ns))) + ",0," + ",".join(map(fmt_float, coeffs))
+            for n0, ng, ns, coeffs in zip(
+                norm_0.tolist(), norm_gamma.tolist(), norm_sup.tolist(),
+                u[:, :n_coeff_cols].tolist(),
+            )
+        )
+        times = [fmt_float(t) for t in ens.times]
+        for tid, row_finite in zip(ens.traj_ids.tolist(), finite.tolist()):
+            for t, ok in zip(times, row_finite):
+                lines.append(f"{tid},{t}," + (next(numbers) if ok else aborted_fields))
     text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

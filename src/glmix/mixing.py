@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import numpy.random
 
 from .field import eigenvalues, fmt_float
-from .integrator import EnsembleResult, SimulationParams, integer_times, run_ensemble, window_sup
+from .integrator import SimulationParams, integer_times, run_ensemble, window_sup
 
 __all__ = [
     "EnsembleSpec",
@@ -380,14 +381,15 @@ def mixing_report(
 ) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
 
-    Runs one ensemble per initial condition and projects the finite rows of
-    the first two to observables once per requested integer time.  From
-    those rows it computes the weighted histogram distance at each time,
-    estimates the statistical floor by half-splitting each ensemble
-    (distance between same-law halves), fits the exponential rate above
-    that floor, and attaches a trajectory bootstrap (n_boot resamples of
-    row indices) confidence interval for the rate and a standard error for
-    each distance.  times = None means 1, 2, ..., floor(t_final).
+    Runs one ensemble for each of the first two initial conditions (later
+    ones are not simulated) and projects their finite rows to observables
+    once per requested integer time.  From those rows it computes the
+    weighted histogram distance at each time, estimates the statistical
+    floor by half-splitting each ensemble (distance between same-law
+    halves), fits the exponential rate above that floor, and attaches a
+    trajectory bootstrap (n_boot resamples of row indices) confidence
+    interval for the rate and a standard error for each distance.
+    times = None means 1, 2, ..., floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
         raise ValueError("mixing_report needs two initial conditions")
@@ -398,18 +400,15 @@ def mixing_report(
     if times.size < 4:
         raise ValueError("need at least 4 report times")
 
-    ensembles: list[EnsembleResult] = []
-    for i, ic in enumerate(spec.initial_conditions):
-        ensembles.append(
-            run_ensemble(
-                ic, params, spec.traj_ids(i), record_times=times, threads=threads
-            )
-        )
+    ensembles = [
+        run_ensemble(ic, params, spec.traj_ids(i), record_times=times, threads=threads)
+        for i, ic in enumerate(spec.initial_conditions[:2])
+    ]
 
     # observable rows of the finite trajectories, projected once per report time
     obs_a, obs_b = (
         [observables(_finite_rows(ens.states[:, j, :]), spec.gamma) for j in range(times.size)]
-        for ens in ensembles[:2]
+        for ens in ensembles
     )
     for j, t in enumerate(times):
         if obs_a[j].shape[0] < 2 or obs_b[j].shape[0] < 2:

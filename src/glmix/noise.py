@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import numpy.random
 
 from .field import eigenvalues, mode_numbers
 

@@ -10,12 +10,16 @@ certificate toolkit shows up here as a byte-level diff.
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import glmix
 from glmix.cli import main
 from glmix.doeblin import parse_certificate, read_kernel
 from glmix.integrator import ode_comparison
@@ -95,6 +99,20 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use():
+    # a fresh interpreter: the test process has scipy loaded already; a module
+    # first imported inside a call would add its import time to the call
+    code = (
+        "import sys, glmix.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+        "print([m in sys.modules for m in ('numpy.random', 'numpy.fft', 'locale')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(glmix.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.splitlines() == ["[]", "[True, True, True]"]
 
 
 def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):

@@ -8,6 +8,7 @@ package transforms.
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import oracles
 from glmix.field import (
@@ -234,6 +235,13 @@ def test_eval_polynomial_matches_convolution_oracle():
                 assert np.all(err[:-2] <= 1e-10)
                 assert (np.max(err[-2:]) <= 1e-10) == (m % 2 == 1)
     assert dealias_points(32, 3) == 135
+
+
+def test_dealias_points_is_scipys_next_fast_len():
+    for degree in (3, 5, 7):
+        for n_modes in range(1, 257):
+            m = max((degree + 1) * n_modes + 1, 4)
+            assert dealias_points(n_modes, degree) == next_fast_len(m, real=True)
 
 
 def test_eval_polynomial_higher_degrees_match_convolution():

@@ -470,3 +470,90 @@ def test_trajectory_csv_marks_aborted_rows(tmp_path):
         fields = row.split(",")
         assert fields[5] == "1"
         assert all(v == "" for v in fields[2:5] + fields[6:])
+
+
+def writer_results(n_modes):
+    """Two OU ensembles of three trajectories; at 4 modes trajectory 2
+    crosses the guard at t = 1.1875."""
+    params = SimulationParams(
+        n_modes=n_modes, dt=1.0 / 16.0, t_final=3.0, poly=None, seed=1, blowup_guard=2.0,
+        spectrum=NoiseSpectrum(q=np.ones(n_modes + 1), k_star=n_modes),
+    )
+    slots = 2 * n_modes + 1
+    return [
+        run_ensemble(np.full(slots, 0.1), params, [0, 1, 2]),
+        run_ensemble(np.linspace(-0.4, 0.4, slots), params, [3, 4, 5]),
+    ]
+
+
+# write_trajectory_csv(path, writer_results(n_modes), 1.0, ["seed = 1"]) as the
+# row-by-row writer wrote it: one sup-norm call per trajectory, two sums per row
+PINNED_CSV_4_MODES = """\
+# seed = 1
+trajectory,t,norm_0,norm_gamma,norm_sup,aborted,c0,a1,b1,a2,b2,a3
+0,0.0,0.30000000000000004,105.27091684533305,0.16117458742741478,0,0.1,0.1,0.1,0.1,0.1,0.1
+0,1.0,0.5972721836356678,36.77781988021605,0.6132191806046059,0,0.5835238181806226,0.052757181389645746,0.0697319093479525,-0.011432376017812693,0.06271857831083068,-0.023467786926563722
+0,2.0,0.1416761559407973,33.692260426795684,0.09087234810193429,0,-0.0668904392024468,0.018353583118151977,0.07275064005213609,0.04061707754963711,-0.06546602791003703,0.04831554985025388
+0,3.0,0.2893853560011046,43.42543783034961,0.27696932908275607,0,-0.2502176802865618,-0.06012868584326875,-0.05411531335963561,0.05335522554572884,0.02264832054092326,0.09266504512637165
+1,0.0,0.30000000000000004,105.27091684533305,0.16117458742741478,0,0.1,0.1,0.1,0.1,0.1,0.1
+1,1.0,0.35483222388282354,28.261996297640813,0.34753049928602325,0,0.3087419100694125,0.16086042770417558,-0.014416790026698791,0.03801019358488361,-0.001935036913311519,-0.03495060938730788
+1,2.0,0.7511000855609075,29.433167909483064,0.7597188545050328,0,0.6865867087350562,0.1104080449831664,0.2779999307435354,-0.01830919791222802,0.030277368731648786,-0.0008122106351802551
+1,3.0,0.212991967176166,45.053462246285534,0.11133277324229696,0,-0.06347637322397384,-0.10125664184693277,-0.10994847693317657,0.0031276902670139017,-0.08853562367643773,0.020950455885479276
+2,0.0,0.30000000000000004,105.27091684533305,0.16117458742741478,0,0.1,0.1,0.1,0.1,0.1,0.1
+2,1.0,1.4793585799920346,27.7269001172589,1.5115549128682686,0,-1.4650750560236008,-0.1952344327244529,0.027267534201486615,-0.012469043505182445,0.0029920326875350132,-0.016593695195953863
+2,2.0,,,,1,,,,,,
+2,3.0,,,,1,,,,,,
+3,0.0,0.7745966692414834,326.9195269158511,0.5019737770423972,0,-0.4,-0.30000000000000004,-0.2,-0.09999999999999998,0.0,0.09999999999999998
+3,1.0,0.3894316882147314,28.817575316513953,0.3644761748297259,0,-0.30614379608224607,0.19514978635288935,0.09903471383286128,-0.09163993023859811,-0.015051429377804048,0.003398006742172087
+3,2.0,0.36637115844264107,32.61081760445672,0.28281036437577006,0,0.22304819433532216,-0.13972712513489255,-0.24829778677780817,-0.004043408676363386,-0.005566320532386728,-0.036341260321780075
+3,3.0,0.2661018309171967,41.38170612056678,0.1154208723315768,0,0.0757717654322895,0.16455851097742122,-0.12580968987297986,-0.03619273985625262,0.11347339654990916,-0.05782911142512958
+4,0.0,0.7745966692414834,326.9195269158511,0.5019737770423972,0,-0.4,-0.30000000000000004,-0.2,-0.09999999999999998,0.0,0.09999999999999998
+4,1.0,0.9922899524035614,30.373156926228738,1.0082847361226082,0,-0.9806836688274004,0.0680049748368845,-0.014891198432663521,-0.042387068681975906,0.11905403839705757,-0.00374907652929858
+4,2.0,0.8760046348192729,33.93975875003889,0.8854363515697736,0,-0.8282188277291805,0.21598770984523682,-0.1531283485427479,-0.020883548679490736,-0.06448821331437228,-0.07495043874376914
+4,3.0,0.6690566302768358,35.00594658029511,0.678263830426016,0,0.6527681532715219,-0.06644432810152259,-0.04589280756108108,-0.0962255984498625,-0.023378327182694128,0.057078543936053425
+5,0.0,0.7745966692414834,326.9195269158511,0.5019737770423972,0,-0.4,-0.30000000000000004,-0.2,-0.09999999999999998,0.0,0.09999999999999998
+5,1.0,0.23449121891023497,30.16130351075496,0.22959224233446035,0,0.20406006274021252,-0.007044292173620424,0.07418924090060312,-0.046403630563713646,0.007509165365162974,-0.06906227077585812
+5,2.0,0.4541073318067008,24.443126432683204,0.4465016048679411,0,0.39768432559426903,-0.12683883737955726,-0.16853486483238664,-0.008937026107276402,0.03465394222481412,-0.02662025393959426
+5,3.0,0.474970587731725,19.18839800911251,0.4836295281565032,0,-0.4518301286979305,0.08464941653825492,0.11162905702108358,0.023759042591373663,-0.00739283791521486,0.005165218513766853
+"""
+
+PINNED_CSV_2_MODES = """\
+# seed = 1
+trajectory,t,norm_0,norm_gamma,norm_sup,aborted,c0,a1,b1,a2,b2
+0,0.0,0.223606797749979,23.191617855290836,0.14564224101101675,0,0.1,0.1,0.1,0.1,0.1
+0,1.0,0.7819541325482374,11.831274805792372,0.8052812640218832,0,0.7595161760682421,-0.09711781445225125,0.14714711910750977,-0.014850476098960298,-0.05729539697003802
+0,2.0,0.5801915387933946,22.22687834143165,0.5738315224825952,0,0.5475944408539622,0.0501072685360747,0.12607509383219953,0.06899218890046424,-0.11660600438683245
+0,3.0,0.3780782110861017,17.601691765967182,0.3678073522498671,0,-0.3230031369793323,-0.1353564916105014,-0.09927044430044839,0.08294784727269364,-0.05963020123805777
+1,0.0,0.223606797749979,23.191617855290836,0.14564224101101675,0,0.1,0.1,0.1,0.1,0.1
+1,1.0,0.09319593484758887,10.898238977643889,0.055050320560921,0,0.04230997184237853,0.040089418737167565,0.027151442359038117,0.02114175922175524,-0.0640625651606487
+1,2.0,0.5792570918849451,12.890485925689138,0.5889200500066816,0,0.5693085895029949,0.06899094537866847,-0.02090242135183077,0.013219480841086009,0.07781447153836123
+1,3.0,0.3606062664985004,12.724162974694972,0.2695879878431549,0,0.20472589874012334,0.17830892644895543,0.2357759513853956,-0.02188748859109317,-0.016147791277558932
+2,0.0,0.223606797749979,23.191617855290836,0.14564224101101675,0,0.1,0.1,0.1,0.1,0.1
+2,1.0,0.5844278652473813,12.171224648588387,0.6016718768378229,0,-0.5608154387318329,0.08502846431623322,0.12421217404050926,0.019893951249918905,-0.06314823938521275
+2,2.0,0.6577682187245129,18.697839067854094,0.6757434766683422,0,-0.6304886500748957,0.1467266088124008,0.035568000042281424,-0.05726082859227213,-0.09523921901761677
+2,3.0,0.7986599470686349,6.783966552079321,0.8108580904553397,0,-0.790891064732543,-0.09447278703179161,-0.04856323466557766,0.017192266418993893,0.027748252242966304
+3,0.0,0.632455532033676,71.52909212885346,0.47659172569711805,0,-0.4,-0.2,0.0,0.20000000000000007,0.4
+3,1.0,0.18160722008801253,18.34951092597525,0.15674457755024163,0,0.13689835966867608,-0.030534831123560237,0.006198233056794112,0.10557395540746421,-0.04608001131698757
+3,2.0,0.8634545955231939,3.668173967598752,0.8725638572326082,0,0.8619435464969188,0.006677582227242242,-0.04695893607698341,0.0013247803126856007,0.018859330785466814
+3,3.0,0.3443791536138059,10.846341720633651,0.33321972833647867,0,-0.2951784124049488,0.05611309187041087,-0.15976011963662617,-0.041658762189942716,0.03254656542695083
+4,0.0,0.632455532033676,71.52909212885346,0.47659172569711805,0,-0.4,-0.2,0.0,0.20000000000000007,0.4
+4,1.0,0.8704654785454026,16.287339303485005,0.88399891431024,0,-0.8322369008552588,0.19925461448337772,0.13675429687318616,0.0803641814491666,0.01514428697289169
+4,2.0,0.2516726728564323,14.214200468328128,0.24682190175917348,0,-0.21659155811142333,0.004044421052499749,-0.0948521806329052,0.07731083034147868,-0.03790742957535684
+4,3.0,0.42238310983974087,14.31719684465567,0.33721840258154245,0,-0.2602196870523381,0.255337073976364,0.210948385491915,-0.015179655152455333,-0.027686482789795193
+5,0.0,0.632455532033676,71.52909212885346,0.47659172569711805,0,-0.4,-0.2,0.0,0.20000000000000007,0.4
+5,1.0,0.7938946122514623,18.282675501491102,0.8138106560787285,0,-0.7633505556393395,-0.0651060575767616,0.18026730579426772,0.09261515551461189,-0.04745437034144413
+5,2.0,0.8397952694482873,11.30307344334433,0.8557443225274731,0,-0.8304577626941474,0.06029571841790462,-0.08753086981347641,0.050270908383739224,-0.04209047290291981
+5,3.0,0.707710948619657,6.280119595412744,0.7181233902233273,0,0.7055727313580737,0.03764575447026873,-0.012858471239285539,0.0017996254721195943,-0.037896250420787536
+"""
+
+
+@pytest.mark.parametrize("n_modes", [4, 2])
+def test_trajectory_csv_text_is_pinned(tmp_path, monkeypatch, n_modes):
+    results = writer_results(n_modes)
+    want = {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
+    if n_modes == 4:
+        assert results[0].aborted.tolist() == [False, False, True]
+    assert write_trajectory_csv(tmp_path / "a.csv", results, 1.0, ["seed = 1"]) == want
+    # sup norms in chunks of 5 rows (22 or 24 finite rows leave a short tail)
+    monkeypatch.setattr(integrator, "_SLAB_BYTES", 24 * 64 * 5)
+    assert write_trajectory_csv(tmp_path / "b.csv", results, 1.0, ["seed = 1"]) == want

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import glmix.mixing as mixing
 import oracles
 from glmix.field import scaled_random_field
 from glmix.integrator import SimulationParams, run_ensemble
@@ -435,6 +436,25 @@ def test_mixing_report_pinned():
         "floor=2.250240270434366, identifiable=False, method='ols', "
         "message='rate not identifiable: 0 points above the floor window')"
     )
+
+
+def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
+    params = SimulationParams(
+        n_modes=4, dt=1.0 / 64.0, t_final=4.0, spectrum=NoiseSpectrum.default(4), seed=7
+    )
+    starts = [np.zeros(9), np.full(9, 0.2), np.full(9, -0.5)]
+    calls = []
+    run_ensemble = mixing.run_ensemble
+    monkeypatch.setattr(mixing, "run_ensemble",
+                        lambda *args, **kw: calls.append(1) or run_ensemble(*args, **kw))
+    texts = []
+    for ics in (starts, starts[:2]):
+        calls.clear()
+        spec = EnsembleSpec(initial_conditions=ics, n_traj=32, params=params)
+        report = mixing_report(spec, n_boot=10)
+        assert len(calls) == 2
+        texts.append((report_csv(report), report_summary(report), report.sliced_means.tolist()))
+    assert texts[0] == texts[1]
 
 
 def test_mixing_report_validation():
