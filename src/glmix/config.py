@@ -15,9 +15,9 @@ Sections and keys:
              amplitude overrides q0, q1, ...
   [ensemble] ic1, ic2, ... (each 'zero', 'scaled-random:R', or an explicit
              coefficient list), n_traj, gamma, p, times, n_boot
-  [doeblin]  kernel (path; load_config and the CLI resolve a relative one
-             against the config file's directory), K ('all' or index
-             list), m, mu0 ('uniform' or a weight list)
+  [doeblin]  kernel (path; RunConfig.anchor_paths, which the CLI calls,
+             resolves a relative one against the config file's directory),
+             K ('all' or index list), m, mu0 ('uniform' or a weight list)
   [odecheck] qs, cs, y0s, ts
 
 The 'scaled-random:R' preset is the fixed pseudo-random direction scaled to
@@ -37,7 +37,7 @@ from .field import DriftPolynomial, fmt_float, scaled_random_field
 from .integrator import SimulationParams, integer_times
 from .noise import NoiseSpectrum
 
-__all__ = ["ConfigError", "RunConfig", "resolve_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "resolve_config"]
 
 
 class ConfigError(ValueError):
@@ -361,12 +361,4 @@ def resolve_config(text: str) -> RunConfig:
     for key, least in (("n_traj", 1), ("n_boot", 0)):  # the defaults pass
         if getattr(cfg, key) < least:
             raise ConfigError(f"line {ensemble.raw(key)[1]}: {key} must be at least {least}")
-    return cfg
-
-
-def load_config(path) -> RunConfig:
-    """Read and resolve a config file, its kernel path anchored to the file."""
-    with open(path) as fh:
-        cfg = resolve_config(fh.read())
-    cfg.anchor_paths(path)
     return cfg

@@ -10,16 +10,17 @@ to first order:
 
     u' = e^{-Lh} u + phi(h) N(u) + xi,      phi(h) = (1 - e^{-l_k h}) / l_k,
 
-with xi the exact stochastic-convolution increment from the noise module.
-With N == 0 the scheme is exact in distribution, and the recursion for the
-convolution path W_L is driven by the same draws, so the remainder
-Psi = Phi - W_L satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to
-rounding error, step by step.
+with xi the exact stochastic-convolution increment, of standard deviation
+NoiseSpectrum.step_std(h) per slot.  With N == 0 the scheme is exact in
+distribution, and it is the recursion of the convolution path W_L.
 
 ExponentialEulerStepper holds the per-slot factors of one step, and one
 block loop advances (trajectories x slots) blocks of it through batched
-FFTs.  That loop serves run_ensemble and simulate (a one-row ensemble with
-the convolution path recorded); it only steps, guards and records.
+FFTs; it only steps, guards and records.  run_ensemble runs that loop, and
+simulate runs two one-row ensembles on the same stream: the model, and the
+drift-free model from zero with no guard, which is W_L driven by the same
+draws.  So the remainder Psi = Phi - W_L satisfies
+Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step by step.
 window_sup, behind noise.sup_gaussian_check and mixing.sup_window_bound,
 records every step of a time window and takes the sup norms afterwards.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
@@ -50,14 +51,13 @@ from .field import (
     sup_points,
     values_to_coeffs,
 )
-from .noise import ConvolutionStepSampler, NoiseSpectrum, trajectory_generator, validate
+from .noise import NoiseSpectrum, trajectory_generator, validate
 
 __all__ = [
     "SimulationParams",
     "Trajectory",
     "EnsembleResult",
     "ExponentialEulerStepper",
-    "TrajectoryBlowup",
     "simulate",
     "run_ensemble",
     "window_sup",
@@ -69,18 +69,6 @@ __all__ = [
     "ode_comparison",
     "write_trajectory_csv",
 ]
-
-
-class TrajectoryBlowup(RuntimeError):
-    """Raised when a single-trajectory run exceeds the blow-up guard."""
-
-    def __init__(self, time: float, norm: float):
-        super().__init__(
-            f"trajectory norm {norm:.3e} exceeded the blow-up guard at t = {time:g}; "
-            "the step size is too large for this amplitude"
-        )
-        self.time = time
-        self.norm = norm
 
 
 @dataclass
@@ -165,9 +153,8 @@ class ExponentialEulerStepper:
         self.n_modes = params.n_modes
         ell = eigenvalues(self.n_modes)
         self.phi = -np.expm1(-ell * params.dt) / ell
-        self.sampler = ConvolutionStepSampler(params.spectrum)
-        self.decay = self.sampler.decay(params.dt)
-        self.std = self.sampler.step_std(params.dt)
+        self.decay = np.exp(-ell * params.dt)
+        self.std = params.spectrum.step_std(params.dt)
         self.poly = params.poly
         self.guard_sq = params.blowup_guard**2
         if self.poly is not None:
@@ -259,7 +246,6 @@ class EnsembleResult:
     aborted: np.ndarray  # (n_traj,) bool
     abort_times: np.ndarray
     abort_norms: np.ndarray  # (n_traj,) norm at the guard crossing, NaN if none
-    wl: np.ndarray | None = None
 
     @property
     def n_traj(self) -> int:
@@ -300,7 +286,6 @@ def _run_block(
     n = ids.size
     n_slots = x.size
     u = np.tile(x, (n, 1))
-    w = np.zeros((n, n_slots)) if out.wl is not None else None
     alive = np.ones(n, dtype=bool)
     abort_t = np.full(n, np.nan)
     abort_norm = np.full(n, np.nan)
@@ -312,8 +297,6 @@ def _run_block(
 
     if 0 in rec_steps:
         out.states[rows, rec_steps[0], :] = u
-        if out.wl is not None:
-            out.wl[rows, rec_steps[0], :] = 0.0
 
     for step_no in range(1, n_steps + 1):
         s = (step_no - 1) % slab_len
@@ -321,12 +304,7 @@ def _run_block(
             m = min(slab_len, n_steps - step_no + 1)
             for gen, slab in zip(gens, noise):
                 gen.standard_normal(out=slab[:m])
-        gs = noise[:, s, :]
-        stepper.step_block(u, gs, buf)
-        if w is not None:
-            w *= stepper.decay
-            np.multiply(gs, stepper.std, out=buf.slots)
-            w += buf.slots
+        stepper.step_block(u, noise[:, s, :], buf)
         blown = stepper.blown_up(u, buf) & alive
         if blown.any():
             abort_t[blown] = step_no * params.dt
@@ -336,8 +314,6 @@ def _run_block(
             alive &= ~blown
         if step_no in rec_steps:
             out.states[rows, rec_steps[step_no], :] = u
-            if out.wl is not None:
-                out.wl[rows, rec_steps[step_no], :] = np.where(alive[:, None], w, np.nan)
         if not alive.any():
             break  # the later records stay NaN, as out was made
 
@@ -351,7 +327,6 @@ def run_ensemble(
     params: SimulationParams,
     traj_ids,
     record_times=None,
-    record_wl: bool = False,
     block_size: int = 512,
     threads: int = 1,
 ) -> EnsembleResult:
@@ -384,7 +359,6 @@ def run_ensemble(
     shape = (ids.size, record_times.size, n_slots)
     try:
         states = np.full(shape, np.nan)
-        wl = np.full(shape, np.nan) if record_wl else None
     except MemoryError:
         raise ValueError(
             f"records of {shape[0]} trajectories at {shape[1]} times up to "
@@ -398,7 +372,6 @@ def run_ensemble(
         aborted=np.zeros(ids.size, dtype=bool),
         abort_times=np.full(ids.size, np.nan),
         abort_norms=np.full(ids.size, np.nan),
-        wl=wl,
     )
 
     blocks = [
@@ -453,22 +426,24 @@ def simulate(
     params: SimulationParams,
     trajectory_id: int = 0,
     record_dense: bool = False,
-    raise_on_blowup: bool = False,
 ) -> Trajectory:
-    """Integrate one trajectory to t_final, recording integer times.
+    """Integrate one trajectory to t_final, recording integer times, and
+    every step when record_dense.
 
-    A one-row run_ensemble that also records the convolution path W_L,
-    advanced by the same noise draws as the state, at every step when
-    record_dense.  On blow-up the trajectory is flagged, or TrajectoryBlowup
-    is raised when raise_on_blowup, with the crossing time and norm.
+    Two one-row run_ensemble calls on the same stream: the model from x,
+    and the drift-free model from zero with no blow-up guard, whose records
+    are the convolution path W_L driven by the same draws.  W_L records are
+    NaN where the state's are, at and after a blow-up.
     """
     dense_times = params.dt * np.arange(params.n_steps + 1) if record_dense else None
-    ens = run_ensemble(x, params, [trajectory_id], record_times=dense_times, record_wl=True)
+    ens = run_ensemble(x, params, [trajectory_id], record_times=dense_times)
+    drift_free = replace(params, poly=None, blowup_guard=math.inf)
+    zero = np.zeros(2 * params.n_modes + 1)
+    states = ens.states[0]
+    wl = run_ensemble(zero, drift_free, [trajectory_id], record_times=dense_times).states[0]
+    wl[np.isnan(states)] = np.nan
     aborted = bool(ens.aborted[0])
-    if aborted and raise_on_blowup:
-        raise TrajectoryBlowup(float(ens.abort_times[0]), float(ens.abort_norms[0]))
     times = integer_times(params.t_final)
-    states, wl = ens.states[0], ens.wl[0]
     dense_states = dense_wl = None
     if record_dense:
         dense_states, dense_wl = states, wl

@@ -467,10 +467,9 @@ def mixing_report(
     )
 
 
-def report_csv(report: MixingReport, header_lines=()) -> str:
+def report_csv(report: MixingReport) -> str:
     """CSV body of the distance track: t, distance, stderr."""
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("t,distance,stderr")
+    lines = ["t,distance,stderr"]
     for j in range(report.times.size):
         lines.append(
             f"{fmt_float(report.times[j])},{fmt_float(report.distances[j])},"

@@ -1,4 +1,4 @@
-"""Degenerate diagonal noise and exact stochastic-convolution sampling.
+"""Degenerate diagonal noise: admissible spectra and counter-based streams.
 
 The driving noise is Q dW with Q diagonal in the same H-orthonormal basis as
 L: mode k (both cos and sin slots) carries the amplitude q_k.  The admissible
@@ -18,6 +18,9 @@ can be sampled exactly:
     W_L(t+h) = e^{-Lh} W_L(t) + xi,    xi_k ~ N(0, s_k(h)^2),
     s_k(h) = q_k * sqrt((1 - e^{-2 l_k h}) / (2 l_k)).
 
+NoiseSpectrum.step_std gives s_k(h) per slot; the integrator's stepper
+applies the recursion (W_L is the drift-free model run from zero).
+
 Randomness is counter-based: each trajectory owns a Philox stream keyed by
 (seed, trajectory id), and every step consumes exactly one standard normal
 per coefficient slot, in slot order.  The increment at (seed, trajectory,
@@ -27,7 +30,7 @@ schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random
@@ -38,8 +41,6 @@ __all__ = [
     "NoiseSpectrum",
     "SpectrumViolation",
     "validate",
-    "ConvolutionStepSampler",
-    "convolution_step",
     "sup_gaussian_check",
     "trajectory_generator",
 ]
@@ -111,6 +112,13 @@ class NoiseSpectrum:
         """Amplitudes expanded to the flat coefficient layout (2N+1,)."""
         return self.q[mode_numbers(self.n_modes)]
 
+    def step_std(self, h: float) -> np.ndarray:
+        """s_k(h) per coefficient slot; monotone in h with limit q_k/sqrt(2 l_k)."""
+        if not (h > 0 and np.isfinite(h)):
+            raise ValueError("step size must be positive and finite")
+        ell = eigenvalues(self.n_modes)
+        return self.per_slot() * np.sqrt(-np.expm1(-2.0 * ell * h) / (2.0 * ell))
+
 
 def validate(spectrum: NoiseSpectrum) -> SpectrumViolation | None:
     """Return the first violated bound, or None if the spectrum is admissible.
@@ -165,61 +173,6 @@ def trajectory_generator(seed: int, trajectory_id: int) -> np.random.Generator:
     """Philox stream for one trajectory, keyed by (seed, trajectory id)."""
     key = np.array([np.uint64(seed), np.uint64(trajectory_id)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass
-class ConvolutionStepSampler:
-    """Exact per-mode sampler for increments of the stochastic convolution."""
-
-    spectrum: NoiseSpectrum
-    _cache: dict = dataclass_field(default_factory=dict, repr=False)
-
-    @property
-    def n_modes(self) -> int:
-        return self.spectrum.n_modes
-
-    @property
-    def n_slots(self) -> int:
-        return 2 * self.n_modes + 1
-
-    def step_std(self, h: float) -> np.ndarray:
-        """s_k(h) per coefficient slot; monotone in h with limit q_k/sqrt(2 l_k)."""
-        if not (h > 0 and np.isfinite(h)):
-            raise ValueError("step size must be positive and finite")
-        got = self._cache.get(h)
-        if got is None:
-            ell = eigenvalues(self.n_modes)
-            q = self.spectrum.per_slot()
-            got = q * np.sqrt(-np.expm1(-2.0 * ell * h) / (2.0 * ell))
-            got.setflags(write=False)
-            self._cache[h] = got
-        return got
-
-    def decay(self, h: float) -> np.ndarray:
-        return np.exp(-eigenvalues(self.n_modes) * h)
-
-    def increments(self, h: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        """Draw xi ~ N(0, diag(s_k(h)^2)); rows are independent samples.
-
-        Every call consumes one standard normal per slot (also for slots with
-        q_k = 0, which return exactly 0), keeping stream positions aligned
-        across spectra.
-        """
-        shape = (self.n_slots,) if n is None else (n, self.n_slots)
-        return rng.standard_normal(shape) * self.step_std(h)
-
-
-def convolution_step(
-    prev: np.ndarray,
-    h: float,
-    sampler: ConvolutionStepSampler,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Advance the convolution state one step: e^{-Lh} prev + fresh increment."""
-    prev = np.asarray(prev, dtype=float)
-    if prev.shape[-1] != sampler.n_slots:
-        raise ValueError("state length does not match the spectrum")
-    return sampler.decay(h) * prev + sampler.increments(h, rng)
 
 
 def sup_gaussian_check(

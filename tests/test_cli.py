@@ -343,6 +343,12 @@ def test_doeblin_kernel_path_is_relative_to_the_config_file(tmp_path, capsys, mo
     monkeypatch.chdir(tmp_path / "data")
     assert main(["doeblin", "--config", "../rerun.cfg", "--out", "again"]) == 0
     assert (tmp_path / "data" / "again" / "certificate.txt").read_text() == first
+    # an absolute path is kept as written, unresolved
+    as_written = tmp_path / "cfg" / ".." / "data" / "two_state.txt"
+    write_cfg(tmp_path / "cfg", f"[doeblin]\nkernel = {as_written}\n", name="abs.cfg")
+    assert main(["doeblin", "--config", "../cfg/abs.cfg", "--out", "abs"]) == 0
+    head = (tmp_path / "data" / "abs" / "certificate.txt").read_text().splitlines()
+    assert f"# kernel = {as_written}" in head
     capsys.readouterr()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glmix.config import ConfigError, RunConfig, load_config, resolve_config
+from glmix.config import ConfigError, RunConfig, resolve_config
 from glmix.field import fmt_float, scaled_random_field
 from glmix.noise import NoiseSpectrum, trajectory_generator
 
@@ -150,26 +150,6 @@ def test_doeblin_section_canonicalization():
     assert cfg.doeblin_mu0 == "uniform"
     # no doeblin block in canonical output when absent
     assert "[doeblin]" not in resolve_config("").resolved_lines()
-
-
-def test_load_config(tmp_path, monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("[model]\nn_modes = 4\nseed = 9\n")
-    cfg = load_config(path)
-    assert cfg.n_modes == 4 and cfg.seed == 9
-    # a relative kernel path is read against the config file, not the
-    # working directory: config in cfg/, kernel in data/, read from elsewhere
-    (tmp_path / "cfg").mkdir()
-    (tmp_path / "data").mkdir()
-    (tmp_path / "work").mkdir()
-    kernel = tmp_path / "data" / "k.txt"
-    (tmp_path / "cfg" / "run.cfg").write_text("[doeblin]\nkernel = ../data/k.txt\n")
-    monkeypatch.chdir(tmp_path / "work")
-    cfg = load_config("../cfg/run.cfg")
-    assert cfg.doeblin_kernel == str(kernel.resolve())
-    # an absolute path is kept as written
-    (tmp_path / "cfg" / "abs.cfg").write_text(f"[doeblin]\nkernel = {kernel}\n")
-    assert load_config("../cfg/abs.cfg").doeblin_kernel == str(kernel)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,7 +5,9 @@ Oracle routes: closed-form linear flows, an adaptive scalar ODE reference
 tests/oracles.py for a hand-built single step.
 """
 
+import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from glmix.field import (
 from glmix.integrator import (
     ExponentialEulerStepper,
     SimulationParams,
-    TrajectoryBlowup,
     dini_check,
     fit_dini_constants,
     integer_times,
@@ -201,22 +202,21 @@ def test_same_stream_reproduces_and_ids_differ():
     assert not np.array_equal(a.states, c.states)
 
 
-def test_blowup_flags_and_exception(monkeypatch):
+def test_blowup_flags_and_stops_the_block(monkeypatch):
     params = quiet_params(n_modes=3)
     x = np.zeros(7)
     x[0] = 1e8
     traj = simulate(x, params)
     assert traj.aborted and traj.abort_time == params.dt
-    assert np.all(np.isnan(traj.states[1:]))
+    assert np.all(np.isnan(traj.states[1:])) and np.all(np.isnan(traj.wl[1:]))
     with pytest.raises(ValueError, match="aborted"):
         traj.state_at(1.0)
     steps = []
     step_block = ExponentialEulerStepper.step_block
     monkeypatch.setattr(ExponentialEulerStepper, "step_block",
                         lambda self, *args: steps.append(1) or step_block(self, *args))
-    with pytest.raises(TrajectoryBlowup) as err:
-        simulate(x, params, raise_on_blowup=True)
-    assert err.value.time == params.dt and err.value.norm > params.blowup_guard
+    ens = run_ensemble(x, params, traj_ids=[0])
+    assert ens.abort_times[0] == params.dt and ens.abort_norms[0] > params.blowup_guard
     # the block stops once its only row has aborted, not at step 256
     assert params.n_steps == 256 and len(steps) == 1
 
@@ -330,16 +330,17 @@ CALM = np.full(9, 0.5)
 # c0 = 20 makes the explicit cubic step overshoot until the guard trips
 WILD = np.zeros(9)
 WILD[0] = 20.0
-ENSEMBLE_FIELDS = ("states", "wl", "aborted", "abort_times", "abort_norms")
+DRIFT_FREE = replace(SMALL, poly=None)
+ENSEMBLE_FIELDS = ("states", "aborted", "abort_times", "abort_norms")
 
 
 def test_ensemble_is_bitwise_invariant_to_batching():
     # the default cubic model on its 135-point grid, where multi-row FFTs run
     big = SimulationParams(n_modes=32)
     assert ExponentialEulerStepper(big).grid_points == 135
-    for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7),
+    for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7), (DRIFT_FREE, CALM, 7),
                               (big, scaled_random_field(32, 100.0).coeffs, 13)):
-        kw = dict(traj_ids=range(n_traj), record_wl=True)
+        kw = dict(traj_ids=range(n_traj))
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
             for threads in (1, 4):
@@ -352,7 +353,7 @@ def test_ensemble_is_bitwise_invariant_to_batching():
             # every row aborts at the fourth step, and the block stops
             assert base.aborted.all() and np.all(base.abort_norms > params.blowup_guard)
             assert np.all(base.abort_times == 0.0625)
-            assert np.all(np.isnan(base.states[:, 1:])) and np.all(np.isnan(base.wl[:, 1:]))
+            assert np.all(np.isnan(base.states[:, 1:]))
         else:
             assert not base.aborted.any() and np.all(np.isnan(base.abort_norms))
 
@@ -360,25 +361,69 @@ def test_ensemble_is_bitwise_invariant_to_batching():
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     wild=st.booleans(),
+    drift=st.booleans(),
     block_size=st.integers(1, 8),
     threads=st.sampled_from([1, 2, 4]),
     slab_len=st.integers(1, SMALL.n_steps),
 )
 def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
-    wild, block_size, threads, slab_len
+    wild, drift, block_size, threads, slab_len
 ):
     x = WILD if wild else CALM
-    kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1),
-              record_wl=True)
+    params = SMALL if drift else DRIFT_FREE
+    kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1))
     # one block, one slab of every step
-    base = run_ensemble(x, SMALL, **kw)
+    base = run_ensemble(x, params, **kw)
     with pytest.MonkeyPatch.context() as mp:
         # full blocks draw slabs of slab_len steps; a shorter last block, longer ones
         mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len)
-        other = run_ensemble(x, SMALL, block_size=block_size, threads=threads, **kw)
+        other = run_ensemble(x, params, block_size=block_size, threads=threads, **kw)
     for name in ENSEMBLE_FIELDS:
         assert np.array_equal(getattr(base, name), getattr(other, name), equal_nan=True), name
-    assert base.aborted.all() if wild else not base.aborted.any()
+    # without drift WILD relaxes; with it every row aborts
+    assert base.aborted.all() if wild and drift else not base.aborted.any()
+
+
+def wl_pin_cases():
+    """W_L pin cases: a cubic run, an OU run, the aborting WILD start, and a
+    forced q0 with a guard of 6 that W_L crosses (norm 7.8) while the state
+    (norm 4.3) does not."""
+    q = NoiseSpectrum.default(4).q.copy()
+    q[0] = 8.0
+    two = replace(SMALL, t_final=2.0)
+    return {
+        "cubic": (two, CALM, 3),
+        "ou": (replace(two, poly=None), np.linspace(-1.0, 1.0, 9), 4),
+        "wild": (SMALL, WILD, 0),
+        "q0": (replace(SMALL, t_final=3.0, spectrum=NoiseSpectrum(q=q), seed=7,
+                       blowup_guard=6.0), CALM, 1),
+    }
+
+
+# sha256 of the little-endian float64 bytes of simulate(...).wl, then of the
+# record_dense run's .wl and .dense_wl, as the block loop wrote them when it
+# advanced W_L next to the state
+PINNED_WL_SHA256 = {
+    "cubic": "3f748dc1e519e2310d240de2268eb6a233aef7c1b57b178fbb92d37d8152076d",
+    "ou": "a8ce69f723451b4d76f7102c083f4aa3a289584643035f083ed401f0fcd8ddd3",
+    "wild": "0ffb229426faa275bad9cbc7008b52276fbb725da2277f05d6b43f76811b0085",
+    "q0": "4bea61beb782012a953ea57904a01fa4f21340a4286c00ab9de9a42759d621f3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WL_SHA256))
+def test_convolution_records_are_pinned(case):
+    params, x, tid = wl_pin_cases()[case]
+    plain = simulate(x, params, trajectory_id=tid)
+    dense = simulate(x, params, trajectory_id=tid, record_dense=True)
+    digest = hashlib.sha256()
+    for a in (plain.wl, dense.wl, dense.dense_wl):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # W_L is NaN exactly where the state is: from the abort on for WILD only
+    nan_rows = np.isnan(dense.dense_wl).any(axis=1)
+    assert np.array_equal(nan_rows, np.isnan(dense.dense_states).any(axis=1))
+    assert nan_rows.sum() == (61 if case == "wild" else 0)
+    assert digest.hexdigest() == PINNED_WL_SHA256[case]
 
 
 def test_run_ensemble_clamps_worker_threads(monkeypatch):

@@ -393,12 +393,10 @@ def test_mixing_report_structure_and_exports():
     if report.fit.identifiable:
         assert report.fit.method == "bootstrap"
 
-    csv = report_csv(report, header_lines=["model = default"])
-    lines = csv.splitlines()
-    assert lines[0] == "# model = default"
-    assert lines[1] == "t,distance,stderr"
-    assert len(lines) == 2 + 4
-    row = lines[2].split(",")
+    lines = report_csv(report).splitlines()
+    assert lines[0] == "t,distance,stderr"
+    assert len(lines) == 1 + 4
+    row = lines[1].split(",")
     assert float(row[0]) == 1.0 and float(row[1]) == report.distances[0]
 
     summary = report_summary(report)

@@ -1,19 +1,21 @@
 """Tests for spectrum admissibility and exact convolution sampling.
 
-The statistical oracles are the closed-form Ornstein-Uhlenbeck variance
-(cross-checked by a fine-step Euler-Maruyama recursion with Richardson
-extrapolation) and plain sample statistics with explicit standard errors.
+The convolution W_L is the drift-free model (poly = None) run from zero, so
+its samples come from integrator.run_ensemble.  The statistical oracles are
+the closed-form Ornstein-Uhlenbeck variance (cross-checked by a fine-step
+Euler-Maruyama recursion with Richardson extrapolation) and plain sample
+statistics with explicit standard errors.
 """
 
 import numpy as np
 import pytest
 
+import glmix.integrator as integrator
 from glmix.field import eigenvalues
+from glmix.integrator import SimulationParams, run_ensemble
 from glmix.noise import (
-    ConvolutionStepSampler,
     NoiseSpectrum,
     SpectrumViolation,
-    convolution_step,
     sup_gaussian_check,
     trajectory_generator,
     validate,
@@ -23,6 +25,15 @@ from glmix.noise import (
 def zero_noise_spectrum(n_modes=3):
     """All q_k = 0 is admissible when no mode lies beyond k_star."""
     return NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes)
+
+
+def convolution_paths(spec, h, seed, traj_ids, t_final=1.0, x=None, **kw):
+    """W_L records of the drift-free model: every step when no record_times."""
+    params = SimulationParams(n_modes=spec.n_modes, dt=h, t_final=t_final, poly=None,
+                              spectrum=spec, seed=seed)
+    kw.setdefault("record_times", h * np.arange(params.n_steps + 1))
+    x = np.zeros(2 * spec.n_modes + 1) if x is None else x
+    return run_ensemble(x, params, traj_ids, **kw).states
 
 
 def test_default_spectrum_is_admissible():
@@ -85,26 +96,25 @@ def test_validation_order_and_rules():
 
 def test_step_std_closed_form_and_monotonicity():
     spec = NoiseSpectrum.default(8)
-    sampler = ConvolutionStepSampler(spec)
     ell = eigenvalues(8)
     q = spec.per_slot()
     for h in (1e-3, 0.1, 1.0):
         want = q * np.sqrt((1.0 - np.exp(-2.0 * ell * h)) / (2.0 * ell))
-        assert np.allclose(sampler.step_std(h), want, rtol=1e-12)
+        assert np.allclose(spec.step_std(h), want, rtol=1e-12)
     # strictly increasing in h on forced slots (while the exponential is
     # still resolvable), with the stationary limit for large h
-    s1 = sampler.step_std(1e-4)
-    s2 = sampler.step_std(2e-4)
+    s1 = spec.step_std(1e-4)
+    s2 = spec.step_std(2e-4)
     forced = q > 0
     assert np.all(s2[forced] > s1[forced])
-    assert np.allclose(sampler.step_std(50.0), q / np.sqrt(2.0 * ell), rtol=1e-12)
+    assert np.allclose(spec.step_std(50.0), q / np.sqrt(2.0 * ell), rtol=1e-12)
     # small-h Taylor limit s^2(h)/h -> q^2
-    s = sampler.step_std(1e-6)
+    s = spec.step_std(1e-6)
     assert np.allclose(s[forced] ** 2 / 1e-6, q[forced] ** 2, rtol=1e-4)
     with pytest.raises(ValueError):
-        sampler.step_std(0.0)
+        spec.step_std(0.0)
     with pytest.raises(ValueError):
-        sampler.step_std(np.inf)
+        spec.step_std(np.inf)
 
 
 def test_variance_matches_euler_maruyama_oracle():
@@ -126,17 +136,20 @@ def test_variance_matches_euler_maruyama_oracle():
         em = 2.0 * em_variance(h / 2.0) - em_variance(h)
         exact = q * q * (1.0 - np.exp(-2.0 * lk * t)) / (2.0 * lk)
         assert np.isclose(em, exact, rtol=1e-5)
-        sampler = ConvolutionStepSampler(NoiseSpectrum(q=np.full(9, q), k_star=8))
-        assert np.isclose(sampler.step_std(t)[2 * k - 1] ** 2, exact, rtol=1e-12)
+        spec = NoiseSpectrum(q=np.full(9, q), k_star=8)
+        assert np.isclose(spec.step_std(t)[2 * k - 1] ** 2, exact, rtol=1e-12)
 
 
 def test_increment_sample_variance_and_independence():
+    # 1600 paths of 64 steps: the increments W_L(t+h) - e^{-Lh} W_L(t), the
+    # first of which is the drawn increment itself (W_L(0) = 0)
     spec = NoiseSpectrum.default(8)
-    sampler = ConvolutionStepSampler(spec)
     h = 1.0 / 64.0
-    rng = trajectory_generator(99, 0)
-    xi = sampler.increments(h, rng, n=100_000)
-    std = sampler.step_std(h)
+    w = convolution_paths(spec, h, seed=99, traj_ids=range(1600))
+    xi = (w[:, 1:] - np.exp(-eigenvalues(8) * h) * w[:, :-1]).reshape(-1, 17)
+    std = spec.step_std(h)
+    for j in (0, 1599):
+        assert np.array_equal(w[j, 1], std * trajectory_generator(99, j).standard_normal(17))
     forced = np.flatnonzero(std > 0)
     n = xi.shape[0]
     for j in forced:
@@ -144,7 +157,7 @@ def test_increment_sample_variance_and_independence():
         se = sample_var * np.sqrt(2.0 / (n - 1))
         assert abs(sample_var - std[j] ** 2) < 4.0 * se
     # unforced slots are exactly zero
-    assert np.all(xi[:, std == 0.0] == 0.0)
+    assert np.all(w[:, :, std == 0.0] == 0.0)
     # cross-slot covariance vanishes within 4 standard errors
     for a, b in [(forced[0], forced[1]), (forced[2], forced[5])]:
         cov = np.mean(xi[:, a] * xi[:, b])
@@ -152,45 +165,44 @@ def test_increment_sample_variance_and_independence():
         assert abs(cov) < 4.0 * se
 
 
-def test_increments_chunk_invariance_and_determinism():
+def test_increments_chunk_invariance_and_determinism(monkeypatch):
     spec = NoiseSpectrum.default(6)
-    sampler = ConvolutionStepSampler(spec)
     h = 1.0 / 32.0
-    whole = sampler.increments(h, trajectory_generator(7, 3), n=10)
-    rng = trajectory_generator(7, 3)
-    head = sampler.increments(h, rng, n=6)
-    tail = sampler.increments(h, rng, n=4)
-    assert np.array_equal(whole, np.vstack([head, tail]))
-    # same (seed, trajectory) key replays the identical stream
-    again = sampler.increments(h, trajectory_generator(7, 3), n=10)
-    assert np.array_equal(whole, again)
+    whole = convolution_paths(spec, h, seed=7, traj_ids=[3])
+    # the first 32 steps of a run to t = 2 replay the run to t = 1
+    longer = convolution_paths(spec, h, seed=7, traj_ids=[3], t_final=2.0)
+    assert np.array_equal(whole, longer[:, :33])
+    # draws made 6 steps at a time give the same path as one 32-step slab
+    monkeypatch.setattr(integrator, "_SLAB_BYTES", 8 * 13 * 6)
+    assert np.array_equal(whole, convolution_paths(spec, h, seed=7, traj_ids=[3]))
+    monkeypatch.undo()
+    # same (seed, trajectory) key replays the identical stream, wherever
+    # the id sits in the ensemble
+    again = convolution_paths(spec, h, seed=7, traj_ids=[5, 3, 4])
+    assert np.array_equal(whole[0], again[1])
     # different trajectory ids give different draws
-    other = sampler.increments(h, trajectory_generator(7, 4), n=10)
-    assert not np.array_equal(whole, other)
+    assert not np.array_equal(whole[0], again[0])
+    assert not np.array_equal(again[0], again[2])
 
 
 def test_convolution_step_recursion_and_stationary_variance():
     spec = NoiseSpectrum.default(8)
-    sampler = ConvolutionStepSampler(spec)
     h = 1.0 / 64.0
     ell = eigenvalues(8)
     q = spec.per_slot()
-    # one step from a known state reproduces decay * prev + increment
-    rng = trajectory_generator(5, 1)
-    prev = np.ones(sampler.n_slots)
-    stepped = convolution_step(prev, h, sampler, rng)
-    xi = stepped - np.exp(-ell * h) * prev
+    # one step from a known state reproduces decay * prev + increment, the
+    # increment being the first W_L step of the same stream
+    prev = np.ones(17)
+    stepped = convolution_paths(spec, h, seed=5, traj_ids=[1], x=prev)[0, 1]
+    xi = convolution_paths(spec, h, seed=5, traj_ids=[1])[0, 1]
+    assert np.array_equal(stepped, np.exp(-ell * h) * prev + xi)
     assert np.all(xi[q == 0.0] == 0.0)
-    with pytest.raises(ValueError):
-        convolution_step(np.zeros(3), h, sampler, rng)
-    # iterate an ensemble to t = 2 and compare with the stationary law
+    with pytest.raises(ValueError, match="length"):
+        convolution_paths(spec, h, seed=5, traj_ids=[1], x=np.zeros(3))
+    # an ensemble at t = 2 against the stationary law
     n = 4000
-    w = np.zeros((n, sampler.n_slots))
-    dec = sampler.decay(h)
-    std = sampler.step_std(h)
-    gen = trajectory_generator(6, 0)
-    for _ in range(128):
-        w = dec * w + std * gen.standard_normal((n, sampler.n_slots))
+    w = convolution_paths(spec, h, seed=6, traj_ids=range(n), t_final=2.0,
+                          record_times=[2.0])[:, 0]
     target = q**2 / (2.0 * ell)
     for j in np.flatnonzero(q > 0):
         sample_var = w[:, j].var(ddof=1)
