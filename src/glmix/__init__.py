@@ -7,7 +7,7 @@ The package splits into six layers:
 - field: periodic spectral fields, norms, semigroup, drift polynomials,
   dealiased transforms;
 - noise: admissible diagonal noise spectra and exact Ornstein-Uhlenbeck
-  (stochastic convolution) sampling with counter-based streams;
+  (stochastic convolution) sampling with per-trajectory streams;
 - integrator: exponential Euler stepping, trajectories and batched
   ensembles, windowed sup norms, pathwise dissipativity diagnostics, a
   scalar comparison ODE;

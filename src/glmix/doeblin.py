@@ -44,6 +44,22 @@ _TOL = 1e-12
 _EPS = np.finfo(float).eps
 
 
+def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first row with a non-finite entry, else with a
+    negative entry, else with a sum off 1 by more than 1e-12; None if none."""
+    for bad, what in ((~np.isfinite(rows), "kernel entries must be finite"),
+                      (rows < 0.0, "kernel entries must be nonnegative")):
+        rows_hit = np.flatnonzero(bad.any(axis=1))
+        if rows_hit.size:
+            return int(rows_hit[0]), f"row {rows_hit[0]}: {what}"
+    sums = rows.sum(axis=1)
+    rows_hit = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
+    if rows_hit.size:
+        i = int(rows_hit[0])
+        return i, f"row {i} sums to {float(sums[i])!r}, not 1 within 1e-12"
+    return None
+
+
 class FiniteKernel:
     """Row-stochastic transition matrix on states 0..n-1."""
 
@@ -51,16 +67,9 @@ class FiniteKernel:
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("kernel must be a square matrix")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("kernel entries must be finite")
-        if np.any(rows < 0.0):
-            raise ValueError("kernel entries must be nonnegative")
-        sums = rows.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
-        if bad.size:
-            raise ValueError(
-                f"row {bad[0]} sums to {float(sums[bad[0]])!r}, not 1 within 1e-12"
-            )
+        bad = _bad_row(rows)
+        if bad is not None:
+            raise ValueError(bad[1])
         rows.setflags(write=False)
         self.rows = rows
         self.n = rows.shape[0]
@@ -509,8 +518,8 @@ def read_kernel(path) -> FiniteKernel:
     """Read a kernel written by write_kernel.
 
     Blank lines are skipped.  A malformed state count, row count, row length
-    or entry raises ValueError naming its line in the file and what was
-    expected there.
+    or entry, and a row that is not a probability vector, raise ValueError
+    naming the line in the file and what was expected there.
     """
     with open(path) as fh:
         lines = [(no, line) for no, line in enumerate(fh.read().split("\n"), start=1)
@@ -539,6 +548,10 @@ def read_kernel(path) -> FiniteKernel:
             rows.append(np.array(tokens, dtype=float))
         except ValueError:
             raise ValueError(f"line {no}: expected {n} numbers, got {line.strip()!r}") from None
+    rows = np.array(rows)
+    bad = _bad_row(rows)
+    if bad is not None:
+        raise ValueError(f"line {lines[bad[0] + 1][0]}: {bad[1]}")
     return FiniteKernel(rows)
 
 

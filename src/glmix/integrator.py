@@ -25,10 +25,10 @@ window_sup, behind noise.sup_gaussian_check and mixing.sup_window_bound,
 records every step of a time window and takes the sup norms afterwards.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
-allocates no block-sized array.  Each trajectory consumes its own
-counter-based stream, so results do not depend on block sizes, slab
-lengths or thread schedules.  Rows that cross the blow-up guard are set to
-NaN and stay NaN; a block stops stepping once all its rows have.
+allocates no block-sized array.  Each trajectory consumes its own stream
+(noise.trajectory_generator), so results do not depend on block sizes,
+slab lengths or thread schedules.  Rows that cross the blow-up guard are
+set to NaN and stay NaN; a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class SimulationParams:
 
     dt must divide 1 exactly in the rational sense (so integer times fall on
     the step grid), t_final must be finite and at least 1, the step count
-    t_final / dt must fit in int64, seed must lie in [0, 2^64) (it keys the
-    Philox streams) and blowup_guard must be positive.
+    t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
+    per-trajectory streams) and blowup_guard must be positive.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 

@@ -421,13 +421,17 @@ def mixing_report(
         [sliced_mean_difference(obs_a[j], obs_b[j]) for j in range(times.size)]
     )
 
-    # statistical floor: same-law half-split distances, median over times
+    # statistical floor: same-law half-split distances, median over times.
+    # Two per time make an even count; the middle pair's mean equals
+    # np.median bitwise, which would import numpy.ma on every call.
     floors = []
     for j in range(times.size):
         for side in (obs_a[j], obs_b[j]):
             half = side.shape[0] // 2
             floors.append(law_distance(side[:half], side[half:], spec.p))
-    floor = float(np.median(floors))
+    floors = np.sort(floors)
+    k = floors.size // 2
+    floor = float(0.5 * (floors[k - 1] + floors[k]))
 
     fit = fit_rate(times, distances, floor=floor)
 

@@ -1,4 +1,4 @@
-"""Degenerate diagonal noise: admissible spectra and counter-based streams.
+"""Degenerate diagonal noise: admissible spectra and per-trajectory streams.
 
 The driving noise is Q dW with Q diagonal in the same H-orthonormal basis as
 L: mode k (both cos and sin slots) carries the amplitude q_k.  The admissible
@@ -21,11 +21,11 @@ can be sampled exactly:
 NoiseSpectrum.step_std gives s_k(h) per slot; the integrator's stepper
 applies the recursion (W_L is the drift-free model run from zero).
 
-Randomness is counter-based: each trajectory owns a Philox stream keyed by
-(seed, trajectory id), and every step consumes exactly one standard normal
-per coefficient slot, in slot order.  The increment at (seed, trajectory,
-step) is therefore reproducible bitwise, independent of chunking or thread
-schedule.
+Each trajectory owns an SFC64 stream seeded by the child of
+SeedSequence(seed) with spawn key (trajectory id,), and every step consumes
+exactly one standard normal per coefficient slot, in slot order.  The
+increment at (seed, trajectory, step) is therefore reproducible bitwise,
+independent of chunking or thread schedule.
 """
 
 from __future__ import annotations
@@ -170,9 +170,14 @@ def validate(spectrum: NoiseSpectrum) -> SpectrumViolation | None:
 
 
 def trajectory_generator(seed: int, trajectory_id: int) -> np.random.Generator:
-    """Philox stream for one trajectory, keyed by (seed, trajectory id)."""
-    key = np.array([np.uint64(seed), np.uint64(trajectory_id)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 stream for one trajectory: child (trajectory_id,) of SeedSequence(seed).
+
+    The id goes in spawn_key, not in the entropy: an entropy list [seed, id]
+    is split into 32-bit words, so (1, 1 + 2^32) and (1 + 2^32, 1) would
+    give one stream.
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=(trajectory_id,))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def sup_gaussian_check(

@@ -317,3 +317,13 @@ def law_distance_reference(obs_a, obs_b, p, weighted=True):
     else:
         v = np.full(keys.size, lo[0]) ** p + 1.0
     return float(np.sum(v * np.abs(pa - pb)))
+
+
+def philox_generator(seed, trajectory_id):
+    """The Philox stream keyed by (seed, trajectory id) that trajectories drew before SFC64.
+
+    Tests whose literals were recorded on those streams install it in place
+    of glmix.integrator.trajectory_generator (the philox_streams fixture).
+    """
+    key = np.array([np.uint64(seed), np.uint64(trajectory_id)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

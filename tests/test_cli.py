@@ -2,8 +2,8 @@
 
 Each test invokes glmix.cli.main directly with an argv list, captures stdout
 through capsys, and works inside a pytest tmp_path.  Numeric expectations
-are frozen from probe runs of the same deterministic pipelines (counter-based
-RNG keyed by seed and trajectory id), so any drift in the simulator or the
+are frozen from probe runs of the same deterministic pipelines (one random
+stream per seed and trajectory id), so any drift in the simulator or the
 certificate toolkit shows up here as a byte-level diff.
 """
 
@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import glmix
@@ -113,6 +114,21 @@ def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout.splitlines() == ["[]", "[True, True, True]"]
+
+
+def test_mixing_call_loads_no_numpy_ma(tmp_path):
+    # np.median would import numpy.ma inside the call, in a fresh interpreter
+    code = (
+        "import contextlib, io, sys, glmix.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = glmix.cli.main(['mixing', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    cfg = Path(__file__).parents[1] / "demos" / "configs" / "mixing_small.cfg"
+    env = dict(os.environ, PYTHONPATH=str(Path(glmix.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.splitlines() == ["1 []"]
 
 
 def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):
@@ -230,6 +246,7 @@ def test_simulate_reports_aborted_trajectories(tmp_path, capsys):
     assert any(r.split(",")[5] == "1" for r in rows[1:])
 
 
+@pytest.mark.usefixtures("philox_streams")
 def test_moments_uniform_pair_exits_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MOMENTS_UNIFORM_CFG)
     out = tmp_path / "out"
@@ -458,7 +475,11 @@ JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")
 
 @st.composite
 def broken_kernel_texts(draw):
-    """A kernel file of 1-4 states with one defect that makes it invalid."""
+    """A kernel file of 1-4 states with one defect that makes it invalid.
+
+    Returns the text and, for a row that is not a probability vector, the
+    start of the error line that must name it; otherwise None.
+    """
     n = draw(st.integers(1, 4))
     rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) + 0.05
     rows /= rows.sum(axis=1, keepdims=True)
@@ -468,7 +489,7 @@ def broken_kernel_texts(draw):
     col = draw(st.integers(0, n - 1))
     defect = draw(st.sampled_from(["count", "drop_row", "extra_row", "drop_token",
                                    "add_token", "junk_token", "bad_value", "junk_line",
-                                   "empty"]))
+                                   "empty", "row_sum", "negative", "non_finite"]))
     if defect == "count":
         lines[0] = draw(st.integers(-3, 6).filter(lambda m: m != n).map(str) | JUNK)
     elif defect == "drop_row":
@@ -490,15 +511,27 @@ def broken_kernel_texts(draw):
         lines[row] = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
                           .map(lambda t: t.replace("\n", " ").replace("\r", " "))
                           .filter(lambda t: not all(map(parses_as_float, t.split()))))
+    elif defect == "empty":
+        return draw(st.sampled_from(["", "\n", "  \n\t\n"])), None
     else:
-        return draw(st.sampled_from(["", "\n", "  \n\t\n"]))
-    return "\n".join(lines) + "\n"
+        # the file has no blank line, so row r of the matrix is line r + 2
+        tokens[col], problem = {
+            "row_sum": (repr(float(tokens[col]) + 0.5), " sums to "),
+            "negative": ("-" + tokens[col], ": kernel entries must be nonnegative"),
+            "non_finite": (draw(st.sampled_from(["nan", "inf", "-inf"])),
+                           ": kernel entries must be finite"),
+        }[defect]
+        lines[row] = " ".join(tokens)
+        return "\n".join(lines) + "\n", f"line {row + 1}: row {row - 1}{problem}"
+    return "\n".join(lines) + "\n", None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(broken_kernel_texts())
-@example("2\n0.5 0.5\nabc 1\n")
-def test_broken_kernel_files_exit_two_without_a_traceback(text):
+@example(("2\n0.5 0.5\nabc 1\n", None))
+@example(("2\n0.5 0.5\n0.6 0.5\n", "line 3: row 1 sums to 1.1, not 1 within 1e-12"))
+def test_broken_kernel_files_exit_two_without_a_traceback(case):
+    text, row_error = case
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k.txt").write_text(text, encoding="utf-8")
         cfg = write_cfg(Path(tmp), "[doeblin]\nkernel = k.txt\n")
@@ -508,3 +541,5 @@ def test_broken_kernel_files_exit_two_without_a_traceback(text):
     assert rc == 2
     assert "error = validation" in out.getvalue().splitlines()
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if row_error is not None:
+        assert row_error in out.getvalue()

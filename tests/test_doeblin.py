@@ -600,6 +600,34 @@ def test_certificate_text_round_trip():
     assert parse_certificate(commented).delta == cert.delta
 
 
+UNIT_INTERVAL = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def certificates(draw):
+    """A valid certificate on up to 12 states, with or without delta_prime."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                      .filter(lambda ws: sum(ws) > 0.0)))
+    return SmallSetCertificate(
+        K=sorted(k), m=draw(st.integers(1, 10**6)), delta=draw(UNIT_INTERVAL),
+        nu=WeightedMeasure(w / w.sum()), delta_prime=draw(st.none() | UNIT_INTERVAL))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(certificates())
+def test_certificate_text_round_trip_is_exact(cert):
+    back = parse_certificate(certificate_text(cert))
+    assert back.K == cert.K and back.m == cert.m
+    assert np.float64(back.delta).tobytes() == np.float64(cert.delta).tobytes()
+    assert back.nu.weights.tobytes() == cert.nu.weights.tobytes()
+    if cert.delta_prime is None:
+        assert back.delta_prime is None
+    else:
+        assert np.float64(back.delta_prime).tobytes() == np.float64(cert.delta_prime).tobytes()
+
+
 def test_parse_certificate_errors():
     with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
         parse_certificate("K = 0\nbogus line\n")

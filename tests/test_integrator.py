@@ -334,6 +334,18 @@ DRIFT_FREE = replace(SMALL, poly=None)
 ENSEMBLE_FIELDS = ("states", "aborted", "abort_times", "abort_norms")
 
 
+# sha256 of the little-endian float64 states of the cubic SMALL model to
+# t = 2 from CALM, trajectories 0..7 on the trajectory_generator streams
+PINNED_CUBIC_ENSEMBLE_SHA256 = "c5af80b7ae864af28de7329661bcc3197a6d8b8ad9e4d30200989b15bab32376"
+
+
+def test_cubic_ensemble_on_the_trajectory_streams_is_pinned():
+    ens = run_ensemble(CALM, replace(SMALL, t_final=2.0), traj_ids=range(8))
+    assert ens.states.shape == (8, 3, 9) and not ens.aborted.any()
+    digest = hashlib.sha256(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_CUBIC_ENSEMBLE_SHA256
+
+
 def test_ensemble_is_bitwise_invariant_to_batching():
     # the default cubic model on its 135-point grid, where multi-row FFTs run
     big = SimulationParams(n_modes=32)
@@ -411,6 +423,7 @@ PINNED_WL_SHA256 = {
 }
 
 
+@pytest.mark.usefixtures("philox_streams")
 @pytest.mark.parametrize("case", sorted(PINNED_WL_SHA256))
 def test_convolution_records_are_pinned(case):
     params, x, tid = wl_pin_cases()[case]
@@ -592,6 +605,7 @@ trajectory,t,norm_0,norm_gamma,norm_sup,aborted,c0,a1,b1,a2,b2
 """
 
 
+@pytest.mark.usefixtures("philox_streams")
 @pytest.mark.parametrize("n_modes", [4, 2])
 def test_trajectory_csv_text_is_pinned(tmp_path, monkeypatch, n_modes):
     results = writer_results(n_modes)

@@ -332,6 +332,7 @@ def test_moment_jensen_between_p_one_and_two():
     assert m1.entries[0].estimate ** 2 <= m2.entries[0].estimate + 1e-15
 
 
+@pytest.mark.usefixtures("philox_streams")
 def test_sup_window_bound_cases():
     quiet = EnsembleSpec(
         initial_conditions=[np.zeros(7)], n_traj=2,
@@ -405,6 +406,7 @@ def test_mixing_report_structure_and_exports():
         assert key in summary
 
 
+@pytest.mark.usefixtures("philox_streams")
 def test_mixing_report_pinned():
     # recorded when every distance call still projected resampled states;
     # the bootstrap now resamples rows of observables computed once per time

@@ -22,6 +22,15 @@ from glmix.noise import (
 )
 
 
+# first three standard normals of trajectory_generator(seed, id): SFC64 seeded
+# by the child (id,) of SeedSequence(seed)
+PINNED_FIRST_NORMALS = {
+    (0, 0): [-0.5504811808293575, 0.5197080686753037, 0.23055672602603425],
+    (1234, 1): [0.8970672136581997, 1.0817969487095258, -0.41012893245385945],
+    (2**64 - 1, 2**63 - 1): [0.7569210590360633, -0.22133132796119487, 0.0013406550933359033],
+}
+
+
 def zero_noise_spectrum(n_modes=3):
     """All q_k = 0 is admissible when no mode lies beyond k_star."""
     return NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes)
@@ -211,6 +220,7 @@ def test_convolution_step_recursion_and_stationary_variance():
     assert np.all(w[:, q == 0.0] == 0.0)
 
 
+@pytest.mark.usefixtures("philox_streams")
 def test_sup_gaussian_check_zero_noise_and_scaling():
     est, se = sup_gaussian_check(zero_noise_spectrum(), t=1.0, p=2.0, h=1.0 / 32.0,
                                  n_samples=50)
@@ -231,6 +241,19 @@ def test_sup_gaussian_check_zero_noise_and_scaling():
         sup_gaussian_check(base, t=0.5, h=1.0 / 32.0)
     with pytest.raises(ValueError):
         sup_gaussian_check(base, t=1.0, h=0.3)
+
+
+@pytest.mark.parametrize("seed, tid", sorted(PINNED_FIRST_NORMALS))
+def test_trajectory_generator_first_normals_are_pinned(seed, tid):
+    got = trajectory_generator(seed, tid).standard_normal(3).tolist()
+    assert got == PINNED_FIRST_NORMALS[seed, tid]
+
+
+def test_trajectory_ids_past_32_bits_do_not_alias_seeds():
+    # an entropy list [seed, id] of 32-bit words makes these two one stream
+    a = trajectory_generator(1, 1 + 2**32).standard_normal(8)
+    b = trajectory_generator(1 + 2**32, 1).standard_normal(8)
+    assert not np.any(a == b)
 
 
 def test_sup_gaussian_check_stderr_shrinks_like_root_n():
