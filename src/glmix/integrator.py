@@ -71,6 +71,10 @@ __all__ = [
 ]
 
 
+# the largest guard whose square does not overflow
+_GUARD_MAX = math.sqrt(np.finfo(float).max)
+
+
 @dataclass
 class SimulationParams:
     """Resolved model and discretization parameters.
@@ -78,7 +82,8 @@ class SimulationParams:
     dt must divide 1 exactly in the rational sense (so integer times fall on
     the step grid), t_final must be finite and at least 1, the step count
     t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
-    per-trajectory streams) and blowup_guard must be positive.
+    per-trajectory streams) and blowup_guard must be positive and at most
+    sqrt(float max) ~ 1.34e154, so that its square is a float, or inf.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
@@ -115,6 +120,9 @@ class SimulationParams:
             raise ValueError("inadmissible noise spectrum:\n" + str(bad))
         if not self.blowup_guard > 0:  # NaN included
             raise ValueError("blowup_guard must be positive")
+        if _GUARD_MAX < self.blowup_guard < math.inf:
+            raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} exceeds "
+                             f"{fmt_float(_GUARD_MAX)} = sqrt(float max); inf means no guard")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64)")
 
@@ -157,6 +165,10 @@ class ExponentialEulerStepper:
         self.std = params.spectrum.step_std(params.dt)
         self.poly = params.poly
         self.guard_sq = params.blowup_guard**2
+        # two orders of summing n nonnegative squares differ by about 2 n eps at
+        # most (130 eps at 65 slots); guard_sq * (1 + band) may overflow to inf
+        band = max(1e-12, 4 * (2 * self.n_modes + 1) * np.finfo(float).eps)
+        self.near_guard = (self.guard_sq * (1 - band), self.guard_sq * (1 + band))
         if self.poly is not None:
             self.grid_points = dealias_points(self.n_modes, self.poly.degree)
 
@@ -200,11 +212,23 @@ class ExponentialEulerStepper:
         np.multiply(g, self.std, out=buf.slots)
         u += buf.slots
 
-    def blown_up(self, u: np.ndarray, buf: StepBuffers) -> np.ndarray:
-        """Guard mask; NaN rows (already aborted) report False."""
-        np.multiply(u, u, out=buf.slots)
-        with np.errstate(invalid="ignore"):
-            return np.sum(buf.slots, axis=-1) > self.guard_sq
+    def blown_up(self, u: np.ndarray) -> np.ndarray:
+        """Guard mask of np.sum(u * u, axis=-1) > guard_sq, bit for bit; NaN
+        rows (already aborted) report False.
+
+        The squared norms come from one einsum pass; only the rows near
+        guard_sq, where its order of summation could tip the comparison, are
+        summed again as np.sum(u * u).
+        """
+        sq = np.einsum("ij,ij->i", u, u)
+        lo, hi = self.near_guard
+        with np.errstate(invalid="ignore", over="ignore"):  # inf norms compare as inf
+            blown = sq > self.guard_sq
+            near = (sq > lo) & (sq <= hi)
+            if near.any():
+                w = u[near]
+                blown[near] = np.sum(w * w, axis=-1) > self.guard_sq
+        return blown
 
 
 @dataclass
@@ -270,6 +294,7 @@ def integer_times(t_final: float) -> np.ndarray:
 
 # A block draws its normals in slabs of at most 256 steps and 16 MB: 63 steps
 # of a 512 x 65 block.  Larger slabs raise the peak memory without saving time.
+# write_trajectory_csv forms its groups in a quarter of it.
 _SLAB_BYTES = 16 << 20
 
 
@@ -305,7 +330,7 @@ def _run_block(
             for gen, slab in zip(gens, noise):
                 gen.standard_normal(out=slab[:m])
         stepper.step_block(u, noise[:, s, :], buf)
-        blown = stepper.blown_up(u, buf) & alive
+        blown = stepper.blown_up(u) & alive
         if blown.any():
             abort_t[blown] = step_no * params.dt
             hit = u[blown]
@@ -633,48 +658,50 @@ def write_trajectory_csv(
     results,
     gamma: float,
     header_lines: list[str],
-) -> str:
+) -> None:
     """Write integer-time records as CSV with a '#'-prefixed header block.
 
     results is a list of EnsembleResult objects; rows carry a trajectory
-    column.  The norms and coefficient columns of the finite rows of each
-    result are computed in array operations.  norm_sup is the
+    column.  Each result is written in groups of whole trajectories (at
+    least one), and a group's rows go to the file before the next group is
+    formed.  A group's transient arrays fit in _SLAB_BYTES // 4 (4 MB):
+    its finite rows, their three norms, and the sup-norm grid, half
+    spectrum and |grid|.  So the writer holds one group besides the
+    records, however many there are.  norm_sup is the
     field.sup_norm_values grid maximum (8 points per mode, at least 64
-    points), taken in row chunks whose grid arrays fill at most _SLAB_BYTES.
-    Aborted spans appear as rows with aborted = 1 and empty numeric fields.
-    Returns the text.
+    points).  Every number is its repr, as fmt_float writes it.  Aborted
+    spans appear as rows with aborted = 1 and empty numeric fields.
+    Returns None.
     """
     n_modes = results[-1].params.n_modes
     weights = eigenvalues(n_modes) ** (2.0 * gamma)
     n_coeff_cols = min(6, 2 * n_modes + 1)
     coeff_names = ["c0", "a1", "b1", "a2", "b2", "a3"][:n_coeff_cols]
-    # a sup-norm row holds its grid, half spectrum and |grid|: 24 bytes a point
-    chunk = max(1, _SLAB_BYTES // (24 * sup_points(n_modes)))
-    aborted_fields = ",,,1" + "," * n_coeff_cols
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(
-        "trajectory,t,norm_0,norm_gamma,norm_sup,aborted," + ",".join(coeff_names)
-    )
-    for ens in results:
-        finite = np.all(np.isfinite(ens.states), axis=-1)  # (n_traj, n_times)
-        u = ens.states[finite]  # finite rows, trajectory-major like the file
-        norm_0 = np.sqrt(np.sum(u * u, axis=-1))
-        norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
-        norm_sup = np.empty(len(u))
-        for lo in range(0, len(u), chunk):
-            norm_sup[lo : lo + chunk] = sup_norm_values(u[lo : lo + chunk], n_modes)
-        numbers = (
-            ",".join(map(fmt_float, (n0, ng, ns))) + ",0," + ",".join(map(fmt_float, coeffs))
-            for n0, ng, ns, coeffs in zip(
-                norm_0.tolist(), norm_gamma.tolist(), norm_sup.tolist(),
-                u[:, :n_coeff_cols].tolist(),
-            )
-        )
-        times = [fmt_float(t) for t in ens.times]
-        for tid, row_finite in zip(ens.traj_ids.tolist(), finite.tolist()):
-            for t, ok in zip(times, row_finite):
-                lines.append(f"{tid},{t}," + (next(numbers) if ok else aborted_fields))
-    text = "\n".join(lines) + "\n"
+    finite_row = "%d,%s,%r,%r,%r,0" + ",%r" * n_coeff_cols + "\n"
+    aborted_row = "%d,%s,,,,1" + "," * n_coeff_cols + "\n"
+    # a finite row: its coefficients and three norms, and 24 bytes a sup-norm point
+    row_bytes = 8 * (2 * n_modes + 4) + 24 * sup_points(n_modes)
     with open(path, "w") as fh:
-        fh.write(text)
-    return text
+        fh.writelines(f"# {h}\n" for h in header_lines)
+        fh.write("trajectory,t,norm_0,norm_gamma,norm_sup,aborted," + ",".join(coeff_names) + "\n")
+        for ens in results:
+            times = np.array([fmt_float(t) for t in ens.times], dtype=object)
+            group = max(1, (_SLAB_BYTES // 4) // (row_bytes * max(1, len(times))))
+            for lo in range(0, ens.n_traj, group):
+                states = ens.states[lo : lo + group]
+                finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
+                u = states[finite]  # finite rows, trajectory-major like the file
+                norm_0 = np.sqrt(np.sum(u * u, axis=-1))
+                norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
+                norm_sup = sup_norm_values(u, n_modes)
+                tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
+                ts = np.broadcast_to(times, finite.shape)
+                rows = np.empty(finite.shape, dtype=object)
+                rows[finite] = list(map(finite_row.__mod__, zip(
+                    tids[finite].tolist(), ts[finite].tolist(), norm_0.tolist(),
+                    norm_gamma.tolist(), norm_sup.tolist(), *u[:, :n_coeff_cols].T.tolist(),
+                )))
+                rows[~finite] = list(map(aborted_row.__mod__, zip(
+                    tids[~finite].tolist(), ts[~finite].tolist()
+                )))
+                fh.write("".join(rows.ravel().tolist()))

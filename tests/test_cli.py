@@ -428,6 +428,14 @@ def test_non_finite_t_final_and_nan_guard_exit_two(tmp_path, capsys):
     assert "error = validation" in text and "blowup_guard must be positive" in text
 
 
+def test_guard_whose_square_overflows_exits_two_naming_the_limit(tmp_path, capsys):
+    cfg = "[model]\nn_modes = 2\nblowup_guard = 1e200\n\n[ensemble]\nic1 = zero\nn_traj = 2\n"
+    for sub in ("simulate", "moments", "mixing"):
+        text = run_exit_two(tmp_path, capsys, [sub], cfg)
+        assert "error = validation" in text
+        assert "blowup_guard = 1e+200 exceeds 1.3407807929942596e+154 = sqrt(float max)" in text
+
+
 def test_negative_n_boot_exits_two_with_its_line(tmp_path, capsys):
     cfg = (
         "[model]\nn_modes = 4\nt_final = 4\n\n"

@@ -5,8 +5,11 @@ Oracle routes: closed-form linear flows, an adaptive scalar ODE reference
 tests/oracles.py for a hand-built single step.
 """
 
+import functools
 import hashlib
+import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +68,13 @@ def test_params_validation():
         SimulationParams(spectrum=NoiseSpectrum(q=bad.q, alpha=1.0, beta=1.0))
     with pytest.raises(ValueError, match="blowup_guard"):
         SimulationParams(blowup_guard=0.0)
+    # the largest guard whose square is a float, and no guard at all, are accepted
+    limit = SimulationParams(blowup_guard=1.3407807929942596e154)
+    assert np.isfinite(ExponentialEulerStepper(limit).guard_sq)
+    assert ExponentialEulerStepper(SimulationParams(blowup_guard=math.inf)).guard_sq == math.inf
+    for guard in (np.nextafter(1.3407807929942596e154, math.inf), 1e200, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match=r"exceeds 1\.3407807929942596e\+154 = sqrt"):
+            SimulationParams(blowup_guard=guard)
     with pytest.raises(ValueError, match="multiple"):
         SimulationParams(dt=0.5, t_final=1.25).n_steps
     # 1/dt overflows to inf at the smallest subnormal
@@ -73,6 +83,44 @@ def test_params_validation():
             SimulationParams(dt=dt)
     p = SimulationParams(dt=1.0 / 128.0, t_final=3.0)
     assert p.steps_per_unit == 128 and p.n_steps == 384
+
+
+def guard_mask_rows(guard, rng):
+    """Rows of 65 slots around the guard: random rows scaled to norm guard
+    and one ulp either side, single-slot rows at, above and below it, and
+    zero, NaN and infinite rows."""
+    rows = rng.standard_normal((3000, 65))
+    rows /= np.sqrt(np.sum(rows * rows, axis=-1, keepdims=True))
+    scale = guard if math.isfinite(guard) else 1e150
+    spikes = np.zeros((3, 65))
+    spikes[:, 7] = [scale, np.nextafter(scale, 0.0), np.nextafter(scale, math.inf)]
+    odd = np.zeros((5, 65))
+    odd[1] = np.nan
+    odd[2, 3] = math.inf
+    odd[3, 4] = -math.inf
+    odd[4, :2] = [math.inf, math.nan]
+    return np.concatenate([
+        rows * scale, rows * np.nextafter(scale, 0.0), rows * np.nextafter(scale, math.inf),
+        spikes, odd,
+    ])
+
+
+@pytest.mark.parametrize("guard", [1.0, 3.7, 1e12, 1.3407807929942596e154, math.inf])
+def test_guard_mask_is_the_summed_squares_comparison(guard):
+    stepper = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=guard))
+    u = guard_mask_rows(guard, np.random.default_rng(5))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.sum(u * u, axis=-1) > stepper.guard_sq
+        einsum_only = np.einsum("ij,ij->i", u, u) > stepper.guard_sq
+    assert np.array_equal(stepper.blown_up(u), want)
+    if math.isfinite(guard):
+        # single-slot rows at, one ulp below and one ulp above the guard: the
+        # first squares to guard_sq exactly and is not blown up
+        assert want[-8:-5].tolist() == [False, False, True]
+        # near the guard the einsum's order of summation alone decides otherwise
+        assert not np.array_equal(einsum_only, want)
+    else:
+        assert not want.any()
 
 
 def test_records_that_do_not_fit_in_memory_raise_value_errors():
@@ -499,9 +547,8 @@ def test_trajectory_csv_format_and_round_trip(tmp_path):
                               spectrum=NoiseSpectrum.default(4))
     ens = run_ensemble(np.full(9, 0.3), params, traj_ids=[0, 1])
     out = tmp_path / "traj.csv"
-    text = write_trajectory_csv(out, [ens], gamma=1.0, header_lines=["alpha = 2.0"])
-    assert out.read_text() == text
-    lines = text.splitlines()
+    assert write_trajectory_csv(out, [ens], gamma=1.0, header_lines=["alpha = 2.0"]) is None
+    lines = out.read_text().splitlines()
     assert lines[0] == "# alpha = 2.0"
     assert lines[1] == "trajectory,t,norm_0,norm_gamma,norm_sup,aborted,c0,a1,b1,a2,b2,a3"
     body = lines[2:]
@@ -521,8 +568,8 @@ def test_trajectory_csv_marks_aborted_rows(tmp_path):
     x = np.zeros(5)
     x[0] = 1e8
     ens = run_ensemble(x, params, traj_ids=[4])
-    text = write_trajectory_csv(tmp_path / "a.csv", [ens], 1.0, [])
-    rows = text.splitlines()[1:]
+    write_trajectory_csv(tmp_path / "a.csv", [ens], 1.0, [])
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
     assert rows[0].split(",")[5] == "0"  # t = 0 row is intact
     for row in rows[1:]:
         fields = row.split(",")
@@ -612,7 +659,52 @@ def test_trajectory_csv_text_is_pinned(tmp_path, monkeypatch, n_modes):
     want = {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
     if n_modes == 4:
         assert results[0].aborted.tolist() == [False, False, True]
-    assert write_trajectory_csv(tmp_path / "a.csv", results, 1.0, ["seed = 1"]) == want
-    # sup norms in chunks of 5 rows (22 or 24 finite rows leave a short tail)
-    monkeypatch.setattr(integrator, "_SLAB_BYTES", 24 * 64 * 5)
-    assert write_trajectory_csv(tmp_path / "b.csv", results, 1.0, ["seed = 1"]) == want
+    write_trajectory_csv(tmp_path / "a.csv", results, 1.0, ["seed = 1"])
+    assert (tmp_path / "a.csv").read_text() == want
+    # one trajectory a group: four rows of 8 (2 N + 4) + 24 * 64 bytes fill 6528
+    monkeypatch.setattr(integrator, "_SLAB_BYTES", 4 * 6528)
+    write_trajectory_csv(tmp_path / "b.csv", results, 1.0, ["seed = 1"])
+    assert (tmp_path / "b.csv").read_text() == want
+
+
+@functools.cache
+def philox_writer_results(n_modes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "trajectory_generator", oracles.philox_generator)
+        return writer_results(n_modes)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n_modes=st.sampled_from([4, 2]), data=st.data())
+def test_trajectory_csv_is_independent_of_the_group_budget(tmp_path_factory, n_modes, data):
+    """Any group budget, from less than one trajectory's four rows (one
+    trajectory a group) to the 24 rows of both ensembles (each ensemble in
+    one group), writes the pinned text."""
+    row_bytes = 8 * (2 * n_modes + 4) + 24 * 64
+    quarter = data.draw(st.integers(0, 2 * 3 * 4 * row_bytes), label="budget")
+    out = tmp_path_factory.getbasetemp() / "groups.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_SLAB_BYTES", 4 * quarter)
+        write_trajectory_csv(out, philox_writer_results(n_modes), 1.0, ["seed = 1"])
+    assert out.read_text() == {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
+
+
+def writer_peak_bytes(tmp_path, n_traj):
+    """tracemalloc peak of writing n_traj drift-free trajectories (8 modes,
+    records at t = 0 and 1)."""
+    params = SimulationParams(n_modes=8, dt=1.0 / 16.0, poly=None, seed=3)
+    ens = run_ensemble(np.full(17, 0.1), params, range(n_traj))
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(tmp_path / f"{n_traj}.csv", [ens], 1.0, ["seed = 3"])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_csv_writer_memory_does_not_grow_with_the_records(tmp_path):
+    # 4,000 and 32,000 trajectories hold 1.1 and 8.7 MB of records; a writer
+    # that builds the whole text peaks near 7 times the records
+    small, large = (writer_peak_bytes(tmp_path, n) for n in (4000, 32000))
+    assert large < 6e6 and small < 6e6
+    assert abs(large - small) <= 0.1 * max(large, small)
