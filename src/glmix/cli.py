@@ -29,7 +29,13 @@ from .doeblin import (
     small_set_search,
 )
 from .field import fmt_float
-from .integrator import ode_comparison, run_ensemble, write_trajectory_csv
+from .integrator import (
+    BLOCK_ROWS,
+    ensemble_workers,
+    ode_comparison,
+    run_ensemble,
+    write_trajectory_csv,
+)
 from .mixing import EnsembleSpec, mixing_report, moment_bound, report_csv, report_summary
 
 __all__ = ["main"]
@@ -56,16 +62,25 @@ def _ensemble_spec(cfg: RunConfig) -> EnsembleSpec:
 
 def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
     params = cfg.params()
-    results = []
+    # one block per pool worker: each chunk's rows are written before the next
+    # chunk is stepped, so memory does not grow with n_traj
+    chunk = ensemble_workers(threads) * BLOCK_ROWS
     aborted = []
-    for i in range(len(cfg.ics)):
-        ids = np.arange(i * cfg.n_traj, (i + 1) * cfg.n_traj, dtype=np.int64)
-        ens = run_ensemble(cfg.ic_array(i), params, ids, threads=threads)
-        results.append(ens)
-        for j in np.flatnonzero(ens.aborted):
-            aborted.append((int(ens.traj_ids[j]), float(ens.abort_times[j])))
+
+    def chunks():
+        for i in range(len(cfg.ics)):
+            x = cfg.ic_array(i)
+            end = (i + 1) * cfg.n_traj
+            for lo in range(i * cfg.n_traj, end, chunk):
+                ids = np.arange(lo, min(lo + chunk, end), dtype=np.int64)
+                ens = run_ensemble(x, params, ids, threads=threads)
+                for j in np.flatnonzero(ens.aborted):
+                    aborted.append((int(ens.traj_ids[j]), float(ens.abort_times[j])))
+                yield ens
+                del ens  # written; freed before the next chunk is stepped
+
     path = out / "trajectories.csv"
-    write_trajectory_csv(path, results, cfg.gamma, _header(cfg, "simulate"))
+    write_trajectory_csv(path, chunks(), cfg.gamma, _header(cfg, "simulate"))
     print(f"wrote = {path}")
     if aborted:
         print("failure = trajectory_abort")

@@ -60,6 +60,8 @@ __all__ = [
     "ExponentialEulerStepper",
     "simulate",
     "run_ensemble",
+    "ensemble_workers",
+    "BLOCK_ROWS",
     "window_sup",
     "integer_times",
     "psi_step_residual",
@@ -71,7 +73,9 @@ __all__ = [
 ]
 
 
-# the largest guard whose square does not overflow
+# the smallest guard whose square does not underflow, and the largest whose
+# square does not overflow
+_GUARD_MIN = math.sqrt(np.finfo(float).tiny)
 _GUARD_MAX = math.sqrt(np.finfo(float).max)
 
 
@@ -82,8 +86,9 @@ class SimulationParams:
     dt must divide 1 exactly in the rational sense (so integer times fall on
     the step grid), t_final must be finite and at least 1, the step count
     t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
-    per-trajectory streams) and blowup_guard must be positive and at most
-    sqrt(float max) ~ 1.34e154, so that its square is a float, or inf.
+    per-trajectory streams) and blowup_guard must lie between
+    sqrt(smallest normal float) ~ 1.49e-154 and sqrt(float max) ~ 1.34e154,
+    so that its square is a normal float, or be inf.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
@@ -120,6 +125,10 @@ class SimulationParams:
             raise ValueError("inadmissible noise spectrum:\n" + str(bad))
         if not self.blowup_guard > 0:  # NaN included
             raise ValueError("blowup_guard must be positive")
+        if self.blowup_guard < _GUARD_MIN:
+            raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} is below "
+                             f"{fmt_float(_GUARD_MIN)} = sqrt(smallest normal float), "
+                             "so its square underflows")
         if _GUARD_MAX < self.blowup_guard < math.inf:
             raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} exceeds "
                              f"{fmt_float(_GUARD_MAX)} = sqrt(float max); inf means no guard")
@@ -292,6 +301,19 @@ def integer_times(t_final: float) -> np.ndarray:
         ) from None
 
 
+def ensemble_workers(threads: int) -> int:
+    """Thread-pool size of run_ensemble: max(1, min(threads, cores)), cores
+    being those this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity query on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, cores))
+
+
+# run_ensemble's default rows per block
+BLOCK_ROWS = 512
+
 # A block draws its normals in slabs of at most 256 steps and 16 MB: 63 steps
 # of a 512 x 65 block.  Larger slabs raise the peak memory without saving time.
 # write_trajectory_csv forms its groups in a quarter of it.
@@ -352,7 +374,7 @@ def run_ensemble(
     params: SimulationParams,
     traj_ids,
     record_times=None,
-    block_size: int = 512,
+    block_size: int = BLOCK_ROWS,
     threads: int = 1,
 ) -> EnsembleResult:
     """Integrate an ensemble from one initial condition.
@@ -361,8 +383,8 @@ def run_ensemble(
     noise under the same seed).  Results are bitwise independent of
     block_size and threads because every trajectory owns its stream and rows
     are written by index.  The blocks run on a thread pool of
-    min(threads, blocks, cores) workers (at least one), cores being those
-    this process may use.
+    ensemble_workers(threads) workers, of which no more start than there
+    are blocks.
     """
     coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -403,12 +425,7 @@ def run_ensemble(
         (slice(lo, min(lo + block_size, ids.size)), ids[lo : lo + block_size])
         for lo in range(0, ids.size, block_size)
     ]
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # no affinity query on this platform
-        cores = os.cpu_count() or 1
-    workers = max(1, min(threads, len(blocks), cores))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=ensemble_workers(threads)) as pool:
         futures = [
             pool.submit(
                 _run_block, stepper, coeffs, params.seed, bid, rec_steps, out, rows
@@ -661,19 +678,27 @@ def write_trajectory_csv(
 ) -> None:
     """Write integer-time records as CSV with a '#'-prefixed header block.
 
-    results is a list of EnsembleResult objects; rows carry a trajectory
-    column.  Each result is written in groups of whole trajectories (at
-    least one), and a group's rows go to the file before the next group is
-    formed.  A group's transient arrays fit in _SLAB_BYTES // 4 (4 MB):
-    its finite rows, their three norms, and the sup-norm grid, half
-    spectrum and |grid|.  So the writer holds one group besides the
-    records, however many there are.  norm_sup is the
-    field.sup_norm_values grid maximum (8 points per mode, at least 64
-    points).  Every number is its repr, as fmt_float writes it.  Aborted
-    spans appear as rows with aborted = 1 and empty numeric fields.
-    Returns None.
+    results is any iterable of EnsembleResult objects, consumed lazily:
+    the file is opened once the first ensemble exists, each ensemble's rows
+    are written before the next is taken, and the writer keeps no reference
+    to an ensemble it has written.  Rows carry a trajectory column.  Each
+    result is written in groups of whole trajectories (at least one), and a
+    group's rows go to the file before the next group is formed.  A group's
+    transient arrays fit in _SLAB_BYTES // 4 (4 MB): its finite rows, their
+    three norms, and the sup-norm grid, half spectrum and |grid|.  So the
+    writer holds one group besides the ensemble it is writing, and the text
+    does not depend on how the trajectories are split into ensembles or
+    groups.  norm_sup is the field.sup_norm_values grid maximum (8 points
+    per mode, at least 64 points).  Every number is its repr, as fmt_float
+    writes it.  Aborted spans appear as rows with aborted = 1 and empty
+    numeric fields.  If results fails after the file is opened, the partial
+    file is removed.  Returns None.
     """
-    n_modes = results[-1].params.n_modes
+    ensembles = iter(results)
+    ens = next(ensembles, None)
+    if ens is None:
+        raise ValueError("no ensembles to write")
+    n_modes = ens.params.n_modes
     weights = eigenvalues(n_modes) ** (2.0 * gamma)
     n_coeff_cols = min(6, 2 * n_modes + 1)
     coeff_names = ["c0", "a1", "b1", "a2", "b2", "a3"][:n_coeff_cols]
@@ -681,27 +706,38 @@ def write_trajectory_csv(
     aborted_row = "%d,%s,,,,1" + "," * n_coeff_cols + "\n"
     # a finite row: its coefficients and three norms, and 24 bytes a sup-norm point
     row_bytes = 8 * (2 * n_modes + 4) + 24 * sup_points(n_modes)
-    with open(path, "w") as fh:
-        fh.writelines(f"# {h}\n" for h in header_lines)
-        fh.write("trajectory,t,norm_0,norm_gamma,norm_sup,aborted," + ",".join(coeff_names) + "\n")
-        for ens in results:
-            times = np.array([fmt_float(t) for t in ens.times], dtype=object)
-            group = max(1, (_SLAB_BYTES // 4) // (row_bytes * max(1, len(times))))
-            for lo in range(0, ens.n_traj, group):
-                states = ens.states[lo : lo + group]
-                finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
-                u = states[finite]  # finite rows, trajectory-major like the file
-                norm_0 = np.sqrt(np.sum(u * u, axis=-1))
-                norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
-                norm_sup = sup_norm_values(u, n_modes)
-                tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
-                ts = np.broadcast_to(times, finite.shape)
-                rows = np.empty(finite.shape, dtype=object)
-                rows[finite] = list(map(finite_row.__mod__, zip(
-                    tids[finite].tolist(), ts[finite].tolist(), norm_0.tolist(),
-                    norm_gamma.tolist(), norm_sup.tolist(), *u[:, :n_coeff_cols].T.tolist(),
-                )))
-                rows[~finite] = list(map(aborted_row.__mod__, zip(
-                    tids[~finite].tolist(), ts[~finite].tolist()
-                )))
-                fh.write("".join(rows.ravel().tolist()))
+
+    def write(fh, ens):  # its views of ens's records die when it returns
+        times = np.array([fmt_float(t) for t in ens.times], dtype=object)
+        group = max(1, (_SLAB_BYTES // 4) // (row_bytes * max(1, len(times))))
+        for lo in range(0, ens.n_traj, group):
+            states = ens.states[lo : lo + group]
+            finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
+            u = states[finite]  # finite rows, trajectory-major like the file
+            norm_0 = np.sqrt(np.sum(u * u, axis=-1))
+            norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
+            norm_sup = sup_norm_values(u, n_modes)
+            tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
+            ts = np.broadcast_to(times, finite.shape)
+            rows = np.empty(finite.shape, dtype=object)
+            rows[finite] = list(map(finite_row.__mod__, zip(
+                tids[finite].tolist(), ts[finite].tolist(), norm_0.tolist(),
+                norm_gamma.tolist(), norm_sup.tolist(), *u[:, :n_coeff_cols].T.tolist(),
+            )))
+            rows[~finite] = list(map(aborted_row.__mod__, zip(
+                tids[~finite].tolist(), ts[~finite].tolist()
+            )))
+            fh.write("".join(rows.ravel().tolist()))
+
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.writelines(f"# {h}\n" for h in header_lines)
+            fh.write("trajectory,t,norm_0,norm_gamma,norm_sup,aborted," + ",".join(coeff_names) + "\n")
+            while ens is not None:
+                write(fh, ens)
+                del ens  # so the next ensemble is made with this one freed
+                ens = next(ensembles, None)
+    except BaseException:
+        os.remove(path)
+        raise

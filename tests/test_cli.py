@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import glmix
+import glmix.cli as cli
 from glmix.cli import main
 from glmix.doeblin import parse_certificate, read_kernel
-from glmix.integrator import ode_comparison
+from glmix.integrator import ensemble_workers, ode_comparison
 
 KERNEL_FILE = Path(__file__).parent / "data" / "two_state.txt"
 
@@ -207,6 +209,83 @@ def test_simulate_row_grid_and_reruns_are_byte_identical(tmp_path, capsys):
     assert [int(r[0]) for r in data] == sorted(3 * list(range(6)))
     assert [float(r[1]) for r in data[:3]] == [0.0, 1.0, 2.0]
     assert all(r[5] == "0" for r in data)
+
+
+# two starts of 1100 trajectories: three 512-row blocks each
+CHUNKED_CFG = """\
+[model]
+n_modes = 2
+dt = 0.125
+
+[ensemble]
+ic1 = zero
+ic2 = scaled-random:1.0
+n_traj = 1100
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_steps_each_start_in_chunks_of_one_block_per_worker(
+    tmp_path, capsys, monkeypatch, threads
+):
+    calls = []
+    real = cli.run_ensemble
+
+    def spy(x, params, traj_ids, **kwargs):
+        calls.append(np.asarray(traj_ids).copy())
+        return real(x, params, traj_ids, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", spy)
+    cfg = write_cfg(tmp_path, CHUNKED_CFG)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--threads", str(threads)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    chunk = ensemble_workers(threads) * 512
+    assert len(calls) == 2 * math.ceil(1100 / chunk)
+    assert all(0 < ids.size <= chunk and np.all(np.diff(ids) == 1) for ids in calls)
+    assert np.array_equal(np.concatenate(calls), np.arange(2 * 1100))
+
+
+def test_simulate_file_is_independent_of_the_chunking(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, CHUNKED_CFG)
+    files = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"threads{threads}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        files.append((out / "trajectories.csv").read_bytes())
+    # three blocks a chunk on one thread, whatever the cores
+    monkeypatch.setattr(cli, "ensemble_workers", lambda threads: 3)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "three")]) == 0
+    files.append((tmp_path / "three" / "trajectories.csv").read_bytes())
+    capsys.readouterr()
+    assert len(body_lines(tmp_path / "three" / "trajectories.csv")) == 1 + 2 * 1100 * 2
+    assert all(f == files[0] for f in files)
+
+
+def simulate_peak_bytes(tmp_path, n_traj):
+    """tracemalloc peak of one drift-free glmix simulate (8 modes, records at
+    t = 0, 1, ..., 4) of n_traj trajectories on one thread."""
+    cfg = write_cfg(
+        tmp_path,
+        "[model]\nn_modes = 8\ndt = 0.0625\nt_final = 4.0\npoly = none\n\n"
+        f"[ensemble]\nic1 = zero\nn_traj = {n_traj}\n",
+        name=f"{n_traj}.cfg",
+    )
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / str(n_traj))]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_n_traj(tmp_path, capsys):
+    # 2,000 and 16,000 trajectories hold 1.4 and 10.9 MB of records; one
+    # 512-trajectory chunk holds 0.35 MB
+    small, large = (simulate_peak_bytes(tmp_path, n) for n in (2000, 16000))
+    capsys.readouterr()
+    assert abs(large - small) <= 0.1 * max(large, small)
 
 
 def test_simulate_output_regenerates_from_recorded_header(tmp_path, capsys):
@@ -436,6 +515,17 @@ def test_guard_whose_square_overflows_exits_two_naming_the_limit(tmp_path, capsy
         assert "blowup_guard = 1e+200 exceeds 1.3407807929942596e+154 = sqrt(float max)" in text
 
 
+def test_guard_whose_square_underflows_exits_two_naming_the_limit(tmp_path, capsys):
+    # the guard's square was 0.0, so a start 10^10 times the guard never aborted
+    cfg = "[model]\nn_modes = 2\nblowup_guard = 1e-200\n\n[ensemble]\nic1 = 1e-190 0 0 0 0\nn_traj = 2\n"
+    for sub in ("simulate", "moments", "mixing"):
+        text = run_exit_two(tmp_path, capsys, [sub], cfg)
+        assert "error = validation" in text
+        assert ("blowup_guard = 1e-200 is below 1.4916681462400413e-154 = "
+                "sqrt(smallest normal float)") in text
+    assert not (tmp_path / "out" / "trajectories.csv").exists()
+
+
 def test_negative_n_boot_exits_two_with_its_line(tmp_path, capsys):
     cfg = (
         "[model]\nn_modes = 4\nt_final = 4\n\n"
@@ -465,6 +555,7 @@ def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")
     assert "error = validation" in text
     assert "t_final = 1000000000000.0 has more integer times than memory holds" in text
+    assert not (tmp_path / "out" / "trajectories.csv").exists()
 
 
 def parses_as_float(token):

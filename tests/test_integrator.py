@@ -5,11 +5,13 @@ Oracle routes: closed-form linear flows, an adaptive scalar ODE reference
 tests/oracles.py for a hand-built single step.
 """
 
+import copy
 import functools
 import hashlib
 import math
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +76,14 @@ def test_params_validation():
     assert ExponentialEulerStepper(SimulationParams(blowup_guard=math.inf)).guard_sq == math.inf
     for guard in (np.nextafter(1.3407807929942596e154, math.inf), 1e200, 1.7976931348623157e308):
         with pytest.raises(ValueError, match=r"exceeds 1\.3407807929942596e\+154 = sqrt"):
+            SimulationParams(blowup_guard=guard)
+    # the smallest guard whose square is a normal float is accepted; below it the
+    # square underflows (to 0.0 at 1e-200) and no row would ever cross the guard
+    tiny = np.finfo(float).tiny
+    for guard in (1.4916681462400413e-154, np.nextafter(1.4916681462400413e-154, math.inf)):
+        assert ExponentialEulerStepper(SimulationParams(blowup_guard=guard)).guard_sq >= tiny
+    for guard in (np.nextafter(1.4916681462400413e-154, 0.0), 1e-200):
+        with pytest.raises(ValueError, match=r"is below 1\.4916681462400413e-154 = sqrt"):
             SimulationParams(blowup_guard=guard)
     with pytest.raises(ValueError, match="multiple"):
         SimulationParams(dt=0.5, t_final=1.25).n_steps
@@ -687,6 +697,35 @@ def test_trajectory_csv_is_independent_of_the_group_budget(tmp_path_factory, n_m
         mp.setattr(integrator, "_SLAB_BYTES", 4 * quarter)
         write_trajectory_csv(out, philox_writer_results(n_modes), 1.0, ["seed = 1"])
     assert out.read_text() == {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
+
+
+def test_trajectory_csv_consumes_an_iterable_lazily(tmp_path):
+    """A generator is taken one ensemble at a time: the file is opened at the
+    first, the writer drops each before taking the next, a failure after the
+    file is opened leaves no file, and an empty iterable is an error."""
+    results = philox_writer_results(4)
+    path = tmp_path / "a.csv"
+
+    def ensembles(fail=False):
+        assert not path.exists()
+        for ens in results:
+            ens = copy.copy(ens)
+            alive = weakref.ref(ens)
+            yield ens
+            del ens
+            assert alive() is None
+        if fail:
+            raise RuntimeError("stepping failed")
+
+    write_trajectory_csv(path, ensembles(), 1.0, ["seed = 1"])
+    assert path.read_text() == PINNED_CSV_4_MODES
+    path.unlink()
+    with pytest.raises(RuntimeError, match="stepping failed"):
+        write_trajectory_csv(path, ensembles(fail=True), 1.0, ["seed = 1"])
+    assert not path.exists()
+    with pytest.raises(ValueError, match="no ensembles to write"):
+        write_trajectory_csv(path, iter([]), 1.0, ["seed = 1"])
+    assert not path.exists()
 
 
 def writer_peak_bytes(tmp_path, n_traj):
