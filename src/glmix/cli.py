@@ -51,10 +51,11 @@ def _write(path: Path, header_lines: list[str], body: str) -> None:
 
 
 def _ensemble_spec(cfg: RunConfig) -> EnsembleSpec:
+    params = cfg.params()  # before the starts: it rejects n_modes too large to allocate
     return EnsembleSpec(
         initial_conditions=[cfg.ic_array(i) for i in range(len(cfg.ics))],
         n_traj=cfg.n_traj,
-        params=cfg.params(),
+        params=params,
         gamma=cfg.gamma,
         p=cfg.p,
     )

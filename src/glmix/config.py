@@ -27,6 +27,7 @@ norm R in the gamma = 1 topology; it does not depend on the run seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -269,6 +270,8 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
             f"line {lineno}: key {key!r} lists {len(coeffs)} coefficients, "
             f"expected {2 * n_modes + 1} for n_modes = {n_modes}"
         )
+    if not all(map(math.isfinite, coeffs)):
+        raise ConfigError(f"line {lineno}: key {key!r} lists a non-finite coefficient")
     return " ".join(fmt_float(c) for c in coeffs)
 
 
@@ -361,4 +364,10 @@ def resolve_config(text: str) -> RunConfig:
     for key, least in (("n_traj", 1), ("n_boot", 0)):  # the defaults pass
         if getattr(cfg, key) < least:
             raise ConfigError(f"line {ensemble.raw(key)[1]}: {key} must be at least {least}")
+    for block, key, values in (  # the defaults pass
+        (ensemble, "gamma", [cfg.gamma]), (ensemble, "p", [cfg.p]), (ensemble, "times", cfg.times),
+        (ode, "cs", cfg.ode_cs), (ode, "y0s", cfg.ode_y0s), (ode, "ts", cfg.ode_ts),
+    ):
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"line {block.raw(key)[1]}: {key} must be finite")
     return cfg

@@ -21,8 +21,6 @@ simulate runs two one-row ensembles on the same stream: the model, and the
 drift-free model from zero with no guard, which is W_L driven by the same
 draws.  So the remainder Psi = Phi - W_L satisfies
 Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step by step.
-window_sup, behind noise.sup_gaussian_check and mixing.sup_window_bound,
-records every step of a time window and takes the sup norms afterwards.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
 allocates no block-sized array.  Each trajectory consumes its own stream
@@ -62,9 +60,7 @@ __all__ = [
     "run_ensemble",
     "ensemble_workers",
     "BLOCK_ROWS",
-    "window_sup",
     "integer_times",
-    "psi_step_residual",
     "dini_check",
     "fit_dini_constants",
     "OdeComparison",
@@ -316,7 +312,11 @@ BLOCK_ROWS = 512
 
 # A block draws its normals in slabs of at most 256 steps and 16 MB: 63 steps
 # of a 512 x 65 block.  Larger slabs raise the peak memory without saving time.
-# write_trajectory_csv forms its groups in a quarter of it.
+# Smaller ones cost time, since each slab takes one standard_normal call per
+# row and each call releases and retakes the GIL: on a 2-core Xeon, 4 MB slabs
+# cut the peak RSS of the mixing-cubic and ou-simulate benchmark workloads from
+# 82 to 58 MB and from 59 to 44 MB, but raised their wall time by about 12% and
+# 1.5%.  write_trajectory_csv forms its groups in a quarter of it.
 _SLAB_BYTES = 16 << 20
 
 
@@ -437,32 +437,6 @@ def run_ensemble(
     return out
 
 
-def window_sup(
-    x: SpectralField | np.ndarray,
-    params: SimulationParams,
-    traj_ids,
-    t1: float,
-    t2: float,
-    threads: int = 1,
-) -> np.ndarray:
-    """Per trajectory, the largest grid sup norm over the steps in (t1, t2].
-
-    run_ensemble records every step of the window, and each record column
-    goes through field.sup_norm_values (8 points per mode, at least 64
-    points).  The run ends at t2, or at t = 1 (the shortest horizon
-    SimulationParams admits) when t2 < 1.  A row that aborts at or before
-    t2 gives NaN.
-    """
-    if not 0 <= t1 < t2 <= params.t_final:
-        raise ValueError("sup window must satisfy 0 <= t1 < t2 <= t_final")
-    k1, k2 = round(t1 / params.dt), round(t2 / params.dt)
-    times = params.dt * np.arange(k1 + 1, k2 + 1)
-    params = replace(params, t_final=max(k2 * params.dt, 1.0))
-    ens = run_ensemble(x, params, traj_ids, record_times=times, threads=threads)
-    return np.max([sup_norm_values(ens.states[:, j], params.n_modes)
-                   for j in range(times.size)], axis=0)
-
-
 def simulate(
     x: SpectralField | np.ndarray,
     params: SimulationParams,
@@ -504,29 +478,6 @@ def simulate(
         dense_states=dense_states,
         dense_wl=dense_wl,
     )
-
-
-def psi_step_residual(traj: Trajectory) -> float:
-    """Max defect of the remainder recursion on the dense records.
-
-    Psi = Phi - W_L must satisfy Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L)
-    exactly (the noise cancels), so this is rounding-level for any valid run.
-    Every step is predicted at once from the stepper's factors, up to the
-    first aborted record.
-    """
-    if traj.dense_states is None:
-        raise ValueError("dense records required; simulate with record_dense=True")
-    ok = np.all(np.isfinite(traj.dense_states), axis=1)
-    n = int(np.logical_and.accumulate(ok).sum())  # rows before the abort
-    if n < 2:
-        return 0.0
-    stepper = ExponentialEulerStepper(traj.params)
-    wl = traj.dense_wl[:n - 1]
-    psi = traj.dense_states[:n] - traj.dense_wl[:n]
-    pred = stepper.decay * psi[:-1]
-    if stepper.poly is not None:
-        pred = pred + stepper.phi * stepper.nonlinearity(psi[:-1] + wl)
-    return float(np.max(np.abs(psi[1:] - pred)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +573,8 @@ def ode_comparison(
     """
     if not (isinstance(q, (int, np.integer)) and q >= 3 and q % 2 == 1):
         raise ValueError("q must be an odd integer >= 3")
-    if c <= 0 or y0 <= 0 or t <= 0:
-        raise ValueError("c, y0 and t must be positive")
+    if not all(0 < v < math.inf for v in (c, y0, t)):  # NaN included
+        raise ValueError("c, y0 and t must be positive and finite")
     if forcing is None:
         forcing = [(0.0, 0.0)]
     starts = [float(s) for s, _ in forcing]

@@ -18,27 +18,24 @@ uniformity silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random
 
 from .field import eigenvalues, fmt_float
-from .integrator import SimulationParams, integer_times, run_ensemble, window_sup
+from .integrator import SimulationParams, integer_times, run_ensemble
 
 __all__ = [
     "EnsembleSpec",
     "MomentEntry",
     "UniformityVerdict",
     "MomentTable",
-    "SupWindowTable",
     "RateFit",
     "MixingReport",
     "observables",
     "law_distance",
-    "sliced_mean_difference",
     "moment_bound",
-    "sup_window_bound",
     "fit_rate",
     "mixing_report",
     "report_csv",
@@ -76,9 +73,9 @@ class EnsembleSpec:
             raise ValueError("at least one initial condition is required")
         if self.n_traj < 2:
             raise ValueError("n_traj must be at least 2")
-        if self.gamma > self.params.spectrum.alpha:
+        if not self.gamma <= self.params.spectrum.alpha:  # NaN included
             raise ValueError("gamma must not exceed the noise decay exponent alpha")
-        if self.p < 1.0:
+        if not self.p >= 1.0:  # NaN included
             raise ValueError("p must be at least 1")
 
     def traj_ids(self, ic_index: int) -> np.ndarray:
@@ -141,17 +138,6 @@ def law_distance(
     return float(np.sum(v * np.abs(pa - pb)))
 
 
-def sliced_mean_difference(obs_a: np.ndarray, obs_b: np.ndarray) -> float:
-    """Largest standardized per-observable mean gap between two observable
-    clouds (unweighted diagnostic)."""
-    obs_a = np.atleast_2d(obs_a)
-    obs_b = np.atleast_2d(obs_b)
-    pooled = np.vstack([obs_a, obs_b])
-    scale = np.maximum(pooled.std(axis=0), 1e-12)
-    gap = np.abs(obs_a.mean(axis=0) - obs_b.mean(axis=0)) / scale
-    return float(gap.max())
-
-
 # ---------------------------------------------------------------------------
 # moment tables
 # ---------------------------------------------------------------------------
@@ -185,14 +171,6 @@ class MomentTable:
     t: float
     gamma: float
     p: float
-    entries: tuple
-    uniformity: UniformityVerdict
-
-
-@dataclass(frozen=True)
-class SupWindowTable:
-    t1: float
-    t2: float
     entries: tuple
     uniformity: UniformityVerdict
 
@@ -263,27 +241,6 @@ def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
     return MomentTable(
         t=float(t), gamma=spec.gamma, p=spec.p,
         entries=tuple(entries), uniformity=verdict,
-    )
-
-
-def sup_window_bound(
-    spec: EnsembleSpec, t1: float, t2: float, threads: int = 1
-) -> SupWindowTable:
-    """Monte Carlo table of E sup_{t1 < s <= t2} ||Phi_s(x)||_inf per start.
-
-    The sup is integrator.window_sup: the field.sup_norm_values grid norm
-    (8 points per mode, at least 64 points) at every step inside the window.
-    Uniformity is reported exactly as in moment_bound.
-    """
-    if not (0.0 < t1 < t2 <= spec.params.t_final + 1e-9):
-        raise ValueError("window must satisfy 0 < t1 < t2 <= t_final")
-    entries = []
-    for i, ic in enumerate(spec.initial_conditions):
-        sups = window_sup(ic, spec.params, spec.traj_ids(i), t1, t2, threads=threads)
-        entries.append(_mean_entry(i, t2, sups, spec.n_traj))
-    verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
-    return SupWindowTable(
-        t1=float(t1), t2=float(t2), entries=tuple(entries), uniformity=verdict
     )
 
 
@@ -365,7 +322,6 @@ class MixingReport:
     floor: float
     gamma: float
     p: float
-    sliced_means: np.ndarray = dataclass_field(default_factory=lambda: np.array([]))
 
 
 def _finite_rows(states: np.ndarray) -> np.ndarray:
@@ -417,9 +373,6 @@ def mixing_report(
     distances = np.array(
         [law_distance(obs_a[j], obs_b[j], spec.p) for j in range(times.size)]
     )
-    sliced = np.array(
-        [sliced_mean_difference(obs_a[j], obs_b[j]) for j in range(times.size)]
-    )
 
     # statistical floor: same-law half-split distances, median over times.
     # Two per time make an even count; the middle pair's mean equals
@@ -467,7 +420,6 @@ def mixing_report(
         floor=floor,
         gamma=spec.gamma,
         p=spec.p,
-        sliced_means=sliced,
     )
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "NoiseSpectrum",
     "SpectrumViolation",
     "validate",
-    "sup_gaussian_check",
     "trajectory_generator",
 ]
 
@@ -102,8 +101,11 @@ class NoiseSpectrum:
 
         With the default constants this is q_k = k^-4 for k > 3.
         """
-        k = np.arange(n_modes + 1, dtype=float)
-        q = np.zeros(n_modes + 1)
+        try:
+            k = np.arange(n_modes + 1, dtype=float)
+            q = np.zeros(n_modes + 1)
+        except MemoryError:
+            raise ValueError(f"n_modes = {n_modes} has more modes than memory holds") from None
         tail = k > max(k_star, 0)  # validate rejects k_star < 0; 0^(-2 beta) is never taken
         q[tail] = c2 * k[tail] ** (-2.0 * beta)
         return cls(q=q, alpha=alpha, beta=beta, c1=c1, c2=c2, k_star=k_star)
@@ -178,29 +180,3 @@ def trajectory_generator(seed: int, trajectory_id: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=(trajectory_id,))
     return np.random.Generator(np.random.SFC64(ss))
-
-
-def sup_gaussian_check(
-    spectrum: NoiseSpectrum,
-    t: float,
-    p: float = 1.0,
-    h: float = 1.0 / 256.0,
-    n_samples: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E sup_{s <= t} ||W_L(s)||_inf^p.
-
-    Runs the drift-free model from zero as an ensemble of trajectories
-    0..n_samples-1 and takes integrator.window_sup over (0, t], the grid sup
-    norm at every step (8 points per mode, at least 64 points).  The
-    arguments must form valid SimulationParams: t >= 1, 1/h an integer, t a
-    multiple of h and an admissible spectrum.  Returns (estimate, standard
-    error).
-    """
-    from .integrator import SimulationParams, window_sup
-
-    params = SimulationParams(
-        n_modes=spectrum.n_modes, dt=h, t_final=t, poly=None, spectrum=spectrum, seed=seed
-    )
-    vals = window_sup(np.zeros(2 * spectrum.n_modes + 1), params, range(n_samples), 0.0, t) ** p
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))

@@ -550,6 +550,39 @@ def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
     assert "dt = 1e-300 makes more steps than int64 holds" in text
 
 
+def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
+    for sub, cfg, message in [
+        # every row used to be written as aborted, with exit 0 and no failure line
+        ("simulate", "[model]\nn_modes = 4\n\n[ensemble]\nic1 = nan 0 0 0 0 0 0 0 0\nn_traj = 2\n",
+         "line 5: key 'ic1' lists a non-finite coefficient"),
+        # simulate wrote nan norm_gamma cells; mixing blamed the trajectories
+        ("simulate", "[model]\nn_modes = 4\n\n[ensemble]\nn_traj = 2\ngamma = nan\n",
+         "line 6: gamma must be finite"),
+        ("mixing", "[model]\nn_modes = 4\nt_final = 4\n\n[ensemble]\nic1 = zero\n"
+         "ic2 = scaled-random:1\nn_traj = 4\ngamma = inf\n", "line 9: gamma must be finite"),
+        ("moments", "[ensemble]\nn_traj = 2\np = nan\n", "line 3: p must be finite"),
+        # an infinite report time ended in an OverflowError traceback
+        ("mixing", "[model]\nn_modes = 2\nt_final = 4\n\n[ensemble]\nic1 = zero\n"
+         "ic2 = scaled-random:1\nn_traj = 4\ntimes = 1 2 3 inf\n", "line 9: times must be finite"),
+        # both reported a failed bound (exit 1) for an invalid input
+        ("odecheck", "[odecheck]\nqs = 3\ncs = nan\ny0s = 1\nts = 1\n",
+         "line 3: cs must be finite"),
+        ("odecheck", "[odecheck]\nqs = 3\ncs = 1\ny0s = 1\nts = inf\n",
+         "line 5: ts must be finite"),
+    ]:
+        text = run_exit_two(tmp_path, capsys, [sub], cfg)
+        assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_modes_beyond_memory_exit_two(tmp_path, capsys):
+    # 10^11 + 1 amplitudes need 745 GiB: numpy's allocation error used to escape
+    for sub in ("simulate", "moments", "mixing"):
+        text = run_exit_two(tmp_path, capsys, [sub], "[model]\nn_modes = 100000000000\n")
+        assert text == ("error = validation\n"
+                        "n_modes = 100000000000 has more modes than memory holds\n")
+
+
 def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
     # 10^12 + 1 integer times need 7.28 TiB: numpy's allocation error used to escape
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")

@@ -1,6 +1,7 @@
 """Tests for the line-oriented run configuration and its canonical form."""
 
 import contextlib
+import re
 import warnings
 
 import numpy as np
@@ -88,6 +89,25 @@ def test_parse_error_line_numbers():
     with pytest.raises(ConfigError, match="line 3: n_boot must be at least 0"):
         resolve_config("[ensemble]\nn_traj = 5\nn_boot = -3\n")
     assert resolve_config("[ensemble]\nn_boot = 0\n").n_boot == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[model]\nn_modes = 4\n[ensemble]\nic1 = nan 0 0 0 0 0 0 0 0\n",
+     "line 4: key 'ic1' lists a non-finite coefficient"),
+    ("[model]\nn_modes = 1\n[ensemble]\nic1 = zero\nic2 = 0 inf 0\n",
+     "line 5: key 'ic2' lists a non-finite coefficient"),
+    ("[ensemble]\ngamma = nan\n", "line 2: gamma must be finite"),
+    ("[ensemble]\ngamma = -inf\n", "line 2: gamma must be finite"),
+    ("[ensemble]\nn_traj = 5\np = inf\n", "line 3: p must be finite"),
+    ("[ensemble]\ntimes = 1 2 3 inf\n", "line 2: times must be finite"),
+    ("[odecheck]\nqs = 3\ncs = 1 nan\n", "line 3: cs must be finite"),
+    ("[odecheck]\ny0s = -inf\n", "line 2: y0s must be finite"),
+    ("[odecheck]\nqs = 3\ncs = 1\nts = 0.5 inf\n", "line 4: ts must be finite"),
+], ids=["ic1-nan", "ic2-inf", "gamma-nan", "gamma-neg-inf", "p-inf", "times-inf", "cs-nan",
+        "y0s-neg-inf", "ts-inf"])
+def test_non_finite_values_are_rejected_naming_their_line(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_config(text)
 
 
 def test_ic_canonicalization_and_errors():
@@ -250,6 +270,7 @@ def adversarial_texts(draw):
 @example("[model]\nt_final = inf\n")  # has no integer times
 @example("[model]\nk_star = -1\n")  # the default tail must not take 0^(-2 beta)
 @example("[model]\ndt = 1e-300\n")  # 1e300 steps do not fit in int64
+@example("[model]\nn_modes = 100000000000\n")  # its spectrum does not fit in memory
 def test_adversarial_values_raise_only_config_or_value_errors(text):
     # ConfigError is a ValueError; anything else escapes and fails the test,
     # and so does a numpy RuntimeWarning raised on the way to validation

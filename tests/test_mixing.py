@@ -27,10 +27,9 @@ from glmix.mixing import (
     observables,
     report_csv,
     report_summary,
-    sliced_mean_difference,
-    sup_window_bound,
 )
 from glmix.noise import NoiseSpectrum
+from sup_windows import mean_and_stderr, window_sup
 
 
 def quiet_params(n_modes=3, **kw):
@@ -58,6 +57,13 @@ def test_ensemble_spec_validation_and_ids():
     with pytest.raises(ValueError, match="p must"):
         EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
                      p=0.5)
+    # NaN compares False both ways, so each check must fail on it
+    with pytest.raises(ValueError, match="gamma"):
+        EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
+                     gamma=math.nan)
+    with pytest.raises(ValueError, match="p must"):
+        EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
+                     p=math.nan)
     spec = EnsembleSpec(initial_conditions=[np.zeros(17), np.ones(17)],
                         n_traj=50, params=params)
     assert np.array_equal(spec.traj_ids(0), np.arange(0, 50))
@@ -220,16 +226,6 @@ def test_law_distance_disjoint_and_weighting():
     assert weighted >= unweighted - 1e-12
 
 
-def test_sliced_mean_difference_cases():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(500, 5))
-    obs_a = observables(a, 1.0)
-    assert sliced_mean_difference(obs_a, obs_a) == 0.0
-    b = a + np.array([10.0, 0.0, 0.0, 0.0, 0.0])
-    # the pooled-std scaling saturates a pure mean shift at 2
-    assert sliced_mean_difference(obs_a, observables(b, 1.0)) > 1.5
-
-
 def test_chain_consistency_at_the_floor():
     # two ensembles from the same start with disjoint id blocks share a law;
     # their distance matches the half-split floor of either ensemble
@@ -320,6 +316,15 @@ def test_moment_bound_time_validation():
         moment_bound(spec, t=0.0)
     with pytest.raises(ValueError, match="t must"):
         moment_bound(spec, t=2.0)
+    # c0 = 20 trips the guard at t = 0.0625, so no trajectory reaches t = 1
+    wild = np.zeros(9)
+    wild[0] = 20.0
+    spec = EnsembleSpec(
+        initial_conditions=[wild], n_traj=4,
+        params=SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4)),
+    )
+    with pytest.raises(ValueError, match="all trajectories aborted for initial condition 0"):
+        moment_bound(spec, t=1.0)
 
 
 def test_moment_jensen_between_p_one_and_two():
@@ -334,18 +339,23 @@ def test_moment_jensen_between_p_one_and_two():
 
 @pytest.mark.usefixtures("philox_streams")
 def test_sup_window_bound_cases():
+    # E sup_{t1 < s <= t2} ||Phi_s(x)||_inf per start, over the same trajectory
+    # ids that EnsembleSpec gives each start
+    def table(spec, t1, t2):
+        return [mean_and_stderr(window_sup(x, spec.params, spec.traj_ids(i), t1, t2))
+                for i, x in enumerate(spec.initial_conditions)]
+
     quiet = EnsembleSpec(
         initial_conditions=[np.zeros(7)], n_traj=2,
         params=quiet_params(n_modes=3), gamma=1.0, p=2.0,
     )
-    table = sup_window_bound(quiet, t1=0.25, t2=1.0)
-    assert table.entries[0].estimate == 0.0
+    assert table(quiet, 0.25, 1.0)[0][0] == 0.0
     noisy = EnsembleSpec(
         initial_conditions=[np.zeros(17), np.full(17, 0.5)], n_traj=20,
         params=small_params(t_final=2.0), gamma=1.0, p=2.0,
     )
-    narrow = sup_window_bound(noisy, t1=0.5, t2=1.0)
-    wide = sup_window_bound(noisy, t1=0.5, t2=2.0)
+    narrow = table(noisy, 0.5, 1.0)
+    wide = table(noisy, 0.5, 2.0)
     # pinned (estimate, stderr) per start, so any drift in the window shows here
     pins = [
         (narrow, [(2.0467111920151738e-05, 8.031162749504301e-07),
@@ -353,28 +363,15 @@ def test_sup_window_bound_cases():
         (wide, [(2.3337984975284024e-05, 6.216279721098643e-07),
                 (0.973533147159333, 1.0963692056804978e-06)]),
     ]
-    for table, pinned in pins:
-        for entry, (est, se) in zip(table.entries, pinned, strict=True):
-            assert entry.estimate == pytest.approx(est, rel=1e-12)
-            assert entry.stderr == pytest.approx(se, rel=1e-12)
-            assert entry.n_aborted == 0
-        assert not table.uniformity.uniform
+    for entries, pinned in pins:
+        for (est, se), (want_est, want_se) in zip(entries, pinned, strict=True):
+            assert est == pytest.approx(want_est, rel=1e-12)
+            assert se == pytest.approx(want_se, rel=1e-12)
+        # far from uniform in the start: the ratio exceeds moment_bound's 2
+        assert entries[1][0] > 2.0 * entries[0][0]
     for i in range(2):
         # same trajectories, wider window: the pathwise sup can only grow
-        assert wide.entries[i].estimate >= narrow.entries[i].estimate
-    with pytest.raises(ValueError, match="window"):
-        sup_window_bound(noisy, t1=0.0, t2=1.0)
-    with pytest.raises(ValueError, match="window"):
-        sup_window_bound(noisy, t1=1.5, t2=1.0)
-    # c0 = 20 trips the guard at t = 0.0625, before the window opens
-    wild = np.zeros(9)
-    wild[0] = 20.0
-    spec = EnsembleSpec(
-        initial_conditions=[wild], n_traj=4,
-        params=SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4)),
-    )
-    with pytest.raises(ValueError, match="all trajectories aborted for initial condition 0"):
-        sup_window_bound(spec, t1=0.5, t2=1.0)
+        assert wide[i][0] >= narrow[i][0]
 
 
 def test_mixing_report_structure_and_exports():
@@ -389,7 +386,6 @@ def test_mixing_report_structure_and_exports():
     assert report.distances.shape == (4,) and np.all(report.distances >= 0.0)
     assert report.distance_stderr.shape == (4,) and np.all(report.distance_stderr >= 0.0)
     assert report.floor > 0.0
-    assert report.sliced_means.shape == (4,)
     assert isinstance(report.fit, RateFit)
     if report.fit.identifiable:
         assert report.fit.method == "bootstrap"
@@ -427,9 +423,6 @@ def test_mixing_report_pinned():
         0.005118775912740558, 0.014264897229417399,
     ]
     assert report.floor == 2.250240270434366
-    assert report.sliced_means.tolist() == [
-        2.0, 2.0000000000000004, 1.999999999999999, 1.9999999999999998,
-    ]
     # repr pins every field, the NaN ones included
     assert repr(report.fit) == (
         "RateFit(lam=nan, intercept=nan, ci_low=nan, ci_high=nan, n_used=0, "
@@ -453,7 +446,7 @@ def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
         spec = EnsembleSpec(initial_conditions=ics, n_traj=32, params=params)
         report = mixing_report(spec, n_boot=10)
         assert len(calls) == 2
-        texts.append((report_csv(report), report_summary(report), report.sliced_means.tolist()))
+        texts.append((report_csv(report), report_summary(report)))
     assert texts[0] == texts[1]
 
 

@@ -13,13 +13,8 @@ import pytest
 import glmix.integrator as integrator
 from glmix.field import eigenvalues
 from glmix.integrator import SimulationParams, run_ensemble
-from glmix.noise import (
-    NoiseSpectrum,
-    SpectrumViolation,
-    sup_gaussian_check,
-    trajectory_generator,
-    validate,
-)
+from glmix.noise import NoiseSpectrum, SpectrumViolation, trajectory_generator, validate
+from sup_windows import mean_and_stderr, window_sup
 
 
 # first three standard normals of trajectory_generator(seed, id): SFC64 seeded
@@ -43,6 +38,14 @@ def convolution_paths(spec, h, seed, traj_ids, t_final=1.0, x=None, **kw):
     kw.setdefault("record_times", h * np.arange(params.n_steps + 1))
     x = np.zeros(2 * spec.n_modes + 1) if x is None else x
     return run_ensemble(x, params, traj_ids, **kw).states
+
+
+def sup_gaussian_moment(spec, p, h, n_samples, seed=0):
+    """E sup_{0 < s <= 1} ||W_L(s)||_inf^p with its standard error, over the
+    drift-free paths of trajectories 0..n_samples-1 run from zero."""
+    params = SimulationParams(n_modes=spec.n_modes, dt=h, poly=None, spectrum=spec, seed=seed)
+    sups = window_sup(np.zeros(2 * spec.n_modes + 1), params, range(n_samples), 0.0, 1.0)
+    return mean_and_stderr(sups**p)
 
 
 def test_default_spectrum_is_admissible():
@@ -222,25 +225,18 @@ def test_convolution_step_recursion_and_stationary_variance():
 
 @pytest.mark.usefixtures("philox_streams")
 def test_sup_gaussian_check_zero_noise_and_scaling():
-    est, se = sup_gaussian_check(zero_noise_spectrum(), t=1.0, p=2.0, h=1.0 / 32.0,
-                                 n_samples=50)
+    est, se = sup_gaussian_moment(zero_noise_spectrum(), p=2.0, h=1.0 / 32.0, n_samples=50)
     assert est == 0.0 and se == 0.0
     base = NoiseSpectrum.default(8)
     doubled = NoiseSpectrum(q=2.0 * base.q, c1=2.0, c2=2.0)
     assert validate(doubled) is None
-    e1, se1 = sup_gaussian_check(base, t=1.0, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
-    e2, _ = sup_gaussian_check(doubled, t=1.0, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
+    e1, se1 = sup_gaussian_moment(base, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
+    e2, _ = sup_gaussian_moment(doubled, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     # pinned, so any drift in the shared ensemble loop shows here
     assert e1 == pytest.approx(4.0394550277134756e-10, rel=1e-12)
     assert se1 == pytest.approx(7.507568384390057e-12, rel=1e-12)
     # doubling every amplitude scales the p = 2 moment by exactly 4 pathwise
     assert np.isclose(e2, 4.0 * e1, rtol=1e-12)
-    with pytest.raises(ValueError):
-        sup_gaussian_check(base, t=0.0)
-    with pytest.raises(ValueError, match="at least 1"):
-        sup_gaussian_check(base, t=0.5, h=1.0 / 32.0)
-    with pytest.raises(ValueError):
-        sup_gaussian_check(base, t=1.0, h=0.3)
 
 
 @pytest.mark.parametrize("seed, tid", sorted(PINNED_FIRST_NORMALS))
@@ -260,8 +256,7 @@ def test_sup_gaussian_check_stderr_shrinks_like_root_n():
     spec = NoiseSpectrum.default(8)
     ses = []
     for n in (250, 1000, 4000):
-        est, se = sup_gaussian_check(spec, t=1.0, p=2.0, h=1.0 / 32.0,
-                                     n_samples=n, seed=11)
+        est, se = sup_gaussian_moment(spec, p=2.0, h=1.0 / 32.0, n_samples=n, seed=11)
         assert np.isfinite(est) and est > 0.0
         ses.append(se)
     assert ses[0] > ses[1] > ses[2]
