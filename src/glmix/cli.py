@@ -26,6 +26,7 @@ from .doeblin import (
     geometric_bound_check,
     minorization,
     read_kernel,
+    search_weights,
     small_set_search,
 )
 from .field import fmt_float
@@ -139,6 +140,12 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         print("failure = missing_doeblin_section")
         return 2
     kernel = read_kernel(cfg.doeblin_kernel)
+    mu0 = WeightedMeasure(
+        np.full(kernel.n, 1.0 / kernel.n)
+        if cfg.doeblin_mu0 == "uniform"
+        else np.array([float(tok) for tok in cfg.doeblin_mu0.split()])
+    )
+    search_weights(kernel, mu0)  # before any certificate is printed or written
     k_set = (
         list(range(kernel.n))
         if cfg.doeblin_K == "all"
@@ -169,12 +176,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
                 print(f"geometric_gap = {fmt_float(gap)}")
             except ValueError as err:
                 failures.append(("geometric_bound", str(err)))
-    mu0 = (
-        np.full(kernel.n, 1.0 / kernel.n)
-        if cfg.doeblin_mu0 == "uniform"
-        else np.array([float(tok) for tok in cfg.doeblin_mu0.split()])
-    )
-    search = small_set_search(kernel, WeightedMeasure(mu0))
+    search = small_set_search(kernel, mu0)
     if search is None:
         print("search = none")
     else:

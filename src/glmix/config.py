@@ -262,8 +262,11 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
     if value == "zero":
         return "zero"
     if value.startswith("scaled-random:"):
-        tail = value.partition(":")[2]
-        return "scaled-random:" + fmt_float(_parse_scalar(float, tail, lineno, key))
+        radius = _parse_scalar(float, value.partition(":")[2], lineno, key)
+        if not 0 <= radius < math.inf:  # NaN included
+            raise ConfigError(f"line {lineno}: key {key!r} has a radius that is "
+                              "not finite and nonnegative")
+        return "scaled-random:" + fmt_float(radius)
     coeffs = _parse_list(float, value, lineno, key)
     if len(coeffs) != 2 * n_modes + 1:
         raise ConfigError(
@@ -278,7 +281,11 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
 def _canonical_mu0(value: str, lineno: int) -> str:
     if value == "uniform":
         return "uniform"
-    return " ".join(fmt_float(w) for w in _parse_list(float, value, lineno, "mu0"))
+    weights = _parse_list(float, value, lineno, "mu0")
+    if not all(0 <= w < math.inf for w in weights):  # NaN included
+        raise ConfigError(f"line {lineno}: key 'mu0' lists a weight that is "
+                          "not finite and nonnegative")
+    return " ".join(fmt_float(w) for w in weights)
 
 
 def _canonical_K(value: str, lineno: int) -> str:

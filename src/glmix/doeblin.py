@@ -30,6 +30,7 @@ __all__ = [
     "contraction_check",
     "geometric_bound_check",
     "invariant_measure",
+    "search_weights",
     "small_set_search",
     "two_small_compose",
     "drift_condition_check",
@@ -327,6 +328,20 @@ def _check_partition(partition, n: int) -> list[np.ndarray]:
     return cells
 
 
+def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
+    """The weights of mu0 (a WeightedMeasure or an array) if small_set_search
+    takes them: one for each state of kernel, each positive, summing to 1
+    within 1e-9.  ValueError otherwise."""
+    mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
+    if mu.shape != (kernel.n,):
+        raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
+    if not np.all(mu > 0.0):  # NaN included
+        raise ValueError("mu0 must be strictly positive on all states")
+    if not abs(mu.sum() - 1.0) <= 1e-9:
+        raise ValueError("mu0 must be a probability measure")
+    return mu
+
+
 def small_set_search(
     kernel: FiniteKernel, mu0, partition=None
 ) -> SmallSetCertificate | None:
@@ -347,13 +362,7 @@ def small_set_search(
     U index, then V, then W.  Its D, E and delta are then recounted state
     by state.
     """
-    mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
-    if mu.shape != (kernel.n,):
-        raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
-    if np.any(mu <= 0.0):
-        raise ValueError("mu0 must be strictly positive on all states")
-    if abs(mu.sum() - 1.0) > 1e-9:
-        raise ValueError("mu0 must be a probability measure")
+    mu = search_weights(kernel, mu0)
     cells = (
         [np.array([i]) for i in range(kernel.n)]
         if partition is None

@@ -23,10 +23,12 @@ draws.  So the remainder Psi = Phi - W_L satisfies
 Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step by step.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
-allocates no block-sized array.  Each trajectory consumes its own stream
-(noise.trajectory_generator), so results do not depend on block sizes,
-slab lengths or thread schedules.  Rows that cross the blow-up guard are
-set to NaN and stay NaN; a block stops stepping once all its rows have.
+allocates no block-sized array.  The slabs of the blocks that run at once
+share one budget, _SLAB_BYTES (16 MB) a call, so more workers draw shorter
+slabs.  Each trajectory consumes its own stream (noise.trajectory_generator),
+so results do not depend on block sizes, slab lengths, worker counts or
+thread schedules.  Rows that cross the blow-up guard are set to NaN and
+stay NaN; a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
@@ -310,13 +312,14 @@ def ensemble_workers(threads: int) -> int:
 # run_ensemble's default rows per block
 BLOCK_ROWS = 512
 
-# A block draws its normals in slabs of at most 256 steps and 16 MB: 63 steps
-# of a 512 x 65 block.  Larger slabs raise the peak memory without saving time.
-# Smaller ones cost time, since each slab takes one standard_normal call per
-# row and each call releases and retakes the GIL: on a 2-core Xeon, 4 MB slabs
-# cut the peak RSS of the mixing-cubic and ou-simulate benchmark workloads from
-# 82 to 58 MB and from 59 to 44 MB, but raised their wall time by about 12% and
-# 1.5%.  write_trajectory_csv forms its groups in a quarter of it.
+# One run_ensemble call holds at most 16 MB of normal draws: each of its w
+# workers' blocks draws in slabs of at most 256 steps and 16 MB / w (at least
+# one step), so one worker draws 63 steps of a 512 x 65 block and two draw 31.
+# On a 2-core Xeon the mixing-cubic benchmark workload (two workers) peaks at
+# 82, 66 and 58 MB of RSS with 16, 8 and 4 MB per block.  Smaller slabs cost
+# time, since each slab takes one standard_normal call per row and each call
+# releases and retakes the GIL: 4 MB per block raised its wall time by about
+# 12%.  write_trajectory_csv forms its groups in a quarter of the budget.
 _SLAB_BYTES = 16 << 20
 
 
@@ -328,6 +331,7 @@ def _run_block(
     rec_steps: dict[int, int],
     out: EnsembleResult,
     rows: slice,
+    slab_bytes: int,
 ):
     params = stepper.params
     n = ids.size
@@ -339,7 +343,7 @@ def _run_block(
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
     n_steps = params.n_steps
-    slab_len = max(1, min(256, n_steps, _SLAB_BYTES // (8 * n * n_slots)))
+    slab_len = max(1, min(256, n_steps, slab_bytes // (8 * n * n_slots)))
     noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
 
     if 0 in rec_steps:
@@ -382,9 +386,10 @@ def run_ensemble(
     traj_ids are the per-trajectory stream ids (distinct ids give independent
     noise under the same seed).  Results are bitwise independent of
     block_size and threads because every trajectory owns its stream and rows
-    are written by index.  The blocks run on a thread pool of
-    ensemble_workers(threads) workers, of which no more start than there
-    are blocks.
+    are written by index.  The blocks run on a pool of
+    min(ensemble_workers(threads), blocks) workers, and each block draws its
+    normals in slabs of at most _SLAB_BYTES / workers, so the slabs alive at
+    once fit in _SLAB_BYTES.
     """
     coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -425,10 +430,13 @@ def run_ensemble(
         (slice(lo, min(lo + block_size, ids.size)), ids[lo : lo + block_size])
         for lo in range(0, ids.size, block_size)
     ]
-    with ThreadPoolExecutor(max_workers=ensemble_workers(threads)) as pool:
+    workers = min(ensemble_workers(threads), max(1, len(blocks)))
+    slab_bytes = _SLAB_BYTES // workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
-                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out, rows
+                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out, rows,
+                slab_bytes,
             )
             for rows, bid in blocks
         ]

@@ -324,9 +324,11 @@ class MixingReport:
     p: float
 
 
-def _finite_rows(states: np.ndarray) -> np.ndarray:
+def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
+    """Observable rows of the finite (n_traj, n_times, slots) records, one
+    array per time; none of them is a view of states."""
     keep = np.all(np.isfinite(states), axis=-1)
-    return states[keep]
+    return [observables(states[keep[:, j], j], gamma) for j in range(states.shape[1])]
 
 
 def mixing_report(
@@ -338,13 +340,15 @@ def mixing_report(
     """Distance decay between the first two initial conditions of spec.
 
     Runs one ensemble for each of the first two initial conditions (later
-    ones are not simulated) and projects their finite rows to observables
-    once per requested integer time.  From those rows it computes the
-    weighted histogram distance at each time, estimates the statistical
-    floor by half-splitting each ensemble (distance between same-law
-    halves), fits the exponential rate above that floor, and attaches a
-    trajectory bootstrap (n_boot resamples of row indices) confidence
-    interval for the rate and a standard error for each distance.
+    ones are not simulated).  Each ensemble's finite rows are projected to
+    observables once per requested integer time as soon as it is stepped,
+    so the first start's states are freed before the second steps.  From
+    those rows it computes the weighted histogram distance at each time,
+    estimates the statistical floor by half-splitting each ensemble
+    (distance between same-law halves), fits the exponential rate above
+    that floor, and attaches a trajectory bootstrap (n_boot resamples of
+    row indices) confidence interval for the rate and a standard error for
+    each distance.
     times = None means 1, 2, ..., floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
@@ -356,15 +360,12 @@ def mixing_report(
     if times.size < 4:
         raise ValueError("need at least 4 report times")
 
-    ensembles = [
-        run_ensemble(ic, params, spec.traj_ids(i), record_times=times, threads=threads)
-        for i, ic in enumerate(spec.initial_conditions[:2])
-    ]
-
-    # observable rows of the finite trajectories, projected once per report time
+    # each start's states die with the _observable_rows call that projects them
     obs_a, obs_b = (
-        [observables(_finite_rows(ens.states[:, j, :]), spec.gamma) for j in range(times.size)]
-        for ens in ensembles
+        _observable_rows(run_ensemble(
+            ic, params, spec.traj_ids(i), record_times=times, threads=threads
+        ).states, spec.gamma)
+        for i, ic in enumerate(spec.initial_conditions[:2])
     )
     for j, t in enumerate(times):
         if obs_a[j].shape[0] < 2 or obs_b[j].shape[0] < 2:

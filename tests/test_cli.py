@@ -537,10 +537,14 @@ def test_negative_n_boot_exits_two_with_its_line(tmp_path, capsys):
 
 
 def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
-    cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = 0.5 0.25 0.25\n"
-    text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
-    assert "error = validation" in text
-    assert "mu0 has 3 weights for a kernel on 2 states" in text
+    # the certificate used to be printed and written before the search checked mu0
+    for mu0, message in [("0.5 0.25 0.25", "mu0 has 3 weights for a kernel on 2 states"),
+                         ("0 1", "mu0 must be strictly positive on all states"),
+                         ("0.25 0.25", "mu0 must be a probability measure")]:
+        cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = {mu0}\n"
+        text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
+        assert text == f"error = validation\n{message}\n"
+        assert not (tmp_path / "out" / "certificate.txt").exists()
 
 
 def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
@@ -569,6 +573,17 @@ def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
          "line 3: cs must be finite"),
         ("odecheck", "[odecheck]\nqs = 3\ncs = 1\ny0s = 1\nts = inf\n",
          "line 5: ts must be finite"),
+        # the preset used to fail in scaled_random_field, with no line number
+        ("simulate", "[model]\nn_modes = 4\n\n[ensemble]\nic1 = scaled-random:nan\nn_traj = 2\n",
+         "line 5: key 'ic1' has a radius that is not finite and nonnegative"),
+        ("mixing", "[model]\nn_modes = 4\nt_final = 4\n\n[ensemble]\nic1 = zero\n"
+         "ic2 = scaled-random:-1\nn_traj = 4\n",
+         "line 7: key 'ic2' has a radius that is not finite and nonnegative"),
+        # the certificate was printed and written before the search rejected mu0
+        ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = nan nan\n",
+         "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
+        ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = inf 0\n",
+         "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
     ]:
         text = run_exit_two(tmp_path, capsys, [sub], cfg)
         assert text == f"error = config\n{message}\n"

@@ -103,8 +103,16 @@ def test_parse_error_line_numbers():
     ("[odecheck]\nqs = 3\ncs = 1 nan\n", "line 3: cs must be finite"),
     ("[odecheck]\ny0s = -inf\n", "line 2: y0s must be finite"),
     ("[odecheck]\nqs = 3\ncs = 1\nts = 0.5 inf\n", "line 4: ts must be finite"),
+    ("[ensemble]\nic1 = scaled-random:inf\n",
+     "line 2: key 'ic1' has a radius that is not finite and nonnegative"),
+    ("[ensemble]\nic1 = zero\nic2 = scaled-random:-0.5\n",
+     "line 3: key 'ic2' has a radius that is not finite and nonnegative"),
+    ("[doeblin]\nkernel = k.txt\nmu0 = 0.5 nan\n",
+     "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
+    ("[doeblin]\nkernel = k.txt\nmu0 = -0.5 1.5\n",
+     "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
 ], ids=["ic1-nan", "ic2-inf", "gamma-nan", "gamma-neg-inf", "p-inf", "times-inf", "cs-nan",
-        "y0s-neg-inf", "ts-inf"])
+        "y0s-neg-inf", "ts-inf", "radius-inf", "radius-negative", "mu0-nan", "mu0-negative"])
 def test_non_finite_values_are_rejected_naming_their_line(text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         resolve_config(text)
@@ -173,6 +181,8 @@ def test_doeblin_section_canonicalization():
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# preset radii and mu0 weights
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
 def joined(values):
@@ -186,7 +196,7 @@ def run_configs(draw):
     n_slots = 2 * n_modes + 1
     ic = st.one_of(
         st.just("zero"),
-        FINITE.map(lambda r: "scaled-random:" + fmt_float(r)),
+        NONNEGATIVE.map(lambda r: "scaled-random:" + fmt_float(r)),
         st.lists(FINITE, min_size=n_slots, max_size=n_slots).map(joined),
     )
     cfg = RunConfig(
@@ -223,7 +233,7 @@ def run_configs(draw):
         )
         cfg.doeblin_m = draw(st.integers(-5, 50))
         cfg.doeblin_mu0 = draw(
-            st.just("uniform") | st.lists(FINITE, min_size=1, max_size=4).map(joined)
+            st.just("uniform") | st.lists(NONNEGATIVE, min_size=1, max_size=4).map(joined)
         )
     return cfg
 

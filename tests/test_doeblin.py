@@ -312,6 +312,11 @@ def test_small_set_search_mu0_validation():
         small_set_search(kernel, [0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="probability"):
         small_set_search(kernel, [0.5, 0.4])
+    # a NaN weight used to pass both checks and reach the search
+    with pytest.raises(ValueError, match="strictly positive"):
+        small_set_search(kernel, [0.5, np.nan])
+    with pytest.raises(ValueError, match="probability"):
+        small_set_search(kernel, [0.5, np.inf])
     with pytest.raises(ValueError, match="partition"):
         small_set_search(kernel, [0.5, 0.5], partition=[[0]])
 

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 import os
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -460,9 +461,11 @@ def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
     kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1))
     # one block, one slab of every step
     base = run_ensemble(x, params, **kw)
+    # the budget is shared by the blocks running at once, one per worker
+    workers = min(integrator.ensemble_workers(threads), -(-7 // block_size))
     with pytest.MonkeyPatch.context() as mp:
         # full blocks draw slabs of slab_len steps; a shorter last block, longer ones
-        mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len)
+        mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len * workers)
         other = run_ensemble(x, params, block_size=block_size, threads=threads, **kw)
     for name in ENSEMBLE_FIELDS:
         assert np.array_equal(getattr(base, name), getattr(other, name), equal_nan=True), name
@@ -527,8 +530,59 @@ def test_run_ensemble_clamps_worker_threads(monkeypatch):
     ens = run_ensemble(x, params, traj_ids=range(3), block_size=1, threads=8)
     # no more threads than blocks or usable cores
     want = min(3, len(os.sched_getaffinity(0)))
-    assert workers == ([want] if want > 1 else [])
+    assert workers == [want]
     assert np.array_equal(ens.states, run_ensemble(x, params, traj_ids=range(3)).states)
+
+
+def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
+    """A row's first standard_normal call fills its share of its block's
+    slab, and a thread runs one block at a time, so the slabs alive at once
+    are at most the largest of each thread's blocks.  Together they fit in
+    _SLAB_BYTES on any thread count, and the draws and records do not change."""
+    calls = []  # (trajectory id, thread, normals drawn), in call order
+
+    class Recording:
+        def __init__(self, gen, tid):
+            self._gen, self._tid = gen, tid
+
+        def standard_normal(self, *, out):
+            calls.append((self._tid, threading.get_ident(), out.size))
+            return self._gen.standard_normal(out=out)
+
+    make_generator = integrator.trajectory_generator
+    monkeypatch.setattr(integrator, "trajectory_generator",
+                        lambda seed, tid: Recording(make_generator(seed, tid), tid))
+    rows, n_traj, n_blocks = 4, 10, 3  # the last block has two rows
+    row_step_bytes = 8 * CALM.size
+    budget = row_step_bytes * rows * 12  # one worker: full blocks draw 12 of 64 steps
+    monkeypatch.setattr(integrator, "_SLAB_BYTES", budget)
+    base = None
+    for threads in (1, 2, 4):
+        calls.clear()
+        ens = run_ensemble(CALM, SMALL, range(n_traj), block_size=rows, threads=threads)
+        workers = min(integrator.ensemble_workers(threads), n_blocks)
+        first = {}
+        drawn = dict.fromkeys(range(n_traj), 0)
+        for tid, thread, size in calls:
+            first.setdefault(tid, (thread, size))
+            drawn[tid] += size
+        # every row draws each of its 64 steps once
+        assert drawn == dict.fromkeys(range(n_traj), SMALL.n_steps * CALM.size)
+        largest = {}  # thread -> its largest block slab in bytes
+        for b in range(n_blocks):
+            block = [first[tid] for tid in range(b * rows, min((b + 1) * rows, n_traj))]
+            assert len({thread for thread, _ in block}) == 1
+            slab = 8 * sum(size for _, size in block)
+            largest[block[0][0]] = max(largest.get(block[0][0], 0), slab)
+            # a block's slab is its workers-th of the budget, in whole steps
+            steps = (budget // workers) // (row_step_bytes * len(block))
+            assert slab == row_step_bytes * len(block) * min(steps, SMALL.n_steps)
+        assert len(largest) <= workers
+        assert sum(largest.values()) <= budget
+        if base is None:
+            base = ens
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(base, name), getattr(ens, name), equal_nan=True)
 
 
 def test_ensemble_record_times_and_windows():
