@@ -1,17 +1,18 @@
 """Simulate the full nonlinear model and exercise the decay bounds.
 
-From a very large start the cubic damping dominates: the weighted norm
-collapses to order one within a fraction of a time unit, independently of
-the start size.  The second half of the script isolates the scalar
-mechanism behind that collapse, y' = -c y^q, and compares two candidate
-comparison constants against a high-resolution integration: the corrected
-constant ((q-1) c t)^(-1/(q-1)) always dominates the solution, while the
-variant with q in place of q-1 fails already for q = 3 at moderate y0.
+From a very large start the cubic damping dominates: the weighted norm of a
+run_ensemble trajectory collapses to order one within a fraction of a time
+unit, independently of the start size.  The second half of the script
+isolates the scalar mechanism behind that collapse, y' = -c y^q, and
+compares two candidate comparison constants against a high-resolution
+integration: the corrected constant ((q-1) c t)^(-1/(q-1)) always dominates
+the solution, while the variant with q in place of q-1 fails already for
+q = 3 at moderate y0.
 """
 
 from glmix.config import resolve_config
 from glmix.field import SpectralField, norm_gamma, scaled_random_field
-from glmix.integrator import dini_check, fit_dini_constants, ode_comparison, simulate
+from glmix.integrator import ode_comparison, run_ensemble
 
 
 def main():
@@ -22,17 +23,9 @@ def main():
     print("start norm_1   t=1       t=2       t=3")
     for target in (1e2, 1e4):
         x = scaled_random_field(params.n_modes, target, gamma=1.0)
-        traj = simulate(x, params, trajectory_id=0, record_dense=True)
-        vals = [norm_gamma(SpectralField(params.n_modes, s), 1.0) for s in traj.states]
+        states = run_ensemble(x, params, [0]).states[0]
+        vals = [norm_gamma(SpectralField(params.n_modes, s), 1.0) for s in states]
         print(f"{target:10.0e}   " + "  ".join(f"{v:8.4f}" for v in vals[1:]))
-
-    print("\n== pathwise regularity certificate ==")
-    x = scaled_random_field(params.n_modes, 1.0, gamma=1.0)
-    traj = simulate(x, params, trajectory_id=5, record_dense=True)
-    c1, c2, c3 = fit_dini_constants(traj)
-    frac = dini_check(traj, c1, c2, c3)
-    print(f"fitted constants ({c1:.3g}, {c2:.3g}, {c3:.3g}): "
-          f"fraction of dense steps satisfying the increment bound: {frac:.3f}")
 
     print("\n== scalar decay bounds y' = -c y^q ==")
     print("q  c    y0      t     y(t)       corrected  literal    verdicts")

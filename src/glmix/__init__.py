@@ -8,9 +8,8 @@ The package splits into six layers:
   dealiased transforms;
 - noise: admissible diagonal noise spectra and exact Ornstein-Uhlenbeck
   (stochastic convolution) sampling with per-trajectory streams;
-- integrator: exponential Euler stepping, trajectories and batched
-  ensembles, windowed sup norms, pathwise dissipativity diagnostics, a
-  scalar comparison ODE;
+- integrator: exponential Euler stepping of batched ensembles, a scalar
+  comparison ODE, and the trajectory CSV writer;
 - doeblin: exact small-set certificates, coupling contraction, geometric
   convergence, and drift conditions on finite kernels;
 - mixing: uniform moment tables, histogram law-distance proxies, and

@@ -53,7 +53,8 @@ def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
         rows_hit = np.flatnonzero(bad.any(axis=1))
         if rows_hit.size:
             return int(rows_hit[0]), f"row {rows_hit[0]}: {what}"
-    sums = rows.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row of huge entries sums to inf
+        sums = rows.sum(axis=1)
     rows_hit = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
     if rows_hit.size:
         i = int(rows_hit[0])
@@ -205,12 +206,12 @@ def condition_b(kernel: FiniteKernel, k) -> float:
     return float(kernel.rows[:, list(states)].sum(axis=1).min())
 
 
-def contraction_check(
-    kernel: FiniteKernel,
-    cert: SmallSetCertificate,
-    n_random: int = 1000,
-    seed: int = 0,
-) -> float:
+# contraction_check's random measure pairs: how many, and the seed of their stream
+_RANDOM_PAIRS = 1000
+_PAIR_SEED = 0
+
+
+def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
     """Verify the two-step total-variation contraction implied by (delta, delta_prime).
 
     Requires a one-step certificate carrying delta_prime.  Checks that
@@ -218,9 +219,10 @@ def contraction_check(
     then that the worst ratio ||P^2 mu - P^2 nu|| / ||mu - nu|| over all
     Dirac pairs is at most 1 - delta delta_prime, and that no random measure
     pair beats the Dirac pairs (they are extremal for this coefficient).  The
-    n_random pairs are drawn as one (n_random, 2, n) array and pushed through
-    P^2 in one product; the error names the first offending pair in draw
-    order.  Returns the worst observed ratio.
+    _RANDOM_PAIRS = 1000 pairs are drawn from default_rng(_PAIR_SEED = 0) as
+    one (pairs, 2, n) array and pushed through P^2 in one product; the error
+    names the first offending pair in draw order.  Returns the worst observed
+    ratio.
     """
     if cert.m != 1:
         raise ValueError("contraction check requires a one-step certificate")
@@ -245,7 +247,7 @@ def contraction_check(
         if diffs.size:
             worst = max(worst, float(np.abs(diffs).sum(axis=1).max()) / 2.0)
 
-    pairs = np.random.default_rng(seed).random((n_random, 2, kernel.n))
+    pairs = np.random.default_rng(_PAIR_SEED).random((_RANDOM_PAIRS, 2, kernel.n))
     pairs /= pairs.sum(axis=2, keepdims=True)
     diffs = pairs[:, 0] - pairs[:, 1]
     base = np.abs(diffs).sum(axis=1)
@@ -330,14 +332,15 @@ def _check_partition(partition, n: int) -> list[np.ndarray]:
 
 def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
     """The weights of mu0 (a WeightedMeasure or an array) if small_set_search
-    takes them: one for each state of kernel, each positive, summing to 1
-    within 1e-9.  ValueError otherwise."""
+    takes them: one for each state of kernel, each positive and at most 1,
+    summing to 1 within 1e-9.  ValueError otherwise."""
     mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
     if mu.shape != (kernel.n,):
         raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
     if not np.all(mu > 0.0):  # NaN included
         raise ValueError("mu0 must be strictly positive on all states")
-    if not abs(mu.sum() - 1.0) <= 1e-9:
+    # a weight above 1 is rejected before the sum, which then cannot overflow
+    if np.any(mu > 1.0) or not abs(mu.sum() - 1.0) <= 1e-9:
         raise ValueError("mu0 must be a probability measure")
     return mu
 

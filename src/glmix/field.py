@@ -44,8 +44,6 @@ __all__ = [
     "norm_gamma",
     "apply_semigroup",
     "smoothing_norm_check",
-    "eval_polynomial",
-    "sup_norm",
     "zero_field",
     "basis_field",
     "scaled_random_field",
@@ -311,19 +309,6 @@ def dealias_points(n_modes: int, degree: int) -> int:
         m += 1
 
 
-def eval_polynomial(poly: DriftPolynomial, u: SpectralField) -> SpectralField:
-    """P(u) projected back onto modes 0..n_modes, dealiased hence exact.
-
-    Synthesizes u on the (q+1)N+1-point dealiasing grid, applies P
-    pointwise, analyzes back and truncates.  The modes above N alias on
-    that grid but never onto modes 0..N, so the result agrees with the exact
-    coefficient-sequence convolution to rounding error.
-    """
-    m = dealias_points(u.n_modes, poly.degree)
-    values = poly(coeffs_to_values(u.coeffs, u.n_modes, m))
-    return SpectralField(u.n_modes, values_to_coeffs(values, u.n_modes))
-
-
 SUP_POINTS_PER_MODE = 8  # sup-norm grid density; the grid has at least 64 points
 
 
@@ -342,11 +327,6 @@ def sup_norm_values(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     """
     vals = coeffs_to_values(coeffs, n_modes, sup_points(n_modes))
     return np.max(np.abs(vals), axis=-1)
-
-
-def sup_norm(u: SpectralField) -> float:
-    """Max of |u| on the sup-norm grid: one row of sup_norm_values."""
-    return float(sup_norm_values(u.coeffs, u.n_modes))
 
 
 def fmt_float(x: float) -> str:

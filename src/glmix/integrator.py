@@ -16,10 +16,10 @@ distribution, and it is the recursion of the convolution path W_L.
 
 ExponentialEulerStepper holds the per-slot factors of one step, and one
 block loop advances (trajectories x slots) blocks of it through batched
-FFTs; it only steps, guards and records.  run_ensemble runs that loop, and
-simulate runs two one-row ensembles on the same stream: the model, and the
-drift-free model from zero with no guard, which is W_L driven by the same
-draws.  So the remainder Psi = Phi - W_L satisfies
+FFTs; it only steps, guards and records.  run_ensemble runs that loop and
+is the only way into it.  W_L is the drift-free run from zero on the same
+trajectory id, replace(params, poly=None, blowup_guard=inf): it is driven by
+the same draws as the model, so the remainder Psi = Phi - W_L satisfies
 Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step by step.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
@@ -27,8 +27,10 @@ allocates no block-sized array.  The slabs of the blocks that run at once
 share one budget, _SLAB_BYTES (16 MB) a call, so more workers draw shorter
 slabs.  Each trajectory consumes its own stream (noise.trajectory_generator),
 so results do not depend on block sizes, slab lengths, worker counts or
-thread schedules.  Rows that cross the blow-up guard are set to NaN and
-stay NaN; a block stops stepping once all its rows have.
+thread schedules.  A row aborts at the first step after which its squared
+norm is NaN, infinite or above the guard's square, so a row that overflows
+within a step aborts under any guard, inf included.  It is set to NaN and
+stays NaN, and a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -55,16 +57,12 @@ from .noise import NoiseSpectrum, trajectory_generator, validate
 
 __all__ = [
     "SimulationParams",
-    "Trajectory",
     "EnsembleResult",
     "ExponentialEulerStepper",
-    "simulate",
     "run_ensemble",
     "ensemble_workers",
     "BLOCK_ROWS",
     "integer_times",
-    "dini_check",
-    "fit_dini_constants",
     "OdeComparison",
     "ode_comparison",
     "write_trajectory_csv",
@@ -134,10 +132,6 @@ class SimulationParams:
             raise ValueError("seed must lie in [0, 2^64)")
 
     @property
-    def steps_per_unit(self) -> int:
-        return round(1.0 / self.dt)
-
-    @property
     def n_steps(self) -> int:
         n = round(self.t_final / self.dt)
         if abs(n * self.dt - self.t_final) > 1e-9:
@@ -172,6 +166,8 @@ class ExponentialEulerStepper:
         self.std = params.spectrum.step_std(params.dt)
         self.poly = params.poly
         self.guard_sq = params.blowup_guard**2
+        # the largest squared norm a row keeps: no infinite one, even with no guard
+        self.keep_sq = min(self.guard_sq, np.finfo(float).max)
         # two orders of summing n nonnegative squares differ by about 2 n eps at
         # most (130 eps at 65 slots); guard_sq * (1 + band) may overflow to inf
         band = max(1e-12, 4 * (2 * self.n_modes + 1) * np.finfo(float).eps)
@@ -220,8 +216,8 @@ class ExponentialEulerStepper:
         u += buf.slots
 
     def blown_up(self, u: np.ndarray) -> np.ndarray:
-        """Guard mask of np.sum(u * u, axis=-1) > guard_sq, bit for bit; NaN
-        rows (already aborted) report False.
+        """Guard mask of the rows whose np.sum(u * u, axis=-1) is NaN,
+        infinite or above guard_sq, bit for bit.
 
         The squared norms come from one einsum pass; only the rows near
         guard_sq, where its order of summation could tip the comparison, are
@@ -230,40 +226,12 @@ class ExponentialEulerStepper:
         sq = np.einsum("ij,ij->i", u, u)
         lo, hi = self.near_guard
         with np.errstate(invalid="ignore", over="ignore"):  # inf norms compare as inf
-            blown = sq > self.guard_sq
+            blown = ~(sq <= self.keep_sq)
             near = (sq > lo) & (sq <= hi)
             if near.any():
                 w = u[near]
-                blown[near] = np.sum(w * w, axis=-1) > self.guard_sq
+                blown[near] = ~(np.sum(w * w, axis=-1) <= self.keep_sq)
         return blown
-
-
-@dataclass
-class Trajectory:
-    """One path recorded at integer times, with its convolution path.
-
-    states[i] holds the coefficients at times[i]; rows at and after an abort
-    are NaN.  Dense per-step arrays are populated when requested.
-    """
-
-    params: SimulationParams
-    trajectory_id: int
-    initial: np.ndarray
-    times: np.ndarray
-    states: np.ndarray
-    wl: np.ndarray
-    aborted: bool = False
-    abort_time: float | None = None
-    dense_times: np.ndarray | None = None
-    dense_states: np.ndarray | None = None
-    dense_wl: np.ndarray | None = None
-
-    def state_at(self, t: float) -> SpectralField:
-        i = int(np.flatnonzero(np.isclose(self.times, t))[0])
-        row = self.states[i]
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"trajectory aborted before t = {t}")
-        return SpectralField(self.params.n_modes, row)
 
 
 @dataclass
@@ -276,7 +244,7 @@ class EnsembleResult:
     states: np.ndarray  # (n_traj, n_times, slots), NaN at and after abort
     aborted: np.ndarray  # (n_traj,) bool
     abort_times: np.ndarray
-    abort_norms: np.ndarray  # (n_traj,) norm at the guard crossing, NaN if none
+    abort_norms: np.ndarray  # (n_traj,) norm at the abort (inf or NaN if it diverged), NaN if none
 
     @property
     def n_traj(self) -> int:
@@ -309,7 +277,7 @@ def ensemble_workers(threads: int) -> int:
     return max(1, min(threads, cores))
 
 
-# run_ensemble's default rows per block
+# run_ensemble's rows per block
 BLOCK_ROWS = 512
 
 # One run_ensemble call holds at most 16 MB of normal draws: each of its w
@@ -349,24 +317,27 @@ def _run_block(
     if 0 in rec_steps:
         out.states[rows, rec_steps[0], :] = u
 
-    for step_no in range(1, n_steps + 1):
-        s = (step_no - 1) % slab_len
-        if s == 0:
-            m = min(slab_len, n_steps - step_no + 1)
-            for gen, slab in zip(gens, noise):
-                gen.standard_normal(out=slab[:m])
-        stepper.step_block(u, noise[:, s, :], buf)
-        blown = stepper.blown_up(u) & alive
-        if blown.any():
-            abort_t[blown] = step_no * params.dt
-            hit = u[blown]
-            abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
-            u[blown] = np.nan
-            alive &= ~blown
-        if step_no in rec_steps:
-            out.states[rows, rec_steps[step_no], :] = u
-        if not alive.any():
-            break  # the later records stay NaN, as out was made
+    # a row that diverges within a step is left to the guard, not warned of;
+    # errstate is thread-local, so it is set in the worker
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_no in range(1, n_steps + 1):
+            s = (step_no - 1) % slab_len
+            if s == 0:
+                m = min(slab_len, n_steps - step_no + 1)
+                for gen, slab in zip(gens, noise):
+                    gen.standard_normal(out=slab[:m])
+            stepper.step_block(u, noise[:, s, :], buf)
+            blown = stepper.blown_up(u) & alive
+            if blown.any():
+                abort_t[blown] = step_no * params.dt
+                hit = u[blown]
+                abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
+                u[blown] = np.nan
+                alive &= ~blown
+            if step_no in rec_steps:
+                out.states[rows, rec_steps[step_no], :] = u
+            if not alive.any():
+                break  # the later records stay NaN, as out was made
 
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t
@@ -378,15 +349,15 @@ def run_ensemble(
     params: SimulationParams,
     traj_ids,
     record_times=None,
-    block_size: int = BLOCK_ROWS,
     threads: int = 1,
 ) -> EnsembleResult:
     """Integrate an ensemble from one initial condition.
 
     traj_ids are the per-trajectory stream ids (distinct ids give independent
-    noise under the same seed).  Results are bitwise independent of
-    block_size and threads because every trajectory owns its stream and rows
-    are written by index.  The blocks run on a pool of
+    noise under the same seed).  Rows run in blocks of BLOCK_ROWS, read at
+    call time.  Results are bitwise independent of the block size and
+    threads because every trajectory owns its stream and rows are written
+    by index.  The blocks run on a pool of
     min(ensemble_workers(threads), blocks) workers, and each block draws its
     normals in slabs of at most _SLAB_BYTES / workers, so the slabs alive at
     once fit in _SLAB_BYTES.
@@ -427,8 +398,8 @@ def run_ensemble(
     )
 
     blocks = [
-        (slice(lo, min(lo + block_size, ids.size)), ids[lo : lo + block_size])
-        for lo in range(0, ids.size, block_size)
+        (slice(lo, min(lo + BLOCK_ROWS, ids.size)), ids[lo : lo + BLOCK_ROWS])
+        for lo in range(0, ids.size, BLOCK_ROWS)
     ]
     workers = min(ensemble_workers(threads), max(1, len(blocks)))
     slab_bytes = _SLAB_BYTES // workers
@@ -443,104 +414,6 @@ def run_ensemble(
         for f in futures:
             f.result()
     return out
-
-
-def simulate(
-    x: SpectralField | np.ndarray,
-    params: SimulationParams,
-    trajectory_id: int = 0,
-    record_dense: bool = False,
-) -> Trajectory:
-    """Integrate one trajectory to t_final, recording integer times, and
-    every step when record_dense.
-
-    Two one-row run_ensemble calls on the same stream: the model from x,
-    and the drift-free model from zero with no blow-up guard, whose records
-    are the convolution path W_L driven by the same draws.  W_L records are
-    NaN where the state's are, at and after a blow-up.
-    """
-    dense_times = params.dt * np.arange(params.n_steps + 1) if record_dense else None
-    ens = run_ensemble(x, params, [trajectory_id], record_times=dense_times)
-    drift_free = replace(params, poly=None, blowup_guard=math.inf)
-    zero = np.zeros(2 * params.n_modes + 1)
-    states = ens.states[0]
-    wl = run_ensemble(zero, drift_free, [trajectory_id], record_times=dense_times).states[0]
-    wl[np.isnan(states)] = np.nan
-    aborted = bool(ens.aborted[0])
-    times = integer_times(params.t_final)
-    dense_states = dense_wl = None
-    if record_dense:
-        dense_states, dense_wl = states, wl
-        rows = params.steps_per_unit * np.arange(times.size)
-        states, wl = states[rows], wl[rows]
-    return Trajectory(
-        params=params,
-        trajectory_id=trajectory_id,
-        initial=ens.states[0, 0].copy(),
-        times=times,
-        states=states,
-        wl=wl,
-        aborted=aborted,
-        abort_time=float(ens.abort_times[0]) if aborted else None,
-        dense_times=dense_times,
-        dense_states=dense_states,
-        dense_wl=dense_wl,
-    )
-
-
-# ---------------------------------------------------------------------------
-# pathwise dissipativity diagnostics
-# ---------------------------------------------------------------------------
-
-
-def _dini_data(traj: Trajectory):
-    if traj.dense_states is None:
-        raise ValueError("dense records required; simulate with record_dense=True")
-    if traj.params.poly is None:
-        raise ValueError("dini check needs a drift polynomial")
-    n_modes = traj.params.n_modes
-    ok = np.all(np.isfinite(traj.dense_states), axis=1)
-    psi = traj.dense_states[ok] - traj.dense_wl[ok]
-    sup_psi = sup_norm_values(psi, n_modes)
-    sup_wl = sup_norm_values(traj.dense_wl[ok], n_modes)
-    h = traj.params.dt
-    quot = (sup_psi[1:] - sup_psi[:-1]) / h
-    q = traj.params.poly.degree
-    return quot, sup_psi[1:] ** q, sup_wl[1:] ** q
-
-
-def dini_check(traj: Trajectory, c1: float, c2: float, c3: float) -> float:
-    """Fraction of steps satisfying the pathwise decay inequality.
-
-    Checks the backward difference quotient of ||Psi||_inf against
-    c1 - c2 ||Psi||_inf^q + c3 ||W_L||_inf^q at the right endpoint of each
-    recorded step; the sup norms are field.sup_norm_values grid maxima
-    (8 points per mode, at least 64 points).
-    """
-    if min(c1, c2, c3) <= 0:
-        raise ValueError("constants must be positive")
-    quot, psi_q, wl_q = _dini_data(traj)
-    if quot.size == 0:
-        raise ValueError("trajectory has no usable steps")
-    good = quot <= c1 - c2 * psi_q + c3 * wl_q + 1e-12
-    return float(np.mean(good))
-
-
-def fit_dini_constants(traj: Trajectory) -> tuple[float, float, float]:
-    """Propose positive (c1, c2, c3) making the decay inequality hold on traj.
-
-    Least-squares fit of the quotient against (1, -||Psi||^q, ||W_L||^q) with
-    the slopes floored at small positive values, then c1 inflated to cover
-    every sample with margin.
-    """
-    quot, psi_q, wl_q = _dini_data(traj)
-    a = np.column_stack([np.ones_like(quot), -psi_q, wl_q])
-    kappa, *_ = np.linalg.lstsq(a, quot, rcond=None)
-    c2 = max(float(kappa[1]), 1e-6)
-    c3 = max(float(kappa[2]), 1e-6)
-    c1 = float(np.max(quot + c2 * psi_q - c3 * wl_q))
-    c1 = max(c1, 1e-6) * (1.0 + 1e-9) + 1e-12
-    return c1, c2, c3
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +546,10 @@ def write_trajectory_csv(
             states = ens.states[lo : lo + group]
             finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
             u = states[finite]  # finite rows, trajectory-major like the file
-            norm_0 = np.sqrt(np.sum(u * u, axis=-1))
-            norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
-            norm_sup = sup_norm_values(u, n_modes)
+            with np.errstate(over="ignore"):  # a start near float max has inf norms
+                norm_0 = np.sqrt(np.sum(u * u, axis=-1))
+                norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
+                norm_sup = sup_norm_values(u, n_modes)
             tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
             ts = np.broadcast_to(times, finite.shape)
             rows = np.empty(finite.shape, dtype=object)

@@ -264,15 +264,15 @@ class RateFit:
     message: str = ""
 
 
-def fit_rate(times, distances, floor: float | None = None) -> RateFit:
+def fit_rate(times, distances, floor: float) -> RateFit:
     """Least-squares exponential rate on the points clearly above the floor.
 
-    floor = None estimates the statistical floor as 1.25 times the smallest
-    distance; only points with distance >= 4 * floor enter the log-linear
-    fit.  Fewer than 4 usable points (for example when the distances are
-    constant) yields an unidentifiable result rather than a rate; fewer than
-    4 points in all is an error.  The confidence interval is the OLS two-sided 95% interval from
-    the fit residuals; pipeline callers replace it by a bootstrap interval.
+    Only points with distance >= 4 * floor enter the log-linear fit.  Fewer
+    than 4 usable points (for example when the distances sit at the floor)
+    yields an unidentifiable result rather than a rate; fewer than 4 points
+    in all is an error.  The confidence interval is the OLS two-sided 95%
+    interval from the fit residuals; pipeline callers replace it by a
+    bootstrap interval.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -280,13 +280,13 @@ def fit_rate(times, distances, floor: float | None = None) -> RateFit:
         raise ValueError(f"need at least {_FIT_MIN_POINTS} (time, distance) pairs")
     if np.any(~np.isfinite(d)) or np.any(d < 0.0):
         raise ValueError("distances must be finite and nonnegative")
-    used_floor = 1.25 * float(d.min()) if floor is None else float(floor)
-    mask = d >= _FIT_WINDOW * max(used_floor, 0.0)
+    floor = float(floor)
+    mask = d >= _FIT_WINDOW * max(floor, 0.0)
     mask &= d > 0.0
     if np.count_nonzero(mask) < _FIT_MIN_POINTS:
         return RateFit(
             lam=math.nan, intercept=math.nan, ci_low=math.nan, ci_high=math.nan,
-            n_used=int(np.count_nonzero(mask)), floor=used_floor,
+            n_used=int(np.count_nonzero(mask)), floor=floor,
             identifiable=False, message="rate not identifiable: "
             f"{np.count_nonzero(mask)} points above the floor window",
         )
@@ -302,7 +302,7 @@ def fit_rate(times, distances, floor: float | None = None) -> RateFit:
     return RateFit(
         lam=lam, intercept=math.exp(log_c),
         ci_low=lam - 1.96 * se, ci_high=lam + 1.96 * se,
-        n_used=int(tt.size), floor=used_floor, identifiable=True,
+        n_used=int(tt.size), floor=floor, identifiable=True,
     )
 
 

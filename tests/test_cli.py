@@ -325,6 +325,33 @@ def test_simulate_reports_aborted_trajectories(tmp_path, capsys):
     assert any(r.split(",")[5] == "1" for r in rows[1:])
 
 
+@pytest.mark.parametrize("model, ic1", [
+    # the first step overflows the start to inf, then NaN
+    ("", "scaled-random:1e200"),
+    # with no guard the overshooting cubic step reaches inf, then NaN
+    ("dt = 0.015625\nblowup_guard = inf\n", "20 0 0 0 0 0 0 0 0"),
+])
+def test_simulate_reports_rows_that_diverge_within_a_step(tmp_path, capsys, model, ic1):
+    # both exited 0 with no failure line while the file marked the rows aborted
+    cfg = write_cfg(tmp_path, f"[model]\nn_modes = 4\nt_final = 1\n{model}\n"
+                              f"[ensemble]\nic1 = {ic1}\nn_traj = 2\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 1 and "failure = trajectory_abort" in text
+    listed = {int(line[len("trajectory = "):]) for line in text.splitlines()
+              if line.startswith("trajectory = ")}
+    rows = [r.split(",") for r in body_lines(out / "trajectories.csv")[1:]]
+    assert listed == {int(r[0]) for r in rows if r[5] == "1"} == {0, 1}
+
+
+def test_noise_that_overflows_a_step_exits_two_without_a_warning(tmp_path, capsys):
+    # the abort norm of an overflowed row raised an overflow RuntimeWarning
+    cfg = "[model]\nn_modes = 4\nc2 = 1e308\n\n[ensemble]\nn_traj = 2\n"
+    text = run_exit_two(tmp_path, capsys, ["moments"], cfg)
+    assert text == "error = validation\nall trajectories aborted for initial condition 0\n"
+
+
 @pytest.mark.usefixtures("philox_streams")
 def test_moments_uniform_pair_exits_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MOMENTS_UNIFORM_CFG)
@@ -540,7 +567,9 @@ def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
     # the certificate used to be printed and written before the search checked mu0
     for mu0, message in [("0.5 0.25 0.25", "mu0 has 3 weights for a kernel on 2 states"),
                          ("0 1", "mu0 must be strictly positive on all states"),
-                         ("0.25 0.25", "mu0 must be a probability measure")]:
+                         ("0.25 0.25", "mu0 must be a probability measure"),
+                         # their sum overflowed with a RuntimeWarning
+                         ("1e308 1e308", "mu0 must be a probability measure")]:
         cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = {mu0}\n"
         text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
         assert text == f"error = validation\n{message}\n"
@@ -677,6 +706,8 @@ def broken_kernel_texts(draw):
 @given(broken_kernel_texts())
 @example(("2\n0.5 0.5\nabc 1\n", None))
 @example(("2\n0.5 0.5\n0.6 0.5\n", "line 3: row 1 sums to 1.1, not 1 within 1e-12"))
+# the row sum overflowed with a RuntimeWarning
+@example(("2\n0.5 0.5\n1e308 1e308\n", "line 3: row 1 sums to inf, not 1 within 1e-12"))
 def test_broken_kernel_files_exit_two_without_a_traceback(case):
     text, row_error = case
     with tempfile.TemporaryDirectory() as tmp:

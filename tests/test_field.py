@@ -19,20 +19,26 @@ from glmix.field import (
     coeffs_to_values,
     dealias_points,
     eigenvalues,
-    eval_polynomial,
     mode_numbers,
     norm_gamma,
     scaled_random_field,
     smoothing_norm_check,
-    sup_norm,
     sup_norm_values,
     values_to_coeffs,
     zero_field,
 )
+from glmix.integrator import ExponentialEulerStepper, SimulationParams
 
 
 def random_field(n_modes, rng, scale=1.0):
     return SpectralField(n_modes, scale * rng.standard_normal(2 * n_modes + 1))
+
+
+def nonlinearity(pc, u):
+    """Coefficients of N(u) = u - P(u) as the stepper evaluates them, through
+    the dealiasing grid."""
+    params = SimulationParams(n_modes=u.n_modes, poly=DriftPolynomial(pc))
+    return ExponentialEulerStepper(params).nonlinearity(u.coeffs)
 
 
 def test_mode_numbers_and_eigenvalues_layout():
@@ -192,11 +198,10 @@ def test_values_to_coeffs_matches_rectangle_analysis():
 
 
 def test_eval_polynomial_constant_cube():
-    cube = DriftPolynomial([0.0, 0.0, 0.0, 1.0])
     const = SpectralField(4, np.array([2.0] + [0.0] * 8))
-    out = eval_polynomial(cube, const)
-    assert np.isclose(out.coeffs[0], 8.0, rtol=1e-13)
-    assert np.allclose(out.coeffs[1:], 0.0, atol=1e-13)
+    out = nonlinearity([0.0, 0.0, 0.0, 1.0], const)
+    assert np.isclose(out[0], 2.0 - 8.0, rtol=1e-13)
+    assert np.allclose(out[1:], 0.0, atol=1e-13)
 
 
 def test_eval_polynomial_cosine_cube_identity():
@@ -205,15 +210,15 @@ def test_eval_polynomial_cosine_cube_identity():
     s = oracles.synth_scale(n_modes)
     coeffs = np.zeros(2 * n_modes + 1)
     coeffs[1] = 1.0 / s[1]
-    out = eval_polynomial(DriftPolynomial([0, 0, 0, 1.0]), SpectralField(n_modes, coeffs))
+    out = nonlinearity([0, 0, 0, 1.0], SpectralField(n_modes, coeffs))
     expect = np.zeros(2 * n_modes + 1)
     expect[1] = 0.75 / s[1]
     expect[5] = 0.25 / s[5]
-    assert np.allclose(out.coeffs, expect, atol=1e-13)
+    assert np.allclose(out, coeffs - expect, atol=1e-13)
     # brute-force dense-grid projection oracle agrees
     xs = np.arange(512) / 512
     brute = oracles.rectangle_analysis(np.cos(2 * np.pi * xs) ** 3, n_modes)
-    assert np.allclose(out.coeffs, brute, atol=1e-12)
+    assert np.allclose(out, coeffs - brute, atol=1e-12)
 
 
 def test_eval_polynomial_matches_convolution_oracle():
@@ -223,9 +228,9 @@ def test_eval_polynomial_matches_convolution_oracle():
             u = random_field(n_modes, rng)
             pc = rng.standard_normal(4)
             pc[3] = abs(pc[3]) + 0.1
-            got = eval_polynomial(DriftPolynomial(pc), u).coeffs
+            got = nonlinearity(pc, u)
             want = oracles.poly_by_convolution(pc, u.coeffs)
-            assert np.allclose(got, want, atol=1e-10)
+            assert np.allclose(got, u.coeffs - want, atol=1e-10)
             # (q+1)N+1 points is the smallest exact grid: on (q+1)N points the
             # top product mode qN aliases onto mode N, and only there
             for m in (4 * n_modes + 1, 4 * n_modes):
@@ -252,9 +257,9 @@ def test_eval_polynomial_higher_degrees_match_convolution():
         pc[degree] = 1.0
         for _ in range(4):
             u = random_field(3, rng, scale=0.7)
-            got = eval_polynomial(DriftPolynomial(pc), u).coeffs
+            got = nonlinearity(pc, u)
             want = oracles.poly_by_convolution(pc, u.coeffs)
-            assert np.allclose(got, want, atol=1e-10)
+            assert np.allclose(got, u.coeffs - want, atol=1e-10)
 
 
 def test_drift_polynomial_validation_and_evaluation():
@@ -286,21 +291,21 @@ def test_drift_polynomial_validation_and_evaluation():
 
 
 def test_sup_norm_cases():
-    assert sup_norm(zero_field(6)) == 0.0
-    const = SpectralField(3, np.array([-1.75, 0, 0, 0, 0, 0, 0]))
-    assert np.isclose(sup_norm(const), 1.75, rtol=1e-14)
+    assert sup_norm_values(zero_field(6).coeffs, 6) == 0.0
+    const = np.array([-1.75, 0, 0, 0, 0, 0, 0])
+    assert np.isclose(sup_norm_values(const, 3), 1.75, rtol=1e-14)
     # pure cosine of physical amplitude A peaks at a grid point, so the grid
     # maximum is exact there
     n_modes = 6
     s = oracles.synth_scale(n_modes)
     coeffs = np.zeros(2 * n_modes + 1)
     coeffs[2 * 3 - 1] = 2.0 / s[2 * 3 - 1]
-    assert np.isclose(sup_norm(SpectralField(n_modes, coeffs)), 2.0, rtol=1e-6)
+    assert np.isclose(sup_norm_values(coeffs, n_modes), 2.0, rtol=1e-6)
     # the 8-points-per-mode grid against a direct 128-points-per-mode one
     rng = np.random.default_rng(22)
     for _ in range(10):
         u = random_field(8, rng)
-        coarse = sup_norm(u)
+        coarse = sup_norm_values(u.coeffs, 8)
         fine = float(np.max(np.abs(coeffs_to_values(u.coeffs, 8, 128 * 8))))
         assert coarse <= fine * (1.0 + 1e-12)
         assert coarse >= fine * 0.97
@@ -310,7 +315,7 @@ def test_sup_norm_values_matches_scalar_version():
     rng = np.random.default_rng(23)
     block = rng.standard_normal((7, 11))
     batched = sup_norm_values(block, 5)
-    single = [sup_norm(SpectralField(5, row)) for row in block]
+    single = [sup_norm_values(row, 5) for row in block]
     assert np.allclose(batched, single, rtol=1e-14)
 
 

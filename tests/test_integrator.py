@@ -34,12 +34,9 @@ from glmix.field import (
 from glmix.integrator import (
     ExponentialEulerStepper,
     SimulationParams,
-    dini_check,
-    fit_dini_constants,
     integer_times,
     ode_comparison,
     run_ensemble,
-    simulate,
     write_trajectory_csv,
 )
 from glmix.noise import NoiseSpectrum
@@ -50,6 +47,22 @@ def quiet_params(n_modes=3, **kw):
     """Zero-noise parameters: every q_k = 0 via k_star = n_modes."""
     kw.setdefault("spectrum", NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes))
     return SimulationParams(n_modes=n_modes, **kw)
+
+
+def every_step(params):
+    """Record times at every step, 0 to t_final."""
+    return params.dt * np.arange(params.n_steps + 1)
+
+
+def state_and_wl(x, params, tid, record_times=None):
+    """Records of trajectory tid and of its convolution path W_L: the
+    drift-free run from zero with no guard on the same stream, NaN where the
+    state is."""
+    states = run_ensemble(x, params, [tid], record_times).states[0]
+    free = replace(params, poly=None, blowup_guard=math.inf)
+    wl = run_ensemble(np.zeros_like(states[0]), free, [tid], record_times).states[0]
+    wl[np.isnan(states)] = np.nan
+    return states, wl
 
 
 def test_params_validation():
@@ -92,7 +105,7 @@ def test_params_validation():
         with pytest.raises(ValueError, match="more steps than int64 holds"):
             SimulationParams(dt=dt)
     p = SimulationParams(dt=1.0 / 128.0, t_final=3.0)
-    assert p.steps_per_unit == 128 and p.n_steps == 384
+    assert p.n_steps == 384
 
 
 def guard_mask_rows(guard, rng):
@@ -120,9 +133,12 @@ def test_guard_mask_is_the_summed_squares_comparison(guard):
     stepper = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=guard))
     u = guard_mask_rows(guard, np.random.default_rng(5))
     with np.errstate(invalid="ignore", over="ignore"):
-        want = np.sum(u * u, axis=-1) > stepper.guard_sq
-        einsum_only = np.einsum("ij,ij->i", u, u) > stepper.guard_sq
+        sq = np.sum(u * u, axis=-1)
+        want = np.isnan(sq) | np.isinf(sq) | (sq > stepper.guard_sq)
+        einsum_only = ~(np.einsum("ij,ij->i", u, u) <= stepper.guard_sq)
     assert np.array_equal(stepper.blown_up(u), want)
+    # the zero row passes; NaN and infinite rows trip every guard, inf included
+    assert want[-5:].tolist() == [False, True, True, True, True]
     if math.isfinite(guard):
         # single-slot rows at, one ulp below and one ulp above the guard: the
         # first squares to guard_sq exactly and is not blown up
@@ -130,7 +146,7 @@ def test_guard_mask_is_the_summed_squares_comparison(guard):
         # near the guard the einsum's order of summation alone decides otherwise
         assert not np.array_equal(einsum_only, want)
     else:
-        assert not want.any()
+        assert not want[:-4].any()
 
 
 def test_records_that_do_not_fit_in_memory_raise_value_errors():
@@ -146,11 +162,11 @@ def test_pure_decay_matches_semigroup():
     # poly = None and zero noise leaves only the linear flow
     params = quiet_params(n_modes=4, poly=None, dt=1.0 / 64.0, t_final=2.0)
     x = np.linspace(1.0, -1.0, 9)
-    traj = simulate(x, params)
+    ens = run_ensemble(x, params, [0])
     ell = oracles.ell(np.array([0, 1, 1, 2, 2, 3, 3, 4, 4], dtype=float))
-    for i, t in enumerate(traj.times):
-        assert np.allclose(traj.states[i], np.exp(-ell * t) * x, rtol=1e-10)
-    assert not traj.aborted and traj.abort_time is None
+    for i, t in enumerate(ens.times):
+        assert np.allclose(ens.states[0, i], np.exp(-ell * t) * x, rtol=1e-10)
+    assert not ens.aborted[0] and np.isnan(ens.abort_times[0])
 
 
 def test_linear_state_splits_into_decay_plus_convolution():
@@ -159,17 +175,17 @@ def test_linear_state_splits_into_decay_plus_convolution():
     params = SimulationParams(n_modes=8, dt=1.0 / 64.0, t_final=3.0,
                               spectrum=NoiseSpectrum.default(8), poly=None)
     x = np.arange(17, dtype=float) / 7.0
-    traj = simulate(x, params, trajectory_id=5)
+    states, wl = state_and_wl(x, params, 5)
     stepper = ExponentialEulerStepper(params)
-    for i, t in enumerate(traj.times):
+    for i, t in enumerate(integer_times(params.t_final)):
         n = int(round(t / params.dt))
-        assert np.allclose(traj.states[i], stepper.decay**n * x + traj.wl[i],
+        assert np.allclose(states[i], stepper.decay**n * x + wl[i],
                            rtol=1e-12, atol=1e-13)
 
 
 def test_zero_is_a_fixed_point():
-    traj = simulate(zero_field(5), quiet_params(n_modes=5))
-    assert np.all(traj.states == 0.0)
+    ens = run_ensemble(zero_field(5), quiet_params(n_modes=5), [0])
+    assert np.all(ens.states == 0.0)
 
 
 def test_scalar_convergence_is_first_order():
@@ -184,9 +200,9 @@ def test_scalar_convergence_is_first_order():
         params = quiet_params(n_modes=3, dt=h)
         x = np.zeros(7)
         x[0] = y0
-        traj = simulate(x, params)
-        assert np.all(np.abs(traj.states[-1][1:]) < 1e-14)
-        errs.append(abs(traj.states[-1][0] - ref))
+        final = run_ensemble(x, params, [0]).states[0, -1]
+        assert np.all(np.abs(final[1:]) < 1e-14)
+        errs.append(abs(final[0] - ref))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 0.9
     assert errs[0] > errs[1] > errs[2]
@@ -199,14 +215,14 @@ def test_single_step_matches_convolution_oracle():
     n_modes = 4
     coeffs = rng.normal(size=9) / np.arange(1, 10)
     params = quiet_params(n_modes=n_modes, dt=1.0 / 64.0)
-    traj = simulate(coeffs, params, record_dense=True)
+    states = run_ensemble(coeffs, params, [0], every_step(params)).states[0]
     ell = eigenvalues(n_modes)
     h = params.dt
     p_u = oracles.poly_by_convolution([0.0, -1.0, 0.0, 1.0], coeffs)
     n_u = coeffs - p_u
     phi = (1.0 - np.exp(-ell * h)) / ell
     want = np.exp(-ell * h) * coeffs + phi * n_u
-    assert np.allclose(traj.dense_states[1], want, atol=1e-12)
+    assert np.allclose(states[1], want, atol=1e-12)
 
 
 def test_deterministic_multimode_convergence_order():
@@ -214,8 +230,8 @@ def test_deterministic_multimode_convergence_order():
     coeffs = rng.normal(size=9) / np.arange(1, 10) ** 2
     finals = {}
     for denom in (64, 128, 8192):
-        traj = simulate(coeffs, quiet_params(n_modes=4, dt=1.0 / denom))
-        finals[denom] = traj.states[-1]
+        params = quiet_params(n_modes=4, dt=1.0 / denom)
+        finals[denom] = run_ensemble(coeffs, params, [0]).states[0, -1]
     e_coarse = np.max(np.abs(finals[64] - finals[8192]))
     e_fine = np.max(np.abs(finals[128] - finals[8192]))
     assert 1.6 < e_coarse / e_fine < 2.6
@@ -224,13 +240,13 @@ def test_deterministic_multimode_convergence_order():
 def test_remainder_recursion_is_exact_to_rounding():
     params = SimulationParams(n_modes=8, dt=1.0 / 64.0,
                               spectrum=NoiseSpectrum.default(8))
-    traj = simulate(np.ones(17) * 0.3, params, record_dense=True)
-    assert not traj.aborted
+    states, dense_wl = state_and_wl(np.ones(17) * 0.3, params, 0, every_step(params))
+    assert np.all(np.isfinite(states))
     # Psi = Phi - W_L obeys Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L): the noise
     # cancels, so every step's defect is rounding-level
     stepper = ExponentialEulerStepper(params)
-    psi = traj.dense_states - traj.dense_wl
-    wl = traj.dense_wl[:-1]
+    psi = states - dense_wl
+    wl = dense_wl[:-1]
     pred = stepper.decay * psi[:-1] + stepper.phi * stepper.nonlinearity(psi[:-1] + wl)
     residual = float(np.max(np.abs(psi[1:] - pred)))
     assert residual <= 1e-12
@@ -238,27 +254,23 @@ def test_remainder_recursion_is_exact_to_rounding():
     worst = 0.0
     for n in range(len(psi) - 1):
         pred = stepper.decay * psi[n]
-        pred = pred + stepper.phi * stepper.nonlinearity(psi[n] + traj.dense_wl[n])
+        pred = pred + stepper.phi * stepper.nonlinearity(psi[n] + dense_wl[n])
         worst = max(worst, float(np.max(np.abs(psi[n + 1] - pred))))
     assert residual == worst
 
 
 def test_recording_grid_and_state_access():
     params = quiet_params(n_modes=2, t_final=3.0)
-    traj = simulate(np.ones(5), params)
-    assert np.array_equal(traj.times, np.array([0.0, 1.0, 2.0, 3.0]))
-    assert traj.states.shape == (4, 5)
-    f = traj.state_at(2.0)
-    assert isinstance(f, SpectralField)
-    assert np.array_equal(f.coeffs, traj.states[2])
+    ens = run_ensemble(np.ones(5), params, [0])
+    assert np.array_equal(ens.times, np.array([0.0, 1.0, 2.0, 3.0]))
+    assert ens.states.shape == (1, 4, 5)
+    assert np.array_equal(ens.states_at(2.0), ens.states[:, 2])
 
 
 def test_same_stream_reproduces_and_ids_differ():
     params = SimulationParams(n_modes=6, spectrum=NoiseSpectrum.default(6))
     x = np.full(13, 0.1)
-    a = simulate(x, params, trajectory_id=2)
-    b = simulate(x, params, trajectory_id=2)
-    c = simulate(x, params, trajectory_id=3)
+    a, b, c = (run_ensemble(x, params, [j]) for j in (2, 2, 3))
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
 
@@ -267,17 +279,15 @@ def test_blowup_flags_and_stops_the_block(monkeypatch):
     params = quiet_params(n_modes=3)
     x = np.zeros(7)
     x[0] = 1e8
-    traj = simulate(x, params)
-    assert traj.aborted and traj.abort_time == params.dt
-    assert np.all(np.isnan(traj.states[1:])) and np.all(np.isnan(traj.wl[1:]))
-    with pytest.raises(ValueError, match="aborted"):
-        traj.state_at(1.0)
+    states, wl = state_and_wl(x, params, 0)
+    assert np.all(np.isnan(states[1:])) and np.all(np.isnan(wl[1:]))
     steps = []
     step_block = ExponentialEulerStepper.step_block
     monkeypatch.setattr(ExponentialEulerStepper, "step_block",
                         lambda self, *args: steps.append(1) or step_block(self, *args))
     ens = run_ensemble(x, params, traj_ids=[0])
-    assert ens.abort_times[0] == params.dt and ens.abort_norms[0] > params.blowup_guard
+    assert ens.aborted[0] and ens.abort_times[0] == params.dt
+    assert ens.abort_norms[0] > params.blowup_guard
     # the block stops once its only row has aborted, not at step 256
     assert params.n_steps == 256 and len(steps) == 1
 
@@ -288,49 +298,12 @@ def test_relaxation_from_large_initial_norm():
     params = SimulationParams()
     x = scaled_random_field(32, 1e4, 1.0)
     assert np.isclose(norm_gamma(x, 1.0), 1e4, rtol=1e-12)
+    ens = run_ensemble(x, params, range(3))
     for tid in range(3):
-        traj = simulate(x, params, trajectory_id=tid)
-        assert not traj.aborted
-        final = SpectralField(32, traj.states[-1])
+        assert not ens.aborted[tid]
+        final = SpectralField(32, ens.states[tid, -1])
         assert norm_gamma(final, 0.0) < 10.0
         assert norm_gamma(final, 1.0) < 10.0
-
-
-def test_dini_fraction_on_quiet_paths():
-    # without noise the remainder equals the state and the decay inequality
-    # should hold at every step for fitted constants
-    params = quiet_params(n_modes=3, dt=1.0 / 128.0)
-    x = np.zeros(7)
-    x[0] = 10.0
-    traj = simulate(x, params, record_dense=True)
-    c1, c2, c3 = fit_dini_constants(traj)
-    assert min(c1, c2, c3) > 0
-    assert dini_check(traj, c1, c2, c3) == 1.0
-    # the zero path satisfies any positive constants outright
-    flat = simulate(zero_field(3), params, record_dense=True)
-    assert dini_check(flat, 1.0, 1.0, 1.0) == 1.0
-
-
-def test_dini_fraction_on_noisy_default_model():
-    params = SimulationParams(n_modes=8, dt=1.0 / 128.0,
-                              spectrum=NoiseSpectrum.default(8))
-    traj = simulate(np.full(17, 0.2), params, record_dense=True)
-    c1, c2, c3 = fit_dini_constants(traj)
-    assert dini_check(traj, c1, c2, c3) >= 0.99
-
-
-def test_dini_validation_errors():
-    params = quiet_params(n_modes=3)
-    traj = simulate(np.ones(7), params, record_dense=True)
-    with pytest.raises(ValueError, match="positive"):
-        dini_check(traj, 0.0, 1.0, 1.0)
-    plain = simulate(np.ones(7), params)
-    with pytest.raises(ValueError, match="dense"):
-        dini_check(plain, 1.0, 1.0, 1.0)
-    lin = simulate(np.ones(7), quiet_params(n_modes=3, poly=None),
-                   record_dense=True)
-    with pytest.raises(ValueError, match="polynomial"):
-        fit_dini_constants(lin)
 
 
 def test_ode_comparison_unforced_witness():
@@ -394,8 +367,7 @@ def test_ensemble_matches_single_trajectories():
     x = np.full(13, 0.25)
     ens = run_ensemble(x, params, traj_ids=range(5))
     for j in range(5):
-        traj = simulate(x, params, trajectory_id=j)
-        assert np.array_equal(ens.states[j], traj.states)
+        assert np.array_equal(ens.states[j], run_ensemble(x, params, [j]).states[0])
     assert ens.n_traj == 5 and not ens.aborted.any()
     assert np.array_equal(ens.states_at(2.0), ens.states[:, 2, :])
 
@@ -431,8 +403,9 @@ def test_ensemble_is_bitwise_invariant_to_batching():
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
             for threads in (1, 4):
-                other = run_ensemble(x, params, block_size=block_size,
-                                     threads=threads, **kw)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(integrator, "BLOCK_ROWS", block_size)
+                    other = run_ensemble(x, params, threads=threads, **kw)
                 for name in ENSEMBLE_FIELDS:
                     assert np.array_equal(getattr(base, name), getattr(other, name),
                                           equal_nan=True), name
@@ -466,7 +439,8 @@ def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
     with pytest.MonkeyPatch.context() as mp:
         # full blocks draw slabs of slab_len steps; a shorter last block, longer ones
         mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len * workers)
-        other = run_ensemble(x, params, block_size=block_size, threads=threads, **kw)
+        mp.setattr(integrator, "BLOCK_ROWS", block_size)
+        other = run_ensemble(x, params, threads=threads, **kw)
     for name in ENSEMBLE_FIELDS:
         assert np.array_equal(getattr(base, name), getattr(other, name), equal_nan=True), name
     # without drift WILD relaxes; with it every row aborts
@@ -489,9 +463,9 @@ def wl_pin_cases():
     }
 
 
-# sha256 of the little-endian float64 bytes of simulate(...).wl, then of the
-# record_dense run's .wl and .dense_wl, as the block loop wrote them when it
-# advanced W_L next to the state
+# sha256 of the little-endian float64 bytes of W_L at the integer times, then
+# of its integer-time rows and of all its rows recorded at every step, as the
+# block loop wrote them when it advanced W_L next to the state
 PINNED_WL_SHA256 = {
     "cubic": "3f748dc1e519e2310d240de2268eb6a233aef7c1b57b178fbb92d37d8152076d",
     "ou": "a8ce69f723451b4d76f7102c083f4aa3a289584643035f083ed401f0fcd8ddd3",
@@ -504,14 +478,14 @@ PINNED_WL_SHA256 = {
 @pytest.mark.parametrize("case", sorted(PINNED_WL_SHA256))
 def test_convolution_records_are_pinned(case):
     params, x, tid = wl_pin_cases()[case]
-    plain = simulate(x, params, trajectory_id=tid)
-    dense = simulate(x, params, trajectory_id=tid, record_dense=True)
+    wl = state_and_wl(x, params, tid)[1]
+    dense_states, dense_wl = state_and_wl(x, params, tid, every_step(params))
     digest = hashlib.sha256()
-    for a in (plain.wl, dense.wl, dense.dense_wl):
+    for a in (wl, dense_wl[:: round(1.0 / params.dt)], dense_wl):
         digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     # W_L is NaN exactly where the state is: from the abort on for WILD only
-    nan_rows = np.isnan(dense.dense_wl).any(axis=1)
-    assert np.array_equal(nan_rows, np.isnan(dense.dense_states).any(axis=1))
+    nan_rows = np.isnan(dense_wl).any(axis=1)
+    assert np.array_equal(nan_rows, np.isnan(dense_states).any(axis=1))
     assert nan_rows.sum() == (61 if case == "wild" else 0)
     assert digest.hexdigest() == PINNED_WL_SHA256[case]
 
@@ -527,7 +501,9 @@ def test_run_ensemble_clamps_worker_threads(monkeypatch):
     monkeypatch.setattr(integrator, "ThreadPoolExecutor", Recording)
     params = quiet_params(n_modes=3)
     x = np.full(7, 0.5)
-    ens = run_ensemble(x, params, traj_ids=range(3), block_size=1, threads=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "BLOCK_ROWS", 1)
+        ens = run_ensemble(x, params, traj_ids=range(3), threads=8)
     # no more threads than blocks or usable cores
     want = min(3, len(os.sched_getaffinity(0)))
     assert workers == [want]
@@ -556,10 +532,11 @@ def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
     row_step_bytes = 8 * CALM.size
     budget = row_step_bytes * rows * 12  # one worker: full blocks draw 12 of 64 steps
     monkeypatch.setattr(integrator, "_SLAB_BYTES", budget)
+    monkeypatch.setattr(integrator, "BLOCK_ROWS", rows)
     base = None
     for threads in (1, 2, 4):
         calls.clear()
-        ens = run_ensemble(CALM, SMALL, range(n_traj), block_size=rows, threads=threads)
+        ens = run_ensemble(CALM, SMALL, range(n_traj), threads=threads)
         workers = min(integrator.ensemble_workers(threads), n_blocks)
         first = {}
         drawn = dict.fromkeys(range(n_traj), 0)

@@ -249,11 +249,6 @@ def test_fit_rate_exact_exponential():
     assert np.isclose(fit.lam, 0.5, atol=1e-10)
     assert np.isclose(fit.intercept, 3.0, rtol=1e-10)
     assert fit.ci_low <= 0.5 <= fit.ci_high
-    # floor = None estimates the floor from the smallest distance and still
-    # recovers the rate from the early window
-    auto = fit_rate(times, d)
-    assert auto.identifiable and np.isclose(auto.lam, 0.5, atol=1e-10)
-    assert auto.floor == 1.25 * d.min()
 
 
 def test_fit_rate_with_noise_floor():
@@ -268,16 +263,17 @@ def test_fit_rate_with_noise_floor():
 
 def test_fit_rate_unidentifiable_and_errors():
     times = np.arange(1.0, 7.0)
-    flat = fit_rate(times, np.full(6, 0.5))
-    assert not flat.identifiable
+    # a floor at the level of constant distances leaves no point in the window
+    flat = fit_rate(times, np.full(6, 0.5), floor=0.5)
+    assert not flat.identifiable and flat.n_used == 0
     assert math.isnan(flat.lam) and "not identifiable" in flat.message
-    assert flat.floor == 1.25 * 0.5
+    assert flat.floor == 0.5
     with pytest.raises(ValueError, match="at least 4"):
-        fit_rate([1.0, 2.0, 3.0], [1.0, 0.5, 0.25])
+        fit_rate([1.0, 2.0, 3.0], [1.0, 0.5, 0.25], floor=0.0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        fit_rate(times, [1.0, 0.5, -0.1, 0.2, 0.1, 0.05])
+        fit_rate(times, [1.0, 0.5, -0.1, 0.2, 0.1, 0.05], floor=0.0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        fit_rate(times, [1.0, 0.5, np.nan, 0.2, 0.1, 0.05])
+        fit_rate(times, [1.0, 0.5, np.nan, 0.2, 0.1, 0.05], floor=0.0)
 
 
 def test_moment_bound_zero_noise_fixed_point():
