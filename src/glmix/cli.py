@@ -141,16 +141,10 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         return 2
     kernel = read_kernel(cfg.doeblin_kernel)
     mu0 = WeightedMeasure(
-        np.full(kernel.n, 1.0 / kernel.n)
-        if cfg.doeblin_mu0 == "uniform"
-        else np.array([float(tok) for tok in cfg.doeblin_mu0.split()])
+        np.full(kernel.n, 1.0 / kernel.n) if cfg.doeblin_mu0 is None else cfg.doeblin_mu0
     )
     search_weights(kernel, mu0)  # before any certificate is printed or written
-    k_set = (
-        list(range(kernel.n))
-        if cfg.doeblin_K == "all"
-        else [int(tok) for tok in cfg.doeblin_K.split()]
-    )
+    k_set = list(range(kernel.n)) if cfg.doeblin_K is None else cfg.doeblin_K
     failures = []
     cert = minorization(kernel, k_set, cfg.doeblin_m)
     if cert is None:

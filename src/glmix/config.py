@@ -8,17 +8,13 @@ every default, and resolved_lines() renders it back in canonical form (repr
 floats, fixed key order), so the header block a run writes into its outputs
 is sufficient to regenerate the run exactly.
 
-Sections and keys:
-
-  [model]    n_modes, dt, t_final, poly (coefficients p_0..p_q or 'none'),
-             alpha, beta, c1, c2, k_star, seed, blowup_guard, and per-mode
-             amplitude overrides q0, q1, ...
-  [ensemble] ic1, ic2, ... (each 'zero', 'scaled-random:R', or an explicit
-             coefficient list), n_traj, gamma, p, times, n_boot
-  [doeblin]  kernel (path; RunConfig.anchor_paths, which the CLI calls,
-             resolves a relative one against the config file's directory),
-             K ('all' or index list), m, mu0 ('uniform' or a weight list)
-  [odecheck] qs, cs, y0s, ts
+The sections, their plain keys, and how each value is read and written
+back are the rows of _SECTIONS.  Two keys follow a pattern: q<k> in [model]
+overrides the noise amplitude of mode k (0 <= k <= n_modes), and ic<k> in
+[ensemble] is a start: 'zero', 'scaled-random:R', or an explicit list of
+2 n_modes + 1 coefficients.  RunConfig.anchor_paths, which the CLI calls,
+resolves a relative [doeblin] kernel path against the config file's
+directory.
 
 The 'scaled-random:R' preset is the fixed pseudo-random direction scaled to
 norm R in the gamma = 1 topology; it does not depend on the run seed.
@@ -103,43 +99,92 @@ def _parse_list(kind, value: str, lineno, key: str) -> list:
     return [_parse_scalar(kind, tok, lineno, key) for tok in toks]
 
 
-class _Block:
-    """Typed view over one section with unknown-key detection."""
+def _row(kind, many=False, word=None, check=None):
+    """(reader, writer) of an int or float, or of a nonempty list of them if
+    many; word, if given, stands for None.  check(values, lineno, key) vets
+    what was read, raising ConfigError."""
+    fmt = str if kind is int else fmt_float
 
-    def __init__(self, name: str, sections: dict[str, _Section], known, patterns=()):
-        self.name = name
-        self.section = sections.get(name)
-        if self.section is not None:
-            for key, (_, lineno) in self.section.entries.items():
-                if key in known or any(re.fullmatch(p, key) for p in patterns):
-                    continue
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
-
-    def raw(self, key: str):
-        if self.section is None:
+    def read(value, lineno, key):
+        if value == word:
             return None
-        return self.section.entries.get(key)
+        out = (_parse_list if many else _parse_scalar)(kind, value, lineno, key)
+        if check is not None:
+            check(out if many else [out], lineno, key)
+        return out
 
-    def scalar(self, key: str, kind, default):
-        item = self.raw(key)
-        if item is None:
-            return default
-        return _parse_scalar(kind, item[0], item[1], key)
+    def write(value):
+        if value is None:
+            return word
+        return " ".join(map(fmt, value)) if many else fmt(value)
 
-    def list(self, key: str, kind, default):
-        item = self.raw(key)
-        if item is None:
-            return default
-        return _parse_list(kind, item[0], item[1], key)
+    return read, write
 
-    def text(self, key: str, default):
-        item = self.raw(key)
-        return default if item is None else item[0]
+
+def _finite(values, lineno, key):
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"line {lineno}: {key} must be finite")
+
+
+def _at_least(least):
+    def check(values, lineno, key):
+        if values[0] < least:
+            raise ConfigError(f"line {lineno}: {key} must be at least {least}")
+    return check
+
+
+def _weights(values, lineno, key):
+    if not all(0 <= w < math.inf for w in values):  # NaN included
+        raise ConfigError(f"line {lineno}: key {key!r} lists a weight that is "
+                          "not finite and nonnegative")
+
+
+# Every plain key: section -> (RunConfig attribute prefix, {key: (reader,
+# writer)}), in header order.  A reader takes (value text, line number, key)
+# and returns the value or raises ConfigError naming the line; a writer turns
+# the value into its canonical text.  q<k> and ic<k> need n_modes, so
+# resolve_config reads them after every row; the header has them after the
+# [model] rows and before the [ensemble] rows.
+_SECTIONS = {
+    "model": ("", {
+        "n_modes": _row(int),
+        "dt": _row(float),
+        "t_final": _row(float),
+        "poly": _row(float, many=True, word="none"),
+        "alpha": _row(float),
+        "beta": _row(float),
+        "c1": _row(float),
+        "c2": _row(float),
+        "k_star": _row(int),
+        "seed": _row(int),
+        "blowup_guard": _row(float),
+    }),
+    "ensemble": ("", {
+        "n_traj": _row(int, check=_at_least(1)),
+        "gamma": _row(float, check=_finite),
+        "p": _row(float, check=_finite),
+        "times": _row(float, many=True, check=_finite),  # written from resolved_times()
+        "n_boot": _row(int, check=_at_least(0)),
+    }),
+    "doeblin": ("doeblin_", {
+        "kernel": (lambda value, lineno, key: value, str),
+        "K": _row(int, many=True, word="all"),
+        "m": _row(int),
+        "mu0": _row(float, many=True, word="uniform", check=_weights),
+    }),
+    "odecheck": ("ode_", {
+        "qs": _row(int, many=True),
+        "cs": _row(float, many=True, check=_finite),
+        "y0s": _row(float, many=True, check=_finite),
+        "ts": _row(float, many=True, check=_finite),
+    }),
+}
+_PATTERN_KEYS = {"model": re.compile(r"q(\d+)"), "ensemble": re.compile(r"ic(\d+)")}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings; see the module docstring for the keys."""
+    """Fully resolved run settings; _SECTIONS names the key of each field."""
 
     # model
     n_modes: int = 32
@@ -163,9 +208,9 @@ class RunConfig:
     n_boot: int = 200
     # doeblin (optional)
     doeblin_kernel: str | None = None
-    doeblin_K: str = "all"
+    doeblin_K: list | None = None  # None: all states
     doeblin_m: int = 1
-    doeblin_mu0: str = "uniform"
+    doeblin_mu0: list | None = None  # None: uniform
     # odecheck
     ode_qs: list = dataclass_field(default_factory=lambda: [3, 5, 7])
     ode_cs: list = dataclass_field(default_factory=lambda: [1.0])
@@ -185,8 +230,6 @@ class RunConfig:
         )
         q = spectrum.q.copy()
         for kk, val in self.q_overrides.items():
-            if not 0 <= kk <= self.n_modes:
-                raise ConfigError(f"q{kk} override is outside 0..n_modes")
             q[kk] = val
         return dataclasses.replace(spectrum, q=q)
 
@@ -214,48 +257,20 @@ class RunConfig:
 
     def resolved_lines(self) -> list[str]:
         """Canonical config text, one entry per line, sections separated."""
-        lines = [
-            "[model]",
-            f"n_modes = {self.n_modes}",
-            f"dt = {fmt_float(self.dt)}",
-            f"t_final = {fmt_float(self.t_final)}",
-            "poly = " + ("none" if self.poly is None else " ".join(fmt_float(c) for c in self.poly)),
-            f"alpha = {fmt_float(self.alpha)}",
-            f"beta = {fmt_float(self.beta)}",
-            f"c1 = {fmt_float(self.c1)}",
-            f"c2 = {fmt_float(self.c2)}",
-            f"k_star = {self.k_star}",
-            f"seed = {self.seed}",
-            f"blowup_guard = {fmt_float(self.blowup_guard)}",
-        ]
-        lines += [f"q{k} = {fmt_float(v)}" for k, v in sorted(self.q_overrides.items())]
-        lines += ["", "[ensemble]"]
-        lines += [f"ic{j + 1} = {spec}" for j, spec in enumerate(self.ics)]
-        lines += [
-            f"n_traj = {self.n_traj}",
-            f"gamma = {fmt_float(self.gamma)}",
-            f"p = {fmt_float(self.p)}",
-            "times = " + " ".join(fmt_float(t) for t in self.resolved_times()),
-            f"n_boot = {self.n_boot}",
-        ]
-        if self.doeblin_kernel is not None:
-            lines += [
-                "",
-                "[doeblin]",
-                f"kernel = {self.doeblin_kernel}",
-                f"K = {self.doeblin_K}",
-                f"m = {self.doeblin_m}",
-                f"mu0 = {self.doeblin_mu0}",
-            ]
-        lines += [
-            "",
-            "[odecheck]",
-            "qs = " + " ".join(str(q) for q in self.ode_qs),
-            "cs = " + " ".join(fmt_float(c) for c in self.ode_cs),
-            "y0s = " + " ".join(fmt_float(y) for y in self.ode_y0s),
-            "ts = " + " ".join(fmt_float(t) for t in self.ode_ts),
-        ]
-        return lines
+        lines = []
+        for name, (prefix, rows) in _SECTIONS.items():
+            if name == "doeblin" and self.doeblin_kernel is None:
+                continue
+            body = []
+            for key, (_, write) in rows.items():
+                value = self.resolved_times() if key == "times" else getattr(self, prefix + key)
+                body.append(f"{key} = {write(value)}")
+            if name == "model":
+                body += [f"q{k} = {fmt_float(v)}" for k, v in sorted(self.q_overrides.items())]
+            if name == "ensemble":
+                body[:0] = [f"ic{j + 1} = {spec}" for j, spec in enumerate(self.ics)]
+            lines += ["", f"[{name}]", *body]
+        return lines[1:]
 
 
 def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
@@ -278,103 +293,38 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
     return " ".join(fmt_float(c) for c in coeffs)
 
 
-def _canonical_mu0(value: str, lineno: int) -> str:
-    if value == "uniform":
-        return "uniform"
-    weights = _parse_list(float, value, lineno, "mu0")
-    if not all(0 <= w < math.inf for w in weights):  # NaN included
-        raise ConfigError(f"line {lineno}: key 'mu0' lists a weight that is "
-                          "not finite and nonnegative")
-    return " ".join(fmt_float(w) for w in weights)
-
-
-def _canonical_K(value: str, lineno: int) -> str:
-    if value == "all":
-        return "all"
-    return " ".join(str(k) for k in _parse_list(int, value, lineno, "K"))
-
-
 def resolve_config(text: str) -> RunConfig:
     """Parse and fully resolve a configuration, applying every default."""
     sections = parse_config_text(text)
-    known_sections = {"model", "ensemble", "doeblin", "odecheck"}
     for name, sec in sections.items():
-        if name not in known_sections:
+        if name not in _SECTIONS:
             raise ConfigError(f"line {sec.lineno}: unknown section [{name}]")
 
-    defaults = RunConfig()
-    model = _Block("model", sections, {
-        "n_modes", "dt", "t_final", "poly", "alpha", "beta", "c1", "c2",
-        "k_star", "seed", "blowup_guard",
-    }, patterns=(r"q\d+",))
-    cfg = RunConfig(
-        n_modes=model.scalar("n_modes", int, defaults.n_modes),
-        dt=model.scalar("dt", float, defaults.dt),
-        t_final=model.scalar("t_final", float, defaults.t_final),
-        alpha=model.scalar("alpha", float, defaults.alpha),
-        beta=model.scalar("beta", float, defaults.beta),
-        c1=model.scalar("c1", float, defaults.c1),
-        c2=model.scalar("c2", float, defaults.c2),
-        k_star=model.scalar("k_star", int, defaults.k_star),
-        seed=model.scalar("seed", int, defaults.seed),
-        blowup_guard=model.scalar("blowup_guard", float, defaults.blowup_guard),
-    )
-    poly_raw = model.raw("poly")
-    if poly_raw is not None:
-        value, lineno = poly_raw
-        cfg.poly = None if value == "none" else _parse_list(float, value, lineno, "poly")
-    if model.section is not None:
-        for key, (value, lineno) in model.section.entries.items():
-            mm = re.fullmatch(r"q(\d+)", key)
-            if mm:
-                cfg.q_overrides[int(mm.group(1))] = _parse_scalar(float, value, lineno, key)
+    cfg = RunConfig()
+    indexed = {name: [] for name in _PATTERN_KEYS}  # (k, value, line, key) of q<k>, ic<k>
+    for name, (prefix, rows) in _SECTIONS.items():
+        sec = sections.get(name)
+        if sec is None:
+            continue
+        for key, (value, lineno) in sec.entries.items():
+            if key in rows:
+                setattr(cfg, prefix + key, rows[key][0](value, lineno, key))
+                continue
+            mm = name in _PATTERN_KEYS and _PATTERN_KEYS[name].fullmatch(key)
+            if not mm:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+            indexed[name].append((int(mm.group(1)), value, lineno, key))
+        if name == "doeblin" and "kernel" not in sec.entries:
+            raise ConfigError(f"line {sec.lineno}: [doeblin] requires a kernel path")
 
-    ensemble = _Block("ensemble", sections, {"n_traj", "gamma", "p", "times", "n_boot"},
-                      patterns=(r"ic\d+",))
-    cfg.n_traj = ensemble.scalar("n_traj", int, defaults.n_traj)
-    cfg.gamma = ensemble.scalar("gamma", float, defaults.gamma)
-    cfg.p = ensemble.scalar("p", float, defaults.p)
-    cfg.times = ensemble.list("times", float, [])
-    cfg.n_boot = ensemble.scalar("n_boot", int, defaults.n_boot)
-    ic_items = []
-    if ensemble.section is not None:
-        for key, (value, lineno) in ensemble.section.entries.items():
-            mm = re.fullmatch(r"ic(\d+)", key)
-            if mm:
-                ic_items.append((int(mm.group(1)), value, lineno, key))
-    if ic_items:
+    for k, value, lineno, key in indexed["model"]:
+        cfg.q_overrides[k] = _parse_scalar(float, value, lineno, key)
+        if k > cfg.n_modes:
+            raise ConfigError(f"line {lineno}: {key} override is outside 0..n_modes "
+                              f"= {cfg.n_modes}")
+    if indexed["ensemble"]:
         cfg.ics = [
             _canonical_ic(value, lineno, key, cfg.n_modes)
-            for _, value, lineno, key in sorted(ic_items)
+            for _, value, lineno, key in sorted(indexed["ensemble"])
         ]
-
-    doeblin = _Block("doeblin", sections, {"kernel", "K", "m", "mu0"})
-    if doeblin.section is not None:
-        kernel = doeblin.raw("kernel")
-        if kernel is None:
-            raise ConfigError(
-                f"line {doeblin.section.lineno}: [doeblin] requires a kernel path"
-            )
-        cfg.doeblin_kernel = kernel[0]
-        k_raw = doeblin.raw("K")
-        cfg.doeblin_K = "all" if k_raw is None else _canonical_K(k_raw[0], k_raw[1])
-        cfg.doeblin_m = doeblin.scalar("m", int, 1)
-        mu_raw = doeblin.raw("mu0")
-        cfg.doeblin_mu0 = "uniform" if mu_raw is None else _canonical_mu0(mu_raw[0], mu_raw[1])
-
-    ode = _Block("odecheck", sections, {"qs", "cs", "y0s", "ts"})
-    cfg.ode_qs = ode.list("qs", int, defaults.ode_qs)
-    cfg.ode_cs = ode.list("cs", float, defaults.ode_cs)
-    cfg.ode_y0s = ode.list("y0s", float, defaults.ode_y0s)
-    cfg.ode_ts = ode.list("ts", float, defaults.ode_ts)
-
-    for key, least in (("n_traj", 1), ("n_boot", 0)):  # the defaults pass
-        if getattr(cfg, key) < least:
-            raise ConfigError(f"line {ensemble.raw(key)[1]}: {key} must be at least {least}")
-    for block, key, values in (  # the defaults pass
-        (ensemble, "gamma", [cfg.gamma]), (ensemble, "p", [cfg.p]), (ensemble, "times", cfg.times),
-        (ode, "cs", cfg.ode_cs), (ode, "y0s", cfg.ode_y0s), (ode, "ts", cfg.ode_ts),
-    ):
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"line {block.raw(key)[1]}: {key} must be finite")
     return cfg

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
+from .field import fmt_float
+
 __all__ = [
     "FiniteKernel",
     "WeightedMeasure",
@@ -58,7 +60,7 @@ def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
     rows_hit = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
     if rows_hit.size:
         i = int(rows_hit[0])
-        return i, f"row {i} sums to {float(sums[i])!r}, not 1 within 1e-12"
+        return i, f"row {i} sums to {fmt_float(sums[i])}, not 1 within 1e-12"
     return None
 
 
@@ -166,7 +168,7 @@ class SmallSetCertificate:
             i, j = np.unravel_index(np.argmin(gap), gap.shape)
             raise ValueError(
                 f"minorization fails at x = {k[i]}, y = {j}: "
-                f"P^{self.m}(x,y) = {pm[k[i], j]!r} < delta nu(y) = {floor[j]!r}"
+                f"P^{self.m}(x,y) = {fmt_float(pm[k[i], j])} < delta nu(y) = {fmt_float(floor[j])}"
             )
         if self.delta_prime is not None:
             hit = kernel.rows[:, list(k)].sum(axis=1)
@@ -174,7 +176,7 @@ class SmallSetCertificate:
                 x = int(np.argmin(hit))
                 raise ValueError(
                     f"return probability fails at x = {x}: "
-                    f"P(x,K) = {hit[x]!r} < delta_prime = {self.delta_prime!r}"
+                    f"P(x,K) = {fmt_float(hit[x])} < delta_prime = {fmt_float(self.delta_prime)}"
                 )
 
 
@@ -238,7 +240,7 @@ def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
         x, y = np.unravel_index(np.argmin(gap), gap.shape)
         raise ValueError(
             f"two-step floor fails at x = {x}, y = {y}: "
-            f"P^2(x,y) = {p2[x, y]!r} < {floor[y]!r}"
+            f"P^2(x,y) = {fmt_float(p2[x, y])} < {fmt_float(floor[y])}"
         )
 
     worst = 0.0
@@ -256,12 +258,14 @@ def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
     beats = np.flatnonzero(ratios > worst + _TOL)
     if beats.size:
         raise ValueError(
-            f"random pair beats Dirac pairs: ratio {float(ratios[beats[0]])!r} > {worst!r}"
+            f"random pair beats Dirac pairs: ratio {fmt_float(ratios[beats[0]])} > "
+            f"{fmt_float(worst)}"
         )
 
     if worst > 1.0 - eps + _TOL:
         raise ValueError(
-            f"contraction factor {worst!r} exceeds 1 - delta delta_prime = {1.0 - eps!r}"
+            f"contraction factor {fmt_float(worst)} exceeds "
+            f"1 - delta delta_prime = {fmt_float(1.0 - eps)}"
         )
     return worst
 
@@ -287,7 +291,7 @@ def invariant_measure(kernel: FiniteKernel) -> WeightedMeasure:
     mu = mu / mu.sum()
     residual = float(np.max(np.abs(mu @ kernel.rows - mu)))
     if residual > _TOL or np.any(mu < 0.0):
-        raise RuntimeError(f"stationary solve residual {residual!r} too large")
+        raise RuntimeError(f"stationary solve residual {fmt_float(residual)} too large")
     return WeightedMeasure(mu)
 
 
@@ -316,7 +320,7 @@ def geometric_bound_check(
         bound = 2.0 * (1.0 - eps) ** (k // 2)
         worst = max(worst, float(dists.max() - bound))
     if worst > 1e-9:
-        raise ValueError(f"geometric bound violated by {worst!r}")
+        raise ValueError(f"geometric bound violated by {fmt_float(worst)}")
     return worst
 
 
@@ -438,7 +442,7 @@ def small_set_search(
     dens_min = float(p2[np.ix_(d_states, e_states)].min())
     if dens_min < v_mass / 8.0 - _TOL:
         raise AssertionError(
-            f"two-step density minimum {dens_min!r} under the provable bound"
+            f"two-step density minimum {fmt_float(dens_min)} under the provable bound"
         )
     nu_w = np.zeros(kernel.n)
     nu_w[e_states] = mu[e_states] / e_mass
@@ -521,7 +525,7 @@ def write_kernel(path, kernel: FiniteKernel) -> None:
     """Write a kernel as plain text: first line n, then n rows of n decimals."""
     lines = [str(kernel.n)]
     for row in kernel.rows:
-        lines.append(" ".join(repr(float(x)) for x in row))
+        lines.append(" ".join(fmt_float(x) for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -572,11 +576,11 @@ def certificate_text(cert: SmallSetCertificate) -> str:
     lines = [
         "K = " + " ".join(str(x) for x in cert.K),
         f"m = {cert.m}",
-        f"delta = {cert.delta!r}",
-        "nu = " + " ".join(repr(float(w)) for w in cert.nu.weights),
+        f"delta = {fmt_float(cert.delta)}",
+        "nu = " + " ".join(fmt_float(w) for w in cert.nu.weights),
     ]
     if cert.delta_prime is not None:
-        lines.append(f"delta_prime = {cert.delta_prime!r}")
+        lines.append(f"delta_prime = {fmt_float(cert.delta_prime)}")
     return "\n".join(lines) + "\n"
 
 

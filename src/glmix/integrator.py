@@ -244,7 +244,6 @@ class EnsembleResult:
     states: np.ndarray  # (n_traj, n_times, slots), NaN at and after abort
     aborted: np.ndarray  # (n_traj,) bool
     abort_times: np.ndarray
-    abort_norms: np.ndarray  # (n_traj,) norm at the abort (inf or NaN if it diverged), NaN if none
 
     @property
     def n_traj(self) -> int:
@@ -307,7 +306,6 @@ def _run_block(
     u = np.tile(x, (n, 1))
     alive = np.ones(n, dtype=bool)
     abort_t = np.full(n, np.nan)
-    abort_norm = np.full(n, np.nan)
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
     n_steps = params.n_steps
@@ -330,8 +328,6 @@ def _run_block(
             blown = stepper.blown_up(u) & alive
             if blown.any():
                 abort_t[blown] = step_no * params.dt
-                hit = u[blown]
-                abort_norm[blown] = np.sqrt(np.sum(hit * hit, axis=-1))
                 u[blown] = np.nan
                 alive &= ~blown
             if step_no in rec_steps:
@@ -341,7 +337,6 @@ def _run_block(
 
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t
-    out.abort_norms[rows] = abort_norm
 
 
 def run_ensemble(
@@ -394,7 +389,6 @@ def run_ensemble(
         states=states,
         aborted=np.zeros(ids.size, dtype=bool),
         abort_times=np.full(ids.size, np.nan),
-        abort_norms=np.full(ids.size, np.nan),
     )
 
     blocks = [
@@ -546,9 +540,15 @@ def write_trajectory_csv(
             states = ens.states[lo : lo + group]
             finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
             u = states[finite]  # finite rows, trajectory-major like the file
-            with np.errstate(over="ignore"):  # a start near float max has inf norms
+            with np.errstate(over="ignore"):  # a norm beyond float max is inf
                 norm_0 = np.sqrt(np.sum(u * u, axis=-1))
                 norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
+                over = np.isinf(norm_0) | np.isinf(norm_gamma)
+                if over.any():  # a sum overflowed: redo it scaled by the row's largest |c|
+                    scale = np.abs(u[over]).max(axis=-1)
+                    w = u[over] / scale[:, None]
+                    norm_0[over] = scale * np.sqrt(np.sum(w * w, axis=-1))
+                    norm_gamma[over] = scale * np.sqrt(np.sum(weights * w * w, axis=-1))
                 norm_sup = sup_norm_values(u, n_modes)
             tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
             ts = np.broadcast_to(times, finite.shape)

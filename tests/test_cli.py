@@ -288,21 +288,27 @@ def test_simulate_memory_does_not_grow_with_n_traj(tmp_path, capsys):
     assert abs(large - small) <= 0.1 * max(large, small)
 
 
-def test_simulate_output_regenerates_from_recorded_header(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SIMULATE_CFG)
-    out1 = tmp_path / "first"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
+DEMO_CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
+# the README quick-start config of each subcommand
+DEMO_CONFIG_OF = {"simulate": "simulate_small", "moments": "moments_uniform",
+                  "mixing": "mixing_small", "doeblin": "doeblin_two_state",
+                  "odecheck": "odecheck_grid"}
 
-    head = header_lines(out1 / "trajectories.csv")
-    assert head[0].startswith("glmix ")
+
+@pytest.mark.parametrize("sub", DEMO_CONFIG_OF)
+def test_output_regenerates_from_recorded_header(tmp_path, capsys, sub):
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    cfg = DEMO_CONFIGS / f"{DEMO_CONFIG_OF[sub]}.cfg"
+    rc = main([sub, "--config", str(cfg), "--out", str(out1)])
+    files = sorted(p.name for p in out1.iterdir())
+    head = header_lines(out1 / files[0])
+    assert head[0] == f"glmix {sub}"
     recovered = write_cfg(tmp_path, "\n".join(head[1:]) + "\n", name="recovered.cfg")
-    out2 = tmp_path / "second"
-    assert main(["simulate", "--config", str(recovered), "--out", str(out2)]) == 0
+    assert main([sub, "--config", str(recovered), "--out", str(out2)]) == rc
     capsys.readouterr()
-
-    assert (out2 / "trajectories.csv").read_bytes() == (
-        out1 / "trajectories.csv"
-    ).read_bytes()
+    assert sorted(p.name for p in out2.iterdir()) == files
+    for f in files:
+        assert (out2 / f).read_bytes() == (out1 / f).read_bytes(), f
 
 
 def test_simulate_reports_aborted_trajectories(tmp_path, capsys):
@@ -343,6 +349,19 @@ def test_simulate_reports_rows_that_diverge_within_a_step(tmp_path, capsys, mode
               if line.startswith("trajectory = ")}
     rows = [r.split(",") for r in body_lines(out / "trajectories.csv")[1:]]
     assert listed == {int(r[0]) for r in rows if r[5] == "1"} == {0, 1}
+
+
+def test_simulate_writes_finite_norms_for_a_start_whose_squares_overflow(tmp_path, capsys):
+    # each coefficient is finite but its square is not, so the t = 0 row read
+    # inf norms; the scaled-random start has norm_gamma 1e200 by construction
+    cfg = write_cfg(tmp_path, "[model]\nn_modes = 4\n\n[ensemble]\nic1 = scaled-random:1e200\n"
+                              "n_traj = 1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    row = body_lines(tmp_path / "trajectories.csv")[1].split(",")
+    assert row[:2] == ["0", "0.0"] and row[5] == "0"
+    assert all(math.isfinite(float(v)) for v in row[2:5])
+    assert math.isclose(float(row[3]), 1e200, rel_tol=1e-12)
 
 
 def test_noise_that_overflows_a_step_exits_two_without_a_warning(tmp_path, capsys):
@@ -489,6 +508,16 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
     assert rc == 2
     assert "error = config" in text
     assert "line 2: expected 'key = value', got 'n_modes'" in text
+    # an override past n_modes: doeblin and odecheck once wrote it into their
+    # headers, and simulate named no line
+    cfg = write_cfg(tmp_path, "[model]\nn_modes = 8\nq80 = 0.5\n"
+                              f"[doeblin]\nkernel = {KERNEL_FILE}\n")
+    for sub in ("simulate", "doeblin", "odecheck"):
+        rc = main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)])
+        assert rc == 2 and not (tmp_path / sub).exists()
+        assert capsys.readouterr().out == (
+            "error = config\nline 3: q80 override is outside 0..n_modes = 8\n"
+        )
 
 
 def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):

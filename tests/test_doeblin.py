@@ -105,6 +105,21 @@ def test_certificate_validate_rejects_false_claims():
         short.validate(kernel)
 
 
+def test_validate_messages_print_plain_floats():
+    kernel = FiniteKernel([[0.5, 0.5], [0.1, 0.9]])
+    bad = SmallSetCertificate(K=(0, 1), m=1, delta=1.0, nu=WeightedMeasure([0.5, 0.5]))
+    with pytest.raises(ValueError) as err:
+        bad.validate(kernel)
+    assert str(err.value) == (
+        "minorization fails at x = 1, y = 0: P^1(x,y) = 0.1 < delta nu(y) = 0.5"
+    )
+    overclaim = SmallSetCertificate(K=(1,), m=1, delta=0.1, nu=WeightedMeasure([1.0, 0.0]),
+                                    delta_prime=0.95)
+    with pytest.raises(ValueError) as err:
+        overclaim.validate(kernel)
+    assert str(err.value) == "return probability fails at x = 0: P(x,K) = 0.5 < delta_prime = 0.95"
+
+
 def test_minorization_worked_example():
     kernel = FiniteKernel(WORKED)
     cert = minorization(kernel, k=(0, 1), m=1)
