@@ -12,9 +12,9 @@ The sections, their plain keys, and how each value is read and written
 back are the rows of _SECTIONS.  Two keys follow a pattern: q<k> in [model]
 overrides the noise amplitude of mode k (0 <= k <= n_modes), and ic<k> in
 [ensemble] is a start: 'zero', 'scaled-random:R', or an explicit list of
-2 n_modes + 1 coefficients.  RunConfig.anchor_paths, which the CLI calls,
-resolves a relative [doeblin] kernel path against the config file's
-directory.
+2 n_modes + 1 coefficients.  Each index appears once (q1 and q01 clash).
+RunConfig.anchor_paths, which the CLI calls, resolves a relative [doeblin]
+kernel path against the config file's directory.
 
 The 'scaled-random:R' preset is the fixed pseudo-random direction scaled to
 norm R in the gamma = 1 topology; it does not depend on the run seed.
@@ -128,9 +128,15 @@ def _finite(values, lineno, key):
 
 def _at_least(least):
     def check(values, lineno, key):
-        if values[0] < least:
+        if min(values) < least:
             raise ConfigError(f"line {lineno}: {key} must be at least {least}")
     return check
+
+
+def _path(value, lineno, key):
+    if not value:
+        raise ConfigError(f"line {lineno}: key {key!r} expects a path")
+    return value
 
 
 def _weights(values, lineno, key):
@@ -167,9 +173,9 @@ _SECTIONS = {
         "n_boot": _row(int, check=_at_least(0)),
     }),
     "doeblin": ("doeblin_", {
-        "kernel": (lambda value, lineno, key: value, str),
-        "K": _row(int, many=True, word="all"),
-        "m": _row(int),
+        "kernel": (_path, str),
+        "K": _row(int, many=True, word="all", check=_at_least(0)),
+        "m": _row(int, check=_at_least(1)),
         "mu0": _row(float, many=True, word="uniform", check=_weights),
     }),
     "odecheck": ("ode_", {
@@ -301,7 +307,7 @@ def resolve_config(text: str) -> RunConfig:
             raise ConfigError(f"line {sec.lineno}: unknown section [{name}]")
 
     cfg = RunConfig()
-    indexed = {name: [] for name in _PATTERN_KEYS}  # (k, value, line, key) of q<k>, ic<k>
+    indexed = {name: {} for name in _PATTERN_KEYS}  # k -> (value, line, key) of q<k>, ic<k>
     for name, (prefix, rows) in _SECTIONS.items():
         sec = sections.get(name)
         if sec is None:
@@ -313,11 +319,16 @@ def resolve_config(text: str) -> RunConfig:
             mm = name in _PATTERN_KEYS and _PATTERN_KEYS[name].fullmatch(key)
             if not mm:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
-            indexed[name].append((int(mm.group(1)), value, lineno, key))
+            k = int(mm.group(1))
+            if k in indexed[name]:
+                _, first, other = indexed[name][k]
+                raise ConfigError(f"line {lineno}: key {key!r} repeats index {k} "
+                                  f"of {other!r} on line {first}")
+            indexed[name][k] = (value, lineno, key)
         if name == "doeblin" and "kernel" not in sec.entries:
             raise ConfigError(f"line {sec.lineno}: [doeblin] requires a kernel path")
 
-    for k, value, lineno, key in indexed["model"]:
+    for k, (value, lineno, key) in indexed["model"].items():
         cfg.q_overrides[k] = _parse_scalar(float, value, lineno, key)
         if k > cfg.n_modes:
             raise ConfigError(f"line {lineno}: {key} override is outside 0..n_modes "
@@ -325,6 +336,6 @@ def resolve_config(text: str) -> RunConfig:
     if indexed["ensemble"]:
         cfg.ics = [
             _canonical_ic(value, lineno, key, cfg.n_modes)
-            for _, value, lineno, key in sorted(indexed["ensemble"])
+            for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
         ]
     return cfg

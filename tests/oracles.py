@@ -273,6 +273,32 @@ def small_set_search_reference(rows, mu, cells):
     return tuple(int(x) for x in d_states), float(delta), nu, float(v_mass), e_mass
 
 
+def random_pair_ratios(rng, q, n_pairs):
+    """||(mu - nu) Q||_1 / ||mu - nu||_1 for n_pairs random probability pairs.
+
+    By Dobrushin's inequality no ratio exceeds the worst Dirac-pair ratio
+    max_{x,y} ||Q(x, .) - Q(y, .)||_1 / 2.  mu and nu are multiples of
+    2^-30 of mass exactly 1 (multinomial counts around normalized uniform
+    draws), so mu - nu is exact and sums to exactly 0, and each ratio is
+    within about n eps of its true value however close mu and nu are.
+    Rounded float pairs would not do: a difference summing to s instead of
+    0 can exceed the Dirac bound by about |s| / ||mu - nu||_1.
+    """
+    weights = rng.random((n_pairs, 2, q.shape[0]))
+    weights /= weights.sum(axis=2, keepdims=True)
+    pairs = rng.multinomial(2**30, weights) / 2.0**30
+    diffs = pairs[:, 0] - pairs[:, 1]
+    return np.abs(diffs @ q).sum(axis=1) / np.abs(diffs).sum(axis=1)
+
+
+def double_well_rows(n, h=0.3, sigma=0.6):
+    """Grid on [-2, 2] of x -> x + h (x - x^3) + N(0, sigma^2), rows normalized."""
+    x = np.linspace(-2.0, 2.0, n)
+    drift = x + h * (x - x**3)
+    w = np.exp(-0.5 * ((x[None, :] - drift[:, None]) / sigma) ** 2)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def law_distance_reference(obs_a, obs_b, p, weighted=True):
     """The histogram law distance binned axis by axis, as separate counts.
 

@@ -292,19 +292,23 @@ def test_criterion_1_exact_linear_statistics(ou_run):
     assert ou_run["elapsed"] < 60.0
 
 
-def test_criterion_2_contraction_and_lower_bound(monkeypatch):
-    rng = np.random.default_rng(2)
-    t0 = time.monotonic()
-    worst_excess = -np.inf
-    lower_ok = True
-    # Dirac pairs are extremal for the contraction coefficient, so the exact
-    # worst ratio is already covered; a light cross-check of 20 random pairs
-    # per kernel keeps the redundant route alive at this instance count
-    monkeypatch.setattr("glmix.doeblin._RANDOM_PAIRS", 20)
+def criterion_2_kernels(rng):
+    """10^4 random kernels on 2..6 states, then the 64-state double well."""
     for _ in range(10_000):
         n = int(rng.integers(2, 7))
         rows = rng.random((n, n)) + 0.05
-        rows /= rows.sum(axis=1, keepdims=True)
+        yield rows / rows.sum(axis=1, keepdims=True)
+    yield oracles.double_well_rows(64)
+
+
+def test_criterion_2_contraction_and_lower_bound():
+    pair_rng = np.random.default_rng(20)
+    t0 = time.monotonic()
+    worst_excess = -np.inf
+    pair_excess = -np.inf
+    lower_ok = True
+    for rows in criterion_2_kernels(np.random.default_rng(2)):
+        n = rows.shape[0]
         kernel = FiniteKernel(rows)
         full = list(range(n))
         cert = minorization(kernel, full, 1)
@@ -314,19 +318,25 @@ def test_criterion_2_contraction_and_lower_bound(monkeypatch):
         worst = contraction_check(kernel, cert)
         worst_excess = max(worst_excess, worst - (1.0 - eps))
         two_step = rows @ rows
+        # Dirac pairs are extremal for the contraction coefficient, so 20
+        # random probability pairs per kernel must not beat the returned one
+        ratios = oracles.random_pair_ratios(pair_rng, two_step, 20)
+        pair_excess = max(pair_excess, float(ratios.max()) - worst)
         floor = eps * cert.nu.weights
         if not np.all(two_step >= floor[None, :] - 1e-15):
             lower_ok = False
     elapsed = time.monotonic() - t0
-    ok = worst_excess <= 1e-12 and lower_ok and elapsed < 60.0
+    ok = worst_excess <= 1e-12 and pair_excess <= 1e-12 and lower_ok and elapsed < 60.0
     announce(
         2,
         ok,
-        f"10^4 kernels, worst contraction excess {worst_excess:.2e}, "
+        f"10^4 kernels and a 64-state double well, worst contraction excess "
+        f"{worst_excess:.2e}, worst random-pair excess {pair_excess:.2e}, "
         f"two-step lower bound {'holds' if lower_ok else 'violated'}, "
         f"{elapsed:.1f}s",
     )
     assert worst_excess <= 1e-12
+    assert pair_excess <= 1e-12
     assert lower_ok
     assert elapsed < 60.0
 

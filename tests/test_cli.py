@@ -518,6 +518,18 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
         assert capsys.readouterr().out == (
             "error = config\nline 3: q80 override is outside 0..n_modes = 8\n"
         )
+    # a repeated index: q01 used to replace q1 silently, and ic01 to make a
+    # second start that the header then called ic1, renaming the user's ic1 ic2
+    for cfg_text, message in [
+        ("[model]\nn_modes = 4\nq1 = 0.5\nq01 = 0.25\n",
+         "line 4: key 'q01' repeats index 1 of 'q1' on line 3"),
+        ("[ensemble]\nic1 = zero\nic01 = scaled-random:1.0\n",
+         "line 3: key 'ic01' repeats index 1 of 'ic1' on line 2"),
+    ]:
+        rc = main(["simulate", "--config", str(write_cfg(tmp_path, cfg_text)),
+                   "--out", str(tmp_path / "repeat")])
+        assert rc == 2 and not (tmp_path / "repeat").exists()
+        assert capsys.readouterr().out == f"error = config\n{message}\n"
 
 
 def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):
@@ -603,6 +615,24 @@ def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
         text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
         assert text == f"error = validation\n{message}\n"
         assert not (tmp_path / "out" / "certificate.txt").exists()
+
+
+def test_doeblin_values_exit_two_naming_their_line(tmp_path, capsys):
+    # each used to exit 2 without a line number, the empty kernel path with
+    # the error of opening the config's directory
+    for body, message in [
+        (f"kernel = {KERNEL_FILE}\nm = 0", "line 3: m must be at least 1"),
+        (f"kernel = {KERNEL_FILE}\nK = -1", "line 3: K must be at least 0"),
+        (f"kernel = {KERNEL_FILE}\nK = 0 -1", "line 3: K must be at least 0"),
+        ("kernel = ", "line 2: key 'kernel' expects a path"),
+    ]:
+        text = run_exit_two(tmp_path, capsys, ["doeblin"], f"[doeblin]\n{body}\n")
+        assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+    # a state past the kernel is known only once the kernel is read
+    cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nK = 0 7\n"
+    text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
+    assert text == "error = validation\nstate 7 out of range 0..1\n"
 
 
 def test_step_count_beyond_int64_exits_two(tmp_path, capsys):

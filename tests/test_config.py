@@ -294,8 +294,8 @@ def run_configs(draw):
     )
     if draw(st.booleans()):
         cfg.doeblin_kernel = draw(st.text("abc_./0123456789", min_size=1, max_size=12))
-        cfg.doeblin_K = draw(st.none() | st.lists(st.integers(-5, 50), min_size=1, max_size=4))
-        cfg.doeblin_m = draw(st.integers(-5, 50))
+        cfg.doeblin_K = draw(st.none() | st.lists(st.integers(0, 50), min_size=1, max_size=4))
+        cfg.doeblin_m = draw(st.integers(1, 50))
         cfg.doeblin_mu0 = draw(st.none() | st.lists(NONNEGATIVE, min_size=1, max_size=4))
     return cfg
 

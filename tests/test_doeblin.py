@@ -203,17 +203,19 @@ def test_contraction_check_identical_rows_and_errors():
         contraction_check(kernel, two_step)
 
 
-def test_contraction_check_soundness_on_random_kernels(monkeypatch):
+def test_contraction_check_soundness_on_random_kernels():
     rng = np.random.default_rng(17)
-    monkeypatch.setattr("glmix.doeblin._RANDOM_PAIRS", 20)
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
-        kernel = random_kernel(rng, n)
-        base = minorization(kernel, k=range(n), m=1)
+    pair_rng = np.random.default_rng(18)
+    kernels = [random_kernel(rng, int(rng.integers(2, 7))) for _ in range(300)]
+    for kernel in kernels + [double_well_kernel(64)]:
+        base = minorization(kernel, k=range(kernel.n), m=1)
         cert = SmallSetCertificate(K=base.K, m=1, delta=base.delta, nu=base.nu,
                                    delta_prime=1.0)
         worst = contraction_check(kernel, cert)
         assert 0.0 <= worst <= 1.0 - base.delta + 1e-12
+        # no pair of probability measures contracts worse than the Dirac pairs
+        ratios = oracles.random_pair_ratios(pair_rng, kernel.power(2), 20)
+        assert ratios.max() <= worst + 1e-12
 
 
 def test_invariant_measure_cases():
@@ -471,12 +473,8 @@ def test_small_set_search_matches_the_cell_scan(instance):
     assert got.v_cell_mass == v_mass and got.e_mass == e_mass
 
 
-def double_well_kernel(n, h=0.3, sigma=0.6):
-    """Grid on [-2, 2] of x -> x + h (x - x^3) + N(0, sigma^2), rows normalized."""
-    x = np.linspace(-2.0, 2.0, n)
-    drift = x + h * (x - x**3)
-    w = np.exp(-0.5 * ((x[None, :] - drift[:, None]) / sigma) ** 2)
-    return FiniteKernel(w / w.sum(axis=1, keepdims=True))
+def double_well_kernel(n):
+    return FiniteKernel(oracles.double_well_rows(n))
 
 
 @pytest.mark.parametrize("n", [256, 512])
