@@ -16,7 +16,6 @@ import numpy as np
 
 from glmix.doeblin import (
     FiniteKernel,
-    WeightedMeasure,
     ball_partition,
     certificate_text,
     condition_b,
@@ -44,7 +43,7 @@ def band_kernel_twenty():
             else:
                 rows[i, j] = 0.05 * mu0[j]
         rows[i] /= rows[i].sum()
-    return FiniteKernel(rows), WeightedMeasure(mu0)
+    return FiniteKernel(rows), mu0
 
 
 def main():
@@ -54,7 +53,7 @@ def main():
     dprime = condition_b(kernel, [0, 1])
     print(certificate_text(cert), end="")
     print(f"delta_prime = {dprime}")
-    print(f"invariant measure: {invariant_measure(kernel).weights}")
+    print(f"invariant measure: {invariant_measure(kernel)}")
     cert = replace(cert, delta_prime=dprime)
     worst = contraction_check(kernel, cert)
     eps = cert.delta * cert.delta_prime

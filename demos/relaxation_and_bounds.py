@@ -11,7 +11,7 @@ q = 3 at moderate y0.
 """
 
 from glmix.config import resolve_config
-from glmix.field import SpectralField, norm_gamma, scaled_random_field
+from glmix.field import norm_gamma, scaled_random_field
 from glmix.integrator import ode_comparison, run_ensemble
 
 
@@ -24,7 +24,7 @@ def main():
     for target in (1e2, 1e4):
         x = scaled_random_field(params.n_modes, target, gamma=1.0)
         states = run_ensemble(x, params, [0]).states[0]
-        vals = [norm_gamma(SpectralField(params.n_modes, s), 1.0) for s in states]
+        vals = [norm_gamma(s, 1.0) for s in states]
         print(f"{target:10.0e}   " + "  ".join(f"{v:8.4f}" for v in vals[1:]))
 
     print("\n== scalar decay bounds y' = -c y^q ==")

@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, resolve_config
 from .doeblin import (
-    WeightedMeasure,
     certificate_text,
     condition_b,
     contraction_check,
@@ -140,10 +139,10 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         print("failure = missing_doeblin_section")
         return 2
     kernel = read_kernel(cfg.doeblin_kernel)
-    mu0 = WeightedMeasure(
-        np.full(kernel.n, 1.0 / kernel.n) if cfg.doeblin_mu0 is None else cfg.doeblin_mu0
+    # checked before any certificate is printed or written
+    mu0 = search_weights(
+        kernel, np.full(kernel.n, 1.0 / kernel.n) if cfg.doeblin_mu0 is None else cfg.doeblin_mu0
     )
-    search_weights(kernel, mu0)  # before any certificate is printed or written
     k_set = list(range(kernel.n)) if cfg.doeblin_K is None else cfg.doeblin_K
     failures = []
     cert = minorization(kernel, k_set, cfg.doeblin_m)

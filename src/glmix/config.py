@@ -126,6 +126,14 @@ def _finite(values, lineno, key):
         raise ConfigError(f"line {lineno}: {key} must be finite")
 
 
+def _distinct_finite(values, lineno, key):
+    _finite(values, lineno, key)
+    ordered = sorted(values)
+    twice = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    if twice:
+        raise ConfigError(f"line {lineno}: {key} lists {fmt_float(twice[0])} twice")
+
+
 def _at_least(least):
     def check(values, lineno, key):
         if min(values) < least:
@@ -169,7 +177,7 @@ _SECTIONS = {
         "n_traj": _row(int, check=_at_least(1)),
         "gamma": _row(float, check=_finite),
         "p": _row(float, check=_finite),
-        "times": _row(float, many=True, check=_finite),  # written from resolved_times()
+        "times": _row(float, many=True, check=_distinct_finite),  # written from resolved_times()
         "n_boot": _row(int, check=_at_least(0)),
     }),
     "doeblin": ("doeblin_", {
@@ -258,7 +266,7 @@ class RunConfig:
             return np.zeros(n_slots)
         if spec.startswith("scaled-random:"):
             target = float(spec.partition(":")[2])
-            return scaled_random_field(self.n_modes, target, gamma=1.0).coeffs
+            return scaled_random_field(self.n_modes, target, gamma=1.0)
         return np.array([float(tok) for tok in spec.split()])
 
     def resolved_lines(self) -> list[str]:

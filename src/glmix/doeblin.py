@@ -1,13 +1,14 @@
 """Exact minorization, coupling contraction, and drift certificates on finite state spaces.
 
-Everything here manipulates finite row-stochastic kernels as plain matrices,
-so every inequality a certificate claims can be checked entry by entry.  The
-pieces fit together as follows: a small-set certificate (K, m, delta, nu)
-asserts P^m(x, .) >= delta nu for all x in K; when K is reached from
-everywhere in one step with probability at least delta_prime, the two-step
-coupling contracts total variation by 1 - delta delta_prime, which iterates
-into a geometric convergence bound toward the invariant measure.  A
-constructive search builds two-step certificates from the density threshold
+Everything here manipulates finite row-stochastic kernels as plain matrices
+and measures on their states as plain weight vectors, so every inequality a
+certificate claims can be checked entry by entry.  The pieces fit together
+as follows: a small-set certificate (K, m, delta, nu) asserts
+P^m(x, .) >= delta nu for all x in K; when K is reached from everywhere in
+one step with probability at least delta_prime, the two-step coupling
+contracts total variation by 1 - delta delta_prime, which iterates into a
+geometric convergence bound toward the invariant measure.  A constructive
+search builds two-step certificates from the density threshold
 sets S_x = {y : p(x, y) > 1/2}, optionally through a coarse partition, and a
 composition rule extends a certificate on an accessible set A to any set C
 that reaches A.  Total variation is normalized as the total mass of the
@@ -24,7 +25,6 @@ from .field import fmt_float
 
 __all__ = [
     "FiniteKernel",
-    "WeightedMeasure",
     "SmallSetCertificate",
     "minorization",
     "condition_b",
@@ -86,34 +86,6 @@ class FiniteKernel:
         return f"FiniteKernel(n={self.n})"
 
 
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """Nonnegative measure on 0..n-1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.mass - 1.0) <= 1e-9
-
-
 def _as_state_tuple(k, n: int) -> tuple[int, ...]:
     states = tuple(sorted({int(x) for x in k}))
     if not states:
@@ -128,17 +100,18 @@ def _as_state_tuple(k, n: int) -> tuple[int, ...]:
 class SmallSetCertificate:
     """Claim that P^m(x, .) >= delta nu(.) for every x in K.
 
-    delta_prime, when present, additionally claims min_x P(x, K) >= delta_prime.
-    Both claims are checked entry by entry by validate().  v_cell_mass and
-    e_mass are provenance from the constructive search (the mu0 masses of the
-    middle cell and of the support of nu); they are informational only and do
-    not appear in the emitted text block.
+    nu is a probability vector on the states, stored as a read-only float
+    array.  delta_prime, when present, additionally claims
+    min_x P(x, K) >= delta_prime.  Both claims are checked entry by entry by
+    validate().  v_cell_mass and e_mass are provenance from the constructive
+    search (the mu0 masses of the middle cell and of the support of nu); they
+    are informational only and do not appear in the emitted text block.
     """
 
     K: tuple[int, ...]
     m: int
     delta: float
-    nu: WeightedMeasure
+    nu: np.ndarray
     delta_prime: float | None = None
     v_cell_mass: float | None = None
     e_mass: float | None = None
@@ -151,18 +124,26 @@ class SmallSetCertificate:
             raise ValueError("m must be a positive integer")
         if not (0.0 < self.delta <= 1.0 + 1e-9):
             raise ValueError("delta must lie in (0, 1]")
-        if not self.nu.is_probability:
-            raise ValueError("nu must be a probability measure")
+        nu = np.array(self.nu, dtype=float)
+        if nu.ndim != 1:
+            raise ValueError("nu must be a vector")
+        if not np.all(nu >= 0.0):  # NaN included
+            raise ValueError("nu must be nonnegative")
+        with np.errstate(over="ignore"):  # huge weights sum to inf
+            if not abs(nu.sum() - 1.0) <= 1e-9:
+                raise ValueError("nu must be a probability measure")
+        nu.setflags(write=False)
+        object.__setattr__(self, "nu", nu)
         if self.delta_prime is not None and not (0.0 < self.delta_prime <= 1.0 + 1e-9):
             raise ValueError("delta_prime must lie in (0, 1]")
 
     def validate(self, kernel: FiniteKernel) -> None:
         """Check every claimed inequality against the kernel; raise on failure."""
         k = _as_state_tuple(self.K, kernel.n)
-        if self.nu.n != kernel.n:
+        if self.nu.size != kernel.n:
             raise ValueError("nu length does not match the kernel")
         pm = kernel.power(self.m)
-        floor = self.delta * self.nu.weights
+        floor = self.delta * self.nu
         gap = pm[list(k), :] - floor[None, :]
         if gap.min() < -_TOL:
             i, j = np.unravel_index(np.argmin(gap), gap.shape)
@@ -195,9 +176,7 @@ def minorization(kernel: FiniteKernel, k, m: int) -> SmallSetCertificate | None:
     delta = float(colmin.sum())
     if delta <= 0.0:
         return None
-    cert = SmallSetCertificate(
-        K=states, m=m, delta=delta, nu=WeightedMeasure(colmin / delta)
-    )
+    cert = SmallSetCertificate(K=states, m=m, delta=delta, nu=colmin / delta)
     cert.validate(kernel)
     return cert
 
@@ -226,7 +205,7 @@ def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
     eps = cert.delta * cert.delta_prime
     p2 = kernel.rows @ kernel.rows
 
-    floor = eps * cert.nu.weights
+    floor = eps * cert.nu
     gap = p2 - floor[None, :]
     if gap.min() < -_TOL:
         x, y = np.unravel_index(np.argmin(gap), gap.shape)
@@ -249,29 +228,27 @@ def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
     return worst
 
 
-def invariant_measure(kernel: FiniteKernel) -> WeightedMeasure:
-    """Exact stationary distribution of the kernel.
+def invariant_measure(kernel: FiniteKernel) -> np.ndarray:
+    """Exact stationary distribution of the kernel, as a weight vector.
 
-    Solves mu P = mu with the mass constraint and checks uniqueness through
-    the singular values of P^T - I; a kernel with more than one stationary
-    distribution (identity, disconnected chains) is rejected.
+    One SVD of P^T - I gives both the uniqueness check (exactly one
+    singular value at zero; a kernel with more than one stationary
+    distribution, such as the identity or a disconnected chain, is
+    rejected) and the solution of mu P = mu: the right singular vector of
+    that zero singular value, scaled to mass 1.
     """
     n = kernel.n
-    a = kernel.rows.T - np.eye(n)
-    svals = np.linalg.svd(a, compute_uv=False)
+    _, svals, vt = np.linalg.svd(kernel.rows.T - np.eye(n))
     tol = max(n * np.finfo(float).eps * (svals[0] if svals.size else 1.0), 1e-12)
     if np.sum(svals <= tol) != 1:
         raise ValueError("stationary distribution is not unique")
-    system = np.vstack([a, np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    mu = vt[-1] / vt[-1].sum()
     mu = np.where(np.abs(mu) < 1e-15, 0.0, mu)
     mu = mu / mu.sum()
     residual = float(np.max(np.abs(mu @ kernel.rows - mu)))
     if residual > _TOL or np.any(mu < 0.0):
         raise RuntimeError(f"stationary solve residual {fmt_float(residual)} too large")
-    return WeightedMeasure(mu)
+    return mu
 
 
 def geometric_bound_check(
@@ -289,7 +266,7 @@ def geometric_bound_check(
     eps = cert.delta * cert.delta_prime
     if not (0.0 < eps < 1.0):
         raise ValueError("delta delta_prime must lie in (0, 1)")
-    mu_star = invariant_measure(kernel).weights
+    mu_star = invariant_measure(kernel)
     q = np.eye(kernel.n)
     worst = -np.inf
     for k in range(n + 1):
@@ -314,10 +291,10 @@ def _check_partition(partition, n: int) -> list[np.ndarray]:
 
 
 def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
-    """The weights of mu0 (a WeightedMeasure or an array) if small_set_search
-    takes them: one for each state of kernel, each positive and at most 1,
-    summing to 1 within 1e-9.  ValueError otherwise."""
-    mu = mu0.weights if isinstance(mu0, WeightedMeasure) else np.asarray(mu0, dtype=float)
+    """mu0 as a float array if small_set_search takes it as its reference
+    measure: one weight for each state of kernel, each positive and at most
+    1, summing to 1 within 1e-9.  ValueError otherwise."""
+    mu = np.asarray(mu0, dtype=float)
     if mu.shape != (kernel.n,):
         raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
     if not np.all(mu > 0.0):  # NaN included
@@ -420,7 +397,7 @@ def small_set_search(
     nu_w[e_states] = mu[e_states] / e_mass
     cert = SmallSetCertificate(
         K=tuple(int(x) for x in d_states), m=2, delta=float(delta),
-        nu=WeightedMeasure(nu_w), v_cell_mass=float(v_mass), e_mass=e_mass,
+        nu=nu_w, v_cell_mass=float(v_mass), e_mass=e_mass,
     )
     cert.validate(kernel)
     return cert
@@ -549,7 +526,7 @@ def certificate_text(cert: SmallSetCertificate) -> str:
         "K = " + " ".join(str(x) for x in cert.K),
         f"m = {cert.m}",
         f"delta = {fmt_float(cert.delta)}",
-        "nu = " + " ".join(fmt_float(w) for w in cert.nu.weights),
+        "nu = " + " ".join(fmt_float(w) for w in cert.nu),
     ]
     if cert.delta_prime is not None:
         lines.append(f"delta_prime = {fmt_float(cert.delta_prime)}")
@@ -574,6 +551,6 @@ def parse_certificate(text: str) -> SmallSetCertificate:
         K=tuple(int(x) for x in fields["K"].split()),
         m=int(fields["m"]),
         delta=float(fields["delta"]),
-        nu=WeightedMeasure(np.array([float(x) for x in fields["nu"].split()])),
+        nu=[float(x) for x in fields["nu"].split()],
         delta_prime=float(fields["delta_prime"]) if "delta_prime" in fields else None,
     )

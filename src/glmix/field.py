@@ -10,12 +10,14 @@ H-orthonormal basis
     e_k^sin(xi) = sqrt(2/l_k) sin(2 pi k xi),      l_k = 1 + 4 pi^2 k^2,
 
 L is diagonal with eigenvalue l_k on both members of the mode-k pair.  A field
-is stored as the flat coefficient vector
+is a plain float array of its coefficients
 
     [c_0, a_1, b_1, a_2, b_2, ..., a_N, b_N]        (length 2N + 1)
 
 so that ||u||^2 = c_0^2 + sum_k (a_k^2 + b_k^2) and the fractional norms are
-||u||_gamma = ||L^gamma u|| = sqrt(sum l_k^{2 gamma} coeff^2).
+||u||_gamma = ||L^gamma u|| = sqrt(sum l_k^{2 gamma} coeff^2).  The functions
+that take a single field read N from its length; the grid transforms act on
+the last axis of a stack of fields and are given N.
 
 Grid synthesis and analysis go through numpy's real FFTs and take optional
 output and work arrays, so a caller stepping many times can reuse its
@@ -30,7 +32,6 @@ the aliased modes above N are wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,13 +39,11 @@ import numpy.fft
 import numpy.random
 
 __all__ = [
-    "SpectralField",
     "DriftPolynomial",
     "eigenvalues",
     "norm_gamma",
     "apply_semigroup",
     "smoothing_norm_check",
-    "zero_field",
     "basis_field",
     "scaled_random_field",
 ]
@@ -66,26 +65,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     ell = 1.0 + 4.0 * np.pi**2 * mode_numbers(n_modes).astype(float) ** 2
     ell.setflags(write=False)
     return ell
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Field in the H-orthonormal trigonometric basis, modes 0..n_modes."""
-
-    n_modes: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be nonnegative")
-        if c.shape != (2 * self.n_modes + 1,):
-            raise ValueError(
-                f"expected {2 * self.n_modes + 1} coefficients, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
 
 
 class DriftPolynomial:
@@ -139,12 +118,8 @@ class DriftPolynomial:
         return f"DriftPolynomial({list(self.coeffs)})"
 
 
-def zero_field(n_modes: int) -> SpectralField:
-    return SpectralField(n_modes, np.zeros(2 * n_modes + 1))
-
-
-def basis_field(n_modes: int, k: int, kind: str = "cos") -> SpectralField:
-    """Basis vector e_0 (k = 0) or e_k^cos / e_k^sin."""
+def basis_field(n_modes: int, k: int, kind: str = "cos") -> np.ndarray:
+    """Coefficients of the basis vector e_0 (k = 0) or e_k^cos / e_k^sin."""
     c = np.zeros(2 * n_modes + 1)
     if k == 0:
         c[0] = 1.0
@@ -154,45 +129,49 @@ def basis_field(n_modes: int, k: int, kind: str = "cos") -> SpectralField:
         c[2 * k] = 1.0
     else:
         raise ValueError("kind must be 'cos' or 'sin'")
-    return SpectralField(n_modes, c)
+    return c
 
 
 # Fixed generator key so presets are stable across runs and user seeds.
 _PRESET_KEY = np.array([0x5CA1ED0000000001, 0], dtype=np.uint64)
 
 
-def scaled_random_field(n_modes: int, target_norm: float, gamma: float = 1.0) -> SpectralField:
+def scaled_random_field(n_modes: int, target_norm: float, gamma: float = 1.0) -> np.ndarray:
     """Deterministic standard-normal coefficient draw scaled to ||x||_gamma.
 
     The draw uses a fixed internal key, so the preset is a function of
     (n_modes, target_norm, gamma) only.  target_norm = 0 returns the zero
-    field.
+    field.  Every coefficient is at most target_norm in size, since
+    |c_i| <= ||c||_gamma, so a finite target gives a finite field.
     """
     if target_norm < 0:
         raise ValueError("target_norm must be nonnegative")
     if target_norm == 0.0:
-        return zero_field(n_modes)
+        return np.zeros(2 * n_modes + 1)
     gen = np.random.Generator(np.random.Philox(key=_PRESET_KEY))
     raw = gen.standard_normal(2 * n_modes + 1)
-    scale = norm_gamma(SpectralField(n_modes, raw), gamma)
-    return SpectralField(n_modes, raw * (target_norm / scale))
+    return raw * (target_norm / norm_gamma(raw, gamma))
 
 
-def norm_gamma(u: SpectralField, gamma: float) -> float:
-    """||u||_gamma = ||L^gamma u|| = sqrt(sum l_k^{2 gamma} coeff^2)."""
-    ell = eigenvalues(u.n_modes)
-    return float(np.sqrt(np.sum(ell ** (2.0 * gamma) * u.coeffs**2)))
+def norm_gamma(u: np.ndarray, gamma: float) -> float:
+    """||u||_gamma = ||L^gamma u|| = sqrt(sum l_k^{2 gamma} coeff^2).
+
+    u holds the 2N + 1 coefficients of a field; N is read from its length.
+    """
+    u = np.asarray(u, dtype=float)
+    ell = eigenvalues(u.size // 2)
+    return float(np.sqrt(np.sum(ell ** (2.0 * gamma) * u**2)))
 
 
-def apply_semigroup(u: SpectralField, t: float) -> SpectralField:
+def apply_semigroup(u: np.ndarray, t: float) -> np.ndarray:
     """e^{-Lt} u, exact per-mode decay factors e^{-l_k t}.  Requires t >= 0."""
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
-    decay = np.exp(-eigenvalues(u.n_modes) * t)
-    return SpectralField(u.n_modes, u.coeffs * decay)
+    u = np.asarray(u, dtype=float)
+    return u * np.exp(-eigenvalues(u.size // 2) * t)
 
 
-def smoothing_norm_check(u: SpectralField, t: float, gamma: float, sigma: float) -> bool:
+def smoothing_norm_check(u: np.ndarray, t: float, gamma: float, sigma: float) -> bool:
     """Check ||e^{-Lt} u||_{gamma+sigma} <= t^{-sigma} ||u||_gamma.
 
     Valid regime sigma in (0, 1/2]; t must be positive.

@@ -44,7 +44,6 @@ import numpy as np
 
 from .field import (
     DriftPolynomial,
-    SpectralField,
     coeffs_to_values,
     dealias_points,
     eigenvalues,
@@ -340,7 +339,7 @@ def _run_block(
 
 
 def run_ensemble(
-    x: SpectralField | np.ndarray,
+    x: np.ndarray,
     params: SimulationParams,
     traj_ids,
     record_times=None,
@@ -348,16 +347,17 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Integrate an ensemble from one initial condition.
 
-    traj_ids are the per-trajectory stream ids (distinct ids give independent
-    noise under the same seed).  Rows run in blocks of BLOCK_ROWS, read at
-    call time.  Results are bitwise independent of the block size and
-    threads because every trajectory owns its stream and rows are written
-    by index.  The blocks run on a pool of
-    min(ensemble_workers(threads), blocks) workers, and each block draws its
-    normals in slabs of at most _SLAB_BYTES / workers, so the slabs alive at
-    once fit in _SLAB_BYTES.
+    x holds the 2 n_modes + 1 coefficients of the start.  traj_ids are the
+    per-trajectory stream ids (distinct ids give independent noise under the
+    same seed).  Each record time must fall on its own step of the grid.
+    Rows run in blocks of BLOCK_ROWS, read at call time.  Results are
+    bitwise independent of the block size and threads because every
+    trajectory owns its stream and rows are written by index.  The blocks
+    run on a pool of min(ensemble_workers(threads), blocks) workers, and
+    each block draws its normals in slabs of at most _SLAB_BYTES / workers,
+    so the slabs alive at once fit in _SLAB_BYTES.
     """
-    coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x, dtype=float)
+    coeffs = np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
     if coeffs.shape != (n_slots,):
         raise ValueError("initial condition length does not match n_modes")
@@ -371,6 +371,9 @@ def run_ensemble(
         n = round(float(t) / params.dt)
         if abs(n * params.dt - t) > 1e-9 or not 0 <= n <= params.n_steps:
             raise ValueError(f"record time {t} is not on the step grid")
+        if n in rec_steps:
+            raise ValueError(f"record time {t} falls on step {n}, as record time "
+                             f"{record_times[rec_steps[n]]} does")
         rec_steps[n] = i
 
     stepper = ExponentialEulerStepper(params)

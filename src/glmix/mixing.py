@@ -18,7 +18,7 @@ uniformity silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random
@@ -168,9 +168,6 @@ class UniformityVerdict:
 
 @dataclass(frozen=True)
 class MomentTable:
-    t: float
-    gamma: float
-    p: float
     entries: tuple
     uniformity: UniformityVerdict
 
@@ -238,10 +235,7 @@ def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
         vals = _norm_power(ens.states_at(t), spec.gamma, spec.p)
         entries.append(_mean_entry(i, t, vals, spec.n_traj))
     verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
-    return MomentTable(
-        t=float(t), gamma=spec.gamma, p=spec.p,
-        entries=tuple(entries), uniformity=verdict,
-    )
+    return MomentTable(entries=tuple(entries), uniformity=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,6 @@ class RateFit:
     floor: float
     identifiable: bool
     method: str = "ols"
-    message: str = ""
 
 
 def fit_rate(times, distances, floor: float) -> RateFit:
@@ -286,9 +279,7 @@ def fit_rate(times, distances, floor: float) -> RateFit:
     if np.count_nonzero(mask) < _FIT_MIN_POINTS:
         return RateFit(
             lam=math.nan, intercept=math.nan, ci_low=math.nan, ci_high=math.nan,
-            n_used=int(np.count_nonzero(mask)), floor=floor,
-            identifiable=False, message="rate not identifiable: "
-            f"{np.count_nonzero(mask)} points above the floor window",
+            n_used=int(np.count_nonzero(mask)), floor=floor, identifiable=False,
         )
     tt = t[mask]
     y = np.log(d[mask])
@@ -320,8 +311,6 @@ class MixingReport:
     distance_stderr: np.ndarray
     fit: RateFit
     floor: float
-    gamma: float
-    p: float
 
 
 def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
@@ -407,11 +396,7 @@ def mixing_report(
 
     if fit.identifiable and len(boot_lams) >= max(10, n_boot // 2):
         lo, hi = np.percentile(boot_lams, [2.5, 97.5])
-        fit = RateFit(
-            lam=fit.lam, intercept=fit.intercept, ci_low=float(lo), ci_high=float(hi),
-            n_used=fit.n_used, floor=fit.floor, identifiable=True,
-            method="bootstrap",
-        )
+        fit = replace(fit, ci_low=float(lo), ci_high=float(hi), method="bootstrap")
 
     return MixingReport(
         times=times,
@@ -419,8 +404,6 @@ def mixing_report(
         distance_stderr=distance_stderr,
         fit=fit,
         floor=floor,
-        gamma=spec.gamma,
-        p=spec.p,
     )
 
 

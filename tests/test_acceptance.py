@@ -58,7 +58,6 @@ from glmix.cli import main
 from glmix.config import resolve_config
 from glmix.doeblin import (
     FiniteKernel,
-    WeightedMeasure,
     condition_b,
     contraction_check,
     minorization,
@@ -322,7 +321,7 @@ def test_criterion_2_contraction_and_lower_bound():
         # random probability pairs per kernel must not beat the returned one
         ratios = oracles.random_pair_ratios(pair_rng, two_step, 20)
         pair_excess = max(pair_excess, float(ratios.max()) - worst)
-        floor = eps * cert.nu.weights
+        floor = eps * cert.nu
         if not np.all(two_step >= floor[None, :] - 1e-15):
             lower_ok = False
     elapsed = time.monotonic() - t0
@@ -388,14 +387,14 @@ def test_criterion_4_small_set_search_soundness():
         kernel = FiniteKernel(rows)
         mu0 = rng.random(5) + 0.2
         mu0 /= mu0.sum()
-        cert = small_set_search(kernel, WeightedMeasure(mu0))
+        cert = small_set_search(kernel, mu0)
         assert cert is not None
         cert.validate(kernel)
         assert cert.delta == cert.v_cell_mass * cert.e_mass / 8.0
         # independent recount of the two-step density bound behind the
         # certificate: p2(x, z) >= mu0(V) / 8 on K x support(nu)
         dens = (rows @ rows) / mu0[None, :]
-        support = np.flatnonzero(cert.nu.weights > 0.0)
+        support = np.flatnonzero(cert.nu > 0.0)
         gap = float(dens[np.ix_(cert.K, support)].min() - cert.v_cell_mass / 8.0)
         worst_gap = min(worst_gap, gap)
         min_delta = min(min_delta, cert.delta)

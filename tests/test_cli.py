@@ -463,7 +463,7 @@ def test_doeblin_two_state_certificates_and_search(tmp_path, capsys):
     assert search.K == (0,)
     assert search.m == 2
     assert search.delta == 0.03125
-    assert np.array_equal(search.nu.weights, [1.0, 0.0])
+    assert np.array_equal(search.nu, [1.0, 0.0])
 
 
 def test_doeblin_kernel_path_is_relative_to_the_config_file(tmp_path, capsys, monkeypatch):
@@ -530,6 +530,13 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
                    "--out", str(tmp_path / "repeat")])
         assert rc == 2 and not (tmp_path / "repeat").exists()
         assert capsys.readouterr().out == f"error = config\n{message}\n"
+    # a repeated report time: mixing left its first column unwritten and
+    # reported the NaN records as aborted trajectories
+    cfg = write_cfg(tmp_path, "[model]\nn_modes = 4\ndt = 0.015625\nt_final = 4\n[ensemble]\n"
+                              "ic1 = zero\nic2 = scaled-random:1.0\nn_traj = 50\ntimes = 1 2 3 3\n")
+    rc = main(["mixing", "--config", str(cfg), "--out", str(tmp_path / "times")])
+    assert rc == 2 and not (tmp_path / "times").exists()
+    assert capsys.readouterr().out == "error = config\nline 9: times lists 3.0 twice\n"
 
 
 def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):

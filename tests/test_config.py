@@ -148,6 +148,9 @@ def test_parse_error_line_numbers():
         resolve_config("[model]\ndt = tiny\n")
     with pytest.raises(ConfigError, match="nonempty list"):
         resolve_config("[ensemble]\ntimes =\n")
+    # a repeated report time would be recorded in one column only
+    with pytest.raises(ConfigError, match="line 3: times lists 3.0 twice"):
+        resolve_config("[ensemble]\nn_traj = 5\ntimes = 1 3 2 3.0\n")
     with pytest.raises(ConfigError, match=r"\[doeblin\] requires a kernel path"):
         resolve_config("[doeblin]\nm = 2\n")
     with pytest.raises(ConfigError, match="line 2: n_traj must be at least 1"):
@@ -191,7 +194,7 @@ def test_ic_canonicalization_and_errors():
     with pytest.raises(ConfigError, match="lists 3 coefficients, expected 5 for n_modes = 2"):
         resolve_config("[model]\nn_modes = 2\n[ensemble]\nic1 = 1 0.5 0.25\n")
     cfg = resolve_config("[ensemble]\nic1 = scaled-random:50\nic2 = zero\n")
-    assert np.array_equal(cfg.ic_array(0), scaled_random_field(32, 50.0, 1.0).coeffs)
+    assert np.array_equal(cfg.ic_array(0), scaled_random_field(32, 50.0, 1.0))
     assert np.array_equal(cfg.ic_array(1), np.zeros(65))
 
 
@@ -285,7 +288,7 @@ def run_configs(draw):
         n_traj=draw(st.integers(1, 10**6)),
         gamma=draw(FINITE),
         p=draw(FINITE),
-        times=draw(st.lists(FINITE, min_size=1, max_size=5)),
+        times=draw(st.lists(FINITE, min_size=1, max_size=5, unique=True)),
         n_boot=draw(st.integers(0, 10**4)),
         ode_qs=draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)),
         ode_cs=draw(st.lists(FINITE, min_size=1, max_size=3)),

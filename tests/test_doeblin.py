@@ -18,7 +18,6 @@ from glmix.cli import main
 from glmix.doeblin import (
     FiniteKernel,
     SmallSetCertificate,
-    WeightedMeasure,
     ball_partition,
     certificate_text,
     condition_b,
@@ -61,20 +60,21 @@ def test_kernel_validation_and_protection():
         kernel.power(-1)
 
 
-def test_weighted_measure_validation():
-    with pytest.raises(ValueError, match="vector"):
-        WeightedMeasure([[1.0]])
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightedMeasure([-0.1, 1.1])
-    m = WeightedMeasure([0.25, 0.75])
-    assert m.n == 2 and m.mass == 1.0 and m.is_probability
-    assert not WeightedMeasure([0.25, 0.25]).is_probability
-    with pytest.raises(ValueError):
-        m.weights[0] = 1.0
+def test_certificate_nu_validation():
+    for weights in ([0.25, 0.75], np.array([0.25, 0.75])):
+        cert = SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=weights)
+        assert cert.nu.dtype == float and np.array_equal(cert.nu, [0.25, 0.75])
+        with pytest.raises(ValueError):
+            cert.nu[0] = 1.0
+    for weights, match in (([[1.0]], "vector"), ([np.nan, 1.0], "nonnegative"),
+                           ([-0.1, 1.1], "nonnegative"), ([0.25, 0.25], "probability"),
+                           ([np.inf, 0.0], "probability"), ([1e308, 1e308], "probability")):
+        with pytest.raises(ValueError, match=match):
+            SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=weights)
 
 
 def test_certificate_field_validation():
-    nu = WeightedMeasure([0.5, 0.5])
+    nu = [0.5, 0.5]
     with pytest.raises(ValueError, match="sorted distinct"):
         SmallSetCertificate(K=(1, 0), m=1, delta=0.5, nu=nu)
     with pytest.raises(ValueError, match="positive integer"):
@@ -84,14 +84,14 @@ def test_certificate_field_validation():
     with pytest.raises(ValueError, match="delta"):
         SmallSetCertificate(K=(0,), m=1, delta=1.5, nu=nu)
     with pytest.raises(ValueError, match="probability"):
-        SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=WeightedMeasure([0.5, 0.1]))
+        SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=[0.5, 0.1])
     with pytest.raises(ValueError, match="delta_prime"):
         SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=nu, delta_prime=0.0)
 
 
 def test_certificate_validate_rejects_false_claims():
     kernel = FiniteKernel(WORKED)
-    nu = WeightedMeasure([0.5, 0.5])
+    nu = [0.5, 0.5]
     good = SmallSetCertificate(K=(0, 1), m=1, delta=0.2, nu=nu)
     good.validate(kernel)
     bad = SmallSetCertificate(K=(0, 1), m=1, delta=0.9, nu=nu)
@@ -100,20 +100,20 @@ def test_certificate_validate_rejects_false_claims():
     overclaim = SmallSetCertificate(K=(0,), m=1, delta=0.2, nu=nu, delta_prime=0.5)
     with pytest.raises(ValueError, match="return probability fails"):
         overclaim.validate(kernel)
-    short = SmallSetCertificate(K=(0,), m=1, delta=0.2, nu=WeightedMeasure([1.0]))
+    short = SmallSetCertificate(K=(0,), m=1, delta=0.2, nu=[1.0])
     with pytest.raises(ValueError, match="length"):
         short.validate(kernel)
 
 
 def test_validate_messages_print_plain_floats():
     kernel = FiniteKernel([[0.5, 0.5], [0.1, 0.9]])
-    bad = SmallSetCertificate(K=(0, 1), m=1, delta=1.0, nu=WeightedMeasure([0.5, 0.5]))
+    bad = SmallSetCertificate(K=(0, 1), m=1, delta=1.0, nu=[0.5, 0.5])
     with pytest.raises(ValueError) as err:
         bad.validate(kernel)
     assert str(err.value) == (
         "minorization fails at x = 1, y = 0: P^1(x,y) = 0.1 < delta nu(y) = 0.5"
     )
-    overclaim = SmallSetCertificate(K=(1,), m=1, delta=0.1, nu=WeightedMeasure([1.0, 0.0]),
+    overclaim = SmallSetCertificate(K=(1,), m=1, delta=0.1, nu=[1.0, 0.0],
                                     delta_prime=0.95)
     with pytest.raises(ValueError) as err:
         overclaim.validate(kernel)
@@ -125,11 +125,11 @@ def test_minorization_worked_example():
     cert = minorization(kernel, k=(0, 1), m=1)
     # column minima are (0.2, 0.1); the float sum carries one ulp of noise
     assert cert.delta == 0.30000000000000004
-    assert np.allclose(cert.nu.weights, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
+    assert np.allclose(cert.nu, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
     assert cert.K == (0, 1) and cert.m == 1 and cert.delta_prime is None
     single = minorization(kernel, k=[0], m=1)
     assert single.delta == 1.0
-    assert np.array_equal(single.nu.weights, [0.9, 0.1])
+    assert np.array_equal(single.nu, [0.9, 0.1])
 
 
 def test_minorization_identical_rows_and_none():
@@ -137,7 +137,7 @@ def test_minorization_identical_rows_and_none():
     kernel = FiniteKernel([row, row, row])
     cert = minorization(kernel, k=range(3), m=1)
     assert cert.delta == 1.0
-    assert np.allclose(cert.nu.weights, row, rtol=1e-15)
+    assert np.allclose(cert.nu, row, rtol=1e-15)
     identity = FiniteKernel(np.eye(2))
     assert minorization(identity, k=(0, 1), m=1) is None
     with pytest.raises(ValueError, match="positive integer"):
@@ -166,7 +166,7 @@ def test_minorization_is_maximal_over_candidates():
             feasible = float(np.min(colmin / candidate))
             assert feasible <= cert.delta + 1e-12
         # the returned nu itself achieves delta exactly
-        achieved = float(np.min(colmin / cert.nu.weights[colmin > 0]))
+        achieved = float(np.min(colmin / cert.nu[colmin > 0]))
         assert np.isclose(achieved, cert.delta, rtol=1e-12)
 
 
@@ -221,10 +221,10 @@ def test_contraction_check_soundness_on_random_kernels():
 def test_invariant_measure_cases():
     kernel = FiniteKernel(WORKED)
     mu = invariant_measure(kernel)
-    assert np.allclose(mu.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    assert np.allclose(mu, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     row = [0.1, 0.6, 0.3]
     const = FiniteKernel([row, row, row])
-    assert np.allclose(invariant_measure(const).weights, row, atol=1e-14)
+    assert np.allclose(invariant_measure(const), row, atol=1e-14)
     with pytest.raises(ValueError, match="not unique"):
         invariant_measure(FiniteKernel(np.eye(3)))
     block = FiniteKernel([
@@ -238,7 +238,7 @@ def test_invariant_measure_cases():
     rng = np.random.default_rng(4)
     for _ in range(50):
         k = random_kernel(rng, int(rng.integers(2, 8)))
-        mu = invariant_measure(k).weights
+        mu = invariant_measure(k)
         assert np.max(np.abs(mu @ k.rows - mu)) <= 1e-12
         assert np.isclose(mu.sum(), 1.0, atol=1e-12)
 
@@ -253,7 +253,7 @@ def test_geometric_bound_worked_example():
     # at n = 0 the bound is the trivial diameter 2, so the gap is negative
     assert geometric_bound_check(kernel, cert, n=0) <= 0.0
     # fifty steps of a 0.7-per-two-steps contraction land well inside 1e-3
-    mu_star = invariant_measure(kernel).weights
+    mu_star = invariant_measure(kernel)
     p50 = kernel.power(50)
     assert np.abs(p50 - mu_star[None, :]).sum(axis=1).max() < 1e-3
 
@@ -262,12 +262,12 @@ def test_geometric_bound_validation():
     row = [0.5, 0.5]
     const = FiniteKernel([row, row])
     cert = SmallSetCertificate(K=(0, 1), m=1, delta=1.0,
-                               nu=WeightedMeasure(row), delta_prime=1.0)
+                               nu=row, delta_prime=1.0)
     with pytest.raises(ValueError, match="lie in"):
         geometric_bound_check(const, cert, n=5)
     kernel = FiniteKernel(WORKED)
     two_step = SmallSetCertificate(K=(0, 1), m=2, delta=0.3,
-                                   nu=WeightedMeasure([0.5, 0.5]),
+                                   nu=[0.5, 0.5],
                                    delta_prime=1.0)
     with pytest.raises(ValueError, match="one-step"):
         geometric_bound_check(kernel, two_step, n=5)
@@ -278,11 +278,8 @@ def test_small_set_search_worked_two_state():
     cert = small_set_search(kernel, mu0=[0.5, 0.5])
     assert cert.K == (0,) and cert.m == 2
     assert cert.delta == 0.03125
-    assert np.array_equal(cert.nu.weights, [1.0, 0.0])
+    assert np.array_equal(cert.nu, [1.0, 0.0])
     assert cert.v_cell_mass == 0.5 and cert.e_mass == 0.5
-    # accepts a WeightedMeasure for mu0 as well
-    same = small_set_search(kernel, mu0=WeightedMeasure([0.5, 0.5]))
-    assert same.delta == cert.delta and same.K == cert.K
 
 
 def test_small_set_search_uniform_rows():
@@ -293,7 +290,7 @@ def test_small_set_search_uniform_rows():
     cert = small_set_search(kernel, mu0, partition=[range(4)])
     assert cert.K == (0, 1, 2, 3)
     assert cert.delta == 1.0 / 8.0
-    assert np.array_equal(cert.nu.weights, mu0)
+    assert np.array_equal(cert.nu, mu0)
     # singleton refinement still succeeds, with per-cell mass in delta
     fine = small_set_search(kernel, mu0)
     assert fine.delta == 0.25 * 0.25 / 8.0
@@ -350,13 +347,13 @@ def test_small_set_search_soundness_on_random_kernels():
         assert cert.delta == cert.v_cell_mass * cert.e_mass / 8.0
         # independent recount of the density-level two-step bound
         p2_density = kernel.power(2) / mu0[None, :]
-        support = np.flatnonzero(cert.nu.weights > 0)
+        support = np.flatnonzero(cert.nu > 0)
         assert np.all(
             p2_density[np.ix_(cert.K, support)] >= cert.v_cell_mass / 8.0 - 1e-12
         )
         # nu is mu0 conditioned on its support
         assert np.allclose(
-            cert.nu.weights[support], mu0[support] / mu0[support].sum(), rtol=1e-12
+            cert.nu[support], mu0[support] / mu0[support].sum(), rtol=1e-12
         )
 
 
@@ -468,7 +465,7 @@ def test_small_set_search_matches_the_cell_scan(instance):
         assert got is None
         return
     k, delta, nu, v_mass, e_mass = want
-    text = certificate_text(SmallSetCertificate(K=k, m=2, delta=delta, nu=WeightedMeasure(nu)))
+    text = certificate_text(SmallSetCertificate(K=k, m=2, delta=delta, nu=nu))
     assert certificate_text(got) == text
     assert got.v_cell_mass == v_mass and got.e_mass == e_mass
 
@@ -481,7 +478,7 @@ def double_well_kernel(n):
 def test_doeblin_toolkit_at_hundreds_of_states(n):
     kernel = double_well_kernel(n)
     t0 = time.monotonic()
-    mu = invariant_measure(kernel).weights
+    mu = invariant_measure(kernel)
     assert np.max(np.abs(mu @ kernel.rows - mu)) <= 1e-12
     base = minorization(kernel, k=range(n), m=1)
     cert = dataclasses.replace(base, delta_prime=condition_b(kernel, base.K))
@@ -491,7 +488,7 @@ def test_doeblin_toolkit_at_hundreds_of_states(n):
     found.validate(kernel)
     # independent recount of the two-step density bound behind the certificate
     dens = kernel.power(2) / mu0[None, :]
-    support = np.flatnonzero(found.nu.weights > 0.0)
+    support = np.flatnonzero(found.nu > 0.0)
     assert dens[np.ix_(found.K, support)].min() >= found.v_cell_mass / 8.0 - 1e-12
     # the triple scan takes minutes here (n^3 Python steps)
     assert time.monotonic() - t0 < 30.0
@@ -516,7 +513,7 @@ def test_two_small_compose_worked_example():
     cert_c = two_small_compose(kernel, cert_a, c=(0, 1))
     assert cert_c.K == (0, 1) and cert_c.m == 2
     assert np.isclose(cert_c.delta, 0.2, rtol=1e-15)
-    assert np.array_equal(cert_c.nu.weights, cert_a.nu.weights)
+    assert np.array_equal(cert_c.nu, cert_a.nu)
     # extending to the full space scales by the worst return probability
     assert cert_c.delta == cert_a.delta * condition_b(kernel, cert_a.K)
 
@@ -609,7 +606,7 @@ def test_certificate_text_round_trip():
     back = parse_certificate(text)
     assert back.K == cert.K and back.m == cert.m
     assert back.delta == cert.delta and back.delta_prime == cert.delta_prime
-    assert np.array_equal(back.nu.weights, cert.nu.weights)
+    assert np.array_equal(back.nu, cert.nu)
     back.validate(kernel)
     plain = certificate_text(base)
     assert "delta_prime" not in plain
@@ -631,7 +628,7 @@ def certificates(draw):
                       .filter(lambda ws: sum(ws) > 0.0)))
     return SmallSetCertificate(
         K=sorted(k), m=draw(st.integers(1, 10**6)), delta=draw(UNIT_INTERVAL),
-        nu=WeightedMeasure(w / w.sum()), delta_prime=draw(st.none() | UNIT_INTERVAL))
+        nu=w / w.sum(), delta_prime=draw(st.none() | UNIT_INTERVAL))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -640,7 +637,7 @@ def test_certificate_text_round_trip_is_exact(cert):
     back = parse_certificate(certificate_text(cert))
     assert back.K == cert.K and back.m == cert.m
     assert np.float64(back.delta).tobytes() == np.float64(cert.delta).tobytes()
-    assert back.nu.weights.tobytes() == cert.nu.weights.tobytes()
+    assert back.nu.tobytes() == cert.nu.tobytes()
     if cert.delta_prime is None:
         assert back.delta_prime is None
     else:

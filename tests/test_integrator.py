@@ -24,12 +24,10 @@ import glmix.integrator as integrator
 import oracles
 from glmix.field import (
     DriftPolynomial,
-    SpectralField,
     eigenvalues,
     norm_gamma,
     scaled_random_field,
     sup_norm_values,
-    zero_field,
 )
 from glmix.integrator import (
     ExponentialEulerStepper,
@@ -184,7 +182,7 @@ def test_linear_state_splits_into_decay_plus_convolution():
 
 
 def test_zero_is_a_fixed_point():
-    ens = run_ensemble(zero_field(5), quiet_params(n_modes=5), [0])
+    ens = run_ensemble(np.zeros(11), quiet_params(n_modes=5), [0])
     assert np.all(ens.states == 0.0)
 
 
@@ -300,7 +298,7 @@ def test_relaxation_from_large_initial_norm():
     ens = run_ensemble(x, params, range(3))
     for tid in range(3):
         assert not ens.aborted[tid]
-        final = SpectralField(32, ens.states[tid, -1])
+        final = ens.states[tid, -1]
         assert norm_gamma(final, 0.0) < 10.0
         assert norm_gamma(final, 1.0) < 10.0
 
@@ -397,7 +395,7 @@ def test_ensemble_is_bitwise_invariant_to_batching():
     big = SimulationParams(n_modes=32)
     assert ExponentialEulerStepper(big).grid_points == 135
     for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7), (DRIFT_FREE, CALM, 7),
-                              (big, scaled_random_field(32, 100.0).coeffs, 13)):
+                              (big, scaled_random_field(32, 100.0), 13)):
         kw = dict(traj_ids=range(n_traj))
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
@@ -575,6 +573,11 @@ def test_ensemble_record_times_and_windows():
     assert np.all(np.isnan(window_sup(WILD, SMALL, range(3), 0.0, 0.0625)))
     with pytest.raises(ValueError, match="step grid"):
         run_ensemble(x, params, traj_ids=[0], record_times=[0.013])
+    # two record times on one step would leave the first one's column NaN;
+    # times within 1e-9 of each other land on one step too
+    for times in ([1.0, 2.0, 1.0], [0.5, 1.0, 1.0 + 1e-10]):
+        with pytest.raises(ValueError, match="falls on step 32, as record time 1.0 does"):
+            run_ensemble(x, params, traj_ids=[0], record_times=times)
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):
@@ -593,8 +596,7 @@ def test_trajectory_csv_format_and_round_trip(tmp_path):
     # norms in the file equal recomputed norms from the recorded coefficients
     state = ens.states[0, 0]
     assert float(first[2]) == pytest.approx(np.sqrt(np.sum(state**2)), rel=1e-15)
-    f = SpectralField(4, state)
-    assert float(first[3]) == pytest.approx(norm_gamma(f, 1.0), rel=1e-15)
+    assert float(first[3]) == pytest.approx(norm_gamma(state, 1.0), rel=1e-15)
     assert [float(v) for v in first[6:]] == list(state[:6])
 
 
