@@ -5,9 +5,8 @@ for every x in K; combined with a uniform return probability delta_prime =
 min_x P(x, K) it yields the two-step total-variation contraction factor
 1 - delta delta_prime and hence an explicit geometric convergence bound.
 The script works the 2-state example end to end, runs the constructive
-small-set search on a metrized 20-state band kernel at two partition
-resolutions, and finishes with a drift-condition check on a birth-death
-chain.
+small-set search on a 20-state band kernel, and finishes with a
+drift-condition check on a birth-death chain.
 """
 
 from dataclasses import replace
@@ -16,7 +15,6 @@ import numpy as np
 
 from glmix.doeblin import (
     FiniteKernel,
-    ball_partition,
     certificate_text,
     condition_b,
     contraction_check,
@@ -75,13 +73,6 @@ def main():
     fine = small_set_search(kernel20, mu0)
     print(f"singleton partition: K = {fine.K}, delta = {fine.delta:.6f} "
           f"(= mu0(V) mu0(E) / 8 with V cell mass {fine.v_cell_mass})")
-    dist = np.abs(np.arange(20)[:, None] - np.arange(20)[None, :]).astype(float)
-    cells = ball_partition(dist, [1, 4, 7, 10, 13, 16], 1.0)
-    coarse = small_set_search(kernel20, mu0, partition=cells)
-    print(f"radius-1 ball partition into {len(cells)} cells: "
-          f"K = {coarse.K}, delta = {coarse.delta:.6f}")
-    print(f"refining the partition can only sharpen delta: "
-          f"{coarse.delta:.6f} <= {fine.delta:.6f}")
 
     print("\n== drift condition on a reflecting birth-death chain ==")
     n = 6

@@ -9,10 +9,10 @@ one step with probability at least delta_prime, the two-step coupling
 contracts total variation by 1 - delta delta_prime, which iterates into a
 geometric convergence bound toward the invariant measure.  A constructive
 search builds two-step certificates from the density threshold
-sets S_x = {y : p(x, y) > 1/2}, optionally through a coarse partition, and a
-composition rule extends a certificate on an accessible set A to any set C
-that reaches A.  Total variation is normalized as the total mass of the
-absolute value, so distinct Dirac measures sit at distance 2.
+sets S_x = {y : p(x, y) > 1/2}, and a composition rule extends a
+certificate on an accessible set A to any set C that reaches A.  Total
+variation is normalized as the total mass of the absolute value, so
+distinct Dirac measures sit at distance 2.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "small_set_search",
     "two_small_compose",
     "drift_condition_check",
-    "ball_partition",
     "read_kernel",
     "write_kernel",
     "certificate_text",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-_EPS = np.finfo(float).eps
 
 
 def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
@@ -104,7 +102,7 @@ class SmallSetCertificate:
     array.  delta_prime, when present, additionally claims
     min_x P(x, K) >= delta_prime.  Both claims are checked entry by entry by
     validate().  v_cell_mass and e_mass are provenance from the constructive
-    search (the mu0 masses of the middle cell and of the support of nu); they
+    search (the mu0 masses of the middle state and of the support of nu); they
     are informational only and do not appear in the emitted text block.
     """
 
@@ -280,16 +278,6 @@ def geometric_bound_check(
     return worst
 
 
-def _check_partition(partition, n: int) -> list[np.ndarray]:
-    cells = [np.asarray(sorted(int(x) for x in cell), dtype=int) for cell in partition]
-    seen = np.concatenate(cells) if cells else np.array([], dtype=int)
-    if sorted(seen.tolist()) != list(range(n)):
-        raise ValueError("cells must partition the state space")
-    if any(cell.size == 0 for cell in cells):
-        raise ValueError("cells must be nonempty")
-    return cells
-
-
 def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
     """mu0 as a float array if small_set_search takes it as its reference
     measure: one weight for each state of kernel, each positive and at most
@@ -305,99 +293,35 @@ def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
     return mu
 
 
-def small_set_search(
-    kernel: FiniteKernel, mu0, partition=None
-) -> SmallSetCertificate | None:
+def small_set_search(kernel: FiniteKernel, mu0) -> SmallSetCertificate | None:
     """Constructive two-step small set from the density threshold 1/2.
 
-    With densities p(x,y) = P(x,y)/mu0(y), the set S^2 = {p > 1/2} is scanned
-    for a cell triple (U, V, W) of the partition (singletons by default) such
-    that S^2 covers at least 7/8 of U x V and of V x W in mu0 x mu0 mass.
-    The certificate is then K = D = {x in U : mu0(S_x cap V) >= 3/4 mu0(V)},
-    m = 2, nu = mu0 restricted to E = {z in W : mu0(S_z* cap V) >= 3/4 mu0(V)}
-    and normalized, delta = mu0(V) mu0(E) / 8.  None when no triple passes
-    the covering thresholds at this refinement.
-
-    D depends only on (U, V) and E, delta only on (V, W), so the scan is a
-    few products of the cell-indicator matrix with S^2 and mu0: a (V, W)
-    matrix of delta, and for each V the first U that covers it and has a
-    nonempty D.  The winner has the largest delta; ties go to the smallest
-    U index, then V, then W.  Its D, E and delta are then recounted state
-    by state, and validate() checks P^2(x, z) >= delta nu(z) on K x E, which
-    is the density bound P^2(x, z) / mu0(z) >= mu0(V) / 8.
+    With densities p(x,y) = P(x,y)/mu0(y) and S = {p > 1/2}, the search
+    takes the S-path a -> b -> c with the largest delta = mu0(b) mu0(c) / 8
+    and certifies K = {a}, m = 2, nu the Dirac mass at c: P^2(a, c) >=
+    P(a, b) P(b, c) > mu0(b) mu0(c) / 4.  Ties go to the smallest a (the
+    first state with an S-edge into b), then b, then c.  Every row has an
+    S-edge, since a row with P <= mu0/2 everywhere would sum to at most 1/2,
+    so a path always exists; None only when every delta underflows to 0.
+    validate() checks the certificate entry by entry.
     """
     mu = search_weights(kernel, mu0)
-    cells = (
-        [np.array([i]) for i in range(kernel.n)]
-        if partition is None
-        else _check_partition(partition, kernel.n)
-    )
-    s2 = kernel.rows / mu[None, :] > 0.5
-
-    cell_mass = np.array([mu[c].sum() for c in cells])
-    cell_of = np.empty(kernel.n, dtype=int)
-    for j, cell in enumerate(cells):
-        cell_of[cell] = j
-    ind = np.eye(len(cells))[cell_of]  # ind[x, j] = 1 when x lies in cell j
-    sizes = np.bincount(cell_of)
-
-    # The products sum each mu0 mass in another order than a scan over one
-    # cell pair would.  A sum of k nonnegative terms moves by at most about
-    # k eps relative between two orders, so only entries that close to their
-    # threshold are summed again the scan's way, where a partition can put
-    # them exactly on it.
-    def near(fast, floor, terms):
-        return np.abs(fast - floor) <= 4.0 * terms * _EPS * np.maximum(fast, floor)
-
-    def sx_in_v(b):  # mu0(S_x cap V) for every state x, V the cell b
-        return (s2[:, cells[b]] * mu[cells[b]][None, :]).sum(axis=1)
-
-    def sz_in_v(b, c):  # mu0(S*_z cap V) for z in the cell c
-        return (s2[np.ix_(cells[b], cells[c])] * mu[cells[b]][:, None]).sum(axis=0)
-
-    w = s2 * mu[None, :]  # w[x, y] = mu0(y) on S^2, else 0
-    cover = ind.T @ (mu[:, None] * w) @ ind
-    pair_floor = 0.875 * cell_mass[:, None] * cell_mass[None, :]
-    good = cover >= pair_floor
-    for a, b in np.argwhere(near(cover, pair_floor, sizes[:, None] * sizes[None, :])):
-        block = s2[np.ix_(cells[a], cells[b])]
-        scan = (mu[cells[a]][:, None] * mu[cells[b]][None, :] * block).sum()
-        good[a, b] = scan >= pair_floor[a, b]
-    three_q = 0.75 * cell_mass
-    d_sum = w @ ind  # [x, b]
-    in_d = d_sum >= three_q[None, :]
-    for b in np.flatnonzero(near(d_sum, three_q[None, :], sizes[None, :]).any(axis=0)):
-        in_d[:, b] = sx_in_v(b) >= three_q[b]
-    e_sum = ind.T @ (mu[:, None] * s2)  # [b, z]
-    in_e = e_sum >= three_q[:, None]
-    for b, c in {(b, cell_of[z]) for b, z in
-                 np.argwhere(near(e_sum, three_q[:, None], sizes[:, None]))}:
-        in_e[b, cells[c]] = sz_in_v(b, c) >= three_q[b]
-
-    ab = good & (ind.T @ in_d > 0.0)  # U covers V and has a nonempty D
-    bc = ab.any(axis=0)[:, None] & good
-    e_mass = (in_e * mu[None, :]) @ ind  # [b, c]; exact when the cell c is one state
-    delta_bc = np.where(bc & (e_mass > 0.0), cell_mass[:, None] * e_mass / 8.0, -np.inf)
-    if not np.isfinite(delta_bc).any():
+    with np.errstate(over="ignore"):  # a subnormal weight gives inf, still > 1/2
+        s = kernel.rows / mu[None, :] > 0.5
+    # delta[b, c] when some a has an S-edge into b and S holds on (b, c), else 0
+    delta = np.where(s.any(axis=0)[:, None] & s, mu[:, None] * mu[None, :] / 8.0, 0.0)
+    best = delta.max()
+    if best <= 0.0:
         return None
-    top = delta_bc.max() * (1.0 - 8.0 * sizes.max() * _EPS)
-    for b, c in np.argwhere((delta_bc >= top) & (sizes > 1)[None, :]):
-        delta_bc[b, c] = cell_mass[b] * float(mu[cells[c][in_e[b, cells[c]]]].sum()) / 8.0
-    b_top, c_top = np.nonzero(delta_bc == delta_bc.max())  # ordered by b, then c
-    a_top = ab.argmax(axis=0)[b_top]
+    b_top, c_top = np.nonzero(delta == best)  # ordered by b, then c
+    a_top = s.argmax(axis=0)[b_top]
     i = int(np.argmin(a_top))
     a, b, c = int(a_top[i]), int(b_top[i]), int(c_top[i])
-
-    v_mass = cell_mass[b]
-    d_states = cells[a][sx_in_v(b)[cells[a]] >= 0.75 * v_mass]
-    e_states = cells[c][sz_in_v(b, c) >= 0.75 * v_mass]
-    e_mass = float(mu[e_states].sum())
-    delta = v_mass * e_mass / 8.0
-    nu_w = np.zeros(kernel.n)
-    nu_w[e_states] = mu[e_states] / e_mass
+    nu = np.zeros(kernel.n)
+    nu[c] = 1.0
     cert = SmallSetCertificate(
-        K=tuple(int(x) for x in d_states), m=2, delta=float(delta),
-        nu=nu_w, v_cell_mass=float(v_mass), e_mass=e_mass,
+        K=(a,), m=2, delta=float(best), nu=nu,
+        v_cell_mass=float(mu[b]), e_mass=float(mu[c]),
     )
     cert.validate(kernel)
     return cert
@@ -445,24 +369,6 @@ def drift_condition_check(kernel: FiniteKernel, v, k, c: float, lam: float) -> l
         if (pv[x] > lam + _TOL if x in states else pv[x] > c * v[x] + _TOL)
     ]
     return bad
-
-
-def ball_partition(dist, centers, radius: float) -> list[list[int]]:
-    """Partition generated by the metric balls B(center, radius).
-
-    Two states share a cell exactly when they belong to the same set of
-    balls; cells are ordered by their smallest member.  This is the finite
-    realization of refining a space by balls around chosen centers.
-    """
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError("dist must be a square matrix")
-    signatures = {}
-    for x in range(n):
-        sig = tuple(bool(dist[int(c), x] <= radius) for c in centers)
-        signatures.setdefault(sig, []).append(x)
-    return sorted(signatures.values(), key=lambda cell: cell[0])
 
 
 # ---------------------------------------------------------------------------

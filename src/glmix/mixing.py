@@ -173,37 +173,33 @@ class MomentTable:
 
 
 def _uniformity(estimates, stderrs) -> UniformityVerdict:
+    """Largest pairwise ratio and pairwise interval overlap, in closed form.
+
+    Estimates are >= 0, so the largest ratio is the largest estimate over
+    the smallest, and intervals on a line overlap pairwise exactly when
+    they share a point: the largest lower end is at most the smallest upper.
+    """
     est = np.asarray(estimates, dtype=float)
     se = np.asarray(stderrs, dtype=float)
-    lo = est - _Z * se
-    hi = est + _Z * se
-    ratio_ok = True
-    max_ratio = 1.0
-    ci_ok = True
-    for i in range(est.size):
-        for j in range(i + 1, est.size):
-            small, big = sorted([est[i], est[j]])
-            if big <= 0.0:
-                ratio = 1.0
-            elif small <= 0.0:
-                ratio = math.inf
-            else:
-                ratio = big / small
-            max_ratio = max(max_ratio, ratio)
-            if ratio > _RATIO_THRESHOLD:
-                ratio_ok = False
-            if lo[i] > hi[j] or lo[j] > hi[i]:
-                ci_ok = False
-    return UniformityVerdict(max_ratio=max_ratio, ratio_ok=ratio_ok, ci_overlap_ok=ci_ok)
+    big, small = float(est.max()), float(est.min())
+    max_ratio = 1.0 if big <= 0.0 else math.inf if small <= 0.0 else big / small
+    ci_ok = bool((est - _Z * se).max() <= (est + _Z * se).min())
+    return UniformityVerdict(
+        max_ratio=max_ratio, ratio_ok=max_ratio <= _RATIO_THRESHOLD, ci_overlap_ok=ci_ok
+    )
 
 
 def _mean_entry(ic_index, t, values: np.ndarray, n_traj: int) -> MomentEntry:
-    finite = values[np.isfinite(values)]
-    n_aborted = n_traj - finite.size
-    if finite.size == 0:
+    kept = values[~np.isnan(values)]  # run_ensemble records an abort as NaN
+    n_aborted = n_traj - kept.size
+    if kept.size == 0:
         raise ValueError(f"all trajectories aborted for initial condition {ic_index}")
-    est = float(finite.mean())
-    se = float(finite.std(ddof=1) / math.sqrt(finite.size)) if finite.size > 1 else 0.0
+    with np.errstate(over="ignore"):
+        est = float(kept.mean())
+        se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
+    if not math.isfinite(est + se):
+        raise ValueError(f"the p-th moment of initial condition {ic_index} overflows "
+                         "in its mean or stderr")
     return MomentEntry(
         ic_index=ic_index, t=float(t), estimate=est, stderr=se,
         n_traj=n_traj, n_aborted=n_aborted,
@@ -211,9 +207,19 @@ def _mean_entry(ic_index, t, values: np.ndarray, n_traj: int) -> MomentEntry:
 
 
 def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
+    """||x||_gamma^p of each record, NaN for an aborted one.  ValueError
+    naming p when the p-th power of a finite record overflows, or that of a
+    nonzero norm underflows to 0."""
     n_modes = (states.shape[-1] - 1) // 2
     w = eigenvalues(n_modes) ** (2.0 * gamma)
-    return np.sum(w * states * states, axis=-1) ** (p / 2.0)
+    with np.errstate(over="ignore"):
+        sq = np.sum(w * states * states, axis=-1)
+        vals = sq ** (p / 2.0)
+    lost = ("overflows" if np.isinf(vals).any() else
+            "underflows to 0" if ((vals == 0.0) & (sq > 0.0)).any() else None)
+    if lost:
+        raise ValueError(f"p = {fmt_float(p)}: the p-th power of a trajectory norm {lost}")
+    return vals
 
 
 def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:

@@ -231,7 +231,8 @@ def small_set_search_reference(rows, mu, cells):
     cells the partition as sorted index arrays in search order.  Scans every
     (a, b, c) with S^2 = {rows / mu > 1/2} covering 7/8 of a x b and of b x c,
     keeping the largest (delta, -a, -b, -c).  Returns (K, delta, nu weights,
-    mu0(V), mu0(E)) for the winner, or None when no triple passes.
+    mu0(V), mu0(E)) for the winner, or None when no triple passes with a
+    delta that does not underflow to 0.
     """
     s2 = rows / mu[None, :] > 0.5
     cell_mass = np.array([mu[c].sum() for c in cells])
@@ -262,7 +263,7 @@ def small_set_search_reference(rows, mu, cells):
                 e_mass = float(mu[e_states].sum())
                 delta = v_mass * e_mass / 8.0
                 key = (delta, -a, -b, -c)
-                if best is None or key > best[0]:
+                if delta > 0.0 and (best is None or key > best[0]):
                     best = (key, d_states, e_states, e_mass, delta, v_mass)
 
     if best is None:

@@ -364,6 +364,23 @@ def test_simulate_writes_finite_norms_for_a_start_whose_squares_overflow(tmp_pat
     assert math.isclose(float(row[3]), 1e200, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # every norm exceeds 1, so its 300th power overflowed; the inf records
+    # were then counted as aborted trajectories
+    ("gamma = 2\np = 300\n", "p = 300.0: the p-th power of a trajectory norm overflows"),
+    # every norm is below 1, so both estimates read 0.0 and passed as uniform
+    ("p = 1e6\n", "p = 1000000.0: the p-th power of a trajectory norm underflows to 0"),
+    # each power is finite but the square in the stderr overflowed
+    ("gamma = 2\np = 120\n",
+     "the p-th moment of initial condition 0 overflows in its mean or stderr"),
+], ids=["power_overflows", "power_underflows", "stderr_overflows"])
+def test_moments_out_of_float_range_exit_two_naming_p(tmp_path, capsys, rows, message):
+    cfg = ("[model]\nn_modes = 4\ndt = 0.0625\n\n[ensemble]\nic1 = zero\n"
+           "ic2 = scaled-random:1\nn_traj = 20\n" + rows)
+    text = run_exit_two(tmp_path, capsys, ["moments"], cfg)
+    assert text == f"error = validation\n{message}\n"
+
+
 def test_noise_that_overflows_a_step_exits_two_without_a_warning(tmp_path, capsys):
     # the abort norm of an overflowed row raised an overflow RuntimeWarning
     cfg = "[model]\nn_modes = 4\nc2 = 1e308\n\n[ensemble]\nn_traj = 2\n"
@@ -464,6 +481,20 @@ def test_doeblin_two_state_certificates_and_search(tmp_path, capsys):
     assert search.m == 2
     assert search.delta == 0.03125
     assert np.array_equal(search.nu, [1.0, 0.0])
+
+
+# every S-path ends at the tiny state, so each delta = mu0(b) mu0(c) / 8 is
+# 0.0; the search used to exit 2 on it.  P / 1e-320 is inf, which used to
+# raise an overflow RuntimeWarning.
+@pytest.mark.parametrize("weight", ["1e-200", "1e-320"])
+def test_doeblin_search_whose_every_delta_underflows_finds_none(tmp_path, capsys, weight):
+    (tmp_path / "k.txt").write_text("2\n0.5 0.5\n0.5 0.5\n")
+    cfg = write_cfg(tmp_path, f"[doeblin]\nkernel = k.txt\nmu0 = {weight} 1\n")
+    rc = main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert "search = none" in text and "error" not in text
+    assert not (tmp_path / "out" / "search_certificate.txt").exists()
 
 
 def test_doeblin_kernel_path_is_relative_to_the_config_file(tmp_path, capsys, monkeypatch):

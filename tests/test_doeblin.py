@@ -18,7 +18,6 @@ from glmix.cli import main
 from glmix.doeblin import (
     FiniteKernel,
     SmallSetCertificate,
-    ball_partition,
     certificate_text,
     condition_b,
     contraction_check,
@@ -286,25 +285,21 @@ def test_small_set_search_uniform_rows():
     row = [0.25, 0.25, 0.25, 0.25]
     kernel = FiniteKernel([row] * 4)
     mu0 = np.full(4, 0.25)
-    # one coarse cell: densities are 1 everywhere, D = E = the whole space
-    cert = small_set_search(kernel, mu0, partition=[range(4)])
-    assert cert.K == (0, 1, 2, 3)
-    assert cert.delta == 1.0 / 8.0
-    assert np.array_equal(cert.nu, mu0)
-    # singleton refinement still succeeds, with per-cell mass in delta
-    fine = small_set_search(kernel, mu0)
-    assert fine.delta == 0.25 * 0.25 / 8.0
+    # densities are 1 everywhere: every path ties, the first one wins
+    cert = small_set_search(kernel, mu0)
+    assert cert.K == (0,) and np.array_equal(cert.nu, [1.0, 0.0, 0.0, 0.0])
+    assert cert.delta == 0.25 * 0.25 / 8.0
 
 
-def test_small_set_search_refinement_sensitivity():
-    # strong diagonal: the density threshold keeps only same-state pairs,
-    # so singleton cells succeed while merged cells fail the 7/8 cover
+def test_small_set_search_on_a_strong_diagonal():
+    # the density threshold keeps only same-state pairs, so the only
+    # S-paths stay at one state
     rows = np.full((4, 4), 0.01) + np.diag(np.full(4, 0.96))
     kernel = FiniteKernel(rows)
     mu0 = np.full(4, 0.25)
-    fine = small_set_search(kernel, mu0)
-    assert fine is not None and fine.delta == 0.25 * 0.25 / 8.0
-    assert small_set_search(kernel, mu0, partition=[[0, 1], [2, 3]]) is None
+    cert = small_set_search(kernel, mu0)
+    assert cert.K == (0,) and cert.nu[0] == 1.0
+    assert cert.delta == 0.25 * 0.25 / 8.0
 
 
 def test_small_set_search_always_finds_at_singleton_refinement():
@@ -332,8 +327,6 @@ def test_small_set_search_mu0_validation():
         small_set_search(kernel, [0.5, np.nan])
     with pytest.raises(ValueError, match="probability"):
         small_set_search(kernel, [0.5, np.inf])
-    with pytest.raises(ValueError, match="partition"):
-        small_set_search(kernel, [0.5, 0.5], partition=[[0]])
 
 
 def test_small_set_search_soundness_on_random_kernels():
@@ -358,12 +351,10 @@ def test_small_set_search_soundness_on_random_kernels():
 
 
 def metrized_twenty_state():
-    """A 20-state chain whose two-step structure favors three fat states.
+    """A 20-state chain whose two-step structure favors two fat states.
 
     States 0 and 2 carry mass 0.3 under mu0 but their mutual two-step links
-    are cut, so singleton refinement finds a strong certificate through
-    state 0 while the ball partition merges 0 and 2 with the thin state 1
-    and must settle for a uniform interior cell.
+    are cut, so the best path stays at state 0 and delta is 0.3^2 / 8.
     """
     n = 20
     mu0 = np.full(n, 0.38 / 17.0)
@@ -376,94 +367,55 @@ def metrized_twenty_state():
     return FiniteKernel(rows), mu0
 
 
-def test_small_set_search_coarse_partition_is_weaker():
+def test_small_set_search_prefers_the_fat_states():
     kernel, mu0 = metrized_twenty_state()
-    fine = small_set_search(kernel, mu0)
-    assert fine is not None
-    assert np.isclose(fine.delta, 0.3 * 0.3 / 8.0, rtol=1e-12)
-    dist = np.abs(np.subtract.outer(np.arange(20), np.arange(20))).astype(float)
-    cells = ball_partition(dist, centers=[1, 4, 7, 10, 13, 16], radius=1.0)
-    assert cells[0] == [0, 1, 2] and cells[-1] == [18, 19]
-    coarse = small_set_search(kernel, mu0, partition=cells)
-    assert coarse is not None
-    m = 0.38 / 17.0
-    assert np.isclose(coarse.delta, (3 * m) ** 2 / 8.0, rtol=1e-12)
-    assert coarse.delta <= fine.delta
+    cert = small_set_search(kernel, mu0)
+    assert cert is not None
+    assert np.isclose(cert.delta, 0.3 * 0.3 / 8.0, rtol=1e-12)
 
 
-def search_instance(seed, shape, n, density, uniform):
-    """A kernel, mu0 and partition for comparing the search with the cell scan.
+def search_instance(seed, n, density, weights):
+    """A kernel and mu0 for comparing the search with the triple scan.
 
-    Kernels are dense (density 1), or put their mass on a sparse 0/1
-    pattern, where coarse cells often admit no triple.  Cells are singletons,
-    random, or of the threshold shape: a 2-state cell U and a 4-state cell
-    V with S^2 on exactly 7/8 of the pairs of U x V and of V x V, so
-    that under a uniform mu0 both covers, and often a D or E mass, sit on
-    their thresholds.  There the search's products and the scan's cell sums
-    can round to opposite sides.
+    Kernels are dense (density 1), or put their mass on a sparse pattern.
+    mu0 is uniform, where many paths tie; skewed; or 1e-200 on about half
+    the states, where delta can underflow to 0 on every path.
     """
     rng = np.random.default_rng(seed)
     pattern = rng.random((n, n)) < density
-    labels = np.arange(n) if shape == "singletons" else rng.integers(0, n, n)
-    if shape == "threshold":
-        u, v = np.split(rng.permutation(n)[:6], [2])
-        labels[u], labels[v] = n, n + 1
-        for rows_, cols in ((u, v), (v, v)):
-            block = np.ones(rows_.size * cols.size, dtype=bool)
-            block[rng.choice(block.size, block.size // 8, replace=False)] = False
-            pattern[np.ix_(rows_, cols)] = block.reshape(rows_.size, cols.size)
     pattern[np.arange(n), rng.integers(0, n, n)] |= ~pattern.any(axis=1)
-    weights = pattern * (1.0 if shape == "threshold" else rng.random((n, n)) + 0.05)
-    rows = weights / weights.sum(axis=1, keepdims=True)
-    mu0 = np.full(n, 1.0 / n) if uniform else rng.random(n) ** 3 + 0.01
+    rows = pattern * (rng.random((n, n)) + 0.05)
+    rows /= rows.sum(axis=1, keepdims=True)
+    mu0 = np.full(n, 1.0 / n) if weights == "uniform" else rng.random(n) ** 3 + 0.01
+    if weights == "tiny":
+        mu0[rng.random(n) < 0.5] = 1e-200
     mu0 /= mu0.sum()
-    partition = None
-    if shape != "singletons":
-        partition = [np.flatnonzero(labels == lab).tolist() for lab in np.unique(labels)]
-        partition = [partition[i] for i in rng.permutation(len(partition))]
-    return rows, mu0, partition
+    return rows, mu0
 
 
 @st.composite
 def search_instances(draw):
-    shape = draw(st.sampled_from(["singletons", "random", "threshold"]))
-    # at n = 7 the two orders often round the U x V cover apart
-    n = draw(st.sampled_from([7, 7, 7, 6, 8, 10, 12]) if shape == "threshold"
-             else st.integers(2, 12))
     return search_instance(
         seed=draw(st.integers(0, 2**32 - 1)),
-        shape=shape,
-        n=n,
+        n=draw(st.integers(2, 10)),
         density=draw(st.sampled_from([0.15, 0.4, 1.0])),
-        uniform=shape == "threshold" or draw(st.booleans()),
+        weights=draw(st.sampled_from(["uniform", "skewed", "tiny"])),
     )
-
-
-def tied_masses():
-    """A 9-state cell W and a one-state cell Z of equal mu0 mass, S^2 everywhere.
-
-    Every triple passes and delta ties across W and Z.  The scan sums W's
-    mass cell by cell; an array product over the states of W rounds it one
-    ulp lower here, which without a recount would hand the tie to Z.
-    """
-    w = np.random.default_rng(0).random(9) * 0.1
-    mu0 = np.concatenate([w, [w.sum()], np.full(4, (1.0 - 2.0 * w.sum()) / 4.0)])
-    return np.tile(mu0, (14, 1)), mu0, [list(range(9)), [9], [10, 11], [12, 13]]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(search_instances())
-@example(tied_masses())
+@example((np.full((2, 2), 0.5), np.array([1e-200, 1.0])))  # every delta underflows
 def test_small_set_search_matches_the_cell_scan(instance):
-    rows, mu0, partition = instance
+    rows, mu0 = instance
     kernel = FiniteKernel(rows)
-    cells = [np.array([x]) for x in range(kernel.n)] if partition is None else [
-        np.array(sorted(cell)) for cell in partition]
-    want = oracles.small_set_search_reference(kernel.rows, mu0, cells)
-    got = small_set_search(kernel, mu0, partition)
+    want = oracles.small_set_search_reference(
+        kernel.rows, mu0, [np.array([x]) for x in range(kernel.n)])
+    got = small_set_search(kernel, mu0)
     if want is None:
         assert got is None
         return
+    assert len(got.K) == 1 and np.count_nonzero(got.nu) == 1 and got.nu.max() == 1.0
     k, delta, nu, v_mass, e_mass = want
     text = certificate_text(SmallSetCertificate(K=k, m=2, delta=delta, nu=nu))
     assert certificate_text(got) == text
@@ -562,15 +514,6 @@ def test_drift_condition_check_validation():
         drift_condition_check(kernel, v, k=(0,), c=0.5, lam=0.0)
     with pytest.raises(ValueError, match=">= 1"):
         drift_condition_check(kernel, 0.5 * v, k=(0,), c=0.5, lam=1.0)
-
-
-def test_ball_partition_cases():
-    path = np.abs(np.subtract.outer(np.arange(6), np.arange(6))).astype(float)
-    assert ball_partition(path, centers=[1, 4], radius=1.0) == [[0, 1, 2], [3, 4, 5]]
-    small = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
-    assert ball_partition(small, centers=[0, 2], radius=1.0) == [[0], [1], [2, 3]]
-    with pytest.raises(ValueError, match="square"):
-        ball_partition(np.zeros((2, 3)), centers=[0], radius=1.0)
 
 
 def test_kernel_file_round_trip(tmp_path):
