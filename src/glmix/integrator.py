@@ -25,12 +25,14 @@ Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
 allocates no block-sized array.  The slabs of the blocks that run at once
 share one budget, _SLAB_BYTES (16 MB) a call, so more workers draw shorter
-slabs.  Each trajectory consumes its own stream (noise.trajectory_generator),
-so results do not depend on block sizes, slab lengths, worker counts or
-thread schedules.  A row aborts at the first step after which its squared
-norm is NaN, infinite or above the guard's square, so a row that overflows
-within a step aborts under any guard, inf included.  It is set to NaN and
-stays NaN, and a block stops stepping once all its rows have.
+slabs; a block splits its steps into the fewest slabs its share allows, all
+of one length.  Each trajectory consumes its own stream
+(noise.trajectory_generator), so results do not depend on block sizes, slab
+lengths, worker counts or thread schedules.  A row aborts at the first step
+after which its squared norm is NaN, infinite or above the guard's square, so
+a row that overflows within a step aborts under any guard, inf included.  It
+is set to NaN and stays NaN, and a block stops stepping once all its rows
+have.
 """
 
 from __future__ import annotations
@@ -233,6 +235,15 @@ class ExponentialEulerStepper:
         return blown
 
 
+def _grid_step(t: float, dt: float) -> int | None:
+    """The step of the dt grid within 1e-9 of time t, or None if none is."""
+    steps = t / dt
+    if not math.isfinite(steps):
+        return None
+    n = round(steps)
+    return n if abs(n * dt - t) <= 1e-9 else None
+
+
 @dataclass
 class EnsembleResult:
     """Integer-time records for a batch of trajectories from one start point."""
@@ -249,8 +260,13 @@ class EnsembleResult:
         return self.states.shape[0]
 
     def states_at(self, t: float) -> np.ndarray:
-        i = int(np.flatnonzero(np.isclose(self.times, t))[0])
-        return self.states[:, i, :]
+        """The (n_traj, slots) records at time t, matched on its step of the
+        grid as run_ensemble places record times."""
+        n = _grid_step(t, self.params.dt)
+        steps = [_grid_step(float(s), self.params.dt) for s in self.times]
+        if n is None or n not in steps:
+            raise ValueError(f"no record at t = {fmt_float(t)}")
+        return self.states[:, steps.index(n), :]
 
 
 def integer_times(t_final: float) -> np.ndarray:
@@ -280,12 +296,12 @@ BLOCK_ROWS = 512
 
 # One run_ensemble call holds at most 16 MB of normal draws: each of its w
 # workers' blocks draws in slabs of at most 256 steps and 16 MB / w (at least
-# one step), so one worker draws 63 steps of a 512 x 65 block and two draw 31.
-# On a 2-core Xeon the mixing-cubic benchmark workload (two workers) peaks at
-# 82, 66 and 58 MB of RSS with 16, 8 and 4 MB per block.  Smaller slabs cost
-# time, since each slab takes one standard_normal call per row and each call
-# releases and retakes the GIL: 4 MB per block raised its wall time by about
-# 12%.  write_trajectory_csv forms its groups in a quarter of the budget.
+# one step), and splits its steps into the fewest such slabs, all of one
+# length.  So one worker draws the 256 steps of a 512 x 65 block in 5 slabs of
+# 52 steps, and two workers in 9 slabs of 29.  Smaller slabs cost time, since
+# each slab takes one standard_normal call per row and each call releases and
+# retakes the GIL: 4 MB per block raised the mixing-cubic benchmark's wall
+# time by about 12%.  write_trajectory_csv forms its groups in 1 MB.
 _SLAB_BYTES = 16 << 20
 
 
@@ -308,7 +324,9 @@ def _run_block(
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
     n_steps = params.n_steps
-    slab_len = max(1, min(256, n_steps, slab_bytes // (8 * n * n_slots)))
+    # the fewest refills the longest slab allows, all of one length
+    longest = max(1, min(256, n_steps, slab_bytes // (8 * n * n_slots)))
+    slab_len = -(-n_steps // -(-n_steps // longest))
     noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
 
     if 0 in rec_steps:
@@ -354,8 +372,8 @@ def run_ensemble(
     bitwise independent of the block size and threads because every
     trajectory owns its stream and rows are written by index.  The blocks
     run on a pool of min(ensemble_workers(threads), blocks) workers, and
-    each block draws its normals in slabs of at most _SLAB_BYTES / workers,
-    so the slabs alive at once fit in _SLAB_BYTES.
+    each block draws its normals in equal slabs of at most _SLAB_BYTES /
+    workers, so the slabs alive at once fit in _SLAB_BYTES.
     """
     coeffs = np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -368,8 +386,8 @@ def run_ensemble(
         record_times = np.asarray(record_times, dtype=float)
     rec_steps: dict[int, int] = {}
     for i, t in enumerate(record_times):
-        n = round(float(t) / params.dt)
-        if abs(n * params.dt - t) > 1e-9 or not 0 <= n <= params.n_steps:
+        n = _grid_step(float(t), params.dt)
+        if n is None or not 0 <= n <= params.n_steps:
             raise ValueError(f"record time {t} is not on the step grid")
         if n in rec_steps:
             raise ValueError(f"record time {t} falls on step {n}, as record time "
@@ -513,7 +531,7 @@ def write_trajectory_csv(
     to an ensemble it has written.  Rows carry a trajectory column.  Each
     result is written in groups of whole trajectories (at least one), and a
     group's rows go to the file before the next group is formed.  A group's
-    transient arrays fit in _SLAB_BYTES // 4 (4 MB): its finite rows, their
+    transient arrays fit in _SLAB_BYTES // 16 (1 MB): its finite rows, their
     three norms, and the sup-norm grid, half spectrum and |grid|.  So the
     writer holds one group besides the ensemble it is writing, and the text
     does not depend on how the trajectories are split into ensembles or
@@ -538,7 +556,7 @@ def write_trajectory_csv(
 
     def write(fh, ens):  # its views of ens's records die when it returns
         times = np.array([fmt_float(t) for t in ens.times], dtype=object)
-        group = max(1, (_SLAB_BYTES // 4) // (row_bytes * max(1, len(times))))
+        group = max(1, (_SLAB_BYTES // 16) // (row_bytes * max(1, len(times))))
         for lo in range(0, ens.n_traj, group):
             states = ens.states[lo : lo + group]
             finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)

@@ -51,6 +51,8 @@ _Z = 1.96
 # _FIT_MIN_POINTS of them.
 _FIT_WINDOW = 4.0
 _FIT_MIN_POINTS = 4
+# Records projected to observables at once by mixing_report.
+_OBS_ROWS = 128
 
 
 @dataclass
@@ -321,9 +323,18 @@ class MixingReport:
 
 def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
     """Observable rows of the finite (n_traj, n_times, slots) records, one
-    array per time; none of them is a view of states."""
+    array per time; none of them is a view of states.  Each time's rows are
+    projected _OBS_ROWS at a time, which observables does row by row, so the
+    temporaries stay small beside the records."""
     keep = np.all(np.isfinite(states), axis=-1)
-    return [observables(states[keep[:, j], j], gamma) for j in range(states.shape[1])]
+    out = []
+    for j in range(states.shape[1]):
+        rows = np.flatnonzero(keep[:, j])
+        out.append(np.concatenate([
+            observables(states[rows[lo : lo + _OBS_ROWS], j], gamma)
+            for lo in range(0, max(1, rows.size), _OBS_ROWS)
+        ]))
+    return out
 
 
 def mixing_report(

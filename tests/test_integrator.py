@@ -30,6 +30,7 @@ from glmix.field import (
     sup_norm_values,
 )
 from glmix.integrator import (
+    EnsembleResult,
     ExponentialEulerStepper,
     SimulationParams,
     integer_times,
@@ -434,7 +435,8 @@ def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
     # the budget is shared by the blocks running at once, one per worker
     workers = min(integrator.ensemble_workers(threads), -(-7 // block_size))
     with pytest.MonkeyPatch.context() as mp:
-        # full blocks draw slabs of slab_len steps; a shorter last block, longer ones
+        # full blocks draw slabs of at most slab_len steps; a shorter last block,
+        # longer ones
         mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len * workers)
         mp.setattr(integrator, "BLOCK_ROWS", block_size)
         other = run_ensemble(x, params, threads=threads, **kw)
@@ -527,7 +529,9 @@ def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
                         lambda seed, tid: Recording(make_generator(seed, tid), tid))
     rows, n_traj, n_blocks = 4, 10, 3  # the last block has two rows
     row_step_bytes = 8 * CALM.size
-    budget = row_step_bytes * rows * 12  # one worker: full blocks draw 12 of 64 steps
+    # one worker: a full block's longest slab is 12 steps, so it draws its 64
+    # steps in 6 slabs of 11
+    budget = row_step_bytes * rows * 12
     monkeypatch.setattr(integrator, "_SLAB_BYTES", budget)
     monkeypatch.setattr(integrator, "BLOCK_ROWS", rows)
     base = None
@@ -537,9 +541,11 @@ def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
         workers = min(integrator.ensemble_workers(threads), n_blocks)
         first = {}
         drawn = dict.fromkeys(range(n_traj), 0)
+        refills = dict.fromkeys(range(n_traj), 0)
         for tid, thread, size in calls:
             first.setdefault(tid, (thread, size))
             drawn[tid] += size
+            refills[tid] += 1
         # every row draws each of its 64 steps once
         assert drawn == dict.fromkeys(range(n_traj), SMALL.n_steps * CALM.size)
         largest = {}  # thread -> its largest block slab in bytes
@@ -548,9 +554,14 @@ def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
             assert len({thread for thread, _ in block}) == 1
             slab = 8 * sum(size for _, size in block)
             largest[block[0][0]] = max(largest.get(block[0][0], 0), slab)
-            # a block's slab is its workers-th of the budget, in whole steps
+            # a block's longest slab is its workers-th of the budget in whole
+            # steps; it draws in the fewest refills that allows, of equal length
             steps = (budget // workers) // (row_step_bytes * len(block))
-            assert slab == row_step_bytes * len(block) * min(steps, SMALL.n_steps)
+            longest = min(steps, SMALL.n_steps)
+            n_refills = -(-SMALL.n_steps // longest)
+            assert slab == row_step_bytes * len(block) * -(-SMALL.n_steps // n_refills)
+            for tid in range(b * rows, min((b + 1) * rows, n_traj)):
+                assert refills[tid] == n_refills
         assert len(largest) <= workers
         assert sum(largest.values()) <= budget
         if base is None:
@@ -578,6 +589,23 @@ def test_ensemble_record_times_and_windows():
     for times in ([1.0, 2.0, 1.0], [0.5, 1.0, 1.0 + 1e-10]):
         with pytest.raises(ValueError, match="falls on step 32, as record time 1.0 does"):
             run_ensemble(x, params, traj_ids=[0], record_times=times)
+
+
+def test_states_at_matches_each_record_on_its_step():
+    """Records one step apart at t = 1000 are told apart, and a time that
+    was not recorded is a ValueError naming it."""
+    params = SimulationParams(n_modes=1, dt=1.0 / 256.0, t_final=1001.0)
+    times = np.array([1000.0, 1000.0 + params.dt])
+    states = np.arange(12.0).reshape(2, 2, 3)
+    ens = EnsembleResult(params=params, traj_ids=np.arange(2), times=times, states=states,
+                         aborted=np.zeros(2, dtype=bool), abort_times=np.full(2, np.nan))
+    for i, t in enumerate(times):
+        assert np.array_equal(ens.states_at(t), states[:, i])
+    # as run_ensemble places a record time: within 1e-9 of its step
+    assert np.array_equal(ens.states_at(times[1] + 1e-10), states[:, 1])
+    for t in (1000.0 + 2 * params.dt, 1000.0 + params.dt / 3, 999.0, math.nan):
+        with pytest.raises(ValueError, match=f"^no record at t = {t!r}$"):
+            ens.states_at(t)
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):
@@ -699,7 +727,7 @@ def test_trajectory_csv_text_is_pinned(tmp_path, monkeypatch, n_modes):
     write_trajectory_csv(tmp_path / "a.csv", results, 1.0, ["seed = 1"])
     assert (tmp_path / "a.csv").read_text() == want
     # one trajectory a group: four rows of 8 (2 N + 4) + 24 * 64 bytes fill 6528
-    monkeypatch.setattr(integrator, "_SLAB_BYTES", 4 * 6528)
+    monkeypatch.setattr(integrator, "_SLAB_BYTES", 16 * 6528)
     write_trajectory_csv(tmp_path / "b.csv", results, 1.0, ["seed = 1"])
     assert (tmp_path / "b.csv").read_text() == want
 
@@ -718,10 +746,10 @@ def test_trajectory_csv_is_independent_of_the_group_budget(tmp_path_factory, n_m
     trajectory a group) to the 24 rows of both ensembles (each ensemble in
     one group), writes the pinned text."""
     row_bytes = 8 * (2 * n_modes + 4) + 24 * 64
-    quarter = data.draw(st.integers(0, 2 * 3 * 4 * row_bytes), label="budget")
+    group_bytes = data.draw(st.integers(0, 2 * 3 * 4 * row_bytes), label="budget")
     out = tmp_path_factory.getbasetemp() / "groups.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "_SLAB_BYTES", 4 * quarter)
+        mp.setattr(integrator, "_SLAB_BYTES", 16 * group_bytes)
         write_trajectory_csv(out, philox_writer_results(n_modes), 1.0, ["seed = 1"])
     assert out.read_text() == {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
 
@@ -770,7 +798,8 @@ def writer_peak_bytes(tmp_path, n_traj):
 
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_records(tmp_path):
     # 4,000 and 32,000 trajectories hold 1.1 and 8.7 MB of records; a writer
-    # that builds the whole text peaks near 7 times the records
+    # that builds the whole text peaks near 7 times the records, and one group
+    # of at most 1 MB of work arrays peaks below 0.9 MB
     small, large = (writer_peak_bytes(tmp_path, n) for n in (4000, 32000))
-    assert large < 6e6 and small < 6e6
+    assert large < 1.2e6 and small < 1.2e6
     assert abs(large - small) <= 0.1 * max(large, small)
