@@ -22,7 +22,6 @@ norm R in the gamma = 1 topology; it does not depend on the run seed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import DriftPolynomial, fmt_float, scaled_random_field
-from .integrator import SimulationParams, integer_times
+from .integrator import SimulationParams, _grid_step, integer_times
 from .noise import NoiseSpectrum
 
 __all__ = ["ConfigError", "RunConfig", "resolve_config"]
@@ -134,6 +133,17 @@ def _distinct_finite(values, lineno, key):
         raise ConfigError(f"line {lineno}: {key} lists {fmt_float(twice[0])} twice")
 
 
+def _positive(values, lineno, key):
+    _finite(values, lineno, key)
+    if min(values) <= 0:
+        raise ConfigError(f"line {lineno}: {key} must be positive")
+
+
+def _odd_from_three(values, lineno, key):
+    if not all(v >= 3 and v % 2 == 1 for v in values):
+        raise ConfigError(f"line {lineno}: {key} must be odd integers >= 3")
+
+
 def _at_least(least):
     def check(values, lineno, key):
         if min(values) < least:
@@ -187,10 +197,10 @@ _SECTIONS = {
         "mu0": _row(float, many=True, word="uniform", check=_weights),
     }),
     "odecheck": ("ode_", {
-        "qs": _row(int, many=True),
-        "cs": _row(float, many=True, check=_finite),
-        "y0s": _row(float, many=True, check=_finite),
-        "ts": _row(float, many=True, check=_finite),
+        "qs": _row(int, many=True, check=_odd_from_three),
+        "cs": _row(float, many=True, check=_positive),
+        "y0s": _row(float, many=True, check=_positive),
+        "ts": _row(float, many=True, check=_positive),
     }),
 }
 _PATTERN_KEYS = {"model": re.compile(r"q(\d+)"), "ensemble": re.compile(r"ic(\d+)")}
@@ -238,14 +248,10 @@ class RunConfig:
             self.doeblin_kernel = str((Path(config_path).parent / self.doeblin_kernel).resolve())
 
     def spectrum(self) -> NoiseSpectrum:
-        spectrum = NoiseSpectrum.default(
-            self.n_modes, alpha=self.alpha, beta=self.beta,
-            c1=self.c1, c2=self.c2, k_star=self.k_star,
+        return NoiseSpectrum.default(
+            self.n_modes, alpha=self.alpha, beta=self.beta, c1=self.c1, c2=self.c2,
+            k_star=self.k_star, overrides=self.q_overrides,
         )
-        q = spectrum.q.copy()
-        for kk, val in self.q_overrides.items():
-            q[kk] = val
-        return dataclasses.replace(spectrum, q=q)
 
     def params(self) -> SimulationParams:
         poly = None if self.poly is None else DriftPolynomial(self.poly)
@@ -346,4 +352,15 @@ def resolve_config(text: str) -> RunConfig:
             _canonical_ic(value, lineno, key, cfg.n_modes)
             for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
         ]
+    if cfg.times and 0 < cfg.dt <= 1:  # SimulationParams refuses any other dt
+        lineno = sections["ensemble"].entries["times"][1]
+        last = _grid_step(cfg.t_final, cfg.dt)
+        for t in cfg.times:
+            n = _grid_step(t, cfg.dt)
+            if n is None:
+                raise ConfigError(f"line {lineno}: times lists {fmt_float(t)}, which is "
+                                  f"not on the grid of dt = {fmt_float(cfg.dt)}")
+            if last is not None and not 0 <= n <= last:
+                raise ConfigError(f"line {lineno}: times lists {fmt_float(t)}, outside "
+                                  f"0..t_final = {fmt_float(cfg.t_final)}")
     return cfg

@@ -54,7 +54,7 @@ from .field import (
     sup_points,
     values_to_coeffs,
 )
-from .noise import NoiseSpectrum, trajectory_generator, validate
+from .noise import NoiseSpectrum, trajectory_generator
 
 __all__ = [
     "SimulationParams",
@@ -76,13 +76,22 @@ _GUARD_MIN = math.sqrt(np.finfo(float).tiny)
 _GUARD_MAX = math.sqrt(np.finfo(float).max)
 
 
+def _grid_step(t: float, dt: float) -> int | None:
+    """The step of the dt grid within 1e-9 of time t, or None if none is."""
+    steps = t / dt
+    if not math.isfinite(steps):
+        return None
+    n = round(steps)
+    return n if abs(n * dt - t) <= 1e-9 else None
+
+
 @dataclass
 class SimulationParams:
     """Resolved model and discretization parameters.
 
     dt must divide 1 exactly in the rational sense (so integer times fall on
-    the step grid), t_final must be finite and at least 1, the step count
-    t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
+    the step grid), t_final must be finite, at least 1 and on the grid, its
+    step n_steps = t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
     per-trajectory streams) and blowup_guard must lie between
     sqrt(smallest normal float) ~ 1.49e-154 and sqrt(float max) ~ 1.34e154,
     so that its square is a normal float, or be inf.
@@ -98,6 +107,7 @@ class SimulationParams:
     spectrum: NoiseSpectrum | None = None
     seed: int = 1234
     blowup_guard: float = 1e12
+    n_steps: int = dataclass_field(init=False)  # t_final / dt
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -110,16 +120,15 @@ class SimulationParams:
             raise ValueError("dt must lie in (0, 1]")
         if self.t_final / self.dt >= 2**63:
             raise ValueError(f"dt = {fmt_float(self.dt)} makes more steps than int64 holds")
-        per_unit = round(1.0 / self.dt)
-        if abs(per_unit * self.dt - 1.0) > 1e-9:
+        if _grid_step(1.0, self.dt) is None:
             raise ValueError("dt must divide 1 exactly (1/dt integer)")
+        self.n_steps = _grid_step(self.t_final, self.dt)
+        if self.n_steps is None:
+            raise ValueError("t_final must be a multiple of dt")
         if self.spectrum is None:
             self.spectrum = NoiseSpectrum.default(self.n_modes)
         if self.spectrum.n_modes != self.n_modes:
             raise ValueError("spectrum length does not match n_modes")
-        bad = validate(self.spectrum)
-        if bad is not None:
-            raise ValueError("inadmissible noise spectrum:\n" + str(bad))
         if not self.blowup_guard > 0:  # NaN included
             raise ValueError("blowup_guard must be positive")
         if self.blowup_guard < _GUARD_MIN:
@@ -131,13 +140,6 @@ class SimulationParams:
                              f"{fmt_float(_GUARD_MAX)} = sqrt(float max); inf means no guard")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64)")
-
-    @property
-    def n_steps(self) -> int:
-        n = round(self.t_final / self.dt)
-        if abs(n * self.dt - self.t_final) > 1e-9:
-            raise ValueError("t_final must be a multiple of dt")
-        return n
 
 
 @dataclass
@@ -235,15 +237,6 @@ class ExponentialEulerStepper:
         return blown
 
 
-def _grid_step(t: float, dt: float) -> int | None:
-    """The step of the dt grid within 1e-9 of time t, or None if none is."""
-    steps = t / dt
-    if not math.isfinite(steps):
-        return None
-    n = round(steps)
-    return n if abs(n * dt - t) <= 1e-9 else None
-
-
 @dataclass
 class EnsembleResult:
     """Integer-time records for a batch of trajectories from one start point."""
@@ -258,15 +251,6 @@ class EnsembleResult:
     @property
     def n_traj(self) -> int:
         return self.states.shape[0]
-
-    def states_at(self, t: float) -> np.ndarray:
-        """The (n_traj, slots) records at time t, matched on its step of the
-        grid as run_ensemble places record times."""
-        n = _grid_step(t, self.params.dt)
-        steps = [_grid_step(float(s), self.params.dt) for s in self.times]
-        if n is None or n not in steps:
-            raise ValueError(f"no record at t = {fmt_float(t)}")
-        return self.states[:, steps.index(n), :]
 
 
 def integer_times(t_final: float) -> np.ndarray:
@@ -437,6 +421,8 @@ def run_ensemble(
 
 
 _ODE_TOL = 1e-8
+# steps LSODA may take on one forcing segment (a few hundred on the README grid)
+_ODE_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -451,6 +437,13 @@ class OdeComparison:
     literal_holds: bool
 
 
+def _unforced(q: int, c: float, y0: float, t: float) -> float:
+    """y(t) of y' = -c y^q from y0: (y0^-(q-1) + (q-1) c t)^(-1/(q-1)),
+    evaluated in logs so that no power overflows."""
+    log_age = math.log(q - 1) + math.log(c) + math.log(t) + (q - 1) * math.log(y0)
+    return math.exp(math.log(y0) - float(np.logaddexp(0.0, log_age)) / (q - 1))
+
+
 def ode_comparison(
     q: int,
     c: float,
@@ -463,9 +456,15 @@ def ode_comparison(
     The corrected bound ((q-1) c t)^(-1/(q-1)) + int_0^t f is the comparison
     constant valid for every y0 (equality as y0 -> infinity); the literal
     variant (q c t)^(-1/(q-1)) + int_0^t f is reported as well and can fail.
+    Either is inf when its c t term underflows to 0.
     forcing is a piecewise-constant step function as (start_time, value)
     pairs, start times increasing from 0, values nonnegative; None means 0.
     A bound holds when y(t) exceeds it by at most _ODE_TOL = 1e-8.
+
+    LSODA integrates each segment.  It has failed when its right-hand side
+    overflows, its step stops advancing, it takes more than _ODE_MAX_STEPS
+    steps or it ends at y <= 0 (the solution stays positive).  An unforced
+    segment then takes its exact solution; a forced one raises RuntimeError.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 3 and q % 2 == 1):
         raise ValueError("q must be an odd integer >= 3")
@@ -484,24 +483,33 @@ def ode_comparison(
     vals = values[: len(edges) - 1]
     f_int = sum(v * (b - a) for v, a, b in zip(vals, edges[:-1], edges[1:]))
 
-    from scipy.integrate import solve_ivp  # only this check needs scipy
+    from scipy.integrate import LSODA  # only this check needs scipy
 
     y = y0
     for v, a, b in zip(vals, edges[:-1], edges[1:]):
-        sol = solve_ivp(
-            lambda s, z, vv=v: -c * z**q + vv,
-            (a, b),
-            [y],
-            method="LSODA",
-            rtol=1e-11,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise RuntimeError(f"reference integration failed: {sol.message}")
-        y = float(sol.y[0, -1])
+        solver = LSODA(lambda s, z, vv=v: -c * z**q + vv, a, [y], b, rtol=1e-11, atol=1e-13)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(_ODE_MAX_STEPS):
+                    before = solver.t
+                    solver.step()
+                    if solver.status != "running" or solver.t == before:
+                        break
+        except FloatingPointError:
+            pass
+        if solver.status == "finished" and solver.y[0] > 0:
+            y = float(solver.y[0])
+        elif v == 0.0:
+            y = _unforced(q, c, y, b - a)
+        else:
+            raise RuntimeError(f"reference integration failed on [{a}, {b}] at s = {solver.t}")
 
-    corrected = ((q - 1) * c * t) ** (-1.0 / (q - 1)) + f_int
-    literal = (q * c * t) ** (-1.0 / (q - 1)) + f_int
+    def bound(k):  # (k c t)^(-1/(q-1)) + int f
+        base = k * c * t
+        return (base ** (-1.0 / (q - 1)) if base > 0 else math.inf) + f_int
+
+    corrected = bound(q - 1)
+    literal = bound(q)
     return OdeComparison(
         y_final=y,
         forcing_integral=f_int,

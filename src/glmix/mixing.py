@@ -240,7 +240,7 @@ def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
         ens = run_ensemble(
             ic, spec.params, spec.traj_ids(i), record_times=[t], threads=threads
         )
-        vals = _norm_power(ens.states_at(t), spec.gamma, spec.p)
+        vals = _norm_power(ens.states[:, 0], spec.gamma, spec.p)
         entries.append(_mean_entry(i, t, vals, spec.n_traj))
     verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
     return MomentTable(entries=tuple(entries), uniformity=verdict)

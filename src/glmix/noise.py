@@ -10,6 +10,8 @@ c1, c2 > 0, alpha >= 2 and beta in (alpha - 1/8, alpha],
 while q_k for k <= k_star (including the constant mode q_0) is only required
 to be nonnegative and may vanish.  The default configuration forces no mode
 below k = 4, so the low modes feel the noise only through the nonlinearity.
+A NoiseSpectrum is admissible by construction: building any other raises
+ValueError naming the first violated bound.
 
 The stochastic convolution W_L(t) = int_0^t e^{-L(t-s)} Q dW(s) is an
 independent Ornstein-Uhlenbeck process per coefficient slot, so a time step h
@@ -37,38 +39,19 @@ import numpy.random
 
 from .field import eigenvalues, mode_numbers
 
-__all__ = [
-    "NoiseSpectrum",
-    "SpectrumViolation",
-    "validate",
-    "trajectory_generator",
-]
-
-
-@dataclass(frozen=True)
-class SpectrumViolation:
-    """First violated admissibility bound, as structured data."""
-
-    rule: str
-    bound: str
-    k: int | None = None
-    value: float | None = None
-
-    def lines(self) -> list[str]:
-        out = [f"violation = {self.rule}", f"bound = {self.bound}"]
-        if self.k is not None:
-            out.append(f"k = {self.k}")
-        if self.value is not None:
-            out.append(f"value = {self.value!r}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
+__all__ = ["NoiseSpectrum", "trajectory_generator"]
 
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
-    """Diagonal noise amplitudes q_0..q_N with tail-pinching constants."""
+    """Diagonal noise amplitudes q_0..q_N with tail-pinching constants,
+    admissible by construction.
+
+    Building one checks, in order: constant positivity, alpha floor, the beta
+    window (strict lower end, closed upper end), k_star sign, finiteness and
+    nonnegativity everywhere, and the two-sided tail bounds for k > k_star.
+    The first violated bound raises ValueError.
+    """
 
     q: np.ndarray
     alpha: float = 2.0
@@ -82,6 +65,31 @@ class NoiseSpectrum:
         if q.ndim != 1 or q.size < 1:
             raise ValueError("q must be a 1-d array of amplitudes q_0..q_N")
         object.__setattr__(self, "q", q)
+        if not np.isfinite(self.c1) or self.c1 <= 0:
+            raise _inadmissible("c1_positive", "c1 must be positive", float(self.c1))
+        if not np.isfinite(self.c2) or self.c2 <= 0:
+            raise _inadmissible("c2_positive", "c2 must be positive", float(self.c2))
+        if not np.isfinite(self.alpha) or self.alpha < 2.0:
+            raise _inadmissible("alpha_floor", "alpha must be at least 2", float(self.alpha))
+        if not np.isfinite(self.beta) or not (self.alpha - 0.125 < self.beta <= self.alpha):
+            raise _inadmissible("beta_window", "beta must lie in (alpha - 1/8, alpha]",
+                                float(self.beta))
+        if self.k_star < 0:
+            raise _inadmissible("k_star_sign", "k_star must be nonnegative", int(self.k_star))
+        if not np.all(np.isfinite(q)):
+            k = int(np.flatnonzero(~np.isfinite(q))[0])
+            raise _inadmissible("q_finite", "q_k must be finite", float(q[k]), k)
+        neg = np.flatnonzero(q < 0)
+        if neg.size:
+            k = int(neg[0])
+            raise _inadmissible("q_nonnegative", "q_k must be nonnegative", float(q[k]), k)
+        for k in range(self.k_star + 1, q.size):
+            if q[k] < self.c1 * float(k) ** (-2.0 * self.alpha) * (1.0 - 1e-12):
+                raise _inadmissible("tail_lower", "q_k must be at least c1 * k^(-2 alpha) "
+                                    "for k > k_star", float(q[k]), k)
+            if q[k] > self.c2 * float(k) ** (-2.0 * self.beta) * (1.0 + 1e-12):
+                raise _inadmissible("tail_upper", "q_k must be at most c2 * k^(-2 beta) "
+                                    "for k > k_star", float(q[k]), k)
 
     @property
     def n_modes(self) -> int:
@@ -96,8 +104,10 @@ class NoiseSpectrum:
         c1: float = 1.0,
         c2: float = 1.0,
         k_star: int = 3,
+        overrides: dict | None = None,
     ) -> "NoiseSpectrum":
-        """q_k = c2 * k^(-2 beta) for k > k_star, zero on k <= k_star.
+        """q_k = c2 * k^(-2 beta) for k > k_star, zero on k <= k_star, then
+        q_k = overrides[k] for each k that overrides names.
 
         With the default constants this is q_k = k^-4 for k > 3.
         """
@@ -106,8 +116,10 @@ class NoiseSpectrum:
             q = np.zeros(n_modes + 1)
         except MemoryError:
             raise ValueError(f"n_modes = {n_modes} has more modes than memory holds") from None
-        tail = k > max(k_star, 0)  # validate rejects k_star < 0; 0^(-2 beta) is never taken
+        tail = k > max(k_star, 0)  # __post_init__ refuses k_star < 0; 0^(-2 beta) is never taken
         q[tail] = c2 * k[tail] ** (-2.0 * beta)
+        for kk, val in (overrides or {}).items():
+            q[kk] = val
         return cls(q=q, alpha=alpha, beta=beta, c1=c1, c2=c2, k_star=k_star)
 
     def per_slot(self) -> np.ndarray:
@@ -122,53 +134,13 @@ class NoiseSpectrum:
         return self.per_slot() * np.sqrt(-np.expm1(-2.0 * ell * h) / (2.0 * ell))
 
 
-def validate(spectrum: NoiseSpectrum) -> SpectrumViolation | None:
-    """Return the first violated bound, or None if the spectrum is admissible.
-
-    Checked in order: constant positivity, alpha floor, the beta window
-    (strict lower end, closed upper end), nonnegativity everywhere, and the
-    two-sided tail bounds for k > k_star.
-    """
-    s = spectrum
-    if not np.isfinite(s.c1) or s.c1 <= 0:
-        return SpectrumViolation("c1_positive", "c1 must be positive", value=float(s.c1))
-    if not np.isfinite(s.c2) or s.c2 <= 0:
-        return SpectrumViolation("c2_positive", "c2 must be positive", value=float(s.c2))
-    if not np.isfinite(s.alpha) or s.alpha < 2.0:
-        return SpectrumViolation("alpha_floor", "alpha must be at least 2", value=float(s.alpha))
-    if not np.isfinite(s.beta) or not (s.alpha - 0.125 < s.beta <= s.alpha):
-        return SpectrumViolation(
-            "beta_window",
-            "beta must lie in (alpha - 1/8, alpha]",
-            value=float(s.beta),
-        )
-    if s.k_star < 0:
-        return SpectrumViolation("k_star_sign", "k_star must be nonnegative", value=int(s.k_star))
-    if not np.all(np.isfinite(s.q)):
-        k = int(np.flatnonzero(~np.isfinite(s.q))[0])
-        return SpectrumViolation("q_finite", "q_k must be finite", k=k, value=float(s.q[k]))
-    neg = np.flatnonzero(s.q < 0)
-    if neg.size:
-        k = int(neg[0])
-        return SpectrumViolation("q_nonnegative", "q_k must be nonnegative", k=k, value=float(s.q[k]))
-    for k in range(s.k_star + 1, s.n_modes + 1):
-        lo = s.c1 * float(k) ** (-2.0 * s.alpha)
-        hi = s.c2 * float(k) ** (-2.0 * s.beta)
-        if s.q[k] < lo * (1.0 - 1e-12):
-            return SpectrumViolation(
-                "tail_lower",
-                "q_k must be at least c1 * k^(-2 alpha) for k > k_star",
-                k=k,
-                value=float(s.q[k]),
-            )
-        if s.q[k] > hi * (1.0 + 1e-12):
-            return SpectrumViolation(
-                "tail_upper",
-                "q_k must be at most c2 * k^(-2 beta) for k > k_star",
-                k=k,
-                value=float(s.q[k]),
-            )
-    return None
+def _inadmissible(rule: str, bound: str, value, k: int | None = None) -> ValueError:
+    """The error naming a violated bound, one 'name = value' line each."""
+    lines = [f"violation = {rule}", f"bound = {bound}"]
+    if k is not None:
+        lines.append(f"k = {k}")
+    lines.append(f"value = {value!r}")
+    return ValueError("inadmissible noise spectrum:\n" + "\n".join(lines))
 
 
 def trajectory_generator(seed: int, trajectory_id: int) -> np.random.Generator:

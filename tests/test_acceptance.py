@@ -203,7 +203,8 @@ def ou_statistics(out_dir: Path):
     x = cfg.ic_array(0)
     ens = run_ensemble(x, params, np.arange(10000, dtype=np.int64), threads=4)
     assert not ens.aborted.any()
-    final = ens.states_at(1.0)
+    assert np.array_equal(ens.times, [0.0, 1.0])
+    final = ens.states[:, 1]
     n = final.shape[0]
 
     modes = np.repeat(np.arange(params.n_modes + 1), 2)[1 : 2 * params.n_modes + 2]

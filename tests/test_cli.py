@@ -8,9 +8,11 @@ certificate toolkit shows up here as a byte-level diff.
 """
 
 import contextlib
+import decimal
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -175,6 +177,69 @@ def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):
     witness = rows[1].split(",")
     assert math.isclose(float(witness[7]), 1.5 ** -0.5, rel_tol=1e-12)
     assert float(witness[6]) == 1.0
+
+
+def exact_decay(q, c, y0, t):
+    """y(t) of y' = -c y^q from y0, in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        base = decimal.Decimal(y0) ** (1 - q) + (q - 1) * decimal.Decimal(c) * decimal.Decimal(t)
+        return float(base ** (decimal.Decimal(-1) / (q - 1)))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("entries", [
+    # LSODA overflowed in z**q and the corrected bound was reported failed (exit 1)
+    {"ts": "1e300"},
+    # overflow RuntimeWarnings, which end the run under -W error
+    {"ts": "1e100"},
+    {"cs": "1e100"},
+    # LSODA's step stopped advancing and the run never ended
+    {"y0s": "1e150"},
+    {"cs": "1e200"},
+    {"cs": "1e300"},
+    {"ts": "1e-300"},
+    {"cs": "1e-200", "ts": "1e-200"},
+    # LSODA ended at y = -2.4e-14, below its absolute tolerance
+    {"cs": "1e30"},
+])
+def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entries):
+    entries = {"qs": "3", "cs": "1", "y0s": "10", "ts": "0.5", **entries}
+    text = "[odecheck]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+    with deadline(5):
+        rc = main(["odecheck", "--config", str(write_cfg(tmp_path, text)),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    fields = body_lines(tmp_path / "out" / "odecheck.csv")[1].split(",")
+    q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
+    assert float(fields[4]) == pytest.approx(exact_decay(q, c, y0, t), rel=1e-9, abs=0.0)
+    assert fields[8] == "1"  # the corrected bound holds
+
+
+@pytest.mark.parametrize("line, message", [
+    ("qs = 3 4", "qs must be odd integers >= 3"),
+    ("cs = 1 0", "cs must be positive"),
+    ("y0s = -1", "y0s must be positive"),
+    ("ts = 0", "ts must be positive"),
+])
+def test_odecheck_refusals_name_their_line(tmp_path, capsys, line, message):
+    # each exited 2 with ode_comparison's message and no line number
+    text = run_exit_two(tmp_path, capsys, ["odecheck"], f"[odecheck]\n{line}\n")
+    assert text == f"error = config\nline 2: {message}\n"
 
 
 def test_simulate_row_grid_and_reruns_are_byte_identical(tmp_path, capsys):
@@ -714,6 +779,24 @@ def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
         text = run_exit_two(tmp_path, capsys, [sub], cfg)
         assert text == f"error = config\n{message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_report_times_off_the_grid_or_past_t_final_name_their_line(tmp_path, capsys):
+    # each exited 2 with 'record time ... is not on the step grid' and no line
+    model = "[model]\nt_final = 4\n\n[ensemble]\nic1 = zero\nic2 = scaled-random:1\nn_traj = 4\n"
+    for times, message in [
+        ("1 2 3 4.3", "line 8: times lists 4.3, which is not on the grid of dt = 0.00390625"),
+        ("1 2 3 9", "line 8: times lists 9.0, outside 0..t_final = 4.0"),
+        ("-1 1 2 3", "line 8: times lists -1.0, outside 0..t_final = 4.0"),
+    ]:
+        text = run_exit_two(tmp_path, capsys, ["mixing"], model + f"times = {times}\n")
+        assert text == f"error = config\n{message}\n"
+
+
+def test_t_final_off_the_dt_grid_is_named(tmp_path, capsys):
+    # it was reported as 'record time 1.001 is not on the step grid'
+    text = run_exit_two(tmp_path, capsys, ["moments"], "[model]\nt_final = 1.001\n")
+    assert text == "error = validation\nt_final must be a multiple of dt\n"
 
 
 def test_modes_beyond_memory_exit_two(tmp_path, capsys):

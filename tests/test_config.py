@@ -204,10 +204,15 @@ def test_spectrum_matches_default_and_overrides():
     base = NoiseSpectrum.default(32)
     assert np.array_equal(spec.q, base.q)
     assert (spec.alpha, spec.beta, spec.c1, spec.c2, spec.k_star) == (2.0, 2.0, 1.0, 1.0, 3)
-    cfg = resolve_config("[model]\nn_modes = 8\nq5 = 0.5\nq0 = 0.25\n")
+    # c2 = 2 leaves room above the default tail for q5 = 0.0025 < 2 * 5^-4
+    cfg = resolve_config("[model]\nn_modes = 8\nc2 = 2\nq5 = 0.0025\nq0 = 0.25\n")
     q = cfg.spectrum().q
-    assert q[5] == 0.5 and q[0] == 0.25
-    assert q[4] == 4.0**-4.0
+    assert q[5] == 0.0025 and q[0] == 0.25
+    assert q[4] == 2.0 * 4.0**-4.0
+    # an override past the tail bound is refused when the spectrum is made
+    cfg = resolve_config("[model]\nn_modes = 8\nq5 = 0.5\n")
+    with pytest.raises(ValueError, match="violation = tail_upper\n.*\nk = 5\nvalue = 0.5$"):
+        cfg.spectrum()
     # n_modes comes after the override, which is checked once n_modes is known
     message = "line 2: q80 override is outside 0..n_modes = 8"
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -230,7 +235,7 @@ def test_resolved_times():
     assert resolve_config("").resolved_times() == [1.0]
     cfg = resolve_config("[model]\nt_final = 3\n")
     assert cfg.resolved_times() == [1.0, 2.0, 3.0]
-    cfg = resolve_config("[ensemble]\ntimes = 0.5 1.5\n")
+    cfg = resolve_config("[model]\nt_final = 2\n[ensemble]\ntimes = 0.5 1.5\n")
     assert cfg.resolved_times() == [0.5, 1.5]
 
 
@@ -255,6 +260,8 @@ def test_doeblin_section_canonicalization():
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # preset radii and mu0 weights
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+# odecheck rates, starts and times
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def joined(values):
@@ -271,10 +278,13 @@ def run_configs(draw):
         NONNEGATIVE.map(lambda r: "scaled-random:" + fmt_float(r)),
         st.lists(FINITE, min_size=n_slots, max_size=n_slots).map(joined),
     )
+    dt = 2.0 ** -draw(st.integers(0, 10))
+    t_final = float(draw(st.integers(1, 6)))
+    steps = st.lists(st.integers(0, round(t_final / dt)), min_size=1, max_size=5, unique=True)
     cfg = RunConfig(
         n_modes=n_modes,
-        dt=2.0 ** -draw(st.integers(0, 10)),
-        t_final=float(draw(st.integers(1, 6))),
+        dt=dt,
+        t_final=t_final,
         poly=draw(st.none() | st.lists(FINITE, min_size=1, max_size=6)),
         alpha=draw(FINITE),
         beta=draw(FINITE),
@@ -288,12 +298,12 @@ def run_configs(draw):
         n_traj=draw(st.integers(1, 10**6)),
         gamma=draw(FINITE),
         p=draw(FINITE),
-        times=draw(st.lists(FINITE, min_size=1, max_size=5, unique=True)),
+        times=draw(steps.map(lambda ns: [n * dt for n in ns])),  # on the grid, up to t_final
         n_boot=draw(st.integers(0, 10**4)),
-        ode_qs=draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)),
-        ode_cs=draw(st.lists(FINITE, min_size=1, max_size=3)),
-        ode_y0s=draw(st.lists(FINITE, min_size=1, max_size=3)),
-        ode_ts=draw(st.lists(FINITE, min_size=1, max_size=3)),
+        ode_qs=draw(st.lists(st.integers(1, 4).map(lambda k: 2 * k + 1), min_size=1, max_size=3)),
+        ode_cs=draw(st.lists(POSITIVE, min_size=1, max_size=3)),
+        ode_y0s=draw(st.lists(POSITIVE, min_size=1, max_size=3)),
+        ode_ts=draw(st.lists(POSITIVE, min_size=1, max_size=3)),
     )
     if draw(st.booleans()):
         cfg.doeblin_kernel = draw(st.text("abc_./0123456789", min_size=1, max_size=12))

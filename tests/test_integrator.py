@@ -30,7 +30,6 @@ from glmix.field import (
     sup_norm_values,
 )
 from glmix.integrator import (
-    EnsembleResult,
     ExponentialEulerStepper,
     SimulationParams,
     integer_times,
@@ -98,7 +97,7 @@ def test_params_validation():
         with pytest.raises(ValueError, match=r"is below 1\.4916681462400413e-154 = sqrt"):
             SimulationParams(blowup_guard=guard)
     with pytest.raises(ValueError, match="multiple"):
-        SimulationParams(dt=0.5, t_final=1.25).n_steps
+        SimulationParams(dt=0.5, t_final=1.25)
     # 1/dt overflows to inf at the smallest subnormal
     for dt in (1e-300, 5e-324):
         with pytest.raises(ValueError, match="more steps than int64 holds"):
@@ -263,7 +262,9 @@ def test_recording_grid_and_state_access():
     ens = run_ensemble(np.ones(5), params, [0])
     assert np.array_equal(ens.times, np.array([0.0, 1.0, 2.0, 3.0]))
     assert ens.states.shape == (1, 4, 5)
-    assert np.array_equal(ens.states_at(2.0), ens.states[:, 2])
+    # the record at t = 2 is the one a run recording only t = 2 makes
+    alone = run_ensemble(np.ones(5), params, [0], record_times=[2.0])
+    assert np.array_equal(alone.states[:, 0], ens.states[:, 2])
 
 
 def test_same_stream_reproduces_and_ids_differ():
@@ -352,7 +353,7 @@ def test_ode_comparison_rejects_non_finite_inputs_before_integrating(monkeypatch
     def never(*args, **kw):
         raise AssertionError("integrated a non-finite input")
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
+    monkeypatch.setattr(scipy.integrate, "LSODA", never)
     for args in ((math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
                  (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
         with pytest.raises(ValueError, match="c, y0 and t must be positive and finite"):
@@ -367,7 +368,8 @@ def test_ensemble_matches_single_trajectories():
     for j in range(5):
         assert np.array_equal(ens.states[j], run_ensemble(x, params, [j]).states[0])
     assert ens.n_traj == 5 and not ens.aborted.any()
-    assert np.array_equal(ens.states_at(2.0), ens.states[:, 2, :])
+    alone = run_ensemble(x, params, traj_ids=range(5), record_times=[2.0])
+    assert np.array_equal(alone.states[:, 0], ens.states[:, 2, :])
 
 
 SMALL = SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4))
@@ -589,23 +591,6 @@ def test_ensemble_record_times_and_windows():
     for times in ([1.0, 2.0, 1.0], [0.5, 1.0, 1.0 + 1e-10]):
         with pytest.raises(ValueError, match="falls on step 32, as record time 1.0 does"):
             run_ensemble(x, params, traj_ids=[0], record_times=times)
-
-
-def test_states_at_matches_each_record_on_its_step():
-    """Records one step apart at t = 1000 are told apart, and a time that
-    was not recorded is a ValueError naming it."""
-    params = SimulationParams(n_modes=1, dt=1.0 / 256.0, t_final=1001.0)
-    times = np.array([1000.0, 1000.0 + params.dt])
-    states = np.arange(12.0).reshape(2, 2, 3)
-    ens = EnsembleResult(params=params, traj_ids=np.arange(2), times=times, states=states,
-                         aborted=np.zeros(2, dtype=bool), abort_times=np.full(2, np.nan))
-    for i, t in enumerate(times):
-        assert np.array_equal(ens.states_at(t), states[:, i])
-    # as run_ensemble places a record time: within 1e-9 of its step
-    assert np.array_equal(ens.states_at(times[1] + 1e-10), states[:, 1])
-    for t in (1000.0 + 2 * params.dt, 1000.0 + params.dt / 3, 999.0, math.nan):
-        with pytest.raises(ValueError, match=f"^no record at t = {t!r}$"):
-            ens.states_at(t)
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):

@@ -233,8 +233,8 @@ def test_chain_consistency_at_the_floor():
     x = np.full(17, 0.2)
     ens_a = run_ensemble(x, params, range(0, 100), record_times=[1.0])
     ens_b = run_ensemble(x, params, range(100, 200), record_times=[1.0])
-    sa = observables(ens_a.states_at(1.0), 1.0)
-    sb = observables(ens_b.states_at(1.0), 1.0)
+    sa = observables(ens_a.states[:, 0], 1.0)
+    sb = observables(ens_b.states[:, 0], 1.0)
     d = law_distance(sa, sb, p=2.0)
     floors = [law_distance(side[:50], side[50:], p=2.0) for side in (sa, sb)]
     floor = float(np.median(floors))

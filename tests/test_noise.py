@@ -7,13 +7,17 @@ Euler-Maruyama recursion with Richardson extrapolation) and plain sample
 statistics with explicit standard errors.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glmix.integrator as integrator
 from glmix.field import eigenvalues
 from glmix.integrator import SimulationParams, run_ensemble
-from glmix.noise import NoiseSpectrum, SpectrumViolation, trajectory_generator, validate
+from glmix.noise import NoiseSpectrum, trajectory_generator
 from sup_windows import mean_and_stderr, window_sup
 
 
@@ -49,8 +53,7 @@ def sup_gaussian_moment(spec, p, h, n_samples, seed=0):
 
 
 def test_default_spectrum_is_admissible():
-    spec = NoiseSpectrum.default(32)
-    assert validate(spec) is None
+    spec = NoiseSpectrum.default(32)  # it would raise if it were not
     assert spec.q[0] == 0.0 and np.all(spec.q[1:4] == 0.0)
     k = np.arange(4, 33, dtype=float)
     assert np.allclose(spec.q[4:], k**-4.0)
@@ -59,51 +62,125 @@ def test_default_spectrum_is_admissible():
 def test_beta_window_open_lower_endpoint():
     # beta = alpha - 1/8 exactly sits on the open end and must be rejected
     q = NoiseSpectrum.default(16).q
-    bad = NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0)
-    violation = validate(bad)
-    assert violation is not None and violation.rule == "beta_window"
-    assert violation.bound == "beta must lie in (alpha - 1/8, alpha]"
+    message = "violation = beta_window\nbound = beta must lie in (alpha - 1/8, alpha]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0)
     # nudged inside the window the tail bounds take over; with beta < alpha
     # the default tail still fits between the pinching curves
-    ok = NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0 + 1e-6)
-    assert validate(ok) is None
+    NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0 + 1e-6)
 
 
 def test_violation_report_fields_and_text():
     q = NoiseSpectrum.default(16).q.copy()
     q[5] = 0.0
-    violation = validate(NoiseSpectrum(q=q))
-    assert violation.rule == "tail_lower"
-    assert violation.k == 5 and violation.value == 0.0
-    text = str(violation)
-    assert "violation = tail_lower" in text
-    assert "k = 5" in text
-    lines = violation.lines()
-    assert lines[0].startswith("violation = ") and lines[1].startswith("bound = ")
+    with pytest.raises(ValueError) as err:
+        NoiseSpectrum(q=q)
+    assert str(err.value).splitlines() == [
+        "inadmissible noise spectrum:",
+        "violation = tail_lower",
+        "bound = q_k must be at least c1 * k^(-2 alpha) for k > k_star",
+        "k = 5",
+        "value = 0.0",
+    ]
 
 
 def test_validation_order_and_rules():
     q = NoiseSpectrum.default(16).q
-    assert validate(NoiseSpectrum(q=q, c1=0.0)).rule == "c1_positive"
-    assert validate(NoiseSpectrum(q=q, c2=-1.0)).rule == "c2_positive"
-    assert validate(NoiseSpectrum(q=q, alpha=1.5, beta=1.5)).rule == "alpha_floor"
-    assert validate(NoiseSpectrum(q=q, k_star=-1)).rule == "k_star_sign"
+
+    def refused(rule, **kw):
+        with pytest.raises(ValueError, match=re.escape(f"violation = {rule}\n")) as err:
+            NoiseSpectrum(**{"q": q, **kw})
+        return str(err.value)
+
+    refused("c1_positive", c1=0.0)
+    refused("c2_positive", c2=-1.0)
+    refused("alpha_floor", alpha=1.5, beta=1.5)
+    assert refused("k_star_sign", k_star=-1).endswith("\nvalue = -1")
     qq = q.copy()
     qq[7] = np.inf
-    assert validate(NoiseSpectrum(q=qq)).rule == "q_finite"
+    assert "\nk = 7\nvalue = inf" in refused("q_finite", q=qq)
     qq = q.copy()
     qq[2] = -1e-3
-    v = validate(NoiseSpectrum(q=qq))
-    assert v.rule == "q_nonnegative" and v.k == 2
+    assert "\nk = 2\n" in refused("q_nonnegative", q=qq)
     qq = q.copy()
     qq[6] = 1.0  # far above c2 k^-4
-    v = validate(NoiseSpectrum(q=qq))
-    assert v.rule == "tail_upper" and v.k == 6
+    assert "\nk = 6\n" in refused("tail_upper", q=qq)
     # the head k <= k_star is genuinely free: huge q_0 passes
     qq = q.copy()
     qq[0] = 1e6
-    assert validate(NoiseSpectrum(q=qq)) is None
-    assert validate(zero_noise_spectrum()) is None
+    NoiseSpectrum(q=qq)
+    zero_noise_spectrum()
+
+
+def first_violation(q, alpha, beta, c1, c2, k_star):
+    """The admissibility rules restated, in order: (rule, k) of the first
+    that fails, k None for the constants, or None if all hold.  The tail
+    bounds are closed up to a relative 1e-12."""
+    if not (math.isfinite(c1) and c1 > 0):
+        return "c1_positive", None
+    if not (math.isfinite(c2) and c2 > 0):
+        return "c2_positive", None
+    if not (math.isfinite(alpha) and alpha >= 2):
+        return "alpha_floor", None
+    if not (math.isfinite(beta) and alpha - 1 / 8 < beta <= alpha):
+        return "beta_window", None
+    if k_star < 0:
+        return "k_star_sign", None
+    for rule, holds in (("q_finite", math.isfinite), ("q_nonnegative", lambda v: v >= 0)):
+        bad = [k for k, v in enumerate(q) if not holds(v)]
+        if bad:
+            return rule, bad[0]
+    for k in range(k_star + 1, len(q)):
+        if q[k] < c1 * k ** (-2 * alpha) * (1 - 1e-12):
+            return "tail_lower", k
+        if q[k] > c2 * k ** (-2 * beta) * (1 + 1e-12):
+            return "tail_upper", k
+    return None
+
+
+SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def spectrum_args(draw):
+    """Admissible arguments, then up to two constants and two q entries
+    replaced by 0, negative, NaN, +-inf or values across a pinching curve."""
+    alpha = draw(st.floats(2.0, 3.0))
+    args = dict(alpha=alpha, beta=alpha - draw(st.floats(0.0, 0.12)),
+                c1=draw(st.floats(0.5, 2.0)), c2=draw(st.floats(0.5, 2.0)),
+                k_star=draw(st.integers(0, 5)))
+    lo = [1.0] + [args["c1"] * k ** (-2 * alpha) for k in range(1, 9)]
+    hi = [1.0] + [args["c2"] * k ** (-2 * args["beta"]) for k in range(1, 9)]
+    q = [
+        draw(st.sampled_from([0.0, 1e6] if k <= args["k_star"] else [lo[k], hi[k]]
+                             + [0.5 * (lo[k] + hi[k])]))
+        for k in range(draw(st.integers(1, 8)) + 1)
+    ]
+    for k in draw(st.lists(st.integers(0, len(q) - 1), max_size=2)):
+        q[k] = draw(st.sampled_from([*SPECIAL, 0.5 * lo[k], 2.0 * hi[k]]))
+    bad = {"alpha": [*SPECIAL, 1.75], "beta": [*SPECIAL, alpha - 1 / 8, alpha + 1e-3],
+           "k_star": [-1, -3]}
+    for name in draw(st.lists(st.sampled_from(sorted(args)), max_size=2)):
+        args[name] = draw(st.sampled_from(bad.get(name, SPECIAL)))
+    return dict(q=q, **args)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(spectrum_args())
+def test_spectrum_builds_exactly_when_every_rule_holds(args):
+    first = first_violation(**args)
+    if first is None:
+        assert np.array_equal(NoiseSpectrum(**args).q, args["q"])
+        return
+    rule, k = first
+    with pytest.raises(ValueError) as err:
+        NoiseSpectrum(**args)
+    lines = str(err.value).splitlines()
+    assert lines[:2] == ["inadmissible noise spectrum:", f"violation = {rule}"]
+    assert lines[2].startswith("bound = ")
+    if k is not None:
+        assert lines[3] == f"k = {k}"
+    assert lines[-1].startswith("value = ")
 
 
 def test_step_std_closed_form_and_monotonicity():
@@ -229,7 +306,6 @@ def test_sup_gaussian_check_zero_noise_and_scaling():
     assert est == 0.0 and se == 0.0
     base = NoiseSpectrum.default(8)
     doubled = NoiseSpectrum(q=2.0 * base.q, c1=2.0, c2=2.0)
-    assert validate(doubled) is None
     e1, se1 = sup_gaussian_moment(base, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     e2, _ = sup_gaussian_moment(doubled, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     # pinned, so any drift in the shared ensemble loop shows here
@@ -263,12 +339,3 @@ def test_sup_gaussian_check_stderr_shrinks_like_root_n():
     # each quadrupling of n should roughly halve the standard error
     assert 2.5 < ses[0] / ses[2] < 6.5
 
-
-def test_spectrum_violation_is_plain_data():
-    v = SpectrumViolation("tail_upper", "bound text", k=9, value=1.5)
-    assert v.lines() == [
-        "violation = tail_upper",
-        "bound = bound text",
-        "k = 9",
-        "value = 1.5",
-    ]
