@@ -43,7 +43,7 @@ def main():
     report = mixing_report(spec, times=cfg.resolved_times(), n_boot=cfg.n_boot,
                            threads=2)
     print("t    distance  stderr    (resampling floor "
-          f"{report.floor:.3f})")
+          f"{report.fit.floor:.3f})")
     for j, t in enumerate(report.times):
         print(f"{t:3.0f}  {report.distances[j]:8.4f}  "
               f"{report.distance_stderr[j]:8.4f}")
@@ -64,14 +64,13 @@ def main():
         p=full.p,
     )
     table = moment_bound(full_spec, t=1.0, threads=2)
-    for e in table.entries:
-        print(f"start {e.ic_index}: E||u(1)||^2 = {e.estimate:.5f} "
-              f"+- {1.96 * e.stderr:.5f}  ({e.n_traj} trajectories, "
-              f"{e.n_aborted} aborted)")
-    v = table.uniformity
-    print(f"max pairwise ratio {v.max_ratio:.3f}, ratio test "
-          f"{'ok' if v.ratio_ok else 'FAIL'}, interval overlap "
-          f"{'ok' if v.ci_overlap_ok else 'FAIL'}")
+    for i in range(table.estimate.size):
+        print(f"start {i}: E||u(1)||^2 = {table.estimate[i]:.5f} "
+              f"+- {1.96 * table.stderr[i]:.5f}  ({table.n_traj} trajectories, "
+              f"{table.n_aborted[i]} aborted)")
+    print(f"max pairwise ratio {table.max_ratio:.3f}, ratio test "
+          f"{'ok' if table.ratio_ok else 'FAIL'}, interval overlap "
+          f"{'ok' if table.ci_overlap_ok else 'FAIL'}")
 
 
 if __name__ == "__main__":

@@ -92,27 +92,31 @@ def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
+def _report(cfg: RunConfig, out: Path, name: str, csv: str, summary: str) -> None:
+    """Write <name>.csv and <name>_summary.txt, then print the summary."""
+    _write(out / f"{name}.csv", _header(cfg, name), csv)
+    _write(out / f"{name}_summary.txt", _header(cfg, name), summary)
+    print(summary, end="")
+    print(f"wrote = {out / name}.csv")
+
+
 def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
     spec = _ensemble_spec(cfg)
     table = moment_bound(spec, t=cfg.t_final, threads=threads)
     body = ["ic,t,estimate,stderr,n_traj,n_aborted"]
-    for e in table.entries:
+    for i, (est, se, aborted) in enumerate(zip(table.estimate, table.stderr, table.n_aborted)):
         body.append(
-            f"{e.ic_index},{fmt_float(e.t)},{fmt_float(e.estimate)},{fmt_float(e.stderr)},"
-            f"{e.n_traj},{e.n_aborted}"
+            f"{i},{fmt_float(table.t)},{fmt_float(est)},{fmt_float(se)},"
+            f"{table.n_traj},{aborted}"
         )
-    _write(out / "moments.csv", _header(cfg, "moments"), "\n".join(body) + "\n")
-    verdict = table.uniformity
     summary = [
-        f"max_ratio = {fmt_float(verdict.max_ratio)}",
-        f"ratio_ok = {int(verdict.ratio_ok)}",
-        f"ci_overlap_ok = {int(verdict.ci_overlap_ok)}",
-        f"uniform = {int(verdict.uniform)}",
+        f"max_ratio = {fmt_float(table.max_ratio)}",
+        f"ratio_ok = {int(table.ratio_ok)}",
+        f"ci_overlap_ok = {int(table.ci_overlap_ok)}",
+        f"uniform = {int(table.uniform)}",
     ]
-    _write(out / "moments_summary.txt", _header(cfg, "moments"), "\n".join(summary) + "\n")
-    print("\n".join(summary))
-    print(f"wrote = {out / 'moments.csv'}")
-    if not verdict.uniform:
+    _report(cfg, out, "moments", "\n".join(body) + "\n", "\n".join(summary) + "\n")
+    if not table.uniform:
         print("failure = moment_uniformity")
         return 1
     return 0
@@ -123,11 +127,7 @@ def _cmd_mixing(cfg: RunConfig, out: Path, threads: int) -> int:
     report = mixing_report(
         spec, times=cfg.resolved_times(), n_boot=cfg.n_boot, threads=threads
     )
-    _write(out / "mixing.csv", _header(cfg, "mixing"), report_csv(report))
-    summary = report_summary(report)
-    _write(out / "mixing_summary.txt", _header(cfg, "mixing"), summary)
-    print(summary, end="")
-    print(f"wrote = {out / 'mixing.csv'}")
+    _report(cfg, out, "mixing", report_csv(report), report_summary(report))
     if not (report.fit.identifiable and report.fit.ci_low > 0.0):
         print("failure = mixing_rate")
         return 1
@@ -136,8 +136,7 @@ def _cmd_mixing(cfg: RunConfig, out: Path, threads: int) -> int:
 
 def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
     if cfg.doeblin_kernel is None:
-        print("failure = missing_doeblin_section")
-        return 2
+        raise ConfigError("doeblin requires a [doeblin] section with a kernel key")
     kernel = read_kernel(cfg.doeblin_kernel)
     # checked before any certificate is printed or written
     mu0 = search_weights(
@@ -163,7 +162,8 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
             print(f"contraction_factor = {fmt_float(worst)}")
         except ValueError as err:
             failures.append(("contraction", str(err)))
-        if 0.0 < eps < 1.0:
+        # a tiny eps leaves 1 - eps == 1, and the bound 2 (1 - eps)^(k/2) at 2
+        if 0.0 < 1.0 - eps < 1.0:
             try:
                 gap = geometric_bound_check(kernel, cert, n=50)
                 print(f"geometric_gap = {fmt_float(gap)}")

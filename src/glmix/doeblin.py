@@ -256,14 +256,16 @@ def geometric_bound_check(
 
     Verifies the bound for every Dirac start and every horizon k <= n against
     the exact invariant measure.  Returns the worst gap (distance minus
-    bound), which must be <= 1e-9; positive beyond that raises.
+    bound), which must be <= 1e-9; positive beyond that raises.  So does a
+    1 - delta delta_prime outside (0, 1): it is 1 when the product is too
+    small to change it, and the bound is then the trivial 2.
     """
     if cert.m != 1 or cert.delta_prime is None:
         raise ValueError("geometric bound requires a one-step certificate with delta_prime")
     cert.validate(kernel)
     eps = cert.delta * cert.delta_prime
-    if not (0.0 < eps < 1.0):
-        raise ValueError("delta delta_prime must lie in (0, 1)")
+    if not (0.0 < 1.0 - eps < 1.0):
+        raise ValueError("1 - delta delta_prime must lie in (0, 1)")
     mu_star = invariant_measure(kernel)
     q = np.eye(kernel.n)
     worst = -np.inf

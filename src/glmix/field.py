@@ -89,14 +89,6 @@ class DriftPolynomial:
         self.coeffs = c
         self.degree = degree
 
-    def __call__(self, y):
-        """Evaluate pointwise (scalar or array), Horner form."""
-        y = np.asarray(y, dtype=float)
-        out = np.full_like(y, self.coeffs[-1])
-        for p in self.coeffs[-2::-1]:
-            out = out * y + p
-        return out
-
     def nonlinearity(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """N(y) = y - P(y) pointwise, by Horner in place on out (not y).
 

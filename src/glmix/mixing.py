@@ -9,8 +9,9 @@ centers of the norm axis; the binning (32 equal-width bins per axis over
 the pooled sample range) is deterministic given the samples, and the
 bootstrap resamples observable rows.  The fitted decay rate is a
 proxy: it witnesses that exponential decay happens, it does not reproduce
-any particular constant.  Moment tables report per-initial-condition Monte
-Carlo estimates together with an explicit uniformity verdict (pairwise
+any particular constant.  A moment table holds the Monte Carlo estimate,
+its standard error and the aborted count as arrays with one entry per
+initial condition, together with an explicit uniformity verdict (pairwise
 ratio threshold plus confidence-interval overlap) instead of assuming
 uniformity silently.
 """
@@ -28,8 +29,6 @@ from .integrator import SimulationParams, integer_times, run_ensemble
 
 __all__ = [
     "EnsembleSpec",
-    "MomentEntry",
-    "UniformityVerdict",
     "MomentTable",
     "RateFit",
     "MixingReport",
@@ -146,19 +145,15 @@ def law_distance(
 
 
 @dataclass(frozen=True)
-class MomentEntry:
-    ic_index: int
+class MomentTable:
+    """Per-start moment estimates at time t, one array entry per start in
+    start order, and the verdict on their uniformity across starts."""
+
     t: float
-    estimate: float
-    stderr: float
     n_traj: int
-    n_aborted: int
-
-
-@dataclass(frozen=True)
-class UniformityVerdict:
-    """Uniformity of estimates across initial conditions, made explicit."""
-
+    estimate: np.ndarray
+    stderr: np.ndarray
+    n_aborted: np.ndarray
     max_ratio: float
     ratio_ok: bool
     ci_overlap_ok: bool
@@ -166,46 +161,6 @@ class UniformityVerdict:
     @property
     def uniform(self) -> bool:
         return self.ratio_ok and self.ci_overlap_ok
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    entries: tuple
-    uniformity: UniformityVerdict
-
-
-def _uniformity(estimates, stderrs) -> UniformityVerdict:
-    """Largest pairwise ratio and pairwise interval overlap, in closed form.
-
-    Estimates are >= 0, so the largest ratio is the largest estimate over
-    the smallest, and intervals on a line overlap pairwise exactly when
-    they share a point: the largest lower end is at most the smallest upper.
-    """
-    est = np.asarray(estimates, dtype=float)
-    se = np.asarray(stderrs, dtype=float)
-    big, small = float(est.max()), float(est.min())
-    max_ratio = 1.0 if big <= 0.0 else math.inf if small <= 0.0 else big / small
-    ci_ok = bool((est - _Z * se).max() <= (est + _Z * se).min())
-    return UniformityVerdict(
-        max_ratio=max_ratio, ratio_ok=max_ratio <= _RATIO_THRESHOLD, ci_overlap_ok=ci_ok
-    )
-
-
-def _mean_entry(ic_index, t, values: np.ndarray, n_traj: int) -> MomentEntry:
-    kept = values[~np.isnan(values)]  # run_ensemble records an abort as NaN
-    n_aborted = n_traj - kept.size
-    if kept.size == 0:
-        raise ValueError(f"all trajectories aborted for initial condition {ic_index}")
-    with np.errstate(over="ignore"):
-        est = float(kept.mean())
-        se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    if not math.isfinite(est + se):
-        raise ValueError(f"the p-th moment of initial condition {ic_index} overflows "
-                         "in its mean or stderr")
-    return MomentEntry(
-        ic_index=ic_index, t=float(t), estimate=est, stderr=se,
-        n_traj=n_traj, n_aborted=n_aborted,
-    )
 
 
 def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
@@ -235,15 +190,34 @@ def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
     """
     if t <= 0.0 or t > spec.params.t_final + 1e-9:
         raise ValueError("t must lie in (0, t_final]")
-    entries = []
+    n = len(spec.initial_conditions)
+    est, se, n_aborted = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
     for i, ic in enumerate(spec.initial_conditions):
         ens = run_ensemble(
             ic, spec.params, spec.traj_ids(i), record_times=[t], threads=threads
         )
         vals = _norm_power(ens.states[:, 0], spec.gamma, spec.p)
-        entries.append(_mean_entry(i, t, vals, spec.n_traj))
-    verdict = _uniformity([e.estimate for e in entries], [e.stderr for e in entries])
-    return MomentTable(entries=tuple(entries), uniformity=verdict)
+        kept = vals[~np.isnan(vals)]  # run_ensemble records an abort as NaN
+        n_aborted[i] = spec.n_traj - kept.size
+        if kept.size == 0:
+            raise ValueError(f"all trajectories aborted for initial condition {i}")
+        with np.errstate(over="ignore"):
+            est[i] = kept.mean()
+            se[i] = kept.std(ddof=1) / math.sqrt(kept.size) if kept.size > 1 else 0.0
+            if not math.isfinite(est[i] + se[i]):
+                raise ValueError(f"the p-th moment of initial condition {i} overflows "
+                                 "in its mean or stderr")
+    # Estimates are >= 0, so the largest pairwise ratio is the largest
+    # estimate over the smallest, and intervals on a line overlap pairwise
+    # exactly when they share a point: the largest lower end is at most the
+    # smallest upper.
+    big, small = float(est.max()), float(est.min())
+    max_ratio = 1.0 if big <= 0.0 else math.inf if small <= 0.0 else big / small
+    return MomentTable(
+        t=float(t), n_traj=spec.n_traj, estimate=est, stderr=se, n_aborted=n_aborted,
+        max_ratio=max_ratio, ratio_ok=max_ratio <= _RATIO_THRESHOLD,
+        ci_overlap_ok=bool((est - _Z * se).max() <= (est + _Z * se).min()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +292,6 @@ class MixingReport:
     distances: np.ndarray
     distance_stderr: np.ndarray
     fit: RateFit
-    floor: float
 
 
 def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
@@ -400,13 +373,11 @@ def mixing_report(
     boot_lams = []
     boot_d = np.empty((n_boot, times.size))
     for b in range(n_boot):
-        da = np.empty(times.size)
         for j in range(times.size):
             ia = rng.integers(0, obs_a[j].shape[0], obs_a[j].shape[0])
             ib = rng.integers(0, obs_b[j].shape[0], obs_b[j].shape[0])
-            da[j] = law_distance(obs_a[j][ia], obs_b[j][ib], spec.p)
-        boot_d[b] = da
-        bfit = fit_rate(times, da, floor=floor)
+            boot_d[b, j] = law_distance(obs_a[j][ia], obs_b[j][ib], spec.p)
+        bfit = fit_rate(times, boot_d[b], floor=floor)
         if bfit.identifiable:
             boot_lams.append(bfit.lam)
     distance_stderr = boot_d.std(axis=0, ddof=1) if n_boot > 1 else np.zeros(times.size)
@@ -420,7 +391,6 @@ def mixing_report(
         distances=distances,
         distance_stderr=distance_stderr,
         fit=fit,
-        floor=floor,
     )
 
 
@@ -443,7 +413,7 @@ def report_summary(report: MixingReport) -> str:
         f"lambda_ci_low = {fmt_float(fit.ci_low)}",
         f"lambda_ci_high = {fmt_float(fit.ci_high)}",
         f"C = {fmt_float(fit.intercept)}",
-        f"floor = {fmt_float(report.floor)}",
+        f"floor = {fmt_float(fit.floor)}",
         f"n_used = {fit.n_used}",
         f"identifiable = {int(fit.identifiable)}",
         f"ci_method = {fit.method}",

@@ -216,6 +216,10 @@ def deadline(seconds):
     {"cs": "1e-200", "ts": "1e-200"},
     # LSODA ended at y = -2.4e-14, below its absolute tolerance
     {"cs": "1e30"},
+    # LSODA finished near its absolute tolerance 1e-13: 19%, 0.4% and 0.4% off
+    {"cs": "1e28"},
+    {"cs": "1e26"},
+    {"ts": "1e26"},
 ])
 def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entries):
     entries = {"qs": "3", "cs": "1", "y0s": "10", "ts": "0.5", **entries}
@@ -226,8 +230,16 @@ def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entr
     assert rc == 0
     fields = body_lines(tmp_path / "out" / "odecheck.csv")[1].split(",")
     q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
-    assert float(fields[4]) == pytest.approx(exact_decay(q, c, y0, t), rel=1e-9, abs=0.0)
+    assert float(fields[4]) == pytest.approx(exact_decay(q, c, y0, t), rel=1e-12, abs=0.0)
     assert fields[8] == "1"  # the corrected bound holds
+
+
+def test_odecheck_verdicts_are_relative_below_one(tmp_path, capsys):
+    # y = 1e-14 is 22% above the literal bound 8.16e-15, which an absolute
+    # tolerance of 1e-8 passed
+    cfg = write_cfg(tmp_path, "[odecheck]\nqs = 3\ncs = 1e28\ny0s = 10\nts = 0.5\n")
+    assert main(["odecheck", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "corrected_holds = 1 literal_holds = 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line, message", [
@@ -594,7 +606,21 @@ def test_doeblin_without_section_is_a_config_failure(tmp_path, capsys):
     rc = main(["doeblin", "--out", str(tmp_path)])
     text = capsys.readouterr().out
     assert rc == 2
-    assert "failure = missing_doeblin_section" in text
+    assert text == "error = config\ndoeblin requires a [doeblin] section with a kernel key\n"
+
+
+def test_doeblin_vacuous_geometric_bound_is_skipped(tmp_path, capsys):
+    # delta = 4e-20 and delta' = 1: 1 - delta delta' rounds to 1, so the bound
+    # 2 (1 - delta delta')^(k/2) is 2 and proves nothing, and the two nearly
+    # closed wells leave no numerically unique stationary distribution
+    (tmp_path / "k.txt").write_text("4\n" + "0.5 0.5 1e-20 1e-20\n" * 2
+                                    + "1e-20 1e-20 0.5 0.5\n" * 2)
+    cfg = write_cfg(tmp_path, "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
+    rc = main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert "contraction_factor = 1.0" in text
+    assert "failure" not in text and "geometric_gap" not in text
 
 
 def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
