@@ -143,7 +143,6 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         kernel, np.full(kernel.n, 1.0 / kernel.n) if cfg.doeblin_mu0 is None else cfg.doeblin_mu0
     )
     k_set = list(range(kernel.n)) if cfg.doeblin_K is None else cfg.doeblin_K
-    failures = []
     cert = minorization(kernel, k_set, cfg.doeblin_m)
     if cert is None:
         print("failure = no_common_component")
@@ -157,18 +156,12 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
     print(block, end="")
     if cert.delta_prime is not None:
         eps = cert.delta * cert.delta_prime
-        try:
-            worst = contraction_check(kernel, cert)
-            print(f"contraction_factor = {fmt_float(worst)}")
-        except ValueError as err:
-            failures.append(("contraction", str(err)))
+        print(f"contraction_factor = {fmt_float(contraction_check(kernel, cert))}")
         # a tiny eps leaves 1 - eps == 1, and the bound 2 (1 - eps)^(k/2) at 2
         if 0.0 < 1.0 - eps < 1.0:
-            try:
-                gap = geometric_bound_check(kernel, cert, n=50)
+            gap = geometric_bound_check(kernel, cert, n=50)
+            if gap is not None:  # None: mu_* is not resolvable in float64
                 print(f"geometric_gap = {fmt_float(gap)}")
-            except ValueError as err:
-                failures.append(("geometric_bound", str(err)))
     search = small_set_search(kernel, mu0)
     if search is None:
         print("search = none")
@@ -177,10 +170,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         print("search = found")
         print(certificate_text(search), end="")
     print(f"wrote = {out / 'certificate.txt'}")
-    for tag, message in failures:
-        print(f"failure = {tag}")
-        print(message)
-    return 1 if failures else 0
+    return 0
 
 
 def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:

@@ -7,7 +7,9 @@ as follows: a small-set certificate (K, m, delta, nu) asserts
 P^m(x, .) >= delta nu for all x in K; when K is reached from everywhere in
 one step with probability at least delta_prime, the two-step coupling
 contracts total variation by 1 - delta delta_prime, which iterates into a
-geometric convergence bound toward the invariant measure.  A constructive
+geometric convergence bound toward the invariant measure.  validate()
+checks a certificate's claims entry by entry; the contraction factor and the
+geometric gap are measurements whose bounds follow from them.  A constructive
 search builds two-step certificates from the density threshold
 sets S_x = {y : p(x, y) > 1/2}, and a composition rule extends a
 certificate on an accessible set A to any set C that reaches A.  Total
@@ -186,43 +188,27 @@ def condition_b(kernel: FiniteKernel, k) -> float:
 
 
 def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
-    """Verify the two-step total-variation contraction implied by (delta, delta_prime).
+    """Worst two-step total-variation ratio over Dirac pairs, a measurement.
 
-    Requires a one-step certificate carrying delta_prime.  Checks that
-    (P^2 mu)(y) >= delta delta_prime nu(y) for every state y and Dirac mu,
-    then that the worst ratio ||P^2 mu - P^2 nu|| / ||mu - nu|| over all
-    Dirac pairs is at most 1 - delta delta_prime.  Dirac pairs are extremal
-    for this coefficient (Dobrushin's inequality), so no other pair of
-    probability measures can do worse.  Returns the worst Dirac ratio.
+    Requires a one-step certificate with delta_prime, and validates it.
+    Dirac pairs are extremal for ||P^2 mu - P^2 nu|| / ||mu - nu||
+    (Dobrushin's inequality).  The ratio is at most 1 - delta delta_prime:
+    the validated P(z, .) >= delta nu on K and P(x, K) >= delta_prime give
+    P^2(x, .) >= sum_{z in K} P(x, z) delta nu >= delta delta_prime nu for
+    every x, so any two rows of P^2 share that much mass (the coupling
+    inequality).
     """
     if cert.m != 1:
         raise ValueError("contraction check requires a one-step certificate")
     if cert.delta_prime is None:
         raise ValueError("contraction check requires delta_prime")
     cert.validate(kernel)
-    eps = cert.delta * cert.delta_prime
     p2 = kernel.rows @ kernel.rows
-
-    floor = eps * cert.nu
-    gap = p2 - floor[None, :]
-    if gap.min() < -_TOL:
-        x, y = np.unravel_index(np.argmin(gap), gap.shape)
-        raise ValueError(
-            f"two-step floor fails at x = {x}, y = {y}: "
-            f"P^2(x,y) = {fmt_float(p2[x, y])} < {fmt_float(floor[y])}"
-        )
-
     worst = 0.0
     for x in range(kernel.n):
         diffs = p2[x + 1 :, :] - p2[x, :]
         if diffs.size:
             worst = max(worst, float(np.abs(diffs).sum(axis=1).max()) / 2.0)
-
-    if worst > 1.0 - eps + _TOL:
-        raise ValueError(
-            f"contraction factor {fmt_float(worst)} exceeds "
-            f"1 - delta delta_prime = {fmt_float(1.0 - eps)}"
-        )
     return worst
 
 
@@ -251,14 +237,16 @@ def invariant_measure(kernel: FiniteKernel) -> np.ndarray:
 
 def geometric_bound_check(
     kernel: FiniteKernel, cert: SmallSetCertificate, n: int
-) -> float:
-    """Check ||P^k mu - mu_*|| <= 2 (1 - delta delta_prime)^floor(k/2).
+) -> float | None:
+    """Worst gap ||P^k(x, .) - mu_*|| - 2 (1 - delta delta_prime)^floor(k/2).
 
-    Verifies the bound for every Dirac start and every horizon k <= n against
-    the exact invariant measure.  Returns the worst gap (distance minus
-    bound), which must be <= 1e-9; positive beyond that raises.  So does a
-    1 - delta delta_prime outside (0, 1): it is 1 when the product is too
-    small to change it, and the bound is then the trivial 2.
+    Measured over every Dirac start x and every k <= n against the invariant
+    measure mu_*, after validating the one-step certificate.  Iterating
+    contraction_check's coupling against mu_* keeps the gap <= 0 up to
+    rounding.  A 1 - delta delta_prime outside (0, 1) raises: it is 1 when
+    the product is too small to change it, and the bound is then the trivial
+    2.  None when float64 cannot resolve mu_*, which the certificate proves
+    unique: invariant_measure rejects nearly closed classes.
     """
     if cert.m != 1 or cert.delta_prime is None:
         raise ValueError("geometric bound requires a one-step certificate with delta_prime")
@@ -266,7 +254,10 @@ def geometric_bound_check(
     eps = cert.delta * cert.delta_prime
     if not (0.0 < 1.0 - eps < 1.0):
         raise ValueError("1 - delta delta_prime must lie in (0, 1)")
-    mu_star = invariant_measure(kernel)
+    try:
+        mu_star = invariant_measure(kernel)
+    except (ValueError, RuntimeError):
+        return None
     q = np.eye(kernel.n)
     worst = -np.inf
     for k in range(n + 1):
@@ -275,8 +266,6 @@ def geometric_bound_check(
         dists = np.abs(q - mu_star[None, :]).sum(axis=1)
         bound = 2.0 * (1.0 - eps) ** (k // 2)
         worst = max(worst, float(dists.max() - bound))
-    if worst > 1e-9:
-        raise ValueError(f"geometric bound violated by {fmt_float(worst)}")
     return worst
 
 

@@ -155,6 +155,24 @@ def norm_gamma(u: np.ndarray, gamma: float) -> float:
     return float(np.sqrt(np.sum(ell ** (2.0 * gamma) * u**2)))
 
 
+def row_norms(states: np.ndarray, gamma: float) -> np.ndarray:
+    """||u||_gamma of each finite coefficient row on the last axis of states.
+
+    A row whose sum of squares overflows is summed again scaled by its
+    largest |c|, so its norm is inf only when the norm itself is beyond
+    float max.
+    """
+    w = eigenvalues((states.shape[-1] - 1) // 2) ** (2.0 * gamma)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(w * states * states, axis=-1))
+        over = np.isinf(norms)
+        if over.any():
+            scale = np.abs(states[over]).max(axis=-1)
+            rows = states[over] / scale[:, None]
+            norms[over] = scale * np.sqrt(np.sum(w * rows * rows, axis=-1))
+    return norms
+
+
 def apply_semigroup(u: np.ndarray, t: float) -> np.ndarray:
     """e^{-Lt} u, exact per-mode decay factors e^{-l_k t}.  Requires t >= 0."""
     if t < 0:

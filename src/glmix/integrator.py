@@ -50,6 +50,7 @@ from .field import (
     dealias_points,
     eigenvalues,
     fmt_float,
+    row_norms,
     sup_norm_values,
     sup_points,
     values_to_coeffs,
@@ -556,7 +557,6 @@ def write_trajectory_csv(
     if ens is None:
         raise ValueError("no ensembles to write")
     n_modes = ens.params.n_modes
-    weights = eigenvalues(n_modes) ** (2.0 * gamma)
     n_coeff_cols = min(6, 2 * n_modes + 1)
     coeff_names = ["c0", "a1", "b1", "a2", "b2", "a3"][:n_coeff_cols]
     finite_row = "%d,%s,%r,%r,%r,0" + ",%r" * n_coeff_cols + "\n"
@@ -571,15 +571,8 @@ def write_trajectory_csv(
             states = ens.states[lo : lo + group]
             finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
             u = states[finite]  # finite rows, trajectory-major like the file
-            with np.errstate(over="ignore"):  # a norm beyond float max is inf
-                norm_0 = np.sqrt(np.sum(u * u, axis=-1))
-                norm_gamma = np.sqrt(np.sum(weights * u * u, axis=-1))
-                over = np.isinf(norm_0) | np.isinf(norm_gamma)
-                if over.any():  # a sum overflowed: redo it scaled by the row's largest |c|
-                    scale = np.abs(u[over]).max(axis=-1)
-                    w = u[over] / scale[:, None]
-                    norm_0[over] = scale * np.sqrt(np.sum(w * w, axis=-1))
-                    norm_gamma[over] = scale * np.sqrt(np.sum(weights * w * w, axis=-1))
+            norm_0, norm_gamma = row_norms(u, 0.0), row_norms(u, gamma)
+            with np.errstate(over="ignore"):  # a grid value beyond float max is inf
                 norm_sup = sup_norm_values(u, n_modes)
             tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
             ts = np.broadcast_to(times, finite.shape)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random
 
-from .field import eigenvalues, fmt_float
+from .field import eigenvalues, fmt_float, row_norms
 from .integrator import SimulationParams, integer_times, run_ensemble
 
 __all__ = [
@@ -91,11 +91,8 @@ def observables(states: np.ndarray, gamma: float) -> np.ndarray:
     c0, a1, b1, a2, b2 (fewer if the field has fewer slots).
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    n_modes = (states.shape[1] - 1) // 2
-    w = eigenvalues(n_modes) ** (2.0 * gamma)
-    norms = np.sqrt(np.sum(w * states * states, axis=1))
     n_coeff = min(5, states.shape[1])
-    return np.column_stack([norms, states[:, :n_coeff]])
+    return np.column_stack([row_norms(states, gamma), states[:, :n_coeff]])
 
 
 def law_distance(
@@ -109,7 +106,7 @@ def law_distance(
     over occupied cells of V(center) |p_A - p_B| with V = (norm-axis bin
     center)^p + 1, or V = 1 when weighted is False; it is symmetric,
     vanishes on identical samples, and is bounded by twice the largest V
-    over the occupied range.
+    over the occupied range.  ValueError naming p if it overflows.
     """
     a = np.atleast_2d(np.asarray(obs_a, dtype=float))
     b = np.atleast_2d(np.asarray(obs_b, dtype=float))
@@ -133,10 +130,14 @@ def law_distance(
     pa = np.bincount(inverse[: a.shape[0]], minlength=cells.size) / a.shape[0]
     pb = np.bincount(inverse[a.shape[0] :], minlength=cells.size) / b.shape[0]
     v = 1.0
-    if weighted:
-        norm_bin = cells // _N_BINS ** (a.shape[1] - 1)
-        v = (lo[0] + (norm_bin + 0.5) * width[0]) ** p + 1.0
-    return float(np.sum(v * np.abs(pa - pb)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf V times 0 is NaN
+        if weighted:
+            norm_bin = cells // _N_BINS ** (a.shape[1] - 1)
+            v = (lo[0] + (norm_bin + 0.5) * width[0]) ** p + 1.0
+        d = float(np.sum(v * np.abs(pa - pb)))
+    if not math.isfinite(d):
+        raise ValueError(f"p = {fmt_float(p)}: the distance weighted by V = norm^p + 1 overflows")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +168,12 @@ def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
     """||x||_gamma^p of each record, NaN for an aborted one.  ValueError
     naming p when the p-th power of a finite record overflows, or that of a
     nonzero norm underflows to 0."""
-    n_modes = (states.shape[-1] - 1) // 2
-    w = eigenvalues(n_modes) ** (2.0 * gamma)
+    w = eigenvalues((states.shape[-1] - 1) // 2) ** (2.0 * gamma)
     with np.errstate(over="ignore"):
         sq = np.sum(w * states * states, axis=-1)
         vals = sq ** (p / 2.0)
+        over = np.isinf(sq)  # the norm of such a row may still be finite
+        vals[over] = row_norms(states[over], gamma) ** p
     lost = ("overflows" if np.isinf(vals).any() else
             "underflows to 0" if ((vals == 0.0) & (sq > 0.0)).any() else None)
     if lost:
@@ -327,7 +329,7 @@ def mixing_report(
     (distance between same-law halves), fits the exponential rate above
     that floor, and attaches a trajectory bootstrap (n_boot resamples of
     row indices) confidence interval for the rate and a standard error for
-    each distance.
+    each distance; ValueError naming p if a square in that error overflows.
     times = None means 1, 2, ..., floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
@@ -380,7 +382,11 @@ def mixing_report(
         bfit = fit_rate(times, boot_d[b], floor=floor)
         if bfit.identifiable:
             boot_lams.append(bfit.lam)
-    distance_stderr = boot_d.std(axis=0, ddof=1) if n_boot > 1 else np.zeros(times.size)
+    with np.errstate(over="ignore"):
+        distance_stderr = boot_d.std(axis=0, ddof=1) if n_boot > 1 else np.zeros(times.size)
+    if np.isinf(distance_stderr).any():
+        raise ValueError(f"p = {fmt_float(spec.p)}: the square in a distance's bootstrap "
+                         "stderr overflows")
 
     if fit.identifiable and len(boot_lams) >= max(10, n_boot // 2):
         lo, hi = np.percentile(boot_lams, [2.5, 97.5])

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +622,89 @@ def test_doeblin_vacuous_geometric_bound_is_skipped(tmp_path, capsys):
     assert rc == 0
     assert "contraction_factor = 1.0" in text
     assert "failure" not in text and "geometric_gap" not in text
+
+
+UNRESOLVABLE_WELLS = ([[0.4999999999999, 0.4999999999999, 1e-13, 1e-13]] * 2
+                      + [[1e-13, 1e-13, 0.4999999999999, 0.4999999999999]] * 2)
+
+
+def test_doeblin_unresolvable_invariant_measure_skips_the_gap(tmp_path, capsys):
+    # delta delta' = 4e-13 proves the stationary distribution unique, but P^T - I
+    # has two singular values near 2e-14, so float64 cannot resolve it; the run
+    # printed failure = geometric_bound and exited 1
+    (tmp_path / "k.txt").write_text(
+        "4\n" + "".join(" ".join(map(repr, row)) + "\n" for row in UNRESOLVABLE_WELLS))
+    cfg = write_cfg(tmp_path, "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
+    rc = main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert "delta = 4e-13" in text and "contraction_factor = 0.9999999999992001" in text
+    assert "failure" not in text and "geometric_gap" not in text
+
+
+@st.composite
+def near_decomposable_kernels(draw):
+    """2-8 states in 2-3 blocks, each row putting e on every state outside its
+    block and the rest, uniformly or at random, on its own block."""
+    n = draw(st.integers(2, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(2, n - 1))))
+    e = draw(st.sampled_from([0.0, 5e-324, 1e-300] + [10.0**-k for k in range(1, 17)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = draw(st.booleans())
+    rows = np.full((n, n), e)
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        block = np.ones((hi - lo, hi - lo)) if uniform else rng.random((hi - lo, hi - lo)) + 0.05
+        rows[lo:hi, lo:hi] = block / block.sum(axis=1, keepdims=True) * (1.0 - e * (n - hi + lo))
+    return rows.tolist()
+
+
+# each printed number must keep the bound the validated certificate implies;
+# the program checked these inequalities itself and reported their rounding
+# as failures
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(near_decomposable_kernels())
+@example(UNRESOLVABLE_WELLS)
+def test_doeblin_on_near_decomposable_kernels_prints_only_bounded_measurements(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "k.txt").write_text(
+            f"{len(rows)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+        cfg = write_cfg(Path(tmp), "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["doeblin", "--config", str(cfg), "--out", str(Path(tmp, "out"))])
+    lines = out.getvalue().splitlines()
+    if rc == 1:  # only a kernel with closed blocks has no common component
+        assert lines == ["failure = no_common_component"] and min(map(min, rows)) == 0.0
+        return
+    assert rc == 0 and not any(l.startswith(("failure", "error")) for l in lines)
+    value = {}
+    for line in lines:  # the first of each key: the certificate's delta, not the search's
+        key, _, v = line.partition(" = ")
+        value.setdefault(key, v)
+    eps = float(value["delta"]) * float(value["delta_prime"])
+    assert float(value["contraction_factor"]) <= 1.0 - eps + 1e-12
+    if "geometric_gap" in value:
+        assert float(value["geometric_gap"]) <= 1e-9
+
+
+# gamma = 2 puts norm_gamma near 3e156 (finite; its square is not) on
+# every trajectory: the norm itself read inf with an overflow RuntimeWarning,
+# and moments blamed the first power of the norm
+@pytest.mark.parametrize("sub, p, message", [
+    ("mixing", 2, "p = 2.0: the distance weighted by V = norm^p + 1 overflows"),
+    ("mixing", 1, "p = 1.0: the square in a distance's bootstrap stderr overflows"),
+    ("moments", 1, "the p-th moment of initial condition 0 overflows in its mean or stderr"),
+])
+def test_norms_whose_squares_overflow_blame_the_quantity_out_of_range(
+        tmp_path, capsys, sub, p, message):
+    cfg = ("[model]\nn_modes = 4\ndt = 0.0625\nt_final = 4\npoly = none\nk_star = 4\n"
+           "q4 = 1e152\nblowup_guard = inf\n\n[ensemble]\nic1 = zero\n"
+           f"ic2 = scaled-random:1\nn_traj = 20\ngamma = 2\nn_boot = 4\np = {p}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = run_exit_two(tmp_path, capsys, [sub], cfg)
+    assert text == f"error = validation\n{message}\n"
 
 
 def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):

@@ -272,6 +272,17 @@ def test_geometric_bound_validation():
         geometric_bound_check(kernel, two_step, n=5)
 
 
+def test_geometric_bound_is_none_where_float64_cannot_resolve_mu_star():
+    # delta delta' = 4e-13 > 0 makes mu_* unique, but two singular values of
+    # P^T - I sit near 2e-14 and invariant_measure rejects the kernel
+    a, e = 0.4999999999999, 1e-13
+    kernel = FiniteKernel([[a, a, e, e], [a, a, e, e], [e, e, a, a], [e, e, a, a]])
+    cert = dataclasses.replace(minorization(kernel, range(4), 1), delta_prime=1.0)
+    with pytest.raises(ValueError, match="not unique"):
+        invariant_measure(kernel)
+    assert geometric_bound_check(kernel, cert, n=50) is None
+
+
 def test_small_set_search_worked_two_state():
     kernel = FiniteKernel(WORKED)
     cert = small_set_search(kernel, mu0=[0.5, 0.5])

@@ -83,6 +83,13 @@ def test_observables_content():
     assert narrow.shape == (4, 4)
 
 
+def test_observables_norm_of_a_row_whose_squares_overflow():
+    # each square overflowed, so the norm read inf with an overflow RuntimeWarning
+    obs = observables(np.array([[3e200, -4e200, 0.0], [3.0, 4.0, 0.0]]), gamma=0.0)
+    assert math.isclose(obs[0, 0], 5e200, rel_tol=1e-15)
+    assert obs[1, 0] == 5.0
+
+
 def test_law_distance_basic_properties():
     rng = np.random.default_rng(0)
     a = observables(rng.normal(size=(300, 9)), gamma=1.0)
