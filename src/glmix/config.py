@@ -142,6 +142,11 @@ def _positive(values, lineno, key):
 def _odd_from_three(values, lineno, key):
     if not all(v >= 3 and v % 2 == 1 for v in values):
         raise ConfigError(f"line {lineno}: {key} must be odd integers >= 3")
+    try:
+        float(max(values) - 1)
+    except OverflowError:
+        raise ConfigError(f"line {lineno}: {key} lists a q whose q - 1 is too large "
+                          "for a float") from None
 
 
 def _at_least(least):

@@ -29,16 +29,18 @@ slabs; a block splits its steps into the fewest slabs its share allows, all
 of one length.  Each trajectory consumes its own stream
 (noise.trajectory_generator), so results do not depend on block sizes, slab
 lengths, worker counts or thread schedules.  A row aborts at the first step
-after which its squared norm is NaN, infinite or above the guard's square, so
-a row that overflows within a step aborts under any guard, inf included.  It
-is set to NaN and stays NaN, and a block stops stepping once all its rows
-have.
+after which its squared norm is NaN or above the guard's square (a finite
+guard is at most sqrt(float max), so an overflowed square is above it); with
+no guard (inf) it aborts once its norm itself is NaN or inf, so a row whose
+square alone overflows keeps stepping.  An aborted row is set to NaN and
+stays NaN, and a block stops stepping once all its rows have.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -170,7 +172,8 @@ class ExponentialEulerStepper:
         self.std = params.spectrum.step_std(params.dt)
         self.poly = params.poly
         self.guard_sq = params.blowup_guard**2
-        # the largest squared norm a row keeps: no infinite one, even with no guard
+        # the largest squared norm that flags no row: with no guard, a row
+        # whose square overflows is flagged and its norm measured again
         self.keep_sq = min(self.guard_sq, np.finfo(float).max)
         # two orders of summing n nonnegative squares differ by about 2 n eps at
         # most (130 eps at 65 slots); guard_sq * (1 + band) may overflow to inf
@@ -220,12 +223,15 @@ class ExponentialEulerStepper:
         u += buf.slots
 
     def blown_up(self, u: np.ndarray) -> np.ndarray:
-        """Guard mask of the rows whose np.sum(u * u, axis=-1) is NaN,
-        infinite or above guard_sq, bit for bit.
+        """Guard mask of the rows whose np.sum(u * u, axis=-1) is NaN or
+        above guard_sq, bit for bit; with no guard (inf), of the rows whose
+        norm is NaN or inf.
 
         The squared norms come from one einsum pass; only the rows near
         guard_sq, where its order of summation could tip the comparison, are
-        summed again as np.sum(u * u).
+        summed again as np.sum(u * u).  A finite guard is at most sqrt(float
+        max), so a square that overflows is above it; with no guard, only the
+        rows whose square overflows are measured again, by row_norms.
         """
         sq = np.einsum("ij,ij->i", u, u)
         lo, hi = self.near_guard
@@ -235,6 +241,9 @@ class ExponentialEulerStepper:
             if near.any():
                 w = u[near]
                 blown[near] = ~(np.sum(w * w, axis=-1) <= self.keep_sq)
+            if self.guard_sq == math.inf and blown.any():  # judge the norm, not its square
+                over = sq == math.inf
+                blown[over] = ~np.isfinite(row_norms(u[over], 0.0))
         return blown
 
 
@@ -422,104 +431,60 @@ def run_ensemble(
 
 
 _ODE_TOL = 1e-8
-# steps LSODA may take on one forced segment
-_ODE_MAX_STEPS = 100_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class OdeComparison:
-    """Numerical solution of y' = -c y^q + f against both decay bounds."""
+    """Exact solution of y' = -c y^q against both decay bounds."""
 
     y_final: float
-    forcing_integral: float
     corrected_bound: float
     literal_bound: float
     corrected_holds: bool
     literal_holds: bool
 
 
-def _unforced(q: int, c: float, y0: float, t: float) -> float:
-    """y(t) of y' = -c y^q from y0: (y0^-(q-1) + (q-1) c t)^(-1/(q-1)),
-    evaluated in logs so that no power overflows."""
-    log_age = math.log(q - 1) + math.log(c) + math.log(t) + (q - 1) * math.log(y0)
-    return math.exp(math.log(y0) - float(np.logaddexp(0.0, log_age)) / (q - 1))
+def ode_comparison(q: int, c: float, y0: float, t: float) -> OdeComparison:
+    """Solve y' = -c y^q on [0, t] exactly and compare both decay bounds.
 
-
-def ode_comparison(
-    q: int,
-    c: float,
-    y0: float,
-    t: float,
-    forcing=None,
-) -> OdeComparison:
-    """Integrate y' = -c y^q + f(s) on [0, t] and compare both decay bounds.
-
-    The corrected bound ((q-1) c t)^(-1/(q-1)) + int_0^t f is the comparison
-    constant valid for every y0 (equality as y0 -> infinity); the literal
-    variant (q c t)^(-1/(q-1)) + int_0^t f is reported as well and can fail.
-    Either is inf when its c t term underflows to 0.
-    forcing is a piecewise-constant step function as (start_time, value)
-    pairs, start times increasing from 0, values nonnegative; None means 0.
-    A bound holds when y(t) exceeds it by at most _ODE_TOL = 1e-8 times
-    min(1, bound), so a bound below 1 is held to the same relative
-    tolerance.
-
-    An unforced segment takes its exact solution.  LSODA integrates each
-    forced one and raises RuntimeError when it fails: when its right-hand
-    side overflows, its step stops advancing, it takes more than
-    _ODE_MAX_STEPS steps or it ends at y <= 0 (the solution stays positive).
+    y(t) = (y0^-(q-1) + (q-1) c t)^(-1/(q-1)) is evaluated in logs so that no
+    power overflows.  The corrected bound ((q-1) c t)^(-1/(q-1)) is the
+    comparison constant valid for every y0 (equality as y0 -> infinity); the
+    literal variant (q c t)^(-1/(q-1)) is reported as well and can fail.
+    Either is taken in logs where its c t term is not a normal float (it
+    overflows or underflows, or its rounding would fail a bound that holds),
+    and is inf only beyond float max.  A bound holds when y(t) exceeds it by
+    at most _ODE_TOL = 1e-8 times the bound: y(t) is accurate to about 1e-13
+    relative, whatever its size.  q - 1 must convert to a float.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 3 and q % 2 == 1):
         raise ValueError("q must be an odd integer >= 3")
+    try:
+        k = float(q - 1)
+    except OverflowError:
+        raise ValueError("q - 1 is too large for a float") from None
     if not all(0 < v < math.inf for v in (c, y0, t)):  # NaN included
         raise ValueError("c, y0 and t must be positive and finite")
-    if forcing is None:
-        forcing = [(0.0, 0.0)]
-    starts = [float(s) for s, _ in forcing]
-    values = [float(v) for _, v in forcing]
-    if starts[0] != 0.0 or any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ValueError("forcing segments must start at 0 with increasing times")
-    if any(v < 0 for v in values):
-        raise ValueError("forcing values must be nonnegative")
 
-    edges = [s for s in starts if s < t] + [t]
-    vals = values[: len(edges) - 1]
-    f_int = sum(v * (b - a) for v, a, b in zip(vals, edges[:-1], edges[1:]))
+    log_age = math.log(k) + math.log(c) + math.log(t) + k * math.log(y0)
+    y = math.exp(math.log(y0) - float(np.logaddexp(0.0, log_age)) / k)
 
-    y = y0
-    for v, a, b in zip(vals, edges[:-1], edges[1:]):
-        if v == 0.0:
-            y = _unforced(q, c, y, b - a)
-            continue
-        from scipy.integrate import LSODA  # only forced segments need scipy
-
-        solver = LSODA(lambda s, z, vv=v: -c * z**q + vv, a, [y], b, rtol=1e-11, atol=1e-13)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for _ in range(_ODE_MAX_STEPS):
-                    before = solver.t
-                    solver.step()
-                    if solver.status != "running" or solver.t == before:
-                        break
-        except FloatingPointError:
-            pass
-        if not (solver.status == "finished" and solver.y[0] > 0):
-            raise RuntimeError(f"reference integration failed on [{a}, {b}] at s = {solver.t}")
-        y = float(solver.y[0])
-
-    def bound(k):  # (k c t)^(-1/(q-1)) + int f
-        base = k * c * t
-        return (base ** (-1.0 / (q - 1)) if base > 0 else math.inf) + f_int
+    def bound(m):  # (m c t)^(-1/(q-1))
+        base = m * c * t
+        if sys.float_info.min <= base < math.inf:
+            return base ** (-1.0 / k)
+        log_bound = -(math.log(m) + math.log(c) + math.log(t)) / k
+        return math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf
 
     corrected = bound(q - 1)
     literal = bound(q)
     return OdeComparison(
         y_final=y,
-        forcing_integral=f_int,
         corrected_bound=corrected,
         literal_bound=literal,
-        corrected_holds=bool(y <= corrected + _ODE_TOL * min(1.0, corrected)),
-        literal_holds=bool(y <= literal + _ODE_TOL * min(1.0, literal)),
+        corrected_holds=bool(y <= corrected + _ODE_TOL * corrected),
+        literal_holds=bool(y <= literal + _ODE_TOL * literal),
     )
 
 

@@ -1,14 +1,16 @@
 """Independent oracle routes used by the test suite.
 
 Everything here recomputes quantities from first principles with plain
-numpy summation, dense finite differences, or coefficient convolution, so
-agreement with the package is a genuine two-route check.  In particular
-nothing in this file calls scipy.fft or the package transforms.
+numpy summation, dense finite differences, coefficient convolution, or
+scipy's adaptive ODE solver, so agreement with the package is a genuine
+two-route check.  In particular nothing in this file calls scipy.fft, the
+package transforms or any other package code.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,6 +159,15 @@ def constant_mode_track(pcoeffs, y0, h, n_steps):
         y = decay * y + phi * (y - p)
         track.append(y)
     return np.array(track)
+
+
+def forced_decay(q, c, y0, t, f):
+    """y(t) of the forced comparison ODE y' = -c y^q + f from y0, for a
+    constant f >= 0, by adaptive LSODA at rtol 1e-11 and atol 1e-13."""
+    sol = solve_ivp(lambda s, y: -c * y**q + f, (0.0, t), [y0],
+                    method="LSODA", rtol=1e-11, atol=1e-13)
+    assert sol.success and sol.y[0, -1] > 0.0, sol.message
+    return float(sol.y[0, -1])
 
 
 def convolution_second_moment(q, t, gamma):

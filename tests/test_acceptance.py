@@ -421,14 +421,18 @@ def test_criterion_5_decay_bound_grid():
         for c in (0.5, 1.0, 2.0):
             for y0 in (0.5, 2.0, 10.0, 100.0):
                 for t in (0.25, 0.5, 1.0):
-                    for forcing in (None, ((0.0, 0.5),)):
-                        r = ode_comparison(q, c, y0, t, forcing=forcing)
+                    r = ode_comparison(q, c, y0, t)
+                    # forced by f = 0.5: the oracle's y(t) against the
+                    # package's unforced bounds plus f t
+                    for f in (0.0, 0.5):
+                        y = r.y_final if f == 0.0 else oracles.forced_decay(q, c, y0, t, f)
                         total += 1
-                        if r.y_final > r.corrected_bound + 1e-8:
+                        if y > r.corrected_bound + f * t + 1e-8:
                             corrected_failures += 1
-                        if not r.literal_holds:
+                        literal = r.literal_bound + f * t
+                        if y > literal + 1e-8 * literal:
                             literal_failures += 1
-                        if (q, c, y0, t, forcing) == (3, 1.0, 10.0, 0.5, None):
+                        if (q, c, y0, t, f) == (3, 1.0, 10.0, 0.5, 0.0):
                             witness = r
     elapsed = time.monotonic() - t0
     witness_red = (

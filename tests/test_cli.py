@@ -107,7 +107,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return p
 
 
-def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use():
+# the README quick start, in its order, with the exit code it gives each
+QUICK_START = [("simulate", "simulate_small", 0), ("moments", "moments_uniform", 0),
+               ("mixing", "mixing_small", 1), ("doeblin", "doeblin_two_state", 0),
+               ("odecheck", "odecheck_grid", 0)]
+
+
+def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use(tmp_path):
     # a fresh interpreter: the test process has scipy loaded already; a module
     # first imported inside a call would add its import time to the call
     code = (
@@ -119,6 +125,32 @@ def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout.splitlines() == ["[]", "[True, True, True]"]
+    # every subcommand runs with scipy unimportable and writes what a normal run does
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None  # import scipy now raises ImportError\n"
+        "import glmix.cli\n"
+        "codes = []\n"
+        "for sub, cfg in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(glmix.cli.main([sub, '--config', cfg, '--out', sys.argv[1] + '/' + sub]))\n"
+        "print(codes)\n"
+    )
+    configs = Path(__file__).parents[1] / "demos" / "configs"
+    argv = [str(tmp_path / "no_scipy")]
+    for sub, cfg, _ in QUICK_START:
+        argv += [sub, str(configs / f"{cfg}.cfg")]
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.splitlines() == [str([want for _, _, want in QUICK_START])]
+    for sub, cfg, want in QUICK_START:
+        normal = tmp_path / "normal" / sub
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([sub, "--config", str(configs / f"{cfg}.cfg"), "--out", str(normal)]) == want
+        names = sorted(f.name for f in normal.iterdir())
+        assert sorted(f.name for f in (tmp_path / "no_scipy" / sub).iterdir()) == names
+        for name in names:
+            assert (tmp_path / "no_scipy" / sub / name).read_bytes() == (normal / name).read_bytes()
 
 
 def test_mixing_call_loads_no_numpy_ma(tmp_path):
@@ -168,7 +200,7 @@ def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):
         q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
         r = ode_comparison(q, c, y0, t)
         assert fields[4] == repr(r.y_final)
-        assert fields[5] == repr(r.forcing_integral)
+        assert fields[5] == "0.0"  # the grid is unforced
         assert fields[6] == repr(r.corrected_bound)
         assert fields[7] == repr(r.literal_bound)
         assert fields[8] == str(int(r.corrected_holds))
@@ -185,6 +217,14 @@ def exact_decay(q, c, y0, t):
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         base = decimal.Decimal(y0) ** (1 - q) + (q - 1) * decimal.Decimal(c) * decimal.Decimal(t)
+        return float(base ** (decimal.Decimal(-1) / (q - 1)))
+
+
+def exact_bound(k, q, c, t):
+    """(k c t)^(-1/(q-1)) in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        base = k * decimal.Decimal(c) * decimal.Decimal(t)
         return float(base ** (decimal.Decimal(-1) / (q - 1)))
 
 
@@ -214,13 +254,23 @@ def deadline(seconds):
     {"cs": "1e200"},
     {"cs": "1e300"},
     {"ts": "1e-300"},
-    {"cs": "1e-200", "ts": "1e-200"},
+    {"cs": "1e-200", "ts": "1e-200"},  # and (q - 1) c t underflowed: both bounds read inf
     # LSODA ended at y = -2.4e-14, below its absolute tolerance
     {"cs": "1e30"},
     # LSODA finished near its absolute tolerance 1e-13: 19%, 0.4% and 0.4% off
     {"cs": "1e28"},
     {"cs": "1e26"},
     {"ts": "1e26"},
+    # (q - 1) c t overflowed to inf, so both bounds read 0 and the corrected
+    # one was reported failed (exit 1)
+    {"qs": "7", "cs": "1e308", "y0s": "5e-324", "ts": "1e308"},
+    {"qs": "3", "cs": "1e308", "y0s": "1e308", "ts": "1e308"},
+    # (q - 1) c t = 2.2e-320 is subnormal: its rounding put the corrected
+    # bound 1.7e-5 below y(t) (exit 1)
+    {"qs": "3", "cs": "1.1e-160", "y0s": "1e300", "ts": "1e-160"},
+    # y(t) sits 3.6e-14 above the bound 8.4e74, relative to it, which an
+    # absolute tolerance of 1e-8 above a bound of 1 failed (exit 1)
+    {"qs": "5", "cs": "0.5", "y0s": "1e300", "ts": "1e-300"},
 ])
 def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entries):
     entries = {"qs": "3", "cs": "1", "y0s": "10", "ts": "0.5", **entries}
@@ -232,6 +282,8 @@ def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entr
     fields = body_lines(tmp_path / "out" / "odecheck.csv")[1].split(",")
     q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
     assert float(fields[4]) == pytest.approx(exact_decay(q, c, y0, t), rel=1e-12, abs=0.0)
+    assert float(fields[6]) == pytest.approx(exact_bound(q - 1, q, c, t), rel=1e-12, abs=0.0)
+    assert float(fields[7]) == pytest.approx(exact_bound(q, q, c, t), rel=1e-12, abs=0.0)
     assert fields[8] == "1"  # the corrected bound holds
 
 
@@ -241,6 +293,47 @@ def test_odecheck_verdicts_are_relative_below_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[odecheck]\nqs = 3\ncs = 1e28\ny0s = 10\nts = 0.5\n")
     assert main(["odecheck", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "corrected_holds = 1 literal_holds = 0" in capsys.readouterr().out
+
+
+ODE_POSITIVE = ["5e-324", "1e-300", "1e-160", "0.5", "1", "10", "1e160", "1e300", "1e308"]
+ODE_REFUSED = ["-inf", "-1", "0", "inf", "nan"]
+
+
+@st.composite
+def odecheck_configs(draw):
+    """An [odecheck] section: q = 2 n + 1 up to about 10^400 (1 and both
+    sides of the float range's edge included), and one or two extreme values
+    per key, most of them positive."""
+    n = st.one_of(st.integers(1, 4), st.integers(1, 10**6), st.integers(0, 10**400),
+                  st.sampled_from([2**52, 10**154, 2**1022, 9 * 10**307, 2**1023]))
+    value = st.one_of(st.sampled_from(ODE_POSITIVE), st.sampled_from(ODE_POSITIVE + ODE_REFUSED))
+    lines = ["[odecheck]", "qs = " + " ".join(str(2 * v + 1) for v in draw(
+        st.lists(n, min_size=1, max_size=2)))]
+    for key in ("cs", "y0s", "ts"):
+        lines.append(f"{key} = " + " ".join(draw(st.lists(value, min_size=1, max_size=2))))
+    return "\n".join(lines) + "\n"
+
+
+# the corrected bound is a theorem for every positive input, so an exit 1 is
+# a float artefact
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(odecheck_configs())
+@example("[odecheck]\nqs = 1" + "0" * 400 + "1\ncs = 1\ny0s = 2\nts = 1\n")
+def test_odecheck_on_extreme_configs_runs_or_exits_two(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["odecheck", "--config", str(write_cfg(Path(tmp), text)),
+                       "--out", str(Path(tmp, "out"))])
+            assert rc in (0, 2), out.getvalue()
+            if rc == 2:
+                assert out.getvalue().startswith("error = ")
+                return
+            csv = Path(tmp, "out", "odecheck.csv")
+            rerun = write_cfg(Path(tmp), "\n".join(header_lines(csv)[1:]) + "\n", "rerun.cfg")
+            assert main(["odecheck", "--config", str(rerun), "--out", str(Path(tmp, "b"))]) == 0
+        assert Path(tmp, "b", "odecheck.csv").read_bytes() == csv.read_bytes()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -707,6 +800,32 @@ def test_norms_whose_squares_overflow_blame_the_quantity_out_of_range(
     assert text == f"error = validation\n{message}\n"
 
 
+# drift-free starts near 1e160 with no guard: each squared norm overflows,
+# though the norm does not and the dynamics only decay; every row aborted at
+# its first step (simulate exit 1, moments and mixing exit 2)
+@pytest.mark.parametrize("sub, want, line", [
+    ("simulate", 0, None),
+    # the two starts differ by a factor 1.5, so their first moments do too
+    ("moments", 1, "max_ratio = 1.4999999999999998"),
+    # the two laws differ by a shift of the mean whose slowest mode, c0, decays like e^{-t}
+    ("mixing", 0, "lambda = 0.9999999999999691"),
+])
+def test_no_guard_aborts_on_the_norm_not_its_square(tmp_path, capsys, sub, want, line):
+    cfg = write_cfg(tmp_path, "[model]\nn_modes = 4\ndt = 0.0625\nt_final = 4\npoly = none\n"
+                              "blowup_guard = inf\n\n[ensemble]\nic1 = scaled-random:1e160\n"
+                              "ic2 = scaled-random:1.5e160\nn_traj = 20\np = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    text = capsys.readouterr().out
+    assert rc == want
+    if line is None:
+        rows = [r.split(",") for r in body_lines(tmp_path / "out" / "trajectories.csv")[1:]]
+        assert len(rows) == 40 * 5 and all(r[5] == "0" for r in rows)
+    else:
+        assert line in text.splitlines()
+
+
 def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nn_modes\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
@@ -736,6 +855,14 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
                    "--out", str(tmp_path / "repeat")])
         assert rc == 2 and not (tmp_path / "repeat").exists()
         assert capsys.readouterr().out == f"error = config\n{message}\n"
+    # q - 1 too large for a float: ode_comparison raised OverflowError, and the
+    # CLI printed its traceback
+    cfg = write_cfg(tmp_path, "[odecheck]\nqs = 3 1" + "0" * 400 + "1\n")
+    rc = main(["odecheck", "--config", str(cfg), "--out", str(tmp_path / "huge_q")])
+    assert rc == 2 and not (tmp_path / "huge_q").exists()
+    assert capsys.readouterr().out == (
+        "error = config\nline 2: qs lists a q whose q - 1 is too large for a float\n"
+    )
     # a repeated report time: mixing left its first column unwritten and
     # reported the NaN records as aborted trajectories
     cfg = write_cfg(tmp_path, "[model]\nn_modes = 4\ndt = 0.015625\nt_final = 4\n[ensemble]\n"

@@ -1,8 +1,9 @@
 """Tests for the exponential one-step scheme and its diagnostics.
 
-Oracle routes: closed-form linear flows, an adaptive scalar ODE reference
-(solve_ivp at rtol 1e-12), and the dealias-free polynomial convolution from
-tests/oracles.py for a hand-built single step.
+Oracle routes: closed-form linear flows, adaptive scalar ODE references
+(solve_ivp at rtol 1e-12 for y' = y - y^3, and oracles.forced_decay for the
+forced comparison ODE y' = -c y^q + f), and the dealias-free polynomial
+convolution from tests/oracles.py for a hand-built single step.
 """
 
 import copy
@@ -145,6 +146,20 @@ def test_guard_mask_is_the_summed_squares_comparison(guard):
         assert not np.array_equal(einsum_only, want)
     else:
         assert not want[:-4].any()
+
+
+def test_no_guard_judges_the_norm_not_its_square():
+    # rows of norm 1e160 and 1e308 square to inf: they aborted under no guard
+    rows = np.zeros((5, 65))
+    rows[0, :4] = 5e159
+    rows[1, 9] = 1e308
+    rows[2] = 1.7e308  # its norm is beyond float max
+    rows[3, 0] = math.nan
+    rows[4, 0] = -math.inf
+    free = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=math.inf))
+    assert free.blown_up(rows).tolist() == [False, False, True, True, True]
+    guarded = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=1e154))
+    assert guarded.blown_up(rows).all()
 
 
 def test_records_that_do_not_fit_in_memory_raise_value_errors():
@@ -313,7 +328,6 @@ def test_ode_comparison_unforced_witness():
     assert res.corrected_bound == 1.0
     assert np.isclose(res.literal_bound, 1.5**-0.5, rtol=1e-15)
     assert res.corrected_holds and not res.literal_holds
-    assert res.forcing_integral == 0.0
 
 
 def test_ode_comparison_closed_form_grid():
@@ -328,32 +342,29 @@ def test_ode_comparison_closed_form_grid():
 
 
 def test_ode_comparison_forcing_and_validation():
-    forcing = [(0.0, 1.0), (0.25, 3.0)]
-    res = ode_comparison(3, 1.0, 10.0, 0.5, forcing=forcing)
-    assert np.isclose(res.forcing_integral, 0.25 * 1.0 + 0.25 * 3.0, rtol=1e-15)
-    baseline = ode_comparison(3, 1.0, 10.0, 0.5)
-    assert res.y_final > baseline.y_final
-    assert res.corrected_bound == baseline.corrected_bound + res.forcing_integral
+    # a constant forcing f lifts y(t) above the unforced decay and keeps it
+    # below the unforced corrected bound plus f t
+    res = ode_comparison(3, 1.0, 10.0, 0.5)
+    forced = oracles.forced_decay(3, 1.0, 10.0, 0.5, 2.0)
+    assert res.y_final < forced <= res.corrected_bound + 2.0 * 0.5
     with pytest.raises(ValueError, match="odd"):
         ode_comparison(4, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="odd"):
         ode_comparison(1, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         ode_comparison(3, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="start at 0"):
-        ode_comparison(3, 1.0, 1.0, 1.0, forcing=[(0.5, 1.0)])
-    with pytest.raises(ValueError, match="nonnegative"):
-        ode_comparison(3, 1.0, 1.0, 1.0, forcing=[(0.0, -2.0)])
+    # int(q - 1) * log(y0) raised OverflowError
+    with pytest.raises(ValueError, match="q - 1 is too large for a float"):
+        ode_comparison(10**400 + 1, 1.0, 1.0, 1.0)
 
 
 def test_ode_comparison_rejects_non_finite_inputs_before_integrating(monkeypatch):
-    import scipy.integrate
-
-    # c = inf made LSODA run for longer than 20 s
+    # c = inf once made the integrator run for longer than 20 s; the closed
+    # form must not see a non-finite input either
     def never(*args, **kw):
         raise AssertionError("integrated a non-finite input")
 
-    monkeypatch.setattr(scipy.integrate, "LSODA", never)
+    monkeypatch.setattr(integrator.np, "logaddexp", never)
     for args in ((math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
                  (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
         with pytest.raises(ValueError, match="c, y0 and t must be positive and finite"):
