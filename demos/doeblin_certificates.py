@@ -57,7 +57,7 @@ def main():
     eps = cert.delta * cert.delta_prime
     print(f"worst exact two-step contraction ratio {worst:.4f} "
           f"<= certified 1 - delta delta_prime = {1 - eps:.4f}")
-    gap = geometric_bound_check(kernel, cert, n=50)
+    gap = geometric_bound_check(kernel, cert)
     print(f"geometric bound 2 (1 - {eps:.2f})^floor(n/2) over n = 0..50: "
           f"worst distance-minus-bound {gap:.2e} (negative = slack)")
 
@@ -71,8 +71,14 @@ def main():
     print("\n== constructive search on a 20-state band kernel ==")
     kernel20, mu0 = band_kernel_twenty()
     fine = small_set_search(kernel20, mu0)
-    print(f"singleton partition: K = {fine.K}, delta = {fine.delta:.6f} "
-          f"(= mu0(V) mu0(E) / 8 with V cell mass {fine.v_cell_mass})")
+    # the certificate's S-path a -> b -> c: a is K's state, c is nu's support
+    # and b a middle state with mu0(b) mu0(c) / 8 = delta
+    (a,), c = fine.K, int(np.argmax(fine.nu))
+    s = kernel20.rows / mu0[None, :] > 0.5
+    b = next(b for b in range(kernel20.n)
+             if s[a, b] and s[b, c] and mu0[b] * mu0[c] / 8.0 == fine.delta)
+    print(f"S-path {a} -> {b} -> {c}: K = {fine.K}, delta = {fine.delta:.6f} "
+          f"(= mu0(b) mu0(c) / 8 with mu0(b) = {mu0[b]}, mu0(c) = {mu0[c]})")
 
     print("\n== drift condition on a reflecting birth-death chain ==")
     n = 6

@@ -63,7 +63,7 @@ def main():
         gamma=full.gamma,
         p=full.p,
     )
-    table = moment_bound(full_spec, t=1.0, threads=2)
+    table = moment_bound(full_spec, threads=2)
     for i in range(table.estimate.size):
         print(f"start {i}: E||u(1)||^2 = {table.estimate[i]:.5f} "
               f"+- {1.96 * table.stderr[i]:.5f}  ({table.n_traj} trajectories, "

@@ -102,7 +102,7 @@ def _report(cfg: RunConfig, out: Path, name: str, csv: str, summary: str) -> Non
 
 def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
     spec = _ensemble_spec(cfg)
-    table = moment_bound(spec, t=cfg.t_final, threads=threads)
+    table = moment_bound(spec, threads=threads)
     body = ["ic,t,estimate,stderr,n_traj,n_aborted"]
     for i, (est, se, aborted) in enumerate(zip(table.estimate, table.stderr, table.n_aborted)):
         body.append(
@@ -124,9 +124,7 @@ def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
 
 def _cmd_mixing(cfg: RunConfig, out: Path, threads: int) -> int:
     spec = _ensemble_spec(cfg)
-    report = mixing_report(
-        spec, times=cfg.resolved_times(), n_boot=cfg.n_boot, threads=threads
-    )
+    report = mixing_report(spec, cfg.resolved_times(), cfg.n_boot, threads=threads)
     _report(cfg, out, "mixing", report_csv(report), report_summary(report))
     if not (report.fit.identifiable and report.fit.ci_low > 0.0):
         print("failure = mixing_rate")
@@ -159,7 +157,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
         print(f"contraction_factor = {fmt_float(contraction_check(kernel, cert))}")
         # a tiny eps leaves 1 - eps == 1, and the bound 2 (1 - eps)^(k/2) at 2
         if 0.0 < 1.0 - eps < 1.0:
-            gap = geometric_bound_check(kernel, cert, n=50)
+            gap = geometric_bound_check(kernel, cert)
             if gap is not None:  # None: mu_* is not resolvable in float64
                 print(f"geometric_gap = {fmt_float(gap)}")
     search = small_set_search(kernel, mu0)

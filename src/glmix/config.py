@@ -357,6 +357,15 @@ def resolve_config(text: str) -> RunConfig:
             _canonical_ic(value, lineno, key, cfg.n_modes)
             for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
         ]
+    gamma = sections.get("ensemble") and sections["ensemble"].entries.get("gamma")
+    if gamma and cfg.n_modes >= 1:  # SimulationParams refuses any other n_modes
+        # below this, row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma)
+        # (rescaled to at most 1) with no overflow; l_N = 1 + 4 pi^2 N^2
+        n = cfg.n_modes
+        log_l = 2.0 * math.log(n) + math.log(4.0 * math.pi**2 + 1 / n**2)
+        if math.log(2 * n + 1) + 2.0 * cfg.gamma * log_l >= math.log(np.finfo(float).max):
+            raise ConfigError(f"line {gamma[1]}: gamma = {fmt_float(cfg.gamma)} makes the norm "
+                              f"weight l_N^(2 gamma) of n_modes = {n} overflow")
     if cfg.times and 0 < cfg.dt <= 1:  # SimulationParams refuses any other dt
         lineno = sections["ensemble"].entries["times"][1]
         last = _grid_step(cfg.t_final, cfg.dt)

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# Steps k = 0.._GEOMETRIC_HORIZON over which geometric_bound_check measures.
+_GEOMETRIC_HORIZON = 50
 
 
 def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
@@ -77,11 +79,6 @@ class FiniteKernel:
         self.rows = rows
         self.n = rows.shape[0]
 
-    def power(self, m: int) -> np.ndarray:
-        if m < 0:
-            raise ValueError("power must be nonnegative")
-        return np.linalg.matrix_power(self.rows, m)
-
     def __repr__(self):
         return f"FiniteKernel(n={self.n})"
 
@@ -103,9 +100,7 @@ class SmallSetCertificate:
     nu is a probability vector on the states, stored as a read-only float
     array.  delta_prime, when present, additionally claims
     min_x P(x, K) >= delta_prime.  Both claims are checked entry by entry by
-    validate().  v_cell_mass and e_mass are provenance from the constructive
-    search (the mu0 masses of the middle state and of the support of nu); they
-    are informational only and do not appear in the emitted text block.
+    validate().
     """
 
     K: tuple[int, ...]
@@ -113,8 +108,6 @@ class SmallSetCertificate:
     delta: float
     nu: np.ndarray
     delta_prime: float | None = None
-    v_cell_mass: float | None = None
-    e_mass: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", tuple(int(x) for x in self.K))
@@ -142,7 +135,7 @@ class SmallSetCertificate:
         k = _as_state_tuple(self.K, kernel.n)
         if self.nu.size != kernel.n:
             raise ValueError("nu length does not match the kernel")
-        pm = kernel.power(self.m)
+        pm = np.linalg.matrix_power(kernel.rows, self.m)
         floor = self.delta * self.nu
         gap = pm[list(k), :] - floor[None, :]
         if gap.min() < -_TOL:
@@ -171,7 +164,7 @@ def minorization(kernel: FiniteKernel, k, m: int) -> SmallSetCertificate | None:
     states = _as_state_tuple(k, kernel.n)
     if m < 1:
         raise ValueError("m must be a positive integer")
-    pm = kernel.power(m)
+    pm = np.linalg.matrix_power(kernel.rows, m)
     colmin = pm[list(states), :].min(axis=0)
     delta = float(colmin.sum())
     if delta <= 0.0:
@@ -235,12 +228,10 @@ def invariant_measure(kernel: FiniteKernel) -> np.ndarray:
     return mu
 
 
-def geometric_bound_check(
-    kernel: FiniteKernel, cert: SmallSetCertificate, n: int
-) -> float | None:
+def geometric_bound_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float | None:
     """Worst gap ||P^k(x, .) - mu_*|| - 2 (1 - delta delta_prime)^floor(k/2).
 
-    Measured over every Dirac start x and every k <= n against the invariant
+    Measured over every Dirac start x and every k <= 50 against the invariant
     measure mu_*, after validating the one-step certificate.  Iterating
     contraction_check's coupling against mu_* keeps the gap <= 0 up to
     rounding.  A 1 - delta delta_prime outside (0, 1) raises: it is 1 when
@@ -260,7 +251,7 @@ def geometric_bound_check(
         return None
     q = np.eye(kernel.n)
     worst = -np.inf
-    for k in range(n + 1):
+    for k in range(_GEOMETRIC_HORIZON + 1):
         if k:
             q = q @ kernel.rows
         dists = np.abs(q - mu_star[None, :]).sum(axis=1)
@@ -294,7 +285,9 @@ def small_set_search(kernel: FiniteKernel, mu0) -> SmallSetCertificate | None:
     first state with an S-edge into b), then b, then c.  Every row has an
     S-edge, since a row with P <= mu0/2 everywhere would sum to at most 1/2,
     so a path always exists; None only when every delta underflows to 0.
-    validate() checks the certificate entry by entry.
+    validate() checks the certificate entry by entry.  The middle state is
+    not recorded: mu0(c) is the weight of nu's support, and the S-paths
+    a -> b -> c with mu0(b) mu0(c) / 8 = delta are the ones that certify.
     """
     mu = search_weights(kernel, mu0)
     with np.errstate(over="ignore"):  # a subnormal weight gives inf, still > 1/2
@@ -307,13 +300,10 @@ def small_set_search(kernel: FiniteKernel, mu0) -> SmallSetCertificate | None:
     b_top, c_top = np.nonzero(delta == best)  # ordered by b, then c
     a_top = s.argmax(axis=0)[b_top]
     i = int(np.argmin(a_top))
-    a, b, c = int(a_top[i]), int(b_top[i]), int(c_top[i])
+    a, c = int(a_top[i]), int(c_top[i])
     nu = np.zeros(kernel.n)
     nu[c] = 1.0
-    cert = SmallSetCertificate(
-        K=(a,), m=2, delta=float(best), nu=nu,
-        v_cell_mass=float(mu[b]), e_mass=float(mu[c]),
-    )
+    cert = SmallSetCertificate(K=(a,), m=2, delta=float(best), nu=nu)
     cert.validate(kernel)
     return cert
 

@@ -4,16 +4,18 @@ The distance between laws of the field at a fixed time cannot be estimated
 in the full state space, so every state is first projected to the observable
 vector O(u) = (||u||_gamma, c0, a1, b1, a2, b2), once per report time.
 Distances are histogram total-variation estimates between these observable
-rows, weighted by V_{gamma,p}(u) = ||u||_gamma^p + 1 evaluated at bin
-centers of the norm axis; the binning (32 equal-width bins per axis over
-the pooled sample range) is deterministic given the samples, and the
-bootstrap resamples observable rows.  The fitted decay rate is a
-proxy: it witnesses that exponential decay happens, it does not reproduce
-any particular constant.  A moment table holds the Monte Carlo estimate,
-its standard error and the aborted count as arrays with one entry per
-initial condition, together with an explicit uniformity verdict (pairwise
-ratio threshold plus confidence-interval overlap) instead of assuming
-uniformity silently.
+rows, always weighted by V_{gamma,p}(u) = ||u||_gamma^p + 1 evaluated at
+bin centers of the norm axis, as the paper's weighted variation norm is;
+the binning (32 equal-width bins per axis over the pooled sample range) is
+deterministic given the samples, and the bootstrap resamples observable
+rows.  The fitted decay rate is a proxy: it witnesses that exponential
+decay happens, it does not reproduce any particular constant.  A moment
+table holds the Monte Carlo estimate at t_final, its standard error and
+the aborted count as arrays with one entry per initial condition, together
+with an explicit uniformity verdict (pairwise ratio threshold plus
+confidence-interval overlap) instead of assuming uniformity silently.
+The report times of a mixing run are the caller's: the CLI passes the
+resolved times of its config.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import numpy.random
 
 from .field import eigenvalues, fmt_float, row_norms
-from .integrator import SimulationParams, integer_times, run_ensemble
+from .integrator import SimulationParams, run_ensemble
 
 __all__ = [
     "EnsembleSpec",
@@ -95,18 +97,16 @@ def observables(states: np.ndarray, gamma: float) -> np.ndarray:
     return np.column_stack([row_norms(states, gamma), states[:, :n_coeff]])
 
 
-def law_distance(
-    obs_a: np.ndarray, obs_b: np.ndarray, p: float, weighted: bool = True
-) -> float:
+def law_distance(obs_a: np.ndarray, obs_b: np.ndarray, p: float) -> float:
     """Weighted histogram total-variation proxy between two observable clouds.
 
     Both inputs are (n, k) observable rows (see observables) of states drawn
     at the same time.  Every axis is cut into 32 equal-width bins over the
     pooled range (one bin when the axis is constant).  The proxy is the sum
     over occupied cells of V(center) |p_A - p_B| with V = (norm-axis bin
-    center)^p + 1, or V = 1 when weighted is False; it is symmetric,
-    vanishes on identical samples, and is bounded by twice the largest V
-    over the occupied range.  ValueError naming p if it overflows.
+    center)^p + 1; it is symmetric, vanishes on identical samples, and is
+    bounded by twice the largest V over the occupied range.  ValueError
+    naming p if it overflows.
     """
     a = np.atleast_2d(np.asarray(obs_a, dtype=float))
     b = np.atleast_2d(np.asarray(obs_b, dtype=float))
@@ -129,11 +129,9 @@ def law_distance(
     cells, inverse = np.unique(keys, return_inverse=True)
     pa = np.bincount(inverse[: a.shape[0]], minlength=cells.size) / a.shape[0]
     pb = np.bincount(inverse[a.shape[0] :], minlength=cells.size) / b.shape[0]
-    v = 1.0
+    norm_bin = cells // _N_BINS ** (a.shape[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf V times 0 is NaN
-        if weighted:
-            norm_bin = cells // _N_BINS ** (a.shape[1] - 1)
-            v = (lo[0] + (norm_bin + 0.5) * width[0]) ** p + 1.0
+        v = (lo[0] + (norm_bin + 0.5) * width[0]) ** p + 1.0
         d = float(np.sum(v * np.abs(pa - pb)))
     if not math.isfinite(d):
         raise ValueError(f"p = {fmt_float(p)}: the distance weighted by V = norm^p + 1 overflows")
@@ -181,8 +179,9 @@ def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
     return vals
 
 
-def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
-    """Monte Carlo table of E ||Phi_t(x)||_gamma^p per initial condition.
+def moment_bound(spec: EnsembleSpec, threads: int = 1) -> MomentTable:
+    """Monte Carlo table of E ||Phi_t(x)||_gamma^p per initial condition, at
+    t = t_final of spec.params.
 
     Runs one ensemble per initial condition, estimates the moment with its
     standard error (aborted trajectories are excluded and counted), and
@@ -190,8 +189,7 @@ def moment_bound(spec: EnsembleSpec, t: float, threads: int = 1) -> MomentTable:
     pairwise ratios at most 2 and the 1.96-stderr confidence intervals
     pairwise overlapping.
     """
-    if t <= 0.0 or t > spec.params.t_final + 1e-9:
-        raise ValueError("t must lie in (0, t_final]")
+    t = spec.params.t_final
     n = len(spec.initial_conditions)
     est, se, n_aborted = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
     for i, ic in enumerate(spec.initial_conditions):
@@ -312,12 +310,7 @@ def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
     return out
 
 
-def mixing_report(
-    spec: EnsembleSpec,
-    times=None,
-    n_boot: int = 200,
-    threads: int = 1,
-) -> MixingReport:
+def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
 
     Runs one ensemble for each of the first two initial conditions (later
@@ -330,13 +323,10 @@ def mixing_report(
     that floor, and attaches a trajectory bootstrap (n_boot resamples of
     row indices) confidence interval for the rate and a standard error for
     each distance; ValueError naming p if a square in that error overflows.
-    times = None means 1, 2, ..., floor(t_final).
     """
     if len(spec.initial_conditions) < 2:
         raise ValueError("mixing_report needs two initial conditions")
     params = spec.params
-    if times is None:
-        times = integer_times(params.t_final)[1:]
     times = np.asarray(times, dtype=float)
     if times.size < 4:
         raise ValueError("need at least 4 report times")

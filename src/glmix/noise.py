@@ -117,7 +117,9 @@ class NoiseSpectrum:
         except MemoryError:
             raise ValueError(f"n_modes = {n_modes} has more modes than memory holds") from None
         tail = k > max(k_star, 0)  # __post_init__ refuses k_star < 0; 0^(-2 beta) is never taken
-        q[tail] = c2 * k[tail] ** (-2.0 * beta)
+        # a beta that overflows the power lies below its window, which __post_init__ refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            q[tail] = c2 * k[tail] ** (-2.0 * beta)
         for kk, val in (overrides or {}).items():
             q[kk] = val
         return cls(q=q, alpha=alpha, beta=beta, c1=c1, c2=c2, k_star=k_star)

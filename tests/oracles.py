@@ -285,6 +285,22 @@ def small_set_search_reference(rows, mu, cells):
     return tuple(int(x) for x in d_states), float(delta), nu, float(v_mass), e_mass
 
 
+def search_path(rows, mu, cert):
+    """The S-path a -> b -> c behind a certificate of the small-set search.
+
+    a is the one state of cert.K and c the support of its Dirac nu; b is the
+    first state with S-edges a -> b and b -> c (S = {rows / mu > 1/2}) and
+    mu(b) mu(c) / 8 == cert.delta.  None when no state b has all three.
+    """
+    (a,), c = cert.K, int(np.argmax(cert.nu))
+    with np.errstate(over="ignore"):  # a subnormal weight gives inf, still > 1/2
+        s = rows / mu[None, :] > 0.5
+    for b in range(rows.shape[0]):
+        if s[a, b] and s[b, c] and mu[b] * mu[c] / 8.0 == cert.delta:
+            return a, b, c
+    return None
+
+
 def random_pair_ratios(rng, q, n_pairs):
     """||(mu - nu) Q||_1 / ||mu - nu||_1 for n_pairs random probability pairs.
 
@@ -311,15 +327,14 @@ def double_well_rows(n, h=0.3, sigma=0.6):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def law_distance_reference(obs_a, obs_b, p, weighted=True):
+def law_distance_reference(obs_a, obs_b, p):
     """The histogram law distance binned axis by axis, as separate counts.
 
     obs_a and obs_b are (n, k) observable rows.  Each axis is cut into 32
     equal-width bins over the pooled range (bin 0 on a constant axis), one
     axis at a time; the cell key is built by Horner steps, each cloud is
     counted on its own with np.unique, and the two counts are aligned on the
-    union of their keys.  V is (axis-0 bin center)^p + 1, or 1 when weighted
-    is False.
+    union of their keys.  V is (axis-0 bin center)^p + 1.
     """
     obs_a = np.asarray(obs_a, dtype=float)
     obs_b = np.asarray(obs_b, dtype=float)
@@ -347,9 +362,7 @@ def law_distance_reference(obs_a, obs_b, p, weighted=True):
     pb = np.zeros(keys.size)
     pa[np.searchsorted(keys, keys_a)] = counts_a / obs_a.shape[0]
     pb[np.searchsorted(keys, keys_b)] = counts_b / obs_b.shape[0]
-    if not weighted:
-        v = np.ones(keys.size)
-    elif width[0] > 0.0:
+    if width[0] > 0.0:
         i0 = keys // 32 ** (obs_a.shape[1] - 1)
         v = (lo[0] + (np.asarray(i0, dtype=float) + 0.5) * width[0]) ** p + 1.0
     else:

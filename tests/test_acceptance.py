@@ -391,12 +391,14 @@ def test_criterion_4_small_set_search_soundness():
         cert = small_set_search(kernel, mu0)
         assert cert is not None
         cert.validate(kernel)
-        assert cert.delta == cert.v_cell_mass * cert.e_mass / 8.0
+        # the certificate's S-path a -> b -> c, with mu0(b) mu0(c) / 8 == delta
+        path = oracles.search_path(kernel.rows, mu0, cert)
+        assert path is not None
         # independent recount of the two-step density bound behind the
-        # certificate: p2(x, z) >= mu0(V) / 8 on K x support(nu)
+        # certificate: p2(x, z) >= mu0(b) / 8 on K x support(nu)
         dens = (rows @ rows) / mu0[None, :]
         support = np.flatnonzero(cert.nu > 0.0)
-        gap = float(dens[np.ix_(cert.K, support)].min() - cert.v_cell_mass / 8.0)
+        gap = float(dens[np.ix_(cert.K, support)].min() - mu0[path[1]] / 8.0)
         worst_gap = min(worst_gap, gap)
         min_delta = min(min_delta, cert.delta)
     elapsed = time.monotonic() - t0
@@ -560,9 +562,9 @@ def test_criterion_7_exponential_mixing_witness(mixing_run):
         for s in sides
     )
     # each start's c0 spread (at most 2 B) is far below the c0 gap / 32, so
-    # the two samples fill disjoint bins of the c0 axis: the unweighted
-    # histogram distance is 2 and the weights V >= 1 keep every distance at
-    # or above 2
+    # the two samples fill disjoint bins of the c0 axis: the mass differences
+    # |p_A - p_B| sum to 2 and the weights V >= 1 keep every distance at or
+    # above 2
     separated = min(distances) >= 2.0 - 1e-9
     track = " ".join(f"{d:.3f}" for d in distances)
     starts = "; ".join(

@@ -320,20 +320,7 @@ def odecheck_configs(draw):
 @given(odecheck_configs())
 @example("[odecheck]\nqs = 1" + "0" * 400 + "1\ncs = 1\ny0s = 2\nts = 1\n")
 def test_odecheck_on_extreme_configs_runs_or_exits_two(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["odecheck", "--config", str(write_cfg(Path(tmp), text)),
-                       "--out", str(Path(tmp, "out"))])
-            assert rc in (0, 2), out.getvalue()
-            if rc == 2:
-                assert out.getvalue().startswith("error = ")
-                return
-            csv = Path(tmp, "out", "odecheck.csv")
-            rerun = write_cfg(Path(tmp), "\n".join(header_lines(csv)[1:]) + "\n", "rerun.cfg")
-            assert main(["odecheck", "--config", str(rerun), "--out", str(Path(tmp, "b"))]) == 0
-        assert Path(tmp, "b", "odecheck.csv").read_bytes() == csv.read_bytes()
+    assert run_and_rerun("odecheck", text) in (0, 2)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -346,6 +333,120 @@ def test_odecheck_refusals_name_their_line(tmp_path, capsys, line, message):
     # each exited 2 with ode_comparison's message and no line number
     text = run_exit_two(tmp_path, capsys, ["odecheck"], f"[odecheck]\n{line}\n")
     assert text == f"error = config\nline 2: {message}\n"
+
+
+# extreme config values (zero, subnormal, 1e±300, non-finite, negative) and ordinary ones
+EXTREME = ["0", "5e-324", "1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-1"]
+ORDINARY = ["0.5", "1", "2"]
+# the three configs of a gamma whose weight l_4^(2 gamma) overflows
+GAMMA_MODEL = "[model]\nn_modes = 4\ndt = 0.0625\n"
+GAMMA_PAIR = ("t_final = 4\nalpha = 300\nbeta = 300\n[ensemble]\nic1 = zero\nic2 = zero\n"
+              "n_traj = 4\nn_boot = 2\ngamma = 100\n")
+# a noise exponent whose tail amplitudes k^(-2 beta) overflow
+BETA_OVERFLOW = "[model]\nn_modes = 4\ndt = 0.125\nbeta = -1e300\n[ensemble]\nic1 = zero\n"
+
+
+@st.composite
+def ensemble_configs(draw, sub):
+    """A [model] and [ensemble] config small enough to run in milliseconds:
+    n_modes <= 4, dt 1/8 or 1/16, t_final <= 4, n_traj <= 16, n_boot <= 4;
+    mixing, which needs four report times, reports at the default 1..4 or
+    at quarters of t_final = 2.  Up to two other keys take an ordinary or an
+    extreme value; gamma also takes 100 and 1e6, and p 3, 1e3 and 1e6.  So
+    that a third of the configs run, each list (poly, times, a start's
+    coefficients) is ordinary but for one entry, and one start in eight may
+    take a non-finite token."""
+    value = st.sampled_from(ORDINARY + EXTREME)
+    finite = st.sampled_from(ORDINARY + [v for v in EXTREME if math.isfinite(float(v))])
+
+    def but_one(entries, tokens):
+        entries = list(entries)
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(tokens)
+        return " ".join(entries)
+
+    # dt = 1/16 one time in four: the steps, not the draws, cost the time
+    n, dt = draw(st.sampled_from([(n, dt) for n in range(1, 5)
+                                  for dt in ("0.125", "0.125", "0.125", "0.0625")]))
+    t_final = draw(st.sampled_from([2, 4] if sub == "mixing" else [1, 2, 4]))
+    model = [f"n_modes = {n}", f"dt = {dt}", f"t_final = {t_final}"]
+    ensemble = []
+    times = "0.5 1 1.5 2" if sub == "mixing" and t_final == 2 else None
+    keys = [None, "poly", "spectrum", "blowup_guard", "seed", "gamma", "p"]
+    keys += ["times"] if sub == "mixing" else []
+    for key in dict.fromkeys([draw(st.sampled_from(keys)), draw(st.sampled_from(keys))]):
+        if key == "poly":
+            cubic = but_one("0 -1 0 1".split(), value)
+            model.append(f"poly = {draw(st.sampled_from(['none', cubic]))}")
+        elif key == "spectrum":
+            spectrum = ["alpha", "beta", "c1", "c2", "k_star", "q0", f"q{n}"]
+            model.append(f"{draw(st.sampled_from(spectrum))} = {draw(value)}")
+        elif key == "blowup_guard":
+            model.append(f"blowup_guard = {draw(value)}")
+        elif key == "seed":
+            model.append(f"seed = {draw(st.integers(0, 3))}")
+        elif key == "times":
+            times = but_one((times or "1 2 3 4").split(), value)
+        elif key is not None:
+            extra = ["100", "1e6"] if key == "gamma" else ["3", "1e3", "1e6"]
+            ensemble.append(f"{key} = {draw(st.sampled_from(ORDINARY + EXTREME + extra))}")
+    ensemble += [] if times is None else [f"times = {times}"]
+
+    def start():
+        kind = draw(st.sampled_from(range(8)))  # one start in eight may take any token
+        if kind < 3:
+            return "zero"
+        tokens = value if kind == 7 else finite
+        if kind < 5 or (kind == 7 and draw(st.booleans())):
+            return f"scaled-random:{draw(tokens)}"
+        return but_one((ORDINARY * n)[: 2 * n] + ORDINARY[:1], tokens)
+
+    # simulate and moments also run one start; mixing needs two
+    starts = 2 if sub == "mixing" else draw(st.sampled_from([1, 2]))
+    ensemble += [f"ic{i} = {start()}" for i in range(1, starts + 1)]
+    ensemble += [f"n_traj = {draw(st.sampled_from([*range(2, 17), 1]))}",
+                 f"n_boot = {draw(st.integers(0, 4))}"]
+    return "\n".join(["[model]", *model, "[ensemble]", *ensemble]) + "\n"
+
+
+def run_and_rerun(sub, text):
+    """Exit code of glmix sub on config text, with every warning an error.
+    An exit 2 must print an 'error =' line; an exit 0 or 1 must rerun from
+    its first file's header to the same exit code and the same files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([sub, "--config", str(write_cfg(Path(tmp), text)),
+                       "--out", str(Path(tmp, "a"))])
+            assert rc in (0, 1, 2), out.getvalue()
+            if rc == 2:
+                assert out.getvalue().startswith("error = "), out.getvalue()
+                return rc
+            names = sorted(os.listdir(Path(tmp, "a")))
+            header = header_lines(Path(tmp, "a", names[0]))[1:]
+            rerun = write_cfg(Path(tmp), "\n".join(header) + "\n", "rerun.cfg")
+            assert main([sub, "--config", str(rerun), "--out", str(Path(tmp, "b"))]) == rc
+        assert sorted(os.listdir(Path(tmp, "b"))) == names
+        for name in names:
+            assert Path(tmp, "b", name).read_bytes() == Path(tmp, "a", name).read_bytes()
+    return rc
+
+
+@pytest.mark.parametrize("sub", ["simulate", "moments", "mixing"])
+def test_whole_ensemble_configs_run_or_exit_two(sub):
+    codes = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(ensemble_configs(sub))
+    @example(GAMMA_MODEL + "[ensemble]\ngamma = 100\n")
+    @example(GAMMA_MODEL + GAMMA_PAIR)
+    @example(BETA_OVERFLOW)
+    def check(text):
+        codes.append(run_and_rerun(sub, text))
+
+    check()
+    # most extreme values exit 2: a third of the configs must still run
+    assert sum(rc < 2 for rc in codes) >= len(codes) / 3, codes
 
 
 def test_simulate_row_grid_and_reruns_are_byte_identical(tmp_path, capsys):
@@ -751,32 +852,62 @@ def near_decomposable_kernels(draw):
     return rows.tolist()
 
 
+@st.composite
+def doeblin_keys(draw, n):
+    """K, m and mu0 for a kernel on n states.  Half the draws keep K = all,
+    m = 1 and a valid mu0, where every measurement is printed; the rest
+    widen one of the three keys, or all: K lists states from -1 to n + 1
+    (past the last one), m runs from 0 to 1000, and mu0 has an extreme
+    token or one weight too many."""
+    wide = draw(st.sampled_from(["", "", "", "", "K", "m", "mu0", "K m mu0"])).split()
+    k_set = "all"
+    if "K" in wide:
+        k_set = " ".join(map(str, draw(st.lists(st.integers(-1, n + 1), min_size=1, max_size=3))))
+    m = draw(st.integers(0, 1000)) if "m" in wide else 1
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), dtype=float)
+    weights = [repr(w) for w in (weights / weights.sum()).tolist()]
+    if "mu0" in wide:
+        if draw(st.booleans()):
+            weights.append("0.5")
+        else:
+            weights[draw(st.integers(0, n - 1))] = draw(st.sampled_from(EXTREME))
+    mu0 = " ".join(weights) if "mu0" in wide or draw(st.booleans()) else "uniform"
+    return f"K = {k_set}\nm = {m}\nmu0 = {mu0}\n"
+
+
 # each printed number must keep the bound the validated certificate implies;
 # the program checked these inequalities itself and reported their rounding
 # as failures
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(near_decomposable_kernels())
-@example(UNRESOLVABLE_WELLS)
-def test_doeblin_on_near_decomposable_kernels_prints_only_bounded_measurements(rows):
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(near_decomposable_kernels(), st.data())
+@example(UNRESOLVABLE_WELLS, None)
+def test_doeblin_on_near_decomposable_kernels_prints_only_bounded_measurements(rows, data):
+    keys = "K = all\nm = 1\n" if data is None else data.draw(doeblin_keys(len(rows)))
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k.txt").write_text(
             f"{len(rows)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
-        cfg = write_cfg(Path(tmp), "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
+        cfg = write_cfg(Path(tmp), "[doeblin]\nkernel = k.txt\n" + keys)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["doeblin", "--config", str(cfg), "--out", str(Path(tmp, "out"))])
     lines = out.getvalue().splitlines()
-    if rc == 1:  # only a kernel with closed blocks has no common component
-        assert lines == ["failure = no_common_component"] and min(map(min, rows)) == 0.0
+    if rc == 2:  # a K, m or mu0 the kernel refuses
+        assert lines[0].startswith("error = "), lines
+        return
+    if rc == 1:  # no common component: P^m has no positive column on K
+        assert lines == ["failure = no_common_component"]
+        # with m = 1 only a zero entry can leave a column's minimum at 0
+        assert "m = 1\n" not in keys or min(map(min, rows)) == 0.0
         return
     assert rc == 0 and not any(l.startswith(("failure", "error")) for l in lines)
     value = {}
     for line in lines:  # the first of each key: the certificate's delta, not the search's
         key, _, v = line.partition(" = ")
         value.setdefault(key, v)
-    eps = float(value["delta"]) * float(value["delta_prime"])
-    assert float(value["contraction_factor"]) <= 1.0 - eps + 1e-12
+    if "contraction_factor" in value:  # a one-step certificate that K is reached from
+        eps = float(value["delta"]) * float(value["delta_prime"])
+        assert float(value["contraction_factor"]) <= 1.0 - eps + 1e-12
     if "geometric_gap" in value:
         assert float(value["geometric_gap"]) <= 1e-9
 
@@ -870,6 +1001,19 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
     rc = main(["mixing", "--config", str(cfg), "--out", str(tmp_path / "times")])
     assert rc == 2 and not (tmp_path / "times").exists()
     assert capsys.readouterr().out == "error = config\nline 9: times lists 3.0 twice\n"
+    # a weight l_4^(2 gamma) beyond float max: its inf times a zero coefficient
+    # made simulate write a NaN norm and exit 0, moments report every
+    # trajectory aborted and mixing every row non-finite
+    for sub, cfg_text, line in [("simulate", GAMMA_MODEL + "[ensemble]\ngamma = 100\n", 5),
+                                ("moments", GAMMA_MODEL + GAMMA_PAIR, 12),
+                                ("mixing", GAMMA_MODEL + GAMMA_PAIR, 12)]:
+        rc = main([sub, "--config", str(write_cfg(tmp_path, cfg_text)),
+                   "--out", str(tmp_path / "gamma")])
+        assert rc == 2 and not (tmp_path / "gamma").exists()
+        assert capsys.readouterr().out == (
+            f"error = config\nline {line}: gamma = 100.0 makes the norm weight "
+            "l_N^(2 gamma) of n_modes = 4 overflow\n"
+        )
 
 
 def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):
@@ -880,6 +1024,10 @@ def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):
     assert "error = validation" in text
     assert "violation = beta_window" in text
     assert "beta must lie in (alpha - 1/8, alpha]" in text
+    # k^(-2 beta) overflowed with a RuntimeWarning, a traceback under -W error
+    rc = main(["simulate", "--config", str(write_cfg(tmp_path, BETA_OVERFLOW)),
+               "--out", str(tmp_path)])
+    assert rc == 2 and "violation = beta_window" in capsys.readouterr().out.splitlines()
 
 
 def run_exit_two(tmp_path, capsys, argv, cfg_text=None):

@@ -296,7 +296,8 @@ def run_configs(draw):
         q_overrides=draw(st.dictionaries(st.integers(0, n_modes), FINITE, max_size=3)),
         ics=draw(st.lists(ic, min_size=1, max_size=3)),
         n_traj=draw(st.integers(1, 10**6)),
-        gamma=draw(FINITE),
+        # a larger gamma weights mode 6 beyond float max, which resolve_config refuses
+        gamma=draw(st.floats(max_value=40.0, allow_nan=False, allow_infinity=False)),
         p=draw(FINITE),
         times=draw(steps.map(lambda ns: [n * dt for n in ns])),  # on the grid, up to t_final
         n_boot=draw(st.integers(0, 10**4)),

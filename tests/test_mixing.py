@@ -109,7 +109,7 @@ def test_law_distance_basic_properties():
         law_distance(observables(bad, 1.0), b, 2.0)
 
 
-def dict_histogram_distance(a, b, gamma, p, weighted):
+def dict_histogram_distance(a, b, gamma, p):
     """Independent recount: dict-of-bins histogram TV with V at bin centers."""
     def obs(states):
         modes = np.repeat(np.arange((states.shape[1] + 1) // 2), 2)[1 : states.shape[1] + 1]
@@ -143,12 +143,8 @@ def dict_histogram_distance(a, b, gamma, p, weighted):
     for k in set(counts_a) | set(counts_b):
         pa = counts_a.get(k, 0) / len(oa)
         pb = counts_b.get(k, 0) / len(ob)
-        if weighted:
-            center = lo[0] + (k[0] + 0.5) * width[0] if width[0] > 0.0 else lo[0]
-            v = center**p + 1.0
-        else:
-            v = 1.0
-        total += v * abs(pa - pb)
+        center = lo[0] + (k[0] + 0.5) * width[0] if width[0] > 0.0 else lo[0]
+        total += (center**p + 1.0) * abs(pa - pb)
     return total
 
 
@@ -156,12 +152,11 @@ def test_law_distance_matches_dict_recount():
     rng = np.random.default_rng(33)
     a = rng.normal(size=(400, 9)) * 0.5
     b = rng.normal(size=(400, 9)) * 0.5 + 0.2
-    for weighted in (True, False):
-        got = law_distance(observables(a, 1.0), observables(b, 1.0), p=2.0, weighted=weighted)
-        want = dict_histogram_distance(a, b, 1.0, 2.0, weighted)
-        assert np.isclose(got, want, rtol=1e-12)
+    got = law_distance(observables(a, 1.0), observables(b, 1.0), p=2.0)
+    want = dict_histogram_distance(a, b, 1.0, 2.0)
+    assert np.isclose(got, want, rtol=1e-12)
     got = law_distance(observables(a, 0.5), observables(b, 0.5), p=1.0)
-    want = dict_histogram_distance(a, b, 0.5, 1.0, True)
+    want = dict_histogram_distance(a, b, 0.5, 1.0)
     assert np.isclose(got, want, rtol=1e-12)
 
 
@@ -196,41 +191,39 @@ def observable_clouds(draw):
 @given(
     clouds=observable_clouds(),
     p=st.sampled_from([1.0, 2.0, 2.5]),
-    weighted=st.booleans(),
 )
-@example(clouds=(np.array([[0.0, 1.0]]), np.array([[2.0, 1.0]])), p=2.5, weighted=True)
-@example(clouds=(np.zeros((3, 6)), np.zeros((1, 6))), p=1.0, weighted=True)
-def test_law_distance_equals_the_axis_by_axis_histogram(clouds, p, weighted):
+@example(clouds=(np.array([[0.0, 1.0]]), np.array([[2.0, 1.0]])), p=2.5)
+@example(clouds=(np.zeros((3, 6)), np.zeros((1, 6))), p=1.0)
+def test_law_distance_equals_the_axis_by_axis_histogram(clouds, p):
     a, b = clouds
-    want = oracles.law_distance_reference(a, b, p, weighted)
-    assert law_distance(a, b, p, weighted) == want
-    assert law_distance(b, a, p, weighted) == oracles.law_distance_reference(b, a, p, weighted)
+    assert law_distance(a, b, p) == oracles.law_distance_reference(a, b, p)
+    assert law_distance(b, a, p) == oracles.law_distance_reference(b, a, p)
 
 
 def test_law_distance_gaussian_oracle():
-    # slot-0-only clouds turn the proxy into a 1-D histogram TV, comparable
-    # with the closed-form distance between N(0,1) and N(2,1)
+    # slot-0-only clouds have norm |x| (l_0 = 1), so the proxy is a histogram
+    # estimate of the V-weighted distance int (|x|^p + 1) |phi(x) - phi(x - 2)| dx
+    # between N(0,1) and N(2,1), integrated here on a fine grid
     rng = np.random.default_rng(42)
     n = 10_000
     a = np.zeros((n, 5))
     b = np.zeros((n, 5))
     a[:, 0] = rng.normal(0.0, 1.0, n)
     b[:, 0] = rng.normal(2.0, 1.0, n)
-    proxy = law_distance(observables(a, 1.0), observables(b, 1.0), p=2.0, weighted=False)
-    analytic = 2.0 * (2.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 1.0)
-    assert abs(proxy - analytic) / analytic < 0.10
+    x = np.linspace(-12.0, 14.0, 260_001)
+    phi = np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+    phi_shift = np.exp(-0.5 * (x - 2.0) ** 2) / math.sqrt(2.0 * math.pi)
+    for p in (1.0, 2.0):
+        proxy = law_distance(observables(a, 1.0), observables(b, 1.0), p=p)
+        weighted = np.trapezoid((np.abs(x) ** p + 1.0) * np.abs(phi - phi_shift), x)
+        assert abs(proxy - weighted) / weighted < 0.02
 
 
 def test_law_distance_disjoint_and_weighting():
+    # both clouds have norm 5, so V = 5 + 1 weighs the total mass difference 2
     a = np.tile([-5.0, 0.0, 0.0, 0.0, 0.0], (50, 1))
     b = np.tile([5.0, 0.0, 0.0, 0.0, 0.0], (50, 1))
-    assert law_distance(observables(a, 0.0), observables(b, 0.0), p=1.0, weighted=False) == 2.0
-    rng = np.random.default_rng(1)
-    c = observables(rng.normal(size=(200, 5)), 1.0)
-    d = observables(rng.normal(size=(200, 5)) + 1.0, 1.0)
-    unweighted = law_distance(c, d, p=2.0, weighted=False)
-    weighted = law_distance(c, d, p=2.0, weighted=True)
-    assert weighted >= unweighted - 1e-12
+    assert law_distance(observables(a, 0.0), observables(b, 0.0), p=1.0) == 12.0
 
 
 def test_chain_consistency_at_the_floor():
@@ -288,7 +281,7 @@ def test_moment_bound_zero_noise_fixed_point():
         initial_conditions=[np.zeros(7)], n_traj=4,
         params=quiet_params(n_modes=3), gamma=1.0, p=2.0,
     )
-    table = moment_bound(spec, t=1.0)
+    table = moment_bound(spec)
     assert table.estimate[0] == 0.0 and table.stderr[0] == 0.0
     assert table.n_traj == 4 and table.n_aborted[0] == 0
     assert table.uniform and table.max_ratio == 1.0
@@ -302,7 +295,7 @@ def test_moment_bound_uniform_for_moderate_starts():
         initial_conditions=[np.zeros(65), scaled_random_field(32, 1e2, 1.0)],
         n_traj=200, params=params, gamma=1.0, p=2.0,
     )
-    table = moment_bound(spec, t=1.0, threads=4)
+    table = moment_bound(spec, threads=4)
     assert table.uniform
     assert table.max_ratio < 1.5
     for stderr, n_aborted in zip(table.stderr, table.n_aborted, strict=True):
@@ -310,14 +303,6 @@ def test_moment_bound_uniform_for_moderate_starts():
 
 
 def test_moment_bound_time_validation():
-    spec = EnsembleSpec(
-        initial_conditions=[np.zeros(7)], n_traj=2,
-        params=quiet_params(n_modes=3), gamma=1.0, p=2.0,
-    )
-    with pytest.raises(ValueError, match="t must"):
-        moment_bound(spec, t=0.0)
-    with pytest.raises(ValueError, match="t must"):
-        moment_bound(spec, t=2.0)
     # c0 = 20 trips the guard at t = 0.0625, so no trajectory reaches t = 1
     wild = np.zeros(9)
     wild[0] = 20.0
@@ -326,15 +311,15 @@ def test_moment_bound_time_validation():
         params=SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4)),
     )
     with pytest.raises(ValueError, match="all trajectories aborted for initial condition 0"):
-        moment_bound(spec, t=1.0)
+        moment_bound(spec)
 
 
 def test_moment_jensen_between_p_one_and_two():
     params = small_params(t_final=1.0)
     common = dict(initial_conditions=[np.full(17, 0.1)], n_traj=50,
                   params=params, gamma=0.0)
-    m1 = moment_bound(EnsembleSpec(p=1.0, **common), t=1.0)
-    m2 = moment_bound(EnsembleSpec(p=2.0, **common), t=1.0)
+    m1 = moment_bound(EnsembleSpec(p=1.0, **common))
+    m2 = moment_bound(EnsembleSpec(p=2.0, **common))
     # same trajectories, so the sample version of Jensen holds exactly
     assert m1.estimate[0] ** 2 <= m2.estimate[0] + 1e-15
 
@@ -376,13 +361,17 @@ def test_sup_window_bound_cases():
         assert wide[i][0] >= narrow[i][0]
 
 
+# the report times of a run to t_final = 4 with no times key
+TIMES = [1.0, 2.0, 3.0, 4.0]
+
+
 def test_mixing_report_structure_and_exports():
     params = small_params(t_final=4.0)
     spec = EnsembleSpec(
         initial_conditions=[np.zeros(17), np.full(17, 0.2)],
         n_traj=60, params=params, gamma=1.0, p=2.0,
     )
-    report = mixing_report(spec, threads=4)
+    report = mixing_report(spec, TIMES, 200, threads=4)
     assert isinstance(report, MixingReport)
     assert np.array_equal(report.times, [1.0, 2.0, 3.0, 4.0])
     assert report.distances.shape == (4,) and np.all(report.distances >= 0.0)
@@ -416,7 +405,7 @@ def test_mixing_report_pinned():
         initial_conditions=[np.zeros(9), np.full(9, 0.2)], n_traj=64,
         params=params, gamma=1.0, p=2.0,
     )
-    report = mixing_report(spec, n_boot=20, threads=2)
+    report = mixing_report(spec, TIMES, 20, threads=2)
     assert report.distances.tolist() == [
         2.249221122251502, 2.69833670643334, 2.9598433574032046, 3.02473384017096,
     ]
@@ -445,7 +434,7 @@ def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
     for ics in (starts, starts[:2]):
         calls.clear()
         spec = EnsembleSpec(initial_conditions=ics, n_traj=32, params=params)
-        report = mixing_report(spec, n_boot=10)
+        report = mixing_report(spec, TIMES, 10)
         assert len(calls) == 2
         texts.append((report_csv(report), report_summary(report)))
     assert texts[0] == texts[1]
@@ -458,10 +447,10 @@ def test_mixing_report_validation():
         gamma=1.0, p=2.0,
     )
     with pytest.raises(ValueError, match="two initial conditions"):
-        mixing_report(spec)
+        mixing_report(spec, TIMES, 10)
     pair = EnsembleSpec(
         initial_conditions=[np.zeros(17), np.ones(17)], n_traj=10,
         params=params, gamma=1.0, p=2.0,
     )
     with pytest.raises(ValueError, match="4 report times"):
-        mixing_report(pair, times=[1.0, 2.0, 3.0])
+        mixing_report(pair, [1.0, 2.0, 3.0], 10)
