@@ -12,7 +12,6 @@ rough fields at the advertised rate.
 import numpy as np
 
 from glmix.field import (
-    DriftPolynomial,
     apply_semigroup,
     basis_field,
     coeffs_to_values,
@@ -23,7 +22,8 @@ from glmix.field import (
     sup_norm_values,
     values_to_coeffs,
 )
-from glmix.integrator import ExponentialEulerStepper, SimulationParams
+from glmix.config import RunConfig
+from glmix.integrator import ExponentialEulerStepper
 
 
 def synthesize(coeffs, xs, deriv=False):
@@ -84,8 +84,8 @@ def main():
           f"{np.abs(back - u).max():.2e}")
 
     print("\n== dealiased polynomial evaluation ==")
-    poly = DriftPolynomial([0.0, -1.0, 0.0, 1.0])
-    stepper = ExponentialEulerStepper(SimulationParams(n_modes=n_modes, poly=poly))
+    params = RunConfig(n_modes=n_modes, poly=[0.0, -1.0, 0.0, 1.0]).params()
+    stepper = ExponentialEulerStepper(params)
     nu = stepper.nonlinearity(u)
     # independent route: evaluate N(u) = u - P(u) = 2u - u^3 pointwise from
     # the direct synthesis and project onto each basis slot by quadrature;

@@ -10,15 +10,17 @@ slot, so ensemble statistics of W_L can be compared against closed forms
 with no time-stepping bias.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from glmix.config import RunConfig
 from glmix.field import eigenvalues
-from glmix.integrator import SimulationParams, run_ensemble
-from glmix.noise import NoiseSpectrum
+from glmix.integrator import run_ensemble
 
 
 def main():
-    spec = NoiseSpectrum.default(16)
+    spec = RunConfig(n_modes=16).spectrum()
     print("== default spectrum ==")
     print("admissible: True")  # NoiseSpectrum refuses any other spectrum
     heads = " ".join(f"q{k}={spec.q[k]:.2e}" for k in range(6))
@@ -29,7 +31,7 @@ def main():
     q = spec.q.copy()
     q[9] = 1.5
     try:
-        NoiseSpectrum(q, k_star=3)
+        replace(spec, q=q)
     except ValueError as err:
         for line in str(err).splitlines()[1:]:
             print(f"  {line}")
@@ -45,7 +47,7 @@ def main():
     print("\n== exact sampling vs closed-form variance at t = 1 ==")
     h = 1.0 / 64.0
     n_traj, n_steps = 2000, 64
-    params = SimulationParams(n_modes=16, dt=h, t_final=1.0, poly=None, spectrum=spec, seed=2024)
+    params = RunConfig(n_modes=16, dt=h, poly=None, seed=2024).params()
     wl = run_ensemble(np.zeros(33), params, range(n_traj)).states[:, 1]  # records at t = 0, 1
     var_hat = wl.var(axis=0, ddof=1)
     var_exact = spec.per_slot() ** 2 * -np.expm1(-2.0 * lam) / (2.0 * lam)

@@ -41,10 +41,6 @@ from .mixing import EnsembleSpec, mixing_report, moment_bound, report_csv, repor
 __all__ = ["main"]
 
 
-def _header(cfg: RunConfig, subcommand: str) -> list[str]:
-    return [f"glmix {subcommand}"] + cfg.resolved_lines()
-
-
 def _write(path: Path, header_lines: list[str], body: str) -> None:
     text = "".join(f"# {h}\n" for h in header_lines) + body
     path.write_text(text)
@@ -61,7 +57,7 @@ def _ensemble_spec(cfg: RunConfig) -> EnsembleSpec:
     )
 
 
-def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_simulate(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
     params = cfg.params()
     # one block per pool worker: each chunk's rows are written before the next
     # chunk is stepped, so memory does not grow with n_traj
@@ -81,7 +77,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
                 del ens  # written; freed before the next chunk is stepped
 
     path = out / "trajectories.csv"
-    write_trajectory_csv(path, chunks(), cfg.gamma, _header(cfg, "simulate"))
+    write_trajectory_csv(path, chunks(), cfg.gamma, header)
     print(f"wrote = {path}")
     if aborted:
         print("failure = trajectory_abort")
@@ -92,15 +88,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _report(cfg: RunConfig, out: Path, name: str, csv: str, summary: str) -> None:
+def _report(header: list[str], out: Path, name: str, csv: str, summary: str) -> None:
     """Write <name>.csv and <name>_summary.txt, then print the summary."""
-    _write(out / f"{name}.csv", _header(cfg, name), csv)
-    _write(out / f"{name}_summary.txt", _header(cfg, name), summary)
+    _write(out / f"{name}.csv", header, csv)
+    _write(out / f"{name}_summary.txt", header, summary)
     print(summary, end="")
     print(f"wrote = {out / name}.csv")
 
 
-def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_moments(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
     spec = _ensemble_spec(cfg)
     table = moment_bound(spec, threads=threads)
     body = ["ic,t,estimate,stderr,n_traj,n_aborted"]
@@ -115,24 +111,24 @@ def _cmd_moments(cfg: RunConfig, out: Path, threads: int) -> int:
         f"ci_overlap_ok = {int(table.ci_overlap_ok)}",
         f"uniform = {int(table.uniform)}",
     ]
-    _report(cfg, out, "moments", "\n".join(body) + "\n", "\n".join(summary) + "\n")
+    _report(header, out, "moments", "\n".join(body) + "\n", "\n".join(summary) + "\n")
     if not table.uniform:
         print("failure = moment_uniformity")
         return 1
     return 0
 
 
-def _cmd_mixing(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_mixing(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
     spec = _ensemble_spec(cfg)
     report = mixing_report(spec, cfg.resolved_times(), cfg.n_boot, threads=threads)
-    _report(cfg, out, "mixing", report_csv(report), report_summary(report))
+    _report(header, out, "mixing", report_csv(report), report_summary(report))
     if not (report.fit.identifiable and report.fit.ci_low > 0.0):
         print("failure = mixing_rate")
         return 1
     return 0
 
 
-def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
+def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
     if cfg.doeblin_kernel is None:
         raise ConfigError("doeblin requires a [doeblin] section with a kernel key")
     kernel = read_kernel(cfg.doeblin_kernel)
@@ -150,7 +146,7 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
     if cert.m == 1 and dprime > 0.0:
         cert = dataclasses.replace(cert, delta_prime=dprime)
     block = certificate_text(cert)
-    _write(out / "certificate.txt", _header(cfg, "doeblin"), block)
+    _write(out / "certificate.txt", header, block)
     print(block, end="")
     if cert.delta_prime is not None:
         eps = cert.delta * cert.delta_prime
@@ -164,14 +160,14 @@ def _cmd_doeblin(cfg: RunConfig, out: Path) -> int:
     if search is None:
         print("search = none")
     else:
-        _write(out / "search_certificate.txt", _header(cfg, "doeblin"), certificate_text(search))
+        _write(out / "search_certificate.txt", header, certificate_text(search))
         print("search = found")
         print(certificate_text(search), end="")
     print(f"wrote = {out / 'certificate.txt'}")
     return 0
 
 
-def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:
+def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path) -> int:
     # the grid is unforced: its forcing_integral column keeps the file's layout
     rows = ["q,c,y0,t,y_final,forcing_integral,corrected_bound,literal_bound,"
             "corrected_holds,literal_holds"]
@@ -194,7 +190,7 @@ def _cmd_odecheck(cfg: RunConfig, out: Path) -> int:
                     )
                     if not r.corrected_holds:
                         bad += 1
-    _write(out / "odecheck.csv", _header(cfg, "odecheck"), "\n".join(rows) + "\n")
+    _write(out / "odecheck.csv", header, "\n".join(rows) + "\n")
     print(f"wrote = {out / 'odecheck.csv'}")
     if bad:
         print("failure = corrected_bound")
@@ -214,7 +210,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="configuration file path")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=1, help="ensemble worker threads")
     args = parser.parse_args(argv)
 
@@ -223,19 +218,18 @@ def main(argv=None) -> int:
         cfg = resolve_config(text)
         if args.config:
             cfg.anchor_paths(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        header = [f"glmix {args.command}"] + cfg.resolved_lines()  # before any work
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, out, args.threads)
+            return _cmd_simulate(cfg, header, out, args.threads)
         if args.command == "moments":
-            return _cmd_moments(cfg, out, args.threads)
+            return _cmd_moments(cfg, header, out, args.threads)
         if args.command == "mixing":
-            return _cmd_mixing(cfg, out, args.threads)
+            return _cmd_mixing(cfg, header, out, args.threads)
         if args.command == "doeblin":
-            return _cmd_doeblin(cfg, out)
-        return _cmd_odecheck(cfg, out)
+            return _cmd_doeblin(cfg, header, out)
+        return _cmd_odecheck(cfg, header, out)
     except ConfigError as err:
         print("error = config")
         print(str(err))

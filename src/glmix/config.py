@@ -8,11 +8,13 @@ every default, and resolved_lines() renders it back in canonical form (repr
 floats, fixed key order), so the header block a run writes into its outputs
 is sufficient to regenerate the run exactly.
 
-The sections, their plain keys, and how each value is read and written
-back are the rows of _SECTIONS.  Two keys follow a pattern: q<k> in [model]
-overrides the noise amplitude of mode k (0 <= k <= n_modes), and ic<k> in
-[ensemble] is a start: 'zero', 'scaled-random:R', or an explicit list of
-2 n_modes + 1 coefficients.  Each index appears once (q1 and q01 clash).
+Each plain key is declared once, as a RunConfig field with its section,
+default, reader and writer, and the key table _SECTIONS is built from those
+fields; the library objects a run builds hold no defaults of their own.
+Two keys follow a pattern: q<k> in [model] overrides the noise amplitude
+of mode k (0 <= k <= n_modes), and ic<k> in [ensemble] is a start: 'zero',
+'scaled-random:R', or an explicit list of 2 n_modes + 1 coefficients.
+Each index appears once (q1 and q01 clash).
 RunConfig.anchor_paths, which the CLI calls, resolves a relative [doeblin]
 kernel path against the config file's directory.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -168,83 +170,53 @@ def _weights(values, lineno, key):
                           "not finite and nonnegative")
 
 
-# Every plain key: section -> (RunConfig attribute prefix, {key: (reader,
-# writer)}), in header order.  A reader takes (value text, line number, key)
-# and returns the value or raises ConfigError naming the line; a writer turns
-# the value into its canonical text.  q<k> and ic<k> need n_modes, so
-# resolve_config reads them after every row; the header has them after the
-# [model] rows and before the [ensemble] rows.
-_SECTIONS = {
-    "model": ("", {
-        "n_modes": _row(int),
-        "dt": _row(float),
-        "t_final": _row(float),
-        "poly": _row(float, many=True, word="none"),
-        "alpha": _row(float),
-        "beta": _row(float),
-        "c1": _row(float),
-        "c2": _row(float),
-        "k_star": _row(int),
-        "seed": _row(int),
-        "blowup_guard": _row(float),
-    }),
-    "ensemble": ("", {
-        "n_traj": _row(int, check=_at_least(1)),
-        "gamma": _row(float, check=_finite),
-        "p": _row(float, check=_finite),
-        "times": _row(float, many=True, check=_distinct_finite),  # written from resolved_times()
-        "n_boot": _row(int, check=_at_least(0)),
-    }),
-    "doeblin": ("doeblin_", {
-        "kernel": (_path, str),
-        "K": _row(int, many=True, word="all", check=_at_least(0)),
-        "m": _row(int, check=_at_least(1)),
-        "mu0": _row(float, many=True, word="uniform", check=_weights),
-    }),
-    "odecheck": ("ode_", {
-        "qs": _row(int, many=True, check=_odd_from_three),
-        "cs": _row(float, many=True, check=_positive),
-        "y0s": _row(float, many=True, check=_positive),
-        "ts": _row(float, many=True, check=_positive),
-    }),
-}
-_PATTERN_KEYS = {"model": re.compile(r"q(\d+)"), "ensemble": re.compile(r"ic(\d+)")}
+def _setting(section: str, default, rw, key: str | None = None):
+    """A RunConfig field: key (the field's name if None) of [section], read
+    and written by the (reader, writer) pair rw.  A reader takes (value
+    text, line number, key) and returns the value or raises ConfigError
+    naming the line; a writer turns the value into its canonical text."""
+    meta = {"section": section, "key": key, "rw": rw}
+    if isinstance(default, list):
+        return dataclass_field(default_factory=default.copy, metadata=meta)
+    return dataclass_field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings; _SECTIONS names the key of each field."""
+    """Fully resolved run settings, each declared once: a field made by
+    _setting is a plain key; q_overrides and ics hold q<k> and ic<k>."""
 
-    # model
-    n_modes: int = 32
-    dt: float = 1.0 / 256.0
-    t_final: float = 1.0
-    poly: list | None = dataclass_field(default_factory=lambda: [0.0, -1.0, 0.0, 1.0])
-    alpha: float = 2.0
-    beta: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
-    k_star: int = 3
-    seed: int = 1234
-    blowup_guard: float = 1e12
+    n_modes: int = _setting("model", 32, _row(int, check=_at_least(1)))
+    dt: float = _setting("model", 1.0 / 256.0, _row(float))
+    t_final: float = _setting("model", 1.0, _row(float))
+    poly: list | None = _setting(  # None: no drift polynomial
+        "model", [0.0, -1.0, 0.0, 1.0], _row(float, many=True, word="none"))
+    alpha: float = _setting("model", 2.0, _row(float))
+    beta: float = _setting("model", 2.0, _row(float))
+    c1: float = _setting("model", 1.0, _row(float))
+    c2: float = _setting("model", 1.0, _row(float))
+    k_star: int = _setting("model", 3, _row(int))
+    seed: int = _setting("model", 1234, _row(int))
+    blowup_guard: float = _setting("model", 1e12, _row(float))
     q_overrides: dict = dataclass_field(default_factory=dict)
-    # ensemble
     ics: list = dataclass_field(default_factory=lambda: ["zero"])
-    n_traj: int = 100
-    gamma: float = 1.0
-    p: float = 2.0
-    times: list = dataclass_field(default_factory=list)
-    n_boot: int = 200
-    # doeblin (optional)
-    doeblin_kernel: str | None = None
-    doeblin_K: list | None = None  # None: all states
-    doeblin_m: int = 1
-    doeblin_mu0: list | None = None  # None: uniform
-    # odecheck
-    ode_qs: list = dataclass_field(default_factory=lambda: [3, 5, 7])
-    ode_cs: list = dataclass_field(default_factory=lambda: [1.0])
-    ode_y0s: list = dataclass_field(default_factory=lambda: [10.0])
-    ode_ts: list = dataclass_field(default_factory=lambda: [0.5])
+    n_traj: int = _setting("ensemble", 100, _row(int, check=_at_least(1)))
+    gamma: float = _setting("ensemble", 1.0, _row(float, check=_finite))
+    p: float = _setting("ensemble", 2.0, _row(float, check=_finite))
+    # written from resolved_times()
+    times: list = _setting("ensemble", [], _row(float, many=True, check=_distinct_finite))
+    n_boot: int = _setting("ensemble", 200, _row(int, check=_at_least(0)))
+    doeblin_kernel: str | None = _setting("doeblin", None, (_path, str), "kernel")
+    doeblin_K: list | None = _setting(  # None: all states
+        "doeblin", None, _row(int, many=True, word="all", check=_at_least(0)), "K")
+    doeblin_m: int = _setting("doeblin", 1, _row(int, check=_at_least(1)), "m")
+    doeblin_mu0: list | None = _setting(  # None: uniform
+        "doeblin", None, _row(float, many=True, word="uniform", check=_weights), "mu0")
+    ode_qs: list = _setting(
+        "odecheck", [3, 5, 7], _row(int, many=True, check=_odd_from_three), "qs")
+    ode_cs: list = _setting("odecheck", [1.0], _row(float, many=True, check=_positive), "cs")
+    ode_y0s: list = _setting("odecheck", [10.0], _row(float, many=True, check=_positive), "y0s")
+    ode_ts: list = _setting("odecheck", [0.5], _row(float, many=True, check=_positive), "ts")
 
     def anchor_paths(self, config_path) -> None:
         """Resolve a relative [doeblin] kernel against the directory of the
@@ -261,8 +233,8 @@ class RunConfig:
     def params(self) -> SimulationParams:
         poly = None if self.poly is None else DriftPolynomial(self.poly)
         return SimulationParams(
-            n_modes=self.n_modes, dt=self.dt, t_final=self.t_final, poly=poly,
-            spectrum=self.spectrum(), seed=self.seed, blowup_guard=self.blowup_guard,
+            spectrum=self.spectrum(), dt=self.dt, t_final=self.t_final, poly=poly,
+            seed=self.seed, blowup_guard=self.blowup_guard,
         )
 
     def resolved_times(self) -> list[float]:
@@ -283,12 +255,12 @@ class RunConfig:
     def resolved_lines(self) -> list[str]:
         """Canonical config text, one entry per line, sections separated."""
         lines = []
-        for name, (prefix, rows) in _SECTIONS.items():
+        for name, rows in _SECTIONS.items():
             if name == "doeblin" and self.doeblin_kernel is None:
                 continue
             body = []
-            for key, (_, write) in rows.items():
-                value = self.resolved_times() if key == "times" else getattr(self, prefix + key)
+            for key, (attr, _, write) in rows.items():
+                value = self.resolved_times() if key == "times" else getattr(self, attr)
                 body.append(f"{key} = {write(value)}")
             if name == "model":
                 body += [f"q{k} = {fmt_float(v)}" for k, v in sorted(self.q_overrides.items())]
@@ -296,6 +268,18 @@ class RunConfig:
                 body[:0] = [f"ic{j + 1} = {spec}" for j, spec in enumerate(self.ics)]
             lines += ["", f"[{name}]", *body]
         return lines[1:]
+
+
+# Every plain key: section -> {key: (RunConfig attribute, reader, writer)},
+# in header order.  q<k> and ic<k> need n_modes, so resolve_config reads them
+# after every plain key; the header has them after the [model] keys and
+# before the [ensemble] keys.
+_SECTIONS: dict[str, dict] = {}
+for _f in fields(RunConfig):
+    if _f.metadata:
+        _SECTIONS.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = (
+            _f.name, *_f.metadata["rw"])
+_PATTERN_KEYS = {"model": re.compile(r"q(\d+)"), "ensemble": re.compile(r"ic(\d+)")}
 
 
 def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
@@ -327,13 +311,14 @@ def resolve_config(text: str) -> RunConfig:
 
     cfg = RunConfig()
     indexed = {name: {} for name in _PATTERN_KEYS}  # k -> (value, line, key) of q<k>, ic<k>
-    for name, (prefix, rows) in _SECTIONS.items():
+    for name, rows in _SECTIONS.items():
         sec = sections.get(name)
         if sec is None:
             continue
         for key, (value, lineno) in sec.entries.items():
             if key in rows:
-                setattr(cfg, prefix + key, rows[key][0](value, lineno, key))
+                attr, read, _ = rows[key]
+                setattr(cfg, attr, read(value, lineno, key))
                 continue
             mm = name in _PATTERN_KEYS and _PATTERN_KEYS[name].fullmatch(key)
             if not mm:
@@ -358,7 +343,7 @@ def resolve_config(text: str) -> RunConfig:
             for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
         ]
     gamma = sections.get("ensemble") and sections["ensemble"].entries.get("gamma")
-    if gamma and cfg.n_modes >= 1:  # SimulationParams refuses any other n_modes
+    if gamma:
         # below this, row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma)
         # (rescaled to at most 1) with no overflow; l_N = 1 + 4 pi^2 N^2
         n = cfg.n_modes

@@ -90,27 +90,30 @@ def _grid_step(t: float, dt: float) -> int | None:
 
 @dataclass
 class SimulationParams:
-    """Resolved model and discretization parameters.
+    """Resolved model and discretization parameters, every one given by the
+    caller (RunConfig.params holds the defaults); n_modes is the spectrum's.
 
-    dt must divide 1 exactly in the rational sense (so integer times fall on
-    the step grid), t_final must be finite, at least 1 and on the grid, its
-    step n_steps = t_final / dt must fit in int64, seed must lie in [0, 2^64) (it seeds the
-    per-trajectory streams) and blowup_guard must lie between
-    sqrt(smallest normal float) ~ 1.49e-154 and sqrt(float max) ~ 1.34e154,
-    so that its square is a normal float, or be inf.
+    n_modes must be at least 1, dt must divide 1 exactly in the rational
+    sense (so integer times fall on the step grid), t_final must be finite,
+    at least 1 and on the grid, its step n_steps = t_final / dt must fit in
+    int64, seed must lie in [0, 2^64) (it seeds the per-trajectory streams)
+    and blowup_guard must lie between sqrt(smallest normal float) ~
+    1.49e-154 and sqrt(float max) ~ 1.34e154, so that its square is a
+    normal float, or be inf.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
-    n_modes: int = 32
-    dt: float = 1.0 / 256.0
-    t_final: float = 1.0
-    poly: DriftPolynomial | None = dataclass_field(
-        default_factory=lambda: DriftPolynomial([0.0, -1.0, 0.0, 1.0])
-    )
-    spectrum: NoiseSpectrum | None = None
-    seed: int = 1234
-    blowup_guard: float = 1e12
+    spectrum: NoiseSpectrum
+    dt: float
+    t_final: float
+    poly: DriftPolynomial | None
+    seed: int
+    blowup_guard: float
     n_steps: int = dataclass_field(init=False)  # t_final / dt
+
+    @property
+    def n_modes(self) -> int:
+        return self.spectrum.n_modes
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -128,10 +131,6 @@ class SimulationParams:
         self.n_steps = _grid_step(self.t_final, self.dt)
         if self.n_steps is None:
             raise ValueError("t_final must be a multiple of dt")
-        if self.spectrum is None:
-            self.spectrum = NoiseSpectrum.default(self.n_modes)
-        if self.spectrum.n_modes != self.n_modes:
-            raise ValueError("spectrum length does not match n_modes")
         if not self.blowup_guard > 0:  # NaN included
             raise ValueError("blowup_guard must be positive")
         if self.blowup_guard < _GUARD_MIN:
@@ -267,12 +266,14 @@ def integer_times(t_final: float) -> np.ndarray:
     """The integer times 0, 1, ..., floor(t_final) as floats."""
     if not math.isfinite(t_final):
         raise ValueError("t_final must be finite")
+    n = int(math.floor(t_final + 1e-9)) + 1
     try:
-        return np.arange(int(math.floor(t_final + 1e-9)) + 1, dtype=float)
-    except MemoryError:
-        raise ValueError(
-            f"t_final = {fmt_float(t_final)} has more integer times than memory holds"
-        ) from None
+        times = np.arange(n, dtype=float)
+        if times.size == n:  # numpy makes none of 2^63 + 1
+            return times
+    except (MemoryError, ValueError):  # ValueError: past numpy's index range
+        pass
+    raise ValueError(f"t_final = {fmt_float(t_final)} has more integer times than memory holds")
 
 
 def ensemble_workers(threads: int) -> int:

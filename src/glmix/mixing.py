@@ -58,18 +58,20 @@ _OBS_ROWS = 128
 
 @dataclass
 class EnsembleSpec:
-    """Initial conditions, ensemble size, and the (gamma, p) weighting.
+    """Initial conditions, ensemble size, and the (gamma, p) weighting, all
+    given by the caller (RunConfig holds the defaults).
 
     gamma may not exceed the spectral decay exponent alpha of the noise, and
     p must be at least 1.  Trajectory ids are allocated deterministically:
-    initial condition i owns the contiguous block [i n_traj, (i+1) n_traj).
+    initial condition i owns the contiguous block [i n_traj, (i+1) n_traj);
+    ValueError naming n_traj if a block is more than memory holds.
     """
 
     initial_conditions: list
     n_traj: int
     params: SimulationParams
-    gamma: float = 1.0
-    p: float = 2.0
+    gamma: float
+    p: float
 
     def __post_init__(self):
         if not self.initial_conditions:
@@ -83,7 +85,13 @@ class EnsembleSpec:
 
     def traj_ids(self, ic_index: int) -> np.ndarray:
         lo = ic_index * self.n_traj
-        return np.arange(lo, lo + self.n_traj, dtype=np.int64)
+        try:
+            ids = np.arange(lo, lo + self.n_traj, dtype=np.int64)
+            if ids.size == self.n_traj:  # numpy makes none of 2^63 - 1
+                return ids
+        except (MemoryError, ValueError):  # ValueError: past numpy's index range
+            pass
+        raise ValueError(f"n_traj = {self.n_traj} has more trajectories than memory holds")
 
 
 def observables(states: np.ndarray, gamma: float) -> np.ndarray:

@@ -45,7 +45,8 @@ __all__ = ["NoiseSpectrum", "trajectory_generator"]
 @dataclass(frozen=True)
 class NoiseSpectrum:
     """Diagonal noise amplitudes q_0..q_N with tail-pinching constants,
-    admissible by construction.
+    admissible by construction.  Every constant is the caller's: the run's
+    defaults live in RunConfig.
 
     Building one checks, in order: constant positivity, alpha floor, the beta
     window (strict lower end, closed upper end), k_star sign, finiteness and
@@ -54,11 +55,11 @@ class NoiseSpectrum:
     """
 
     q: np.ndarray
-    alpha: float = 2.0
-    beta: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
-    k_star: int = 3
+    alpha: float
+    beta: float
+    c1: float
+    c2: float
+    k_star: int
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -97,30 +98,25 @@ class NoiseSpectrum:
 
     @classmethod
     def default(
-        cls,
-        n_modes: int = 32,
-        alpha: float = 2.0,
-        beta: float = 2.0,
-        c1: float = 1.0,
-        c2: float = 1.0,
-        k_star: int = 3,
-        overrides: dict | None = None,
+        cls, n_modes: int, alpha: float, beta: float, c1: float, c2: float, k_star: int,
+        overrides: dict,
     ) -> "NoiseSpectrum":
         """q_k = c2 * k^(-2 beta) for k > k_star, zero on k <= k_star, then
         q_k = overrides[k] for each k that overrides names.
 
-        With the default constants this is q_k = k^-4 for k > 3.
+        RunConfig.spectrum, the one caller, passes the run's constants; with
+        its defaults this is q_k = k^-4 for k > 3.
         """
         try:
             k = np.arange(n_modes + 1, dtype=float)
             q = np.zeros(n_modes + 1)
-        except MemoryError:
+        except (MemoryError, ValueError):  # ValueError: past numpy's index range
             raise ValueError(f"n_modes = {n_modes} has more modes than memory holds") from None
         tail = k > max(k_star, 0)  # __post_init__ refuses k_star < 0; 0^(-2 beta) is never taken
         # a beta that overflows the power lies below its window, which __post_init__ refuses
         with np.errstate(over="ignore", invalid="ignore"):
             q[tail] = c2 * k[tail] ** (-2.0 * beta)
-        for kk, val in (overrides or {}).items():
+        for kk, val in overrides.items():
             q[kk] = val
         return cls(q=q, alpha=alpha, beta=beta, c1=c1, c2=c2, k_star=k_star)
 

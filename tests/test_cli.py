@@ -459,8 +459,8 @@ def test_simulate_row_grid_and_reruns_are_byte_identical(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out3),
                  "--threads", "4"]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(out4),
-                 "--seed", "99"]) == 0
+    other = write_cfg(tmp_path, SIMULATE_CFG.replace("seed = 11", "seed = 99"), "other.cfg")
+    assert main(["simulate", "--config", str(other), "--out", str(out4)]) == 0
     capsys.readouterr()
 
     f1 = (out1 / "trajectories.csv").read_bytes()
@@ -1042,14 +1042,9 @@ def run_exit_two(tmp_path, capsys, argv, cfg_text=None):
 
 
 def test_seed_outside_uint64_exits_two(tmp_path, capsys):
-    for cfg_text, argv in [
-        ("[model]\nseed = -1\n", ["simulate"]),
-        (None, ["simulate", "--seed", "-1"]),
-        (None, ["moments", "--seed", str(2**64)]),
-    ]:
-        text = run_exit_two(tmp_path, capsys, argv, cfg_text)
-        assert "error = validation" in text
-        assert "seed must lie in [0, 2^64)" in text
+    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nseed = -1\n")
+    assert "error = validation" in text
+    assert "seed must lie in [0, 2^64)" in text
 
 
 def test_non_finite_t_final_and_nan_guard_exit_two(tmp_path, capsys):
@@ -1185,19 +1180,47 @@ def test_t_final_off_the_dt_grid_is_named(tmp_path, capsys):
 
 
 def test_modes_beyond_memory_exit_two(tmp_path, capsys):
-    # 10^11 + 1 amplitudes need 745 GiB: numpy's allocation error used to escape
-    for sub in ("simulate", "moments", "mixing"):
-        text = run_exit_two(tmp_path, capsys, [sub], "[model]\nn_modes = 100000000000\n")
-        assert text == ("error = validation\n"
-                        "n_modes = 100000000000 has more modes than memory holds\n")
+    # 10^11 + 1 amplitudes need 745 GiB: numpy's allocation error used to escape;
+    # past numpy's index range it raises ValueError, whose text named no setting
+    for n_modes in ("100000000000", "9223372036854775807", "100000000000000000000000"):
+        for sub in ("simulate", "moments", "mixing"):
+            text = run_exit_two(tmp_path, capsys, [sub], f"[model]\nn_modes = {n_modes}\n")
+            assert text == ("error = validation\n"
+                            f"n_modes = {n_modes} has more modes than memory holds\n")
+    # the row refuses an n_modes below 1 for every subcommand, naming its line
+    for sub in ("simulate", "moments", "mixing", "doeblin", "odecheck"):
+        text = run_exit_two(tmp_path, capsys, [sub], "[model]\nn_modes = 0\n")
+        assert text == "error = config\nline 2: n_modes must be at least 1\n"
+    # the ids of a start's 10^11 trajectories need 745 GiB: numpy's allocation
+    # error escaped as a traceback with exit code 1; for 2^63 - 1 numpy made no
+    # ids, and every trajectory was reported aborted
+    cfg = ("[model]\nn_modes = 2\ndt = 0.25\nt_final = 4.0\n\n"
+           "[ensemble]\nic1 = zero\nic2 = zero\nn_traj = {}\n")
+    for n_traj in ("100000000000", "9223372036854775807", "100000000000000000000000"):
+        for sub in ("moments", "mixing"):
+            text = run_exit_two(tmp_path, capsys, [sub], cfg.format(n_traj))
+            assert text == ("error = validation\n"
+                            f"n_traj = {n_traj} has more trajectories than memory holds\n")
+            assert not any((tmp_path / "out").iterdir())
 
 
 def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
-    # 10^12 + 1 integer times need 7.28 TiB: numpy's allocation error used to escape
+    # 10^12 + 1 integer times need 7.28 TiB: numpy's allocation error used to escape;
+    # at 1e300 numpy raises ValueError past its index range instead
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")
     assert "error = validation" in text
     assert "t_final = 1000000000000.0 has more integer times than memory holds" in text
     assert not (tmp_path / "out" / "trajectories.csv").exists()
+    # the header is resolved before any work: no verdict or delta_prime line
+    # comes before the error, and no file is written.  At 2^63 numpy made no
+    # times, and odecheck wrote a header 'times = ' that does not rerun
+    for t_final in ("1e+300", "9.223372036854776e+18"):
+        cfg = f"[model]\nt_final = {t_final}\n[doeblin]\nkernel = {KERNEL_FILE}\n"
+        for sub in ("odecheck", "doeblin", "simulate", "moments", "mixing"):
+            text = run_exit_two(tmp_path, capsys, [sub], cfg)
+            assert text == ("error = validation\n"
+                            f"t_final = {t_final} has more integer times than memory holds\n")
+            assert not (tmp_path / "out").exists()
 
 
 def parses_as_float(token):

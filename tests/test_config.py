@@ -1,8 +1,11 @@
 """Tests for the line-oriented run configuration and its canonical form."""
 
 import contextlib
+import dataclasses
+import inspect
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from glmix.config import ConfigError, RunConfig, resolve_config
 from glmix.field import fmt_float, scaled_random_field
+from glmix.integrator import SimulationParams
+from glmix.mixing import EnsembleSpec
 from glmix.noise import NoiseSpectrum, trajectory_generator
 
 # Fixed example sets, so every run checks the same cases.
@@ -201,8 +206,8 @@ def test_ic_canonicalization_and_errors():
 def test_spectrum_matches_default_and_overrides():
     cfg = resolve_config("")
     spec = cfg.spectrum()
-    base = NoiseSpectrum.default(32)
-    assert np.array_equal(spec.q, base.q)
+    # the closed form q_k = k^-4 beyond k* = 3, zero on the head
+    assert np.array_equal(spec.q, np.concatenate([np.zeros(4), np.arange(4.0, 33.0) ** -4.0]))
     assert (spec.alpha, spec.beta, spec.c1, spec.c2, spec.k_star) == (2.0, 2.0, 1.0, 1.0, 3)
     # c2 = 2 leaves room above the default tail for q5 = 0.0025 < 2 * 5^-4
     cfg = resolve_config("[model]\nn_modes = 8\nc2 = 2\nq5 = 0.0025\nq0 = 0.25\n")
@@ -372,3 +377,47 @@ def test_adversarial_values_raise_only_config_or_value_errors(text):
             params = cfg.params()
             trajectory_generator(params.seed, 0)  # an accepted seed keys a stream
             assert params.n_steps < 2**63
+
+
+def test_library_objects_declare_no_run_defaults():
+    # RunConfig is the one place a run's defaults are declared
+    for cls in (SimulationParams, NoiseSpectrum, EnsembleSpec):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, (cls.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (cls.__name__, f.name)
+    for name, param in inspect.signature(NoiseSpectrum.default).parameters.items():
+        assert param.default is inspect.Parameter.empty, name
+
+
+def readme_config_block():
+    """(section, key, value) of each key = value line of the README's
+    configuration block, inline comments stripped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    rows, section = [], None
+    for line in block.splitlines():
+        line = line.partition("#")[0].strip() if line.startswith("    ") else ""
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, _, value = line.partition("=")
+            rows.append((section, key.strip(), value.strip()))
+    return rows
+
+
+def test_readme_configuration_block_lists_the_defaults():
+    rows = readme_config_block()
+    # every key of a header, in its order, and the q5 and ic2 examples
+    header, section = [], None
+    for line in RunConfig(doeblin_kernel="kernel.txt").resolved_lines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            header.append((section, line.partition(" = ")[0]))
+    assert [(section, key) for section, key, _ in rows if key not in ("q5", "ic2")] == header
+    for section, key, value in rows:
+        if key in ("kernel", "times", "q5", "ic1", "ic2"):  # examples, not defaults
+            continue
+        extra = "kernel = kernel.txt\n" if section == "doeblin" else ""
+        cfg = resolve_config(f"[{section}]\n{extra}{key} = {value}\n")
+        assert cfg == RunConfig(doeblin_kernel=cfg.doeblin_kernel), (section, key, value)

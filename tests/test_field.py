@@ -29,7 +29,8 @@ from glmix.field import (
     sup_norm_values,
     values_to_coeffs,
 )
-from glmix.integrator import ExponentialEulerStepper, SimulationParams
+from glmix.config import RunConfig
+from glmix.integrator import ExponentialEulerStepper
 
 
 def random_field(n_modes, rng, scale=1.0):
@@ -39,7 +40,7 @@ def random_field(n_modes, rng, scale=1.0):
 def nonlinearity(pc, u):
     """Coefficients of N(u) = u - P(u) as the stepper evaluates them, through
     the dealiasing grid."""
-    params = SimulationParams(n_modes=u.size // 2, poly=DriftPolynomial(pc))
+    params = RunConfig(n_modes=u.size // 2, poly=pc).params()
     return ExponentialEulerStepper(params).nonlinearity(u)
 
 

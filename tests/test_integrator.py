@@ -30,22 +30,26 @@ from glmix.field import (
     scaled_random_field,
     sup_norm_values,
 )
+from glmix.config import RunConfig
 from glmix.integrator import (
     ExponentialEulerStepper,
-    SimulationParams,
     integer_times,
     ode_comparison,
     run_ensemble,
     write_trajectory_csv,
 )
-from glmix.noise import NoiseSpectrum
 from sup_windows import window_sup
+
+
+def params_of(**kw):
+    """The SimulationParams of a run with settings kw, RunConfig's defaults
+    elsewhere."""
+    return RunConfig(**kw).params()
 
 
 def quiet_params(n_modes=3, **kw):
     """Zero-noise parameters: every q_k = 0 via k_star = n_modes."""
-    kw.setdefault("spectrum", NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes))
-    return SimulationParams(n_modes=n_modes, **kw)
+    return params_of(n_modes=n_modes, k_star=n_modes, **kw)
 
 
 def every_step(params):
@@ -66,44 +70,41 @@ def state_and_wl(x, params, tid, record_times=None):
 
 def test_params_validation():
     with pytest.raises(ValueError, match="n_modes"):
-        SimulationParams(n_modes=0)
+        params_of(n_modes=0)
     with pytest.raises(ValueError, match="dt"):
-        SimulationParams(dt=0.0)
+        params_of(dt=0.0)
     with pytest.raises(ValueError, match="dt"):
-        SimulationParams(dt=2.0)
+        params_of(dt=2.0)
     with pytest.raises(ValueError, match="divide"):
-        SimulationParams(dt=0.3)
+        params_of(dt=0.3)
     with pytest.raises(ValueError, match="t_final"):
-        SimulationParams(t_final=0.5)
-    with pytest.raises(ValueError, match="length"):
-        SimulationParams(n_modes=4, spectrum=NoiseSpectrum.default(8))
-    bad = NoiseSpectrum.default(32)
+        params_of(t_final=0.5)
     with pytest.raises(ValueError, match="inadmissible noise spectrum:"):
-        SimulationParams(spectrum=NoiseSpectrum(q=bad.q, alpha=1.0, beta=1.0))
+        params_of(alpha=1.0, beta=1.0)
     with pytest.raises(ValueError, match="blowup_guard"):
-        SimulationParams(blowup_guard=0.0)
+        params_of(blowup_guard=0.0)
     # the largest guard whose square is a float, and no guard at all, are accepted
-    limit = SimulationParams(blowup_guard=1.3407807929942596e154)
+    limit = params_of(blowup_guard=1.3407807929942596e154)
     assert np.isfinite(ExponentialEulerStepper(limit).guard_sq)
-    assert ExponentialEulerStepper(SimulationParams(blowup_guard=math.inf)).guard_sq == math.inf
+    assert ExponentialEulerStepper(params_of(blowup_guard=math.inf)).guard_sq == math.inf
     for guard in (np.nextafter(1.3407807929942596e154, math.inf), 1e200, 1.7976931348623157e308):
         with pytest.raises(ValueError, match=r"exceeds 1\.3407807929942596e\+154 = sqrt"):
-            SimulationParams(blowup_guard=guard)
+            params_of(blowup_guard=guard)
     # the smallest guard whose square is a normal float is accepted; below it the
     # square underflows (to 0.0 at 1e-200) and no row would ever cross the guard
     tiny = np.finfo(float).tiny
     for guard in (1.4916681462400413e-154, np.nextafter(1.4916681462400413e-154, math.inf)):
-        assert ExponentialEulerStepper(SimulationParams(blowup_guard=guard)).guard_sq >= tiny
+        assert ExponentialEulerStepper(params_of(blowup_guard=guard)).guard_sq >= tiny
     for guard in (np.nextafter(1.4916681462400413e-154, 0.0), 1e-200):
         with pytest.raises(ValueError, match=r"is below 1\.4916681462400413e-154 = sqrt"):
-            SimulationParams(blowup_guard=guard)
+            params_of(blowup_guard=guard)
     with pytest.raises(ValueError, match="multiple"):
-        SimulationParams(dt=0.5, t_final=1.25)
+        params_of(dt=0.5, t_final=1.25)
     # 1/dt overflows to inf at the smallest subnormal
     for dt in (1e-300, 5e-324):
         with pytest.raises(ValueError, match="more steps than int64 holds"):
-            SimulationParams(dt=dt)
-    p = SimulationParams(dt=1.0 / 128.0, t_final=3.0)
+            params_of(dt=dt)
+    p = params_of(dt=1.0 / 128.0, t_final=3.0)
     assert p.n_steps == 384
 
 
@@ -129,7 +130,7 @@ def guard_mask_rows(guard, rng):
 
 @pytest.mark.parametrize("guard", [1.0, 3.7, 1e12, 1.3407807929942596e154, math.inf])
 def test_guard_mask_is_the_summed_squares_comparison(guard):
-    stepper = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=guard))
+    stepper = ExponentialEulerStepper(params_of(n_modes=32, blowup_guard=guard))
     u = guard_mask_rows(guard, np.random.default_rng(5))
     with np.errstate(invalid="ignore", over="ignore"):
         sq = np.sum(u * u, axis=-1)
@@ -156,9 +157,9 @@ def test_no_guard_judges_the_norm_not_its_square():
     rows[2] = 1.7e308  # its norm is beyond float max
     rows[3, 0] = math.nan
     rows[4, 0] = -math.inf
-    free = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=math.inf))
+    free = ExponentialEulerStepper(params_of(n_modes=32, blowup_guard=math.inf))
     assert free.blown_up(rows).tolist() == [False, False, True, True, True]
-    guarded = ExponentialEulerStepper(SimulationParams(n_modes=32, blowup_guard=1e154))
+    guarded = ExponentialEulerStepper(params_of(n_modes=32, blowup_guard=1e154))
     assert guarded.blown_up(rows).all()
 
 
@@ -185,8 +186,7 @@ def test_pure_decay_matches_semigroup():
 def test_linear_state_splits_into_decay_plus_convolution():
     # with no drift the state is exactly the decayed start plus the
     # convolution path advanced by the same draws
-    params = SimulationParams(n_modes=8, dt=1.0 / 64.0, t_final=3.0,
-                              spectrum=NoiseSpectrum.default(8), poly=None)
+    params = params_of(n_modes=8, dt=1.0 / 64.0, t_final=3.0, poly=None)
     x = np.arange(17, dtype=float) / 7.0
     states, wl = state_and_wl(x, params, 5)
     stepper = ExponentialEulerStepper(params)
@@ -251,8 +251,7 @@ def test_deterministic_multimode_convergence_order():
 
 
 def test_remainder_recursion_is_exact_to_rounding():
-    params = SimulationParams(n_modes=8, dt=1.0 / 64.0,
-                              spectrum=NoiseSpectrum.default(8))
+    params = params_of(n_modes=8, dt=1.0 / 64.0)
     states, dense_wl = state_and_wl(np.ones(17) * 0.3, params, 0, every_step(params))
     assert np.all(np.isfinite(states))
     # Psi = Phi - W_L obeys Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L): the noise
@@ -283,7 +282,7 @@ def test_recording_grid_and_state_access():
 
 
 def test_same_stream_reproduces_and_ids_differ():
-    params = SimulationParams(n_modes=6, spectrum=NoiseSpectrum.default(6))
+    params = params_of(n_modes=6)
     x = np.full(13, 0.1)
     a, b, c = (run_ensemble(x, params, [j]) for j in (2, 2, 3))
     assert np.array_equal(a.states, b.states)
@@ -309,7 +308,7 @@ def test_blowup_flags_and_stops_the_block(monkeypatch):
 def test_relaxation_from_large_initial_norm():
     # a start with weighted norm 1e4 relaxes inside the ball of radius 10
     # (both norms) by t = 1 under the default model
-    params = SimulationParams()
+    params = params_of()
     x = scaled_random_field(32, 1e4, 1.0)
     assert np.isclose(norm_gamma(x, 1.0), 1e4, rtol=1e-12)
     ens = run_ensemble(x, params, range(3))
@@ -372,8 +371,7 @@ def test_ode_comparison_rejects_non_finite_inputs_before_integrating(monkeypatch
 
 
 def test_ensemble_matches_single_trajectories():
-    params = SimulationParams(n_modes=6, dt=1.0 / 64.0, t_final=2.0,
-                              spectrum=NoiseSpectrum.default(6))
+    params = params_of(n_modes=6, dt=1.0 / 64.0, t_final=2.0)
     x = np.full(13, 0.25)
     ens = run_ensemble(x, params, traj_ids=range(5))
     for j in range(5):
@@ -383,7 +381,7 @@ def test_ensemble_matches_single_trajectories():
     assert np.array_equal(alone.states[:, 0], ens.states[:, 2, :])
 
 
-SMALL = SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4))
+SMALL = params_of(n_modes=4, dt=1.0 / 64.0)
 CALM = np.full(9, 0.5)
 # c0 = 20 makes the explicit cubic step overshoot until the guard trips
 WILD = np.zeros(9)
@@ -406,7 +404,7 @@ def test_cubic_ensemble_on_the_trajectory_streams_is_pinned():
 
 def test_ensemble_is_bitwise_invariant_to_batching():
     # the default cubic model on its 135-point grid, where multi-row FFTs run
-    big = SimulationParams(n_modes=32)
+    big = params_of(n_modes=32)
     assert ExponentialEulerStepper(big).grid_points == 135
     for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7), (DRIFT_FREE, CALM, 7),
                               (big, scaled_random_field(32, 100.0), 13)):
@@ -463,14 +461,14 @@ def wl_pin_cases():
     """W_L pin cases: a cubic run, an OU run, the aborting WILD start, and a
     forced q0 with a guard of 6 that W_L crosses (norm 7.8) while the state
     (norm 4.3) does not."""
-    q = NoiseSpectrum.default(4).q.copy()
+    q = SMALL.spectrum.q.copy()
     q[0] = 8.0
     two = replace(SMALL, t_final=2.0)
     return {
         "cubic": (two, CALM, 3),
         "ou": (replace(two, poly=None), np.linspace(-1.0, 1.0, 9), 4),
         "wild": (SMALL, WILD, 0),
-        "q0": (replace(SMALL, t_final=3.0, spectrum=NoiseSpectrum(q=q), seed=7,
+        "q0": (replace(SMALL, t_final=3.0, spectrum=replace(SMALL.spectrum, q=q), seed=7,
                        blowup_guard=6.0), CALM, 1),
     }
 
@@ -584,8 +582,7 @@ def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
 
 
 def test_ensemble_record_times_and_windows():
-    params = SimulationParams(n_modes=3, dt=1.0 / 32.0, t_final=2.0,
-                              spectrum=NoiseSpectrum.default(3, ))
+    params = params_of(n_modes=3, dt=1.0 / 32.0, t_final=2.0)
     x = np.zeros(7)
     ens = run_ensemble(x, params, traj_ids=[0, 1], record_times=[0.5, 1.0, 2.0])
     assert ens.states.shape == (2, 3, 7)
@@ -605,8 +602,7 @@ def test_ensemble_record_times_and_windows():
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):
-    params = SimulationParams(n_modes=4, dt=1.0 / 32.0, t_final=2.0,
-                              spectrum=NoiseSpectrum.default(4))
+    params = params_of(n_modes=4, dt=1.0 / 32.0, t_final=2.0)
     ens = run_ensemble(np.full(9, 0.3), params, traj_ids=[0, 1])
     out = tmp_path / "traj.csv"
     assert write_trajectory_csv(out, [ens], gamma=1.0, header_lines=["alpha = 2.0"]) is None
@@ -641,9 +637,9 @@ def test_trajectory_csv_marks_aborted_rows(tmp_path):
 def writer_results(n_modes):
     """Two OU ensembles of three trajectories; at 4 modes trajectory 2
     crosses the guard at t = 1.1875."""
-    params = SimulationParams(
+    params = params_of(
         n_modes=n_modes, dt=1.0 / 16.0, t_final=3.0, poly=None, seed=1, blowup_guard=2.0,
-        spectrum=NoiseSpectrum(q=np.ones(n_modes + 1), k_star=n_modes),
+        k_star=n_modes, q_overrides=dict.fromkeys(range(n_modes + 1), 1.0),
     )
     slots = 2 * n_modes + 1
     return [
@@ -782,7 +778,7 @@ def test_trajectory_csv_consumes_an_iterable_lazily(tmp_path):
 def writer_peak_bytes(tmp_path, n_traj):
     """tracemalloc peak of writing n_traj drift-free trajectories (8 modes,
     records at t = 0 and 1)."""
-    params = SimulationParams(n_modes=8, dt=1.0 / 16.0, poly=None, seed=3)
+    params = params_of(n_modes=8, dt=1.0 / 16.0, poly=None, seed=3)
     ens = run_ensemble(np.full(17, 0.1), params, range(n_traj))
     tracemalloc.start()
     try:

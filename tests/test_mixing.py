@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import glmix.mixing as mixing
 import oracles
 from glmix.field import scaled_random_field
-from glmix.integrator import SimulationParams, run_ensemble
+from glmix.config import RunConfig
+from glmix.integrator import run_ensemble
 from glmix.mixing import (
     EnsembleSpec,
     MixingReport,
@@ -28,44 +29,40 @@ from glmix.mixing import (
     report_csv,
     report_summary,
 )
-from glmix.noise import NoiseSpectrum
 from sup_windows import mean_and_stderr, window_sup
 
 
 def quiet_params(n_modes=3, **kw):
-    kw.setdefault("spectrum", NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes))
-    return SimulationParams(n_modes=n_modes, **kw)
+    """Zero-noise parameters: every q_k = 0 via k_star = n_modes."""
+    return RunConfig(n_modes=n_modes, k_star=n_modes, **kw).params()
 
 
 def small_params(**kw):
-    kw.setdefault("n_modes", 8)
-    kw.setdefault("dt", 1.0 / 64.0)
-    kw.setdefault("spectrum", NoiseSpectrum.default(kw["n_modes"]))
-    kw.setdefault("seed", 7)
-    return SimulationParams(**kw)
+    return RunConfig(**{"n_modes": 8, "dt": 1.0 / 64.0, "seed": 7, **kw}).params()
 
 
 def test_ensemble_spec_validation_and_ids():
     params = small_params()
     with pytest.raises(ValueError, match="initial condition"):
-        EnsembleSpec(initial_conditions=[], n_traj=10, params=params)
+        EnsembleSpec(initial_conditions=[], n_traj=10, params=params, gamma=1.0, p=2.0)
     with pytest.raises(ValueError, match="n_traj"):
-        EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=1, params=params)
+        EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=1, params=params,
+                     gamma=1.0, p=2.0)
     with pytest.raises(ValueError, match="gamma"):
         EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
-                     gamma=3.0)
+                     gamma=3.0, p=2.0)
     with pytest.raises(ValueError, match="p must"):
         EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
-                     p=0.5)
+                     p=0.5, gamma=1.0)
     # NaN compares False both ways, so each check must fail on it
     with pytest.raises(ValueError, match="gamma"):
         EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
-                     gamma=math.nan)
+                     gamma=math.nan, p=2.0)
     with pytest.raises(ValueError, match="p must"):
         EnsembleSpec(initial_conditions=[np.zeros(17)], n_traj=5, params=params,
-                     p=math.nan)
+                     p=math.nan, gamma=1.0)
     spec = EnsembleSpec(initial_conditions=[np.zeros(17), np.ones(17)],
-                        n_traj=50, params=params)
+                        n_traj=50, params=params, gamma=1.0, p=2.0)
     assert np.array_equal(spec.traj_ids(0), np.arange(0, 50))
     assert np.array_equal(spec.traj_ids(1), np.arange(50, 100))
 
@@ -290,7 +287,7 @@ def test_moment_bound_zero_noise_fixed_point():
 def test_moment_bound_uniform_for_moderate_starts():
     # the zero start and the 10^2-weighted-norm preset relax to matching
     # moments at t = 1 (the preset seeds the constant slot at only ~1e-3)
-    params = SimulationParams()
+    params = RunConfig().params()
     spec = EnsembleSpec(
         initial_conditions=[np.zeros(65), scaled_random_field(32, 1e2, 1.0)],
         n_traj=200, params=params, gamma=1.0, p=2.0,
@@ -308,7 +305,7 @@ def test_moment_bound_time_validation():
     wild[0] = 20.0
     spec = EnsembleSpec(
         initial_conditions=[wild], n_traj=4,
-        params=SimulationParams(n_modes=4, dt=1.0 / 64.0, spectrum=NoiseSpectrum.default(4)),
+        params=RunConfig(n_modes=4, dt=1.0 / 64.0).params(), gamma=1.0, p=2.0,
     )
     with pytest.raises(ValueError, match="all trajectories aborted for initial condition 0"):
         moment_bound(spec)
@@ -398,9 +395,7 @@ def test_mixing_report_pinned():
     # recorded when every distance call still projected resampled states;
     # the bootstrap now resamples rows of observables computed once per time
     # (ia, then ib, per resample and time), and must agree to the last bit
-    params = SimulationParams(
-        n_modes=4, dt=1.0 / 64.0, t_final=4.0, spectrum=NoiseSpectrum.default(4), seed=7
-    )
+    params = RunConfig(n_modes=4, dt=1.0 / 64.0, t_final=4.0, seed=7).params()
     spec = EnsembleSpec(
         initial_conditions=[np.zeros(9), np.full(9, 0.2)], n_traj=64,
         params=params, gamma=1.0, p=2.0,
@@ -422,9 +417,7 @@ def test_mixing_report_pinned():
 
 
 def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
-    params = SimulationParams(
-        n_modes=4, dt=1.0 / 64.0, t_final=4.0, spectrum=NoiseSpectrum.default(4), seed=7
-    )
+    params = RunConfig(n_modes=4, dt=1.0 / 64.0, t_final=4.0, seed=7).params()
     starts = [np.zeros(9), np.full(9, 0.2), np.full(9, -0.5)]
     calls = []
     run_ensemble = mixing.run_ensemble
@@ -433,7 +426,8 @@ def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
     texts = []
     for ics in (starts, starts[:2]):
         calls.clear()
-        spec = EnsembleSpec(initial_conditions=ics, n_traj=32, params=params)
+        spec = EnsembleSpec(initial_conditions=ics, n_traj=32, params=params,
+                            gamma=1.0, p=2.0)
         report = mixing_report(spec, TIMES, 10)
         assert len(calls) == 2
         texts.append((report_csv(report), report_summary(report)))

@@ -9,14 +9,16 @@ statistics with explicit standard errors.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import glmix.integrator as integrator
+from glmix.config import RunConfig
 from glmix.field import eigenvalues
-from glmix.integrator import SimulationParams, run_ensemble
+from glmix.integrator import run_ensemble
 from glmix.noise import NoiseSpectrum, trajectory_generator
 from sup_windows import mean_and_stderr, window_sup
 
@@ -30,15 +32,26 @@ PINNED_FIRST_NORMALS = {
 }
 
 
+def spectrum_of(n_modes, **kw):
+    """The spectrum of a run with n_modes and settings kw, RunConfig's
+    defaults elsewhere."""
+    return RunConfig(n_modes=n_modes, **kw).spectrum()
+
+
 def zero_noise_spectrum(n_modes=3):
     """All q_k = 0 is admissible when no mode lies beyond k_star."""
-    return NoiseSpectrum(q=np.zeros(n_modes + 1), k_star=n_modes)
+    return spectrum_of(n_modes, k_star=n_modes)
+
+
+def ou_params(spec, **kw):
+    """Drift-free parameters driven by spec, settings kw, RunConfig's
+    defaults elsewhere."""
+    return replace(RunConfig(n_modes=spec.n_modes, poly=None, **kw).params(), spectrum=spec)
 
 
 def convolution_paths(spec, h, seed, traj_ids, t_final=1.0, x=None, **kw):
     """W_L records of the drift-free model: every step when no record_times."""
-    params = SimulationParams(n_modes=spec.n_modes, dt=h, t_final=t_final, poly=None,
-                              spectrum=spec, seed=seed)
+    params = ou_params(spec, dt=h, t_final=t_final, seed=seed)
     kw.setdefault("record_times", h * np.arange(params.n_steps + 1))
     x = np.zeros(2 * spec.n_modes + 1) if x is None else x
     return run_ensemble(x, params, traj_ids, **kw).states
@@ -47,13 +60,13 @@ def convolution_paths(spec, h, seed, traj_ids, t_final=1.0, x=None, **kw):
 def sup_gaussian_moment(spec, p, h, n_samples, seed=0):
     """E sup_{0 < s <= 1} ||W_L(s)||_inf^p with its standard error, over the
     drift-free paths of trajectories 0..n_samples-1 run from zero."""
-    params = SimulationParams(n_modes=spec.n_modes, dt=h, poly=None, spectrum=spec, seed=seed)
+    params = ou_params(spec, dt=h, seed=seed)
     sups = window_sup(np.zeros(2 * spec.n_modes + 1), params, range(n_samples), 0.0, 1.0)
     return mean_and_stderr(sups**p)
 
 
 def test_default_spectrum_is_admissible():
-    spec = NoiseSpectrum.default(32)  # it would raise if it were not
+    spec = RunConfig().spectrum()  # it would raise if it were not
     assert spec.q[0] == 0.0 and np.all(spec.q[1:4] == 0.0)
     k = np.arange(4, 33, dtype=float)
     assert np.allclose(spec.q[4:], k**-4.0)
@@ -61,20 +74,21 @@ def test_default_spectrum_is_admissible():
 
 def test_beta_window_open_lower_endpoint():
     # beta = alpha - 1/8 exactly sits on the open end and must be rejected
-    q = NoiseSpectrum.default(16).q
+    spec = spectrum_of(16)
     message = "violation = beta_window\nbound = beta must lie in (alpha - 1/8, alpha]"
     with pytest.raises(ValueError, match=re.escape(message)):
-        NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0)
+        replace(spec, alpha=2.0, beta=15.0 / 8.0)
     # nudged inside the window the tail bounds take over; with beta < alpha
     # the default tail still fits between the pinching curves
-    NoiseSpectrum(q=q, alpha=2.0, beta=15.0 / 8.0 + 1e-6)
+    replace(spec, alpha=2.0, beta=15.0 / 8.0 + 1e-6)
 
 
 def test_violation_report_fields_and_text():
-    q = NoiseSpectrum.default(16).q.copy()
+    spec = spectrum_of(16)
+    q = spec.q.copy()
     q[5] = 0.0
     with pytest.raises(ValueError) as err:
-        NoiseSpectrum(q=q)
+        replace(spec, q=q)
     assert str(err.value).splitlines() == [
         "inadmissible noise spectrum:",
         "violation = tail_lower",
@@ -85,11 +99,12 @@ def test_violation_report_fields_and_text():
 
 
 def test_validation_order_and_rules():
-    q = NoiseSpectrum.default(16).q
+    spec = spectrum_of(16)
+    q = spec.q
 
     def refused(rule, **kw):
         with pytest.raises(ValueError, match=re.escape(f"violation = {rule}\n")) as err:
-            NoiseSpectrum(**{"q": q, **kw})
+            replace(spec, **kw)
         return str(err.value)
 
     refused("c1_positive", c1=0.0)
@@ -108,7 +123,7 @@ def test_validation_order_and_rules():
     # the head k <= k_star is genuinely free: huge q_0 passes
     qq = q.copy()
     qq[0] = 1e6
-    NoiseSpectrum(q=qq)
+    replace(spec, q=qq)
     zero_noise_spectrum()
 
 
@@ -184,7 +199,7 @@ def test_spectrum_builds_exactly_when_every_rule_holds(args):
 
 
 def test_step_std_closed_form_and_monotonicity():
-    spec = NoiseSpectrum.default(8)
+    spec = spectrum_of(8)
     ell = eigenvalues(8)
     q = spec.per_slot()
     for h in (1e-3, 0.1, 1.0):
@@ -225,14 +240,14 @@ def test_variance_matches_euler_maruyama_oracle():
         em = 2.0 * em_variance(h / 2.0) - em_variance(h)
         exact = q * q * (1.0 - np.exp(-2.0 * lk * t)) / (2.0 * lk)
         assert np.isclose(em, exact, rtol=1e-5)
-        spec = NoiseSpectrum(q=np.full(9, q), k_star=8)
+        spec = replace(spectrum_of(8, k_star=8), q=np.full(9, q))
         assert np.isclose(spec.step_std(t)[2 * k - 1] ** 2, exact, rtol=1e-12)
 
 
 def test_increment_sample_variance_and_independence():
     # 1600 paths of 64 steps: the increments W_L(t+h) - e^{-Lh} W_L(t), the
     # first of which is the drawn increment itself (W_L(0) = 0)
-    spec = NoiseSpectrum.default(8)
+    spec = spectrum_of(8)
     h = 1.0 / 64.0
     w = convolution_paths(spec, h, seed=99, traj_ids=range(1600))
     xi = (w[:, 1:] - np.exp(-eigenvalues(8) * h) * w[:, :-1]).reshape(-1, 17)
@@ -255,7 +270,7 @@ def test_increment_sample_variance_and_independence():
 
 
 def test_increments_chunk_invariance_and_determinism(monkeypatch):
-    spec = NoiseSpectrum.default(6)
+    spec = spectrum_of(6)
     h = 1.0 / 32.0
     whole = convolution_paths(spec, h, seed=7, traj_ids=[3])
     # the first 32 steps of a run to t = 2 replay the run to t = 1
@@ -275,7 +290,7 @@ def test_increments_chunk_invariance_and_determinism(monkeypatch):
 
 
 def test_convolution_step_recursion_and_stationary_variance():
-    spec = NoiseSpectrum.default(8)
+    spec = spectrum_of(8)
     h = 1.0 / 64.0
     ell = eigenvalues(8)
     q = spec.per_slot()
@@ -304,8 +319,8 @@ def test_convolution_step_recursion_and_stationary_variance():
 def test_sup_gaussian_check_zero_noise_and_scaling():
     est, se = sup_gaussian_moment(zero_noise_spectrum(), p=2.0, h=1.0 / 32.0, n_samples=50)
     assert est == 0.0 and se == 0.0
-    base = NoiseSpectrum.default(8)
-    doubled = NoiseSpectrum(q=2.0 * base.q, c1=2.0, c2=2.0)
+    base = spectrum_of(8)
+    doubled = replace(base, q=2.0 * base.q, c1=2.0, c2=2.0)
     e1, se1 = sup_gaussian_moment(base, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     e2, _ = sup_gaussian_moment(doubled, p=2.0, h=1.0 / 32.0, n_samples=200, seed=3)
     # pinned, so any drift in the shared ensemble loop shows here
@@ -329,7 +344,7 @@ def test_trajectory_ids_past_32_bits_do_not_alias_seeds():
 
 
 def test_sup_gaussian_check_stderr_shrinks_like_root_n():
-    spec = NoiseSpectrum.default(8)
+    spec = spectrum_of(8)
     ses = []
     for n in (250, 1000, 4000):
         est, se = sup_gaussian_moment(spec, p=2.0, h=1.0 / 32.0, n_samples=n, seed=11)
