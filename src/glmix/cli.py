@@ -5,7 +5,8 @@ config module), writes its outputs under --out with the fully resolved
 configuration echoed as '#' comment lines in each file header, and prints a
 machine-readable key = value account of what happened.  Exit codes: 0 when
 every enabled check passed, 1 when a check failed (the output files are
-still written), 2 for configuration or validation errors.
+still written), 2 for configuration or validation errors and for a bad
+command line (error = usage).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from .integrator import (
 from .mixing import EnsembleSpec, mixing_report, moment_bound, report_csv, report_summary
 
 __all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own prints to stderr and exits 2
+        raise argparse.ArgumentError(None, message)
 
 
 def _write(path: Path, header_lines: list[str], body: str) -> None:
@@ -200,7 +206,7 @@ def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glmix",
         description="Spectral Ginzburg-Landau simulator and finite-state "
         "minorization toolkit",
@@ -211,7 +217,12 @@ def main(argv=None) -> int:
         sp.add_argument("--config", default=None, help="configuration file path")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="ensemble worker threads")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as err:
+        print("error = usage")
+        print(str(err))
+        return 2
 
     try:
         text = Path(args.config).read_text() if args.config else ""

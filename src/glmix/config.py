@@ -14,7 +14,10 @@ fields; the library objects a run builds hold no defaults of their own.
 Two keys follow a pattern: q<k> in [model] overrides the noise amplitude
 of mode k (0 <= k <= n_modes), and ic<k> in [ensemble] is a start: 'zero',
 'scaled-random:R', or an explicit list of 2 n_modes + 1 coefficients.
-Each index appears once (q1 and q01 clash).
+Each index appears once (q1 and q01 clash).  A key checked against another
+(q<k> and ic<k> against n_modes, gamma against alpha and n_modes, times
+against dt and t_final) is refused naming its own line, under every
+subcommand.
 RunConfig.anchor_paths, which the CLI calls, resolves a relative [doeblin]
 kernel path against the config file's directory.
 
@@ -158,6 +161,11 @@ def _at_least(least):
     return check
 
 
+def _finite_from_one(values, lineno, key):
+    _finite(values, lineno, key)
+    _at_least(1)(values, lineno, key)
+
+
 def _path(value, lineno, key):
     if not value:
         raise ConfigError(f"line {lineno}: key {key!r} expects a path")
@@ -202,7 +210,7 @@ class RunConfig:
     ics: list = dataclass_field(default_factory=lambda: ["zero"])
     n_traj: int = _setting("ensemble", 100, _row(int, check=_at_least(1)))
     gamma: float = _setting("ensemble", 1.0, _row(float, check=_finite))
-    p: float = _setting("ensemble", 2.0, _row(float, check=_finite))
+    p: float = _setting("ensemble", 2.0, _row(float, check=_finite_from_one))
     # written from resolved_times()
     times: list = _setting("ensemble", [], _row(float, many=True, check=_distinct_finite))
     n_boot: int = _setting("ensemble", 200, _row(int, check=_at_least(0)))
@@ -351,6 +359,9 @@ def resolve_config(text: str) -> RunConfig:
         if math.log(2 * n + 1) + 2.0 * cfg.gamma * log_l >= math.log(np.finfo(float).max):
             raise ConfigError(f"line {gamma[1]}: gamma = {fmt_float(cfg.gamma)} makes the norm "
                               f"weight l_N^(2 gamma) of n_modes = {n} overflow")
+        if cfg.gamma > cfg.alpha:
+            raise ConfigError(f"line {gamma[1]}: gamma = {fmt_float(cfg.gamma)} exceeds the "
+                              f"noise decay exponent alpha = {fmt_float(cfg.alpha)}")
     if cfg.times and 0 < cfg.dt <= 1:  # SimulationParams refuses any other dt
         lineno = sections["ensemble"].entries["times"][1]
         last = _grid_step(cfg.t_final, cfg.dt)

@@ -29,11 +29,12 @@ slabs; a block splits its steps into the fewest slabs its share allows, all
 of one length.  Each trajectory consumes its own stream
 (noise.trajectory_generator), so results do not depend on block sizes, slab
 lengths, worker counts or thread schedules.  A row aborts at the first step
-after which its squared norm is NaN or above the guard's square (a finite
-guard is at most sqrt(float max), so an overflowed square is above it); with
-no guard (inf) it aborts once its norm itself is NaN or inf, so a row whose
-square alone overflows keeps stepping.  An aborted row is set to NaN and
-stays NaN, and a block stops stepping once all its rows have.
+after which its squared norm, one einsum pass, is NaN or above guard *
+guard.  A square that overflows passes that test only when guard * guard
+overflows too (a guard above sqrt(float max), or inf for none); then the
+row's norm decides, and a NaN, inf or above-guard norm aborts.  An aborted
+row is set to NaN and stays NaN, and a block stops stepping once all its
+rows have.
 """
 
 from __future__ import annotations
@@ -73,10 +74,8 @@ __all__ = [
 ]
 
 
-# the smallest guard whose square does not underflow, and the largest whose
-# square does not overflow
+# the smallest guard whose square does not underflow
 _GUARD_MIN = math.sqrt(np.finfo(float).tiny)
-_GUARD_MAX = math.sqrt(np.finfo(float).max)
 
 
 def _grid_step(t: float, dt: float) -> int | None:
@@ -97,9 +96,8 @@ class SimulationParams:
     sense (so integer times fall on the step grid), t_final must be finite,
     at least 1 and on the grid, its step n_steps = t_final / dt must fit in
     int64, seed must lie in [0, 2^64) (it seeds the per-trajectory streams)
-    and blowup_guard must lie between sqrt(smallest normal float) ~
-    1.49e-154 and sqrt(float max) ~ 1.34e154, so that its square is a
-    normal float, or be inf.
+    and blowup_guard must be at least sqrt(smallest normal float) ~
+    1.49e-154, so that its square does not underflow; inf means no guard.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
@@ -137,9 +135,6 @@ class SimulationParams:
             raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} is below "
                              f"{fmt_float(_GUARD_MIN)} = sqrt(smallest normal float), "
                              "so its square underflows")
-        if _GUARD_MAX < self.blowup_guard < math.inf:
-            raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} exceeds "
-                             f"{fmt_float(_GUARD_MAX)} = sqrt(float max); inf means no guard")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64)")
 
@@ -170,14 +165,8 @@ class ExponentialEulerStepper:
         self.decay = np.exp(-ell * params.dt)
         self.std = params.spectrum.step_std(params.dt)
         self.poly = params.poly
-        self.guard_sq = params.blowup_guard**2
-        # the largest squared norm that flags no row: with no guard, a row
-        # whose square overflows is flagged and its norm measured again
-        self.keep_sq = min(self.guard_sq, np.finfo(float).max)
-        # two orders of summing n nonnegative squares differ by about 2 n eps at
-        # most (130 eps at 65 slots); guard_sq * (1 + band) may overflow to inf
-        band = max(1e-12, 4 * (2 * self.n_modes + 1) * np.finfo(float).eps)
-        self.near_guard = (self.guard_sq * (1 - band), self.guard_sq * (1 + band))
+        guard = float(params.blowup_guard)  # a Python float squares to inf with no warning
+        self.guard_sq = guard * guard  # inf above sqrt(float max)
         if self.poly is not None:
             self.grid_points = dealias_points(self.n_modes, self.poly.degree)
 
@@ -222,27 +211,18 @@ class ExponentialEulerStepper:
         u += buf.slots
 
     def blown_up(self, u: np.ndarray) -> np.ndarray:
-        """Guard mask of the rows whose np.sum(u * u, axis=-1) is NaN or
-        above guard_sq, bit for bit; with no guard (inf), of the rows whose
-        norm is NaN or inf.
-
-        The squared norms come from one einsum pass; only the rows near
-        guard_sq, where its order of summation could tip the comparison, are
-        summed again as np.sum(u * u).  A finite guard is at most sqrt(float
-        max), so a square that overflows is above it; with no guard, only the
-        rows whose square overflows are measured again, by row_norms.
-        """
+        """Guard mask of the rows whose squared norm, np.einsum("ij,ij->i",
+        u, u), is NaN or above guard_sq; where that square overflows (only
+        possible when guard_sq is inf), of the rows whose norm is NaN, inf or
+        above the guard."""
         sq = np.einsum("ij,ij->i", u, u)
-        lo, hi = self.near_guard
-        with np.errstate(invalid="ignore", over="ignore"):  # inf norms compare as inf
-            blown = ~(sq <= self.keep_sq)
-            near = (sq > lo) & (sq <= hi)
-            if near.any():
-                w = u[near]
-                blown[near] = ~(np.sum(w * w, axis=-1) <= self.keep_sq)
-            if self.guard_sq == math.inf and blown.any():  # judge the norm, not its square
-                over = sq == math.inf
-                blown[over] = ~np.isfinite(row_norms(u[over], 0.0))
+        blown = ~(sq <= self.guard_sq)
+        if self.guard_sq == math.inf:  # an overflowing square may be within the guard
+            over = sq == math.inf
+            if over.any():
+                with np.errstate(invalid="ignore"):  # an inf entry divides inf by inf
+                    norm = row_norms(u[over], 0.0)
+                blown[over] = ~(norm <= self.params.blowup_guard) | (norm == math.inf)
         return blown
 
 
@@ -342,10 +322,10 @@ def _run_block(
                 abort_t[blown] = step_no * params.dt
                 u[blown] = np.nan
                 alive &= ~blown
+                if not alive.any():
+                    break  # this and the later records stay NaN, as out was made
             if step_no in rec_steps:
                 out.states[rows, rec_steps[step_no], :] = u
-            if not alive.any():
-                break  # the later records stay NaN, as out was made
 
     out.aborted[rows] = ~alive
     out.abort_times[rows] = abort_t

@@ -62,7 +62,8 @@ class EnsembleSpec:
     given by the caller (RunConfig holds the defaults).
 
     gamma may not exceed the spectral decay exponent alpha of the noise, and
-    p must be at least 1.  Trajectory ids are allocated deterministically:
+    p must be at least 1 (resolve_config refuses both, naming their line,
+    before a run builds one).  Trajectory ids are allocated deterministically:
     initial condition i owns the contiguous block [i n_traj, (i+1) n_traj);
     ValueError naming n_traj if a block is more than memory holds.
     """

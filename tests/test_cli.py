@@ -1058,12 +1058,34 @@ def test_non_finite_t_final_and_nan_guard_exit_two(tmp_path, capsys):
     assert "error = validation" in text and "blowup_guard must be positive" in text
 
 
-def test_guard_whose_square_overflows_exits_two_naming_the_limit(tmp_path, capsys):
-    cfg = "[model]\nn_modes = 2\nblowup_guard = 1e200\n\n[ensemble]\nic1 = zero\nn_traj = 2\n"
-    for sub in ("simulate", "moments", "mixing"):
-        text = run_exit_two(tmp_path, capsys, [sub], cfg)
-        assert "error = validation" in text
-        assert "blowup_guard = 1e+200 exceeds 1.3407807929942596e+154 = sqrt(float max)" in text
+def test_guard_whose_square_overflows_runs_judged_on_the_norm(tmp_path, capsys):
+    # a guard above sqrt(float max) ~ 1.34e154 exited 2; now a drift-free start
+    # of norm_0 2e200 aborts at its first step under a guard of 1e200, and one
+    # of 9e199, whose square overflows too, decays to t_final
+    cfg = write_cfg(tmp_path, "[model]\nn_modes = 2\ndt = 0.0625\nt_final = 2\npoly = none\n"
+                              "blowup_guard = 1e200\n\n[ensemble]\nic1 = 9e199 0 0 0 0\n"
+                              "ic2 = 2e200 0 0 0 0\nn_traj = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "failure = trajectory_abort", "trajectory = 2", "time = 0.0625",
+        "trajectory = 3", "time = 0.0625",
+    ]
+    rows = [r.split(",") for r in body_lines(tmp_path / "out" / "trajectories.csv")[1:]]
+    assert [(r[0], r[1], r[5]) for r in rows] == [
+        (tid, t, "1" if tid in "23" and t != "0.0" else "0")
+        for tid in "0123" for t in ("0.0", "1.0", "2.0")
+    ]
+    assert all(0 < float(r[2]) < 1e200 for r in rows if r[0] in "01" and r[1] != "0.0")
+    # moments and mixing run under such a guard too, to their verdicts
+    cfg = ("[model]\nn_modes = 2\ndt = 0.0625\nt_final = 4\nblowup_guard = 1e200\n\n"
+           "[ensemble]\nic1 = zero\nic2 = scaled-random:1\nn_traj = 4\nn_boot = 2\n")
+    for sub, summary in (("moments", "moments_summary.txt"), ("mixing", "mixing_summary.txt")):
+        rc = main([sub, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / sub)])
+        assert rc in (0, 1) and (tmp_path / sub / summary).exists()
+    capsys.readouterr()
 
 
 def test_guard_whose_square_underflows_exits_two_naming_the_limit(tmp_path, capsys):
@@ -1159,6 +1181,40 @@ def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
         text = run_exit_two(tmp_path, capsys, [sub], cfg)
         assert text == f"error = config\n{message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "moments", "mixing", "doeblin", "odecheck"])
+@pytest.mark.parametrize("rows, message", [
+    ("[ensemble]\np = 0.5\n", "line 2: p must be at least 1"),
+    ("[model]\nalpha = 2\n[ensemble]\ngamma = 3.0\n",
+     "line 4: gamma = 3.0 exceeds the noise decay exponent alpha = 2.0"),
+], ids=["p", "gamma"])
+def test_p_below_one_and_gamma_above_alpha_name_their_line(tmp_path, capsys, sub, rows, message):
+    # simulate, doeblin and odecheck ran; moments and mixing exited 2 with
+    # 'error = validation' and no line number
+    cfg = rows + f"[doeblin]\nkernel = {KERNEL_FILE}\n"
+    text = run_exit_two(tmp_path, capsys, [sub], cfg)
+    assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--threads", "x"], "--threads"), (["bogus"], "bogus"),
+    (["simulate", "--nope", "1"], "--nope"), ([], "command"),
+], ids=["bad_value", "bad_subcommand", "bad_option", "no_subcommand"])
+def test_bad_command_lines_exit_two_with_an_error_line(capsys, argv, named):
+    # argparse raised SystemExit(2) out of main and printed only to stderr
+    assert main(argv) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == "error = usage" and named in out[1]
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: glmix")
 
 
 def test_report_times_off_the_grid_or_past_t_final_name_their_line(tmp_path, capsys):

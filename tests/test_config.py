@@ -286,12 +286,13 @@ def run_configs(draw):
     dt = 2.0 ** -draw(st.integers(0, 10))
     t_final = float(draw(st.integers(1, 6)))
     steps = st.lists(st.integers(0, round(t_final / dt)), min_size=1, max_size=5, unique=True)
+    alpha = draw(FINITE)
     cfg = RunConfig(
         n_modes=n_modes,
         dt=dt,
         t_final=t_final,
         poly=draw(st.none() | st.lists(FINITE, min_size=1, max_size=6)),
-        alpha=draw(FINITE),
+        alpha=alpha,
         beta=draw(FINITE),
         c1=draw(FINITE),
         c2=draw(FINITE),
@@ -301,9 +302,10 @@ def run_configs(draw):
         q_overrides=draw(st.dictionaries(st.integers(0, n_modes), FINITE, max_size=3)),
         ics=draw(st.lists(ic, min_size=1, max_size=3)),
         n_traj=draw(st.integers(1, 10**6)),
-        # a larger gamma weights mode 6 beyond float max, which resolve_config refuses
-        gamma=draw(st.floats(max_value=40.0, allow_nan=False, allow_infinity=False)),
-        p=draw(FINITE),
+        # resolve_config refuses a gamma above alpha, or one above 40, which
+        # weights mode 6 beyond float max, and a p below 1
+        gamma=draw(st.floats(max_value=min(40.0, alpha), allow_nan=False, allow_infinity=False)),
+        p=draw(st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)),
         times=draw(steps.map(lambda ns: [n * dt for n in ns])),  # on the grid, up to t_final
         n_boot=draw(st.integers(0, 10**4)),
         ode_qs=draw(st.lists(st.integers(1, 4).map(lambda k: 2 * k + 1), min_size=1, max_size=3)),

@@ -27,6 +27,7 @@ from glmix.field import (
     DriftPolynomial,
     eigenvalues,
     norm_gamma,
+    row_norms,
     scaled_random_field,
     sup_norm_values,
 )
@@ -83,13 +84,14 @@ def test_params_validation():
         params_of(alpha=1.0, beta=1.0)
     with pytest.raises(ValueError, match="blowup_guard"):
         params_of(blowup_guard=0.0)
-    # the largest guard whose square is a float, and no guard at all, are accepted
+    # the largest guard whose square is a float is accepted, and so are the
+    # guards above it, whose squares overflow as no guard's does; guard ** 2
+    # raised OverflowError above about 1.34e154
     limit = params_of(blowup_guard=1.3407807929942596e154)
     assert np.isfinite(ExponentialEulerStepper(limit).guard_sq)
-    assert ExponentialEulerStepper(params_of(blowup_guard=math.inf)).guard_sq == math.inf
-    for guard in (np.nextafter(1.3407807929942596e154, math.inf), 1e200, 1.7976931348623157e308):
-        with pytest.raises(ValueError, match=r"exceeds 1\.3407807929942596e\+154 = sqrt"):
-            params_of(blowup_guard=guard)
+    for guard in (np.nextafter(1.3407807929942596e154, math.inf), 1e200,
+                  1.7976931348623157e308, math.inf):
+        assert ExponentialEulerStepper(params_of(blowup_guard=guard)).guard_sq == math.inf
     # the smallest guard whose square is a normal float is accepted; below it the
     # square underflows (to 0.0 at 1e-200) and no row would ever cross the guard
     tiny = np.finfo(float).tiny
@@ -128,25 +130,43 @@ def guard_mask_rows(guard, rng):
     ])
 
 
-@pytest.mark.parametrize("guard", [1.0, 3.7, 1e12, 1.3407807929942596e154, math.inf])
+@pytest.mark.parametrize("guard", [1.0, 3.7, 1e12, 1.3407807929942596e154, 1e200, math.inf])
 def test_guard_mask_is_the_summed_squares_comparison(guard):
     stepper = ExponentialEulerStepper(params_of(n_modes=32, blowup_guard=guard))
     u = guard_mask_rows(guard, np.random.default_rng(5))
-    with np.errstate(invalid="ignore", over="ignore"):
-        sq = np.sum(u * u, axis=-1)
-        want = np.isnan(sq) | np.isinf(sq) | (sq > stepper.guard_sq)
-        einsum_only = ~(np.einsum("ij,ij->i", u, u) <= stepper.guard_sq)
-    assert np.array_equal(stepper.blown_up(u), want)
+    # rows whose squares overflow: norms 1e160 and 1e308, and one beyond float max
+    big = np.zeros((3, 65))
+    big[0, :4] = 5e159
+    big[1, 9] = 1e308
+    big[2] = 1.7e308
+    u = np.concatenate([u, big])
+    blown = stepper.blown_up(u)
+    sq = np.einsum("ij,ij->i", u, u)
+    over = sq == math.inf
+    # a finite (or NaN) square is compared with guard * guard and nothing else
+    assert np.array_equal(blown[~over], ~(sq[~over] <= guard * guard))
+    # an overflowing square is above every guard up to sqrt(float max); above
+    # that, the row is blown up if its norm is NaN, inf or above the guard
+    if guard <= 1.3407807929942596e154:
+        assert blown[over].all()
+    else:
+        with np.errstate(invalid="ignore"):  # an inf entry divides inf by inf
+            norm = row_norms(u[over], 0.0)
+        assert np.array_equal(blown[over], ~(norm <= guard) | np.isinf(norm))
     # the zero row passes; NaN and infinite rows trip every guard, inf included
-    assert want[-5:].tolist() == [False, True, True, True, True]
+    assert blown[-8:-3].tolist() == [False, True, True, True, True]
+    want_big = {1e200: [False, True, True], math.inf: [False, False, True]}
+    assert blown[-3:].tolist() == want_big.get(guard, [True, True, True])
     if math.isfinite(guard):
         # single-slot rows at, one ulp below and one ulp above the guard: the
-        # first squares to guard_sq exactly and is not blown up
-        assert want[-8:-5].tolist() == [False, False, True]
-        # near the guard the einsum's order of summation alone decides otherwise
-        assert not np.array_equal(einsum_only, want)
+        # first is not blown up
+        assert blown[-11:-8].tolist() == [False, False, True]
+        # random rows of norm guard and one ulp either side: rounding puts
+        # some on each side of it
+        near = blown[:9000].reshape(3, 3000)
+        assert near.any() and not near.all()
     else:
-        assert not want[:-4].any()
+        assert not blown[:-9].any()
 
 
 def test_no_guard_judges_the_norm_not_its_square():
@@ -425,6 +445,25 @@ def test_ensemble_is_bitwise_invariant_to_batching():
             assert np.all(np.isnan(base.states[:, 1:]))
         else:
             assert not base.aborted.any() and np.all(np.isnan(base.abort_times))
+
+
+def test_block_whose_rows_all_abort_stops_at_that_step(monkeypatch):
+    # with no noise every WILD row follows one path; unguarded, its squared
+    # norm first passes the default guard's square (1e24) at step k
+    quiet = quiet_params(n_modes=4, dt=1.0 / 64.0, t_final=2.0)
+    times = every_step(quiet)
+    free = run_ensemble(WILD, replace(quiet, blowup_guard=math.inf), [0], times).states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = int(np.argmax(~(np.einsum("ij,ij->i", free, free) <= 1e24)))
+    assert 1 < k < quiet.n_steps
+    calls = []
+    step_block = ExponentialEulerStepper.step_block
+    monkeypatch.setattr(ExponentialEulerStepper, "step_block",
+                        lambda self, *args: calls.append(1) or step_block(self, *args))
+    ens = run_ensemble(WILD, quiet, range(5), times)
+    assert len(calls) == k
+    assert ens.aborted.all() and np.all(ens.abort_times == k * quiet.dt)
+    assert np.all(np.isfinite(ens.states[:, :k])) and np.all(np.isnan(ens.states[:, k:]))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
