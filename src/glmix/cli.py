@@ -3,7 +3,9 @@
 Every subcommand reads one configuration file (all keys optional, see the
 config module), writes its outputs under --out with the fully resolved
 configuration echoed as '#' comment lines in each file header, and prints a
-machine-readable key = value account of what happened.  Exit codes: 0 when
+machine-readable key = value account of what happened; every value in them
+is written by field.fmt_value.  --out is made by the first file written, so
+a run that writes none leaves no directory.  Exit codes: 0 when
 every enabled check passed, 1 when a check failed (the output files are
 still written), 2 for configuration or validation errors and for a bad
 command line (error = usage).
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import locale  # argparse's gettext imports it when main builds the parser
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from .doeblin import (
     search_weights,
     small_set_search,
 )
-from .field import fmt_float
+from .field import block_text, csv_text
 from .integrator import (
     BLOCK_ROWS,
     ensemble_workers,
@@ -48,12 +51,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path: Path, header_lines: list[str], body: str) -> None:
+    """Write the '#' header block and body; --out is made by the first write."""
     text = "".join(f"# {h}\n" for h in header_lines) + body
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
-def _ensemble_spec(cfg: RunConfig) -> EnsembleSpec:
+def _ensemble_spec(cfg: RunConfig, command: str) -> EnsembleSpec:
     params = cfg.params()  # before the starts: it rejects n_modes too large to allocate
+    if cfg.n_traj < 2:  # simulate runs one; the moment and distance statistics need two
+        raise ConfigError(f"line {cfg.lines['n_traj']}: {command} needs n_traj of at least 2")
+    if command == "mixing" and len(cfg.ics) < 2:  # the one start the file sets, if any
+        line = next((f"line {n}: " for key, n in cfg.lines.items() if key[:2] == "ic"), "")
+        raise ConfigError(f"{line}mixing needs two starts: ic1 and ic2 in [ensemble]")
     return EnsembleSpec(
         initial_conditions=[cfg.ic_array(i) for i in range(len(cfg.ics))],
         n_traj=cfg.n_traj,
@@ -88,8 +98,7 @@ def _cmd_simulate(cfg: RunConfig, header: list[str], out: Path, threads: int) ->
     if aborted:
         print("failure = trajectory_abort")
         for tid, t in aborted:
-            print(f"trajectory = {tid}")
-            print(f"time = {fmt_float(t)}")
+            print(block_text({"trajectory": tid, "time": t}), end="")
         return 1
     return 0
 
@@ -103,21 +112,17 @@ def _report(header: list[str], out: Path, name: str, csv: str, summary: str) -> 
 
 
 def _cmd_moments(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    spec = _ensemble_spec(cfg)
+    spec = _ensemble_spec(cfg, "moments")
     table = moment_bound(spec, threads=threads)
-    body = ["ic,t,estimate,stderr,n_traj,n_aborted"]
-    for i, (est, se, aborted) in enumerate(zip(table.estimate, table.stderr, table.n_aborted)):
-        body.append(
-            f"{i},{fmt_float(table.t)},{fmt_float(est)},{fmt_float(se)},"
-            f"{table.n_traj},{aborted}"
-        )
-    summary = [
-        f"max_ratio = {fmt_float(table.max_ratio)}",
-        f"ratio_ok = {int(table.ratio_ok)}",
-        f"ci_overlap_ok = {int(table.ci_overlap_ok)}",
-        f"uniform = {int(table.uniform)}",
-    ]
-    _report(header, out, "moments", "\n".join(body) + "\n", "\n".join(summary) + "\n")
+    csv = csv_text(["ic", "t", "estimate", "stderr", "n_traj", "n_aborted"], [
+        (i, table.t, est, se, table.n_traj, aborted)
+        for i, (est, se, aborted) in enumerate(zip(table.estimate, table.stderr, table.n_aborted))
+    ])
+    summary = block_text({
+        "max_ratio": table.max_ratio, "ratio_ok": table.ratio_ok,
+        "ci_overlap_ok": table.ci_overlap_ok, "uniform": table.uniform,
+    })
+    _report(header, out, "moments", csv, summary)
     if not table.uniform:
         print("failure = moment_uniformity")
         return 1
@@ -125,7 +130,7 @@ def _cmd_moments(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
 
 
 def _cmd_mixing(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    spec = _ensemble_spec(cfg)
+    spec = _ensemble_spec(cfg, "mixing")
     report = mixing_report(spec, cfg.resolved_times(), cfg.n_boot, threads=threads)
     _report(header, out, "mixing", report_csv(report), report_summary(report))
     if not (report.fit.identifiable and report.fit.ci_low > 0.0):
@@ -148,7 +153,7 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
         print("failure = no_common_component")
         return 1
     dprime = condition_b(kernel, k_set)
-    print(f"delta_prime = {fmt_float(dprime)}")
+    print(block_text({"delta_prime": dprime}), end="")
     if cert.m == 1 and dprime > 0.0:
         cert = dataclasses.replace(cert, delta_prime=dprime)
     block = certificate_text(cert)
@@ -156,12 +161,12 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
     print(block, end="")
     if cert.delta_prime is not None:
         eps = cert.delta * cert.delta_prime
-        print(f"contraction_factor = {fmt_float(contraction_check(kernel, cert))}")
+        print(block_text({"contraction_factor": contraction_check(kernel, cert)}), end="")
         # a tiny eps leaves 1 - eps == 1, and the bound 2 (1 - eps)^(k/2) at 2
         if 0.0 < 1.0 - eps < 1.0:
             gap = geometric_bound_check(kernel, cert)
             if gap is not None:  # None: mu_* is not resolvable in float64
-                print(f"geometric_gap = {fmt_float(gap)}")
+                print(block_text({"geometric_gap": gap}), end="")
     search = small_set_search(kernel, mu0)
     if search is None:
         print("search = none")
@@ -175,32 +180,20 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
 
 def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path) -> int:
     # the grid is unforced: its forcing_integral column keeps the file's layout
-    rows = ["q,c,y0,t,y_final,forcing_integral,corrected_bound,literal_bound,"
-            "corrected_holds,literal_holds"]
-    bad = 0
-    for q in cfg.ode_qs:
-        for c in cfg.ode_cs:
-            for y0 in cfg.ode_y0s:
-                for t in cfg.ode_ts:
-                    r = ode_comparison(q, c, y0, t)
-                    rows.append(
-                        f"{q},{fmt_float(c)},{fmt_float(y0)},{fmt_float(t)},{fmt_float(r.y_final)},"
-                        f"0.0,{fmt_float(r.corrected_bound)},"
-                        f"{fmt_float(r.literal_bound)},{int(r.corrected_holds)},"
-                        f"{int(r.literal_holds)}"
-                    )
-                    print(
-                        f"q = {q} c = {fmt_float(c)} y0 = {fmt_float(y0)} t = {fmt_float(t)} "
-                        f"corrected_holds = {int(r.corrected_holds)} "
-                        f"literal_holds = {int(r.literal_holds)}"
-                    )
-                    if not r.corrected_holds:
-                        bad += 1
-    _write(out / "odecheck.csv", header, "\n".join(rows) + "\n")
+    rows, bad = [], 0
+    for q, c, y0, t in itertools.product(cfg.ode_qs, cfg.ode_cs, cfg.ode_y0s, cfg.ode_ts):
+        r = ode_comparison(q, c, y0, t)
+        rows.append((q, c, y0, t, r.y_final, 0.0, r.corrected_bound, r.literal_bound,
+                     r.corrected_holds, r.literal_holds))
+        print(block_text({"q": q, "c": c, "y0": y0, "t": t, "corrected_holds": r.corrected_holds,
+                          "literal_holds": r.literal_holds}, sep=" "), end="")
+        bad += not r.corrected_holds
+    _write(out / "odecheck.csv", header, csv_text(
+        ["q", "c", "y0", "t", "y_final", "forcing_integral", "corrected_bound", "literal_bound",
+         "corrected_holds", "literal_holds"], rows))
     print(f"wrote = {out / 'odecheck.csv'}")
     if bad:
-        print("failure = corrected_bound")
-        print(f"count = {bad}")
+        print(block_text({"failure": "corrected_bound", "count": bad}), end="")
         return 1
     return 0
 
@@ -230,8 +223,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg.anchor_paths(args.config)
         header = [f"glmix {args.command}"] + cfg.resolved_lines()  # before any work
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path(args.out)  # made when the first file is written
         if args.command == "simulate":
             return _cmd_simulate(cfg, header, out, args.threads)
         if args.command == "moments":

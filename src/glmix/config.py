@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import DriftPolynomial, fmt_float, scaled_random_field
+from .field import DriftPolynomial, block_text, fmt_float, fmt_value, scaled_random_field
 from .integrator import SimulationParams, _grid_step, integer_times
 from .noise import NoiseSpectrum
 
@@ -107,7 +107,6 @@ def _row(kind, many=False, word=None, check=None):
     """(reader, writer) of an int or float, or of a nonempty list of them if
     many; word, if given, stands for None.  check(values, lineno, key) vets
     what was read, raising ConfigError."""
-    fmt = str if kind is int else fmt_float
 
     def read(value, lineno, key):
         if value == word:
@@ -117,12 +116,7 @@ def _row(kind, many=False, word=None, check=None):
             check(out if many else [out], lineno, key)
         return out
 
-    def write(value):
-        if value is None:
-            return word
-        return " ".join(map(fmt, value)) if many else fmt(value)
-
-    return read, write
+    return read, lambda value: word if value is None else fmt_value(value)
 
 
 def _finite(values, lineno, key):
@@ -214,7 +208,7 @@ class RunConfig:
     # written from resolved_times()
     times: list = _setting("ensemble", [], _row(float, many=True, check=_distinct_finite))
     n_boot: int = _setting("ensemble", 200, _row(int, check=_at_least(0)))
-    doeblin_kernel: str | None = _setting("doeblin", None, (_path, str), "kernel")
+    doeblin_kernel: str | None = _setting("doeblin", None, (_path, fmt_value), "kernel")
     doeblin_K: list | None = _setting(  # None: all states
         "doeblin", None, _row(int, many=True, word="all", check=_at_least(0)), "K")
     doeblin_m: int = _setting("doeblin", 1, _row(int, check=_at_least(1)), "m")
@@ -225,6 +219,8 @@ class RunConfig:
     ode_cs: list = _setting("odecheck", [1.0], _row(float, many=True, check=_positive), "cs")
     ode_y0s: list = _setting("odecheck", [10.0], _row(float, many=True, check=_positive), "y0s")
     ode_ts: list = _setting("odecheck", [0.5], _row(float, many=True, check=_positive), "ts")
+    # key -> line number of each key the file sets (no two sections share a key)
+    lines: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def anchor_paths(self, config_path) -> None:
         """Resolve a relative [doeblin] kernel against the directory of the
@@ -266,15 +262,14 @@ class RunConfig:
         for name, rows in _SECTIONS.items():
             if name == "doeblin" and self.doeblin_kernel is None:
                 continue
-            body = []
-            for key, (attr, _, write) in rows.items():
-                value = self.resolved_times() if key == "times" else getattr(self, attr)
-                body.append(f"{key} = {write(value)}")
+            starts = self.ics if name == "ensemble" else []  # before the plain keys
+            values = {f"ic{j + 1}": ic for j, ic in enumerate(starts)}
+            values.update(
+                (key, write(self.resolved_times() if key == "times" else getattr(self, attr)))
+                for key, (attr, _, write) in rows.items())
             if name == "model":
-                body += [f"q{k} = {fmt_float(v)}" for k, v in sorted(self.q_overrides.items())]
-            if name == "ensemble":
-                body[:0] = [f"ic{j + 1} = {spec}" for j, spec in enumerate(self.ics)]
-            lines += ["", f"[{name}]", *body]
+                values.update((f"q{k}", v) for k, v in sorted(self.q_overrides.items()))
+            lines += ["", f"[{name}]", *block_text(values).splitlines()]
         return lines[1:]
 
 
@@ -298,7 +293,7 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
         if not 0 <= radius < math.inf:  # NaN included
             raise ConfigError(f"line {lineno}: key {key!r} has a radius that is "
                               "not finite and nonnegative")
-        return "scaled-random:" + fmt_float(radius)
+        return "scaled-random:" + fmt_value(radius)
     coeffs = _parse_list(float, value, lineno, key)
     if len(coeffs) != 2 * n_modes + 1:
         raise ConfigError(
@@ -307,7 +302,7 @@ def _canonical_ic(value: str, lineno: int, key: str, n_modes: int) -> str:
         )
     if not all(map(math.isfinite, coeffs)):
         raise ConfigError(f"line {lineno}: key {key!r} lists a non-finite coefficient")
-    return " ".join(fmt_float(c) for c in coeffs)
+    return fmt_value(coeffs)
 
 
 def resolve_config(text: str) -> RunConfig:
@@ -324,6 +319,7 @@ def resolve_config(text: str) -> RunConfig:
         if sec is None:
             continue
         for key, (value, lineno) in sec.entries.items():
+            cfg.lines[key] = lineno
             if key in rows:
                 attr, read, _ = rows[key]
                 setattr(cfg, attr, read(value, lineno, key))
@@ -350,20 +346,19 @@ def resolve_config(text: str) -> RunConfig:
             _canonical_ic(value, lineno, key, cfg.n_modes)
             for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
         ]
-    gamma = sections.get("ensemble") and sections["ensemble"].entries.get("gamma")
-    if gamma:
+    if "gamma" in cfg.lines:
         # below this, row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma)
         # (rescaled to at most 1) with no overflow; l_N = 1 + 4 pi^2 N^2
-        n = cfg.n_modes
+        lineno, n = cfg.lines["gamma"], cfg.n_modes
         log_l = 2.0 * math.log(n) + math.log(4.0 * math.pi**2 + 1 / n**2)
         if math.log(2 * n + 1) + 2.0 * cfg.gamma * log_l >= math.log(np.finfo(float).max):
-            raise ConfigError(f"line {gamma[1]}: gamma = {fmt_float(cfg.gamma)} makes the norm "
+            raise ConfigError(f"line {lineno}: gamma = {fmt_float(cfg.gamma)} makes the norm "
                               f"weight l_N^(2 gamma) of n_modes = {n} overflow")
         if cfg.gamma > cfg.alpha:
-            raise ConfigError(f"line {gamma[1]}: gamma = {fmt_float(cfg.gamma)} exceeds the "
+            raise ConfigError(f"line {lineno}: gamma = {fmt_float(cfg.gamma)} exceeds the "
                               f"noise decay exponent alpha = {fmt_float(cfg.alpha)}")
     if cfg.times and 0 < cfg.dt <= 1:  # SimulationParams refuses any other dt
-        lineno = sections["ensemble"].entries["times"][1]
+        lineno = cfg.lines["times"]
         last = _grid_step(cfg.t_final, cfg.dt)
         for t in cfg.times:
             n = _grid_step(t, cfg.dt)

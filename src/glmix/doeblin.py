@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import fmt_float
+from .field import block_text, fmt_float, fmt_value
 
 __all__ = [
     "FiniteKernel",
@@ -359,11 +359,8 @@ def drift_condition_check(kernel: FiniteKernel, v, k, c: float, lam: float) -> l
 
 def write_kernel(path, kernel: FiniteKernel) -> None:
     """Write a kernel as plain text: first line n, then n rows of n decimals."""
-    lines = [str(kernel.n)]
-    for row in kernel.rows:
-        lines.append(" ".join(fmt_float(x) for x in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(fmt_value(v) + "\n" for v in (kernel.n, *kernel.rows)))
 
 
 def read_kernel(path) -> FiniteKernel:
@@ -409,15 +406,10 @@ def read_kernel(path) -> FiniteKernel:
 
 def certificate_text(cert: SmallSetCertificate) -> str:
     """Render a certificate as a key = value text block."""
-    lines = [
-        "K = " + " ".join(str(x) for x in cert.K),
-        f"m = {cert.m}",
-        f"delta = {fmt_float(cert.delta)}",
-        "nu = " + " ".join(fmt_float(w) for w in cert.nu),
-    ]
+    values = {"K": cert.K, "m": cert.m, "delta": cert.delta, "nu": cert.nu}
     if cert.delta_prime is not None:
-        lines.append(f"delta_prime = {fmt_float(cert.delta_prime)}")
-    return "\n".join(lines) + "\n"
+        values["delta_prime"] = cert.delta_prime
+    return block_text(values)
 
 
 def parse_certificate(text: str) -> SmallSetCertificate:

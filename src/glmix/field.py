@@ -28,6 +28,12 @@ points mode k' aliases onto k' - M, which for k' <= qN lands below -N
 whenever M > (q+1)N.  Truncation back to N modes therefore equals the exact
 coefficient convolution (Orszag's rule for products of degree q), although
 the aliased modes above N are wrong.
+
+The module also holds the one rule for writing a value, fmt_value: a truth
+value as 0 or 1, an integer in digits, a float as the shortest text that
+reads back as the same float (fmt_float), a string as itself, a sequence
+space-separated.  csv_text and block_text render every CSV table and
+key = value block a run writes or prints with it.
 """
 
 from __future__ import annotations
@@ -319,5 +325,31 @@ def sup_norm_values(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def fmt_float(x: float) -> str:
-    """Shortest text that reads back as the same float: every written number."""
+    """Shortest text that reads back as the same float."""
     return repr(float(x))
+
+
+def fmt_value(v) -> str:
+    """The one rule for a written value: a truth value as 0 or 1, an integer
+    in digits, a float by fmt_float, a string as itself, and any other
+    sequence as its values space-separated.  numpy scalars count as theirs."""
+    if isinstance(v, (bool, np.bool_)):  # before int: a bool is an int
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    if isinstance(v, str):
+        return v
+    return " ".join(map(fmt_value, v))
+
+
+def csv_text(names, rows) -> str:
+    """CSV text: the names line, then one line of fmt_value cells per row."""
+    return "".join(",".join(map(fmt_value, row)) + "\n" for row in (names, *rows))
+
+
+def block_text(values: dict, sep: str = "\n") -> str:
+    """'key = value' text of a dict, each value by fmt_value, joined by sep
+    and ended by a newline."""
+    return sep.join(f"{k} = {fmt_value(v)}" for k, v in values.items()) + "\n"

@@ -44,6 +44,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 
@@ -483,20 +484,21 @@ def write_trajectory_csv(
     """Write integer-time records as CSV with a '#'-prefixed header block.
 
     results is any iterable of EnsembleResult objects, consumed lazily:
-    the file is opened once the first ensemble exists, each ensemble's rows
-    are written before the next is taken, and the writer keeps no reference
-    to an ensemble it has written.  Rows carry a trajectory column.  Each
-    result is written in groups of whole trajectories (at least one), and a
-    group's rows go to the file before the next group is formed.  A group's
-    transient arrays fit in _SLAB_BYTES // 16 (1 MB): its finite rows, their
-    three norms, and the sup-norm grid, half spectrum and |grid|.  So the
-    writer holds one group besides the ensemble it is writing, and the text
-    does not depend on how the trajectories are split into ensembles or
-    groups.  norm_sup is the field.sup_norm_values grid maximum (8 points
-    per mode, at least 64 points).  Every number is its repr, as fmt_float
-    writes it.  Aborted spans appear as rows with aborted = 1 and empty
-    numeric fields.  If results fails after the file is opened, the partial
-    file is removed.  Returns None.
+    the file and its directory are made once the first ensemble exists, each
+    ensemble's rows are written before the next is taken, and the writer
+    keeps no reference to an ensemble it has written.  Rows carry a
+    trajectory column.  Each result is written in groups of whole
+    trajectories (at least one), and a group's rows go to the file before
+    the next group is formed.  A group's transient arrays fit in
+    _SLAB_BYTES // 16 (1 MB): its finite rows, their three norms, and the
+    sup-norm grid, half spectrum and |grid|.  So the writer holds one group
+    besides the ensemble it is writing, and the text does not depend on how
+    the trajectories are split into ensembles or groups.  norm_sup is the
+    field.sup_norm_values grid maximum (8 points per mode, at least 64
+    points).  Every cell is what field.fmt_value writes, by a %d/%r format
+    string (the hot loop's own copy of the rule).  Aborted spans appear as
+    rows with aborted = 1 and empty numeric fields.  If results fails after
+    the file is opened, the partial file is removed.  Returns None.
     """
     ensembles = iter(results)
     ens = next(ensembles, None)
@@ -532,6 +534,7 @@ def write_trajectory_csv(
             )))
             fh.write("".join(rows.ravel().tolist()))
 
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w")
     try:
         with fh:

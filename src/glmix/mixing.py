@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random
 
-from .field import eigenvalues, fmt_float, row_norms
+from .field import block_text, csv_text, eigenvalues, fmt_float, row_norms
 from .integrator import SimulationParams, run_ensemble
 
 __all__ = [
@@ -401,26 +401,15 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
 
 def report_csv(report: MixingReport) -> str:
     """CSV body of the distance track: t, distance, stderr."""
-    lines = ["t,distance,stderr"]
-    for j in range(report.times.size):
-        lines.append(
-            f"{fmt_float(report.times[j])},{fmt_float(report.distances[j])},"
-            f"{fmt_float(report.distance_stderr[j])}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(["t", "distance", "stderr"],
+                    zip(report.times, report.distances, report.distance_stderr))
 
 
 def report_summary(report: MixingReport) -> str:
     """Key = value summary block of the fitted decay."""
     fit = report.fit
-    lines = [
-        f"lambda = {fmt_float(fit.lam)}",
-        f"lambda_ci_low = {fmt_float(fit.ci_low)}",
-        f"lambda_ci_high = {fmt_float(fit.ci_high)}",
-        f"C = {fmt_float(fit.intercept)}",
-        f"floor = {fmt_float(fit.floor)}",
-        f"n_used = {fit.n_used}",
-        f"identifiable = {int(fit.identifiable)}",
-        f"ci_method = {fit.method}",
-    ]
-    return "\n".join(lines) + "\n"
+    return block_text({
+        "lambda": fit.lam, "lambda_ci_low": fit.ci_low, "lambda_ci_high": fit.ci_high,
+        "C": fit.intercept, "floor": fit.floor, "n_used": fit.n_used,
+        "identifiable": fit.identifiable, "ci_method": fit.method,
+    })

@@ -9,6 +9,7 @@ certificate toolkit shows up here as a byte-level diff.
 
 import contextlib
 import decimal
+import hashlib
 import io
 import math
 import os
@@ -111,6 +112,33 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 QUICK_START = [("simulate", "simulate_small", 0), ("moments", "moments_uniform", 0),
                ("mixing", "mixing_small", 1), ("doeblin", "doeblin_two_state", 0),
                ("odecheck", "odecheck_grid", 0)]
+# sha256 of each quick-start file (its kernel path masked) and of its stdout
+# less the 'wrote =' lines; simulate prints nothing else
+QUICK_START_SHA256 = {
+    "simulate": {
+        "trajectories.csv": "c9dd9b6cec30e33263dd203ece177c48b0f49cfad6b68854c78c63c699897485",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "moments": {
+        "moments.csv": "aa64b752f63e1be129c67bd7c66133e7ff5396b35695d76b71d273ad6cf28d95",
+        "moments_summary.txt": "7c525f371c523c6d93bdee8719c91c730c3e04fdc80a75aace6e1a2a57059064",
+        "stdout": "8444fdfee73cfcf100a68b481591829a37239a1b58aa6e5034a67c7cd2d31e71",
+    },
+    "mixing": {
+        "mixing.csv": "5a9ad2efe81404e660e1017295620a01efa1b1f8de2f12efb5ae19e05405c586",
+        "mixing_summary.txt": "fefc9d969e2f6db239d5258f61b410deb847450919eb352b227b661a105cf9c7",
+        "stdout": "98b954f4e5fd0d7461aa49fb3bae71041164c9f741dd07dd69e355d8e05ecd8c",
+    },
+    "doeblin": {
+        "certificate.txt": "13e60acf9e0625e488e11e1918897c4303e53742696204f42f23ffbdc2f55864",
+        "search_certificate.txt": "de09ae1b7d0e1cf74a3462635ce209d183d24470ad261c6fc0c7f1702dc73c89",
+        "stdout": "b0b66925bbfcac49cc38e27f9f467548d8b7d8528648df0adda495a6e1861d45",
+    },
+    "odecheck": {
+        "odecheck.csv": "682ad8d2ca6aafd54cdb9269d135e873d513624bfe24984ef92247324302ff6a",
+        "stdout": "ac0351e8009faada01d5dd9956bcc8e52badba2f3278ffdf32026fc10949acfd",
+    },
+}
 
 
 def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use(tmp_path):
@@ -143,14 +171,22 @@ def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use(tmp_path):
     run = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     assert run.stdout.splitlines() == [str([want for _, _, want in QUICK_START])]
+    # the doeblin header names its kernel by absolute path, masked in the pins
+    kernel = str((configs.parent / "data" / "two_state.txt").resolve()).encode()
     for sub, cfg, want in QUICK_START:
         normal = tmp_path / "normal" / sub
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
             assert main([sub, "--config", str(configs / f"{cfg}.cfg"), "--out", str(normal)]) == want
         names = sorted(f.name for f in normal.iterdir())
         assert sorted(f.name for f in (tmp_path / "no_scipy" / sub).iterdir()) == names
         for name in names:
             assert (tmp_path / "no_scipy" / sub / name).read_bytes() == (normal / name).read_bytes()
+        stdout = "".join(l for l in printed.getvalue().splitlines(True)
+                         if not l.startswith("wrote = "))
+        digests = {name: hashlib.sha256((normal / name).read_bytes().replace(kernel, b"<kernel>"))
+                   .hexdigest() for name in names}
+        digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert digests == QUICK_START_SHA256[sub]
 
 
 def test_mixing_call_loads_no_numpy_ma(tmp_path):
@@ -1198,6 +1234,43 @@ def test_p_below_one_and_gamma_above_alpha_name_their_line(tmp_path, capsys, sub
     assert not (tmp_path / "out").exists()
 
 
+# moments and mixing took n_traj = 1 and one start from the config rows, and
+# refused them later as 'error = validation' with no line number; simulate
+# runs n_traj = 1 (test_simulate_writes_finite_norms_for_a_start_whose_squares_overflow)
+ONE_TRAJ = "[model]\nn_modes = 2\n\n[ensemble]\nn_traj = 1\n"
+ONE_START = "[model]\nn_modes = 2\nt_final = 4\n\n[ensemble]\nic1 = zero\nn_traj = 4\n"
+
+
+@pytest.mark.parametrize("sub, cfg, message", [
+    ("moments", ONE_TRAJ, "line 5: moments needs n_traj of at least 2"),
+    ("mixing", ONE_TRAJ + "ic1 = zero\nic2 = zero\n", "line 5: mixing needs n_traj of at least 2"),
+    ("mixing", ONE_START, "line 6: mixing needs two starts: ic1 and ic2 in [ensemble]"),
+    ("mixing", ONE_START.replace("ic1", "ic3"),
+     "line 6: mixing needs two starts: ic1 and ic2 in [ensemble]"),
+    ("mixing", "[model]\nn_modes = 2\nt_final = 4\n",
+     "mixing needs two starts: ic1 and ic2 in [ensemble]"),
+], ids=["moments_n_traj", "mixing_n_traj", "mixing_ic1", "mixing_ic3", "mixing_default_start"])
+def test_one_trajectory_or_one_mixing_start_names_its_line(tmp_path, capsys, sub, cfg, message):
+    text = run_exit_two(tmp_path, capsys, [sub], cfg)
+    assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_runs_make_no_out_directory(tmp_path, capsys):
+    # main made --out before dispatch, so each refusal left it behind, empty
+    for sub, cfg in [("simulate", "[model]\ndt = 0.3\n"), ("moments", "[model]\nt_final = 0.5\n"),
+                     ("moments", ONE_TRAJ), ("mixing", ONE_START)]:
+        run_exit_two(tmp_path, capsys, [sub], cfg)
+        assert not (tmp_path / "out").exists(), (sub, cfg)
+    # a kernel with no common component: doeblin exits 1 having written nothing
+    kernel = tmp_path / "identity.txt"
+    kernel.write_text("2\n1.0 0.0\n0.0 1.0\n")
+    cfg = write_cfg(tmp_path, f"[doeblin]\nkernel = {kernel}\n")
+    assert main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == "failure = no_common_component\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["simulate", "--threads", "x"], "--threads"), (["bogus"], "bogus"),
     (["simulate", "--nope", "1"], "--nope"), ([], "command"),
@@ -1257,7 +1330,7 @@ def test_modes_beyond_memory_exit_two(tmp_path, capsys):
             text = run_exit_two(tmp_path, capsys, [sub], cfg.format(n_traj))
             assert text == ("error = validation\n"
                             f"n_traj = {n_traj} has more trajectories than memory holds\n")
-            assert not any((tmp_path / "out").iterdir())
+            assert not (tmp_path / "out").exists()
 
 
 def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):

@@ -19,9 +19,13 @@ from glmix.field import (
     DriftPolynomial,
     apply_semigroup,
     basis_field,
+    block_text,
     coeffs_to_values,
+    csv_text,
     dealias_points,
     eigenvalues,
+    fmt_float,
+    fmt_value,
     mode_numbers,
     norm_gamma,
     scaled_random_field,
@@ -417,3 +421,29 @@ def test_coeffs_to_values_batched_shapes():
         coeffs_out = np.empty_like(want)
         assert values_to_coeffs(out, 4, out=coeffs_out, spectrum=spectrum) is coeffs_out
         assert np.array_equal(coeffs_out, want)
+
+
+def test_fmt_value_is_the_one_writing_rule():
+    # a bool is an int, and numpy's bool and integer scalars are neither
+    cases = [
+        (True, "1"), (False, "0"), (np.True_, "1"), (np.False_, "0"),
+        (7, "7"), (np.int64(-12), "-12"), (np.int64(2**63 - 1), "9223372036854775807"),
+        (0.1, fmt_float(0.1)), (np.float64(1e300), fmt_float(1e300)),
+        (math.nan, fmt_float(math.nan)), (-math.inf, fmt_float(-math.inf)),
+        (-0.0, fmt_float(-0.0)), (np.float64(-0.0), "-0.0"),
+        ("scaled-random:1.0", "scaled-random:1.0"), ("", ""),
+        ((0, 2, 5), "0 2 5"), ([], ""), (np.array([0.5, -0.0, 2.0]), "0.5 -0.0 2.0"),
+        (np.array([3, 4], dtype=np.int64), "3 4"),
+    ]
+    for value, text in cases:
+        assert fmt_value(value) == text, value
+    assert fmt_float(-math.inf) == "-inf" and fmt_float(math.nan) == "nan"
+
+
+def test_renderers_write_every_value_by_fmt_value():
+    rows = [(0, 1.0, np.float64(0.25), np.int64(3), np.False_), (1, 2.0, math.nan, 0, True)]
+    assert csv_text(["i", "t", "d", "n", "ok"], rows) == (
+        "i,t,d,n,ok\n0,1.0,0.25,3,0\n1,2.0,nan,0,1\n")
+    values = {"K": (0, 1), "m": 1, "nu": np.array([0.5, 0.5]), "ok": np.True_, "method": "ols"}
+    assert block_text(values) == "K = 0 1\nm = 1\nnu = 0.5 0.5\nok = 1\nmethod = ols\n"
+    assert block_text(values, sep=" ") == "K = 0 1 m = 1 nu = 0.5 0.5 ok = 1 method = ols\n"

@@ -26,6 +26,7 @@ import oracles
 from glmix.field import (
     DriftPolynomial,
     eigenvalues,
+    fmt_value,
     norm_gamma,
     row_norms,
     scaled_random_field,
@@ -671,6 +672,29 @@ def test_trajectory_csv_marks_aborted_rows(tmp_path):
         fields = row.split(",")
         assert fields[5] == "1"
         assert all(v == "" for v in fields[2:5] + fields[6:])
+
+
+def test_trajectory_csv_cells_are_fmt_value_of_their_numbers(tmp_path):
+    # the writer's %d/%r format string is its own copy of the one writing rule:
+    # ids and the aborted flag in digits, every float by its repr
+    results = writer_results(4)
+    write_trajectory_csv(tmp_path / "a.csv", results, 1.0, [])
+    want = []
+    for ens in results:
+        finite = np.all(np.isfinite(ens.states), axis=-1)
+        u = ens.states[finite]  # trajectory-major, as the file is
+        norms = iter(zip(row_norms(u, 0.0), row_norms(u, 1.0), sup_norm_values(u, 4), u[:, :6]))
+        for tid, rows_finite in zip(ens.traj_ids, finite):
+            for t, ok in zip(ens.times, rows_finite):
+                if ok:
+                    n0, n1, nsup, coeffs = next(norms)
+                    cells = [tid, t, n0, n1, nsup, False, *coeffs]
+                else:
+                    cells = [tid, t, "", "", "", True, *[""] * 6]
+                want.append(",".join(map(fmt_value, cells)))
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    assert "1" in {row.split(",")[5] for row in rows}  # trajectory 2's aborted span
+    assert rows == want
 
 
 def writer_results(n_modes):
