@@ -5,10 +5,11 @@ config module), writes its outputs under --out with the fully resolved
 configuration echoed as '#' comment lines in each file header, and prints a
 machine-readable key = value account of what happened; every value in them
 is written by field.fmt_value.  --out is made by the first file written, so
-a run that writes none leaves no directory.  Exit codes: 0 when
-every enabled check passed, 1 when a check failed (the output files are
-still written), 2 for configuration or validation errors and for a bad
-command line (error = usage).
+a run that writes none leaves no directory.  Exit 0: every enabled check
+passed; 1: a check failed (the output files are still written); 2: a bad
+command line (error = usage), a refused config value (error = config naming
+its line; the model, gamma, p and times alike under all five subcommands),
+or a bad kernel file, --out or float range (error = validation).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .doeblin import (
     search_weights,
     small_set_search,
 )
-from .field import block_text, csv_text
+from .field import SettingError, block_text, csv_text
 from .integrator import (
     BLOCK_ROWS,
     ensemble_workers,
@@ -57,24 +58,12 @@ def _write(path: Path, header_lines: list[str], body: str) -> None:
     path.write_text(text)
 
 
-def _ensemble_spec(cfg: RunConfig, command: str) -> EnsembleSpec:
-    params = cfg.params()  # before the starts: it rejects n_modes too large to allocate
-    if cfg.n_traj < 2:  # simulate runs one; the moment and distance statistics need two
-        raise ConfigError(f"line {cfg.lines['n_traj']}: {command} needs n_traj of at least 2")
-    if command == "mixing" and len(cfg.ics) < 2:  # the one start the file sets, if any
-        line = next((f"line {n}: " for key, n in cfg.lines.items() if key[:2] == "ic"), "")
-        raise ConfigError(f"{line}mixing needs two starts: ic1 and ic2 in [ensemble]")
-    return EnsembleSpec(
-        initial_conditions=[cfg.ic_array(i) for i in range(len(cfg.ics))],
-        n_traj=cfg.n_traj,
-        params=params,
-        gamma=cfg.gamma,
-        p=cfg.p,
-    )
+def _ensemble_spec(cfg: RunConfig) -> EnsembleSpec:
+    ics = [cfg.ic_array(i) for i in range(len(cfg.ics))]
+    return EnsembleSpec(ics, cfg.n_traj, cfg.model, cfg.gamma, cfg.p)
 
 
 def _cmd_simulate(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    params = cfg.params()
     # one block per pool worker: each chunk's rows are written before the next
     # chunk is stepped, so memory does not grow with n_traj
     chunk = ensemble_workers(threads) * BLOCK_ROWS
@@ -86,7 +75,7 @@ def _cmd_simulate(cfg: RunConfig, header: list[str], out: Path, threads: int) ->
             end = (i + 1) * cfg.n_traj
             for lo in range(i * cfg.n_traj, end, chunk):
                 ids = np.arange(lo, min(lo + chunk, end), dtype=np.int64)
-                ens = run_ensemble(x, params, ids, threads=threads)
+                ens = run_ensemble(x, cfg.model, ids, threads=threads)
                 for j in np.flatnonzero(ens.aborted):
                     aborted.append((int(ens.traj_ids[j]), float(ens.abort_times[j])))
                 yield ens
@@ -112,7 +101,7 @@ def _report(header: list[str], out: Path, name: str, csv: str, summary: str) -> 
 
 
 def _cmd_moments(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    spec = _ensemble_spec(cfg, "moments")
+    spec = _ensemble_spec(cfg)
     table = moment_bound(spec, threads=threads)
     csv = csv_text(["ic", "t", "estimate", "stderr", "n_traj", "n_aborted"], [
         (i, table.t, est, se, table.n_traj, aborted)
@@ -130,7 +119,7 @@ def _cmd_moments(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
 
 
 def _cmd_mixing(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    spec = _ensemble_spec(cfg, "mixing")
+    spec = _ensemble_spec(cfg)
     report = mixing_report(spec, cfg.resolved_times(), cfg.n_boot, threads=threads)
     _report(header, out, "mixing", report_csv(report), report_summary(report))
     if not (report.fit.identifiable and report.fit.ci_low > 0.0):
@@ -139,7 +128,7 @@ def _cmd_mixing(cfg: RunConfig, header: list[str], out: Path, threads: int) -> i
     return 0
 
 
-def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
+def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
     if cfg.doeblin_kernel is None:
         raise ConfigError("doeblin requires a [doeblin] section with a kernel key")
     kernel = read_kernel(cfg.doeblin_kernel)
@@ -178,7 +167,7 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path) -> int:
     return 0
 
 
-def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path) -> int:
+def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
     # the grid is unforced: its forcing_integral column keeps the file's layout
     rows, bad = [], 0
     for q, c, y0, t in itertools.product(cfg.ode_qs, cfg.ode_cs, cfg.ode_y0s, cfg.ode_ts):
@@ -198,6 +187,11 @@ def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path) -> int:
     return 0
 
 
+# each takes (cfg, header, out, threads); doeblin and odecheck run on one thread
+_COMMANDS = {"simulate": _cmd_simulate, "moments": _cmd_moments, "mixing": _cmd_mixing,
+             "doeblin": _cmd_doeblin, "odecheck": _cmd_odecheck}
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="glmix",
@@ -205,7 +199,7 @@ def main(argv=None) -> int:
         "minorization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "moments", "mixing", "doeblin", "odecheck"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="configuration file path")
         sp.add_argument("--out", default=".", help="output directory")
@@ -224,22 +218,15 @@ def main(argv=None) -> int:
             cfg.anchor_paths(args.config)
         header = [f"glmix {args.command}"] + cfg.resolved_lines()  # before any work
         out = Path(args.out)  # made when the first file is written
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, header, out, args.threads)
-        if args.command == "moments":
-            return _cmd_moments(cfg, header, out, args.threads)
-        if args.command == "mixing":
-            return _cmd_mixing(cfg, header, out, args.threads)
-        if args.command == "doeblin":
-            return _cmd_doeblin(cfg, header, out)
-        return _cmd_odecheck(cfg, header, out)
-    except ConfigError as err:
-        print("error = config")
-        print(str(err))
-        return 2
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"--out {out}: {nearest} exists and is not a directory")
+        return _COMMANDS[args.command](cfg, header, out, args.threads)
     except (ValueError, OSError) as err:
-        print("error = validation")
-        print(str(err))
+        if isinstance(err, SettingError):  # refused after resolve_config, which names its own
+            err = cfg.refusal(err)
+        print("error = config" if isinstance(err, ConfigError) else "error = validation")
+        print(err)
         return 2
 
 

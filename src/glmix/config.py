@@ -14,10 +14,10 @@ fields; the library objects a run builds hold no defaults of their own.
 Two keys follow a pattern: q<k> in [model] overrides the noise amplitude
 of mode k (0 <= k <= n_modes), and ic<k> in [ensemble] is a start: 'zero',
 'scaled-random:R', or an explicit list of 2 n_modes + 1 coefficients.
-Each index appears once (q1 and q01 clash).  A key checked against another
-(q<k> and ic<k> against n_modes, gamma against alpha and n_modes, times
-against dt and t_final) is refused naming its own line, under every
-subcommand.
+Each index appears once (q1 and q01 clash).  resolve_config builds the
+model, RunConfig.model, and checks gamma, p and the report times against
+it, so all five subcommands refuse the same configs; such a check lives in
+the library, and RunConfig.refusal names the line of the key it refuses.
 RunConfig.anchor_paths, which the CLI calls, resolves a relative [doeblin]
 kernel path against the config file's directory.
 
@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import DriftPolynomial, block_text, fmt_float, fmt_value, scaled_random_field
-from .integrator import SimulationParams, _grid_step, integer_times
+from .field import DriftPolynomial, SettingError, block_text, fmt_value, scaled_random_field
+from .integrator import SimulationParams, integer_times, record_steps
+from .mixing import check_weighting
 from .noise import NoiseSpectrum
 
 __all__ = ["ConfigError", "RunConfig", "resolve_config"]
@@ -85,15 +86,10 @@ def parse_config_text(text: str) -> dict[str, _Section]:
 
 def _parse_scalar(kind, value: str, lineno, key: str):
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        return kind(value)  # int or float
     except ValueError:
-        pass
-    raise ConfigError(
-        f"line {lineno}: key {key!r} expects a {kind.__name__}, got {value!r}"
-    )
+        raise ConfigError(f"line {lineno}: key {key!r} expects a {kind.__name__}, "
+                          f"got {value!r}") from None
 
 
 def _parse_list(kind, value: str, lineno, key: str) -> list:
@@ -124,14 +120,6 @@ def _finite(values, lineno, key):
         raise ConfigError(f"line {lineno}: {key} must be finite")
 
 
-def _distinct_finite(values, lineno, key):
-    _finite(values, lineno, key)
-    ordered = sorted(values)
-    twice = [a for a, b in zip(ordered, ordered[1:]) if a == b]
-    if twice:
-        raise ConfigError(f"line {lineno}: {key} lists {fmt_float(twice[0])} twice")
-
-
 def _positive(values, lineno, key):
     _finite(values, lineno, key)
     if min(values) <= 0:
@@ -153,11 +141,6 @@ def _at_least(least):
         if min(values) < least:
             raise ConfigError(f"line {lineno}: {key} must be at least {least}")
     return check
-
-
-def _finite_from_one(values, lineno, key):
-    _finite(values, lineno, key)
-    _at_least(1)(values, lineno, key)
 
 
 def _path(value, lineno, key):
@@ -188,7 +171,7 @@ class RunConfig:
     """Fully resolved run settings, each declared once: a field made by
     _setting is a plain key; q_overrides and ics hold q<k> and ic<k>."""
 
-    n_modes: int = _setting("model", 32, _row(int, check=_at_least(1)))
+    n_modes: int = _setting("model", 32, _row(int))
     dt: float = _setting("model", 1.0 / 256.0, _row(float))
     t_final: float = _setting("model", 1.0, _row(float))
     poly: list | None = _setting(  # None: no drift polynomial
@@ -204,9 +187,9 @@ class RunConfig:
     ics: list = dataclass_field(default_factory=lambda: ["zero"])
     n_traj: int = _setting("ensemble", 100, _row(int, check=_at_least(1)))
     gamma: float = _setting("ensemble", 1.0, _row(float, check=_finite))
-    p: float = _setting("ensemble", 2.0, _row(float, check=_finite_from_one))
+    p: float = _setting("ensemble", 2.0, _row(float, check=_finite))
     # written from resolved_times()
-    times: list = _setting("ensemble", [], _row(float, many=True, check=_distinct_finite))
+    times: list = _setting("ensemble", [], _row(float, many=True, check=_finite))
     n_boot: int = _setting("ensemble", 200, _row(int, check=_at_least(0)))
     doeblin_kernel: str | None = _setting("doeblin", None, (_path, fmt_value), "kernel")
     doeblin_K: list | None = _setting(  # None: all states
@@ -219,8 +202,11 @@ class RunConfig:
     ode_cs: list = _setting("odecheck", [1.0], _row(float, many=True, check=_positive), "cs")
     ode_y0s: list = _setting("odecheck", [10.0], _row(float, many=True, check=_positive), "y0s")
     ode_ts: list = _setting("odecheck", [0.5], _row(float, many=True, check=_positive), "ts")
-    # key -> line number of each key the file sets (no two sections share a key)
+    # key -> line number of each key the file sets, q<k> and ic<k> as the
+    # header writes them (no two sections share a key)
     lines: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
+    model: SimulationParams | None = dataclass_field(  # params(), as resolve_config built it
+        default=None, init=False, compare=False, repr=False)
 
     def anchor_paths(self, config_path) -> None:
         """Resolve a relative [doeblin] kernel against the directory of the
@@ -241,10 +227,14 @@ class RunConfig:
             seed=self.seed, blowup_guard=self.blowup_guard,
         )
 
+    def refusal(self, err: SettingError) -> ConfigError:
+        """err naming the line of the first of its keys the file sets."""
+        keys = (err.key,) if isinstance(err.key, str) else err.key
+        line = next((f"line {self.lines[k]}: " for k in keys if k in self.lines), "")
+        return ConfigError(f"{line}{err}")
+
     def resolved_times(self) -> list[float]:
-        if self.times:
-            return [float(t) for t in self.times]
-        return [float(t) for t in integer_times(self.t_final)[1:]]
+        return [float(t) for t in (self.times or integer_times(self.t_final)[1:])]
 
     def ic_array(self, i: int) -> np.ndarray:
         spec = self.ics[i]
@@ -319,8 +309,8 @@ def resolve_config(text: str) -> RunConfig:
         if sec is None:
             continue
         for key, (value, lineno) in sec.entries.items():
-            cfg.lines[key] = lineno
             if key in rows:
+                cfg.lines[key] = lineno
                 attr, read, _ = rows[key]
                 setattr(cfg, attr, read(value, lineno, key))
                 continue
@@ -338,34 +328,18 @@ def resolve_config(text: str) -> RunConfig:
 
     for k, (value, lineno, key) in indexed["model"].items():
         cfg.q_overrides[k] = _parse_scalar(float, value, lineno, key)
+        cfg.lines[f"q{k}"] = lineno
         if k > cfg.n_modes:
             raise ConfigError(f"line {lineno}: {key} override is outside 0..n_modes "
                               f"= {cfg.n_modes}")
-    if indexed["ensemble"]:
-        cfg.ics = [
-            _canonical_ic(value, lineno, key, cfg.n_modes)
-            for _, (value, lineno, key) in sorted(indexed["ensemble"].items())
-        ]
-    if "gamma" in cfg.lines:
-        # below this, row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma)
-        # (rescaled to at most 1) with no overflow; l_N = 1 + 4 pi^2 N^2
-        lineno, n = cfg.lines["gamma"], cfg.n_modes
-        log_l = 2.0 * math.log(n) + math.log(4.0 * math.pi**2 + 1 / n**2)
-        if math.log(2 * n + 1) + 2.0 * cfg.gamma * log_l >= math.log(np.finfo(float).max):
-            raise ConfigError(f"line {lineno}: gamma = {fmt_float(cfg.gamma)} makes the norm "
-                              f"weight l_N^(2 gamma) of n_modes = {n} overflow")
-        if cfg.gamma > cfg.alpha:
-            raise ConfigError(f"line {lineno}: gamma = {fmt_float(cfg.gamma)} exceeds the "
-                              f"noise decay exponent alpha = {fmt_float(cfg.alpha)}")
-    if cfg.times and 0 < cfg.dt <= 1:  # SimulationParams refuses any other dt
-        lineno = cfg.lines["times"]
-        last = _grid_step(cfg.t_final, cfg.dt)
-        for t in cfg.times:
-            n = _grid_step(t, cfg.dt)
-            if n is None:
-                raise ConfigError(f"line {lineno}: times lists {fmt_float(t)}, which is "
-                                  f"not on the grid of dt = {fmt_float(cfg.dt)}")
-            if last is not None and not 0 <= n <= last:
-                raise ConfigError(f"line {lineno}: times lists {fmt_float(t)}, outside "
-                                  f"0..t_final = {fmt_float(cfg.t_final)}")
+    try:
+        cfg.model = cfg.params()
+        check_weighting(cfg.gamma, cfg.p, cfg.model)
+        record_steps(cfg.times, cfg.model)  # the default integer times are on the grid
+    except SettingError as err:
+        raise cfg.refusal(err) from None
+    starts = [start for _, start in sorted(indexed["ensemble"].items())]
+    if starts:
+        cfg.ics = [_canonical_ic(*start, cfg.n_modes) for start in starts]
+    cfg.lines.update((f"ic{j + 1}", lineno) for j, (_, lineno, _) in enumerate(starts))
     return cfg

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import block_text, fmt_float, fmt_value
+from .field import SettingError, block_text, fmt_float, fmt_value
 
 __all__ = [
     "FiniteKernel",
@@ -86,10 +86,10 @@ class FiniteKernel:
 def _as_state_tuple(k, n: int) -> tuple[int, ...]:
     states = tuple(sorted({int(x) for x in k}))
     if not states:
-        raise ValueError("state subset must be nonempty")
+        raise SettingError("K", "state subset must be nonempty")
     if states[0] < 0 or states[-1] >= n:
         bad = states[0] if states[0] < 0 else states[-1]
-        raise ValueError(f"state {bad} out of range 0..{n - 1}")
+        raise SettingError("K", f"state {bad} out of range 0..{n - 1}")
     return states
 
 
@@ -263,15 +263,15 @@ def geometric_bound_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> fl
 def search_weights(kernel: FiniteKernel, mu0) -> np.ndarray:
     """mu0 as a float array if small_set_search takes it as its reference
     measure: one weight for each state of kernel, each positive and at most
-    1, summing to 1 within 1e-9.  ValueError otherwise."""
+    1, summing to 1 within 1e-9.  SettingError otherwise."""
     mu = np.asarray(mu0, dtype=float)
     if mu.shape != (kernel.n,):
-        raise ValueError(f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
+        raise SettingError("mu0", f"mu0 has {mu.size} weights for a kernel on {kernel.n} states")
     if not np.all(mu > 0.0):  # NaN included
-        raise ValueError("mu0 must be strictly positive on all states")
+        raise SettingError("mu0", "mu0 must be strictly positive on all states")
     # a weight above 1 is rejected before the sum, which then cannot overflow
     if np.any(mu > 1.0) or not abs(mu.sum() - 1.0) <= 1e-9:
-        raise ValueError("mu0 must be a probability measure")
+        raise SettingError("mu0", "mu0 must be a probability measure")
     return mu
 
 

@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 
+class SettingError(ValueError):
+    """A refused value, set by config key `key` or by the first key of a tuple a file sets."""
+
+    def __init__(self, key, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @lru_cache(maxsize=None)
 def mode_numbers(n_modes: int) -> np.ndarray:
     """Mode number k of each coefficient slot: [0, 1, 1, 2, 2, ...]."""
@@ -84,14 +92,14 @@ class DriftPolynomial:
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size < 4:
-            raise ValueError("need coefficients p_0..p_q with degree q >= 3")
+            raise SettingError("poly", "need coefficients p_0..p_q with degree q >= 3")
         if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+            raise SettingError("poly", "coefficients must be finite")
         if c[-1] <= 0.0:
-            raise ValueError("leading coefficient must be positive")
+            raise SettingError("poly", "leading coefficient must be positive")
         degree = c.size - 1
         if degree % 2 == 0:
-            raise ValueError(f"degree must be odd, got {degree}")
+            raise SettingError("poly", f"degree must be odd, got {degree}")
         self.coeffs = c
         self.degree = degree
 

@@ -50,6 +50,7 @@ import numpy as np
 
 from .field import (
     DriftPolynomial,
+    SettingError,
     coeffs_to_values,
     dealias_points,
     eigenvalues,
@@ -93,12 +94,12 @@ class SimulationParams:
     """Resolved model and discretization parameters, every one given by the
     caller (RunConfig.params holds the defaults); n_modes is the spectrum's.
 
-    n_modes must be at least 1, dt must divide 1 exactly in the rational
-    sense (so integer times fall on the step grid), t_final must be finite,
-    at least 1 and on the grid, its step n_steps = t_final / dt must fit in
-    int64, seed must lie in [0, 2^64) (it seeds the per-trajectory streams)
-    and blowup_guard must be at least sqrt(smallest normal float) ~
-    1.49e-154, so that its square does not underflow; inf means no guard.
+    dt must divide 1 exactly in the rational sense (so integer times fall
+    on the step grid), t_final must be finite, at least 1 and on the grid,
+    its step n_steps = t_final / dt must fit in int64, seed must lie in
+    [0, 2^64) (it seeds the per-trajectory streams) and blowup_guard must be
+    at least sqrt(smallest normal float) ~ 1.49e-154, so that its square
+    does not underflow; inf means no guard.  Each refusal is a SettingError.
     poly = None selects the pure Ornstein-Uhlenbeck dynamics N == 0.
     """
 
@@ -115,29 +116,28 @@ class SimulationParams:
         return self.spectrum.n_modes
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
         if not math.isfinite(self.t_final):
-            raise ValueError("t_final must be finite")
+            raise SettingError("t_final", "t_final must be finite")
         if self.t_final < 1.0:
-            raise ValueError("t_final must be at least 1")
+            raise SettingError("t_final", "t_final must be at least 1")
         if not (0.0 < self.dt <= 1.0):
-            raise ValueError("dt must lie in (0, 1]")
+            raise SettingError("dt", "dt must lie in (0, 1]")
         if self.t_final / self.dt >= 2**63:
-            raise ValueError(f"dt = {fmt_float(self.dt)} makes more steps than int64 holds")
+            raise SettingError(("dt", "t_final"),
+                               f"dt = {fmt_float(self.dt)} makes more steps than int64 holds")
         if _grid_step(1.0, self.dt) is None:
-            raise ValueError("dt must divide 1 exactly (1/dt integer)")
+            raise SettingError("dt", "dt must divide 1 exactly (1/dt integer)")
         self.n_steps = _grid_step(self.t_final, self.dt)
         if self.n_steps is None:
-            raise ValueError("t_final must be a multiple of dt")
+            raise SettingError(("t_final", "dt"), "t_final must be a multiple of dt")
         if not self.blowup_guard > 0:  # NaN included
-            raise ValueError("blowup_guard must be positive")
+            raise SettingError("blowup_guard", "blowup_guard must be positive")
         if self.blowup_guard < _GUARD_MIN:
-            raise ValueError(f"blowup_guard = {fmt_float(self.blowup_guard)} is below "
-                             f"{fmt_float(_GUARD_MIN)} = sqrt(smallest normal float), "
-                             "so its square underflows")
+            raise SettingError("blowup_guard", f"blowup_guard = {fmt_float(self.blowup_guard)} "
+                               f"is below {fmt_float(_GUARD_MIN)} = sqrt(smallest normal "
+                               "float), so its square underflows")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must lie in [0, 2^64)")
+            raise SettingError("seed", "seed must lie in [0, 2^64)")
 
 
 @dataclass
@@ -244,9 +244,8 @@ class EnsembleResult:
 
 
 def integer_times(t_final: float) -> np.ndarray:
-    """The integer times 0, 1, ..., floor(t_final) as floats."""
-    if not math.isfinite(t_final):
-        raise ValueError("t_final must be finite")
+    """The integer times 0, 1, ..., floor(t_final) as floats; t_final is
+    finite, as SimulationParams requires."""
     n = int(math.floor(t_final + 1e-9)) + 1
     try:
         times = np.arange(n, dtype=float)
@@ -254,7 +253,25 @@ def integer_times(t_final: float) -> np.ndarray:
             return times
     except (MemoryError, ValueError):  # ValueError: past numpy's index range
         pass
-    raise ValueError(f"t_final = {fmt_float(t_final)} has more integer times than memory holds")
+    raise SettingError("t_final",
+                       f"t_final = {fmt_float(t_final)} has more integer times than memory holds")
+
+
+def record_steps(times, params: SimulationParams) -> dict[int, int]:
+    """Step of the grid -> index in times of each record time.  SettingError
+    naming times unless each falls on its own step in 0..n_steps."""
+    steps: dict[int, int] = {}
+    for i, t in enumerate(times):
+        n = _grid_step(float(t), params.dt)
+        if n is None or not 0 <= n <= params.n_steps:
+            where = (f"which is not on the grid of dt = {fmt_float(params.dt)}" if n is None
+                     else f"outside 0..t_final = {fmt_float(params.t_final)}")
+            raise SettingError("times", f"times lists {fmt_float(t)}, {where}")
+        if n in steps:
+            raise SettingError("times", f"times lists {fmt_float(times[steps[n]])} and "
+                               f"{fmt_float(t)}, both on step {n} of the grid")
+        steps[n] = i
+    return steps
 
 
 def ensemble_workers(threads: int) -> int:
@@ -343,7 +360,7 @@ def run_ensemble(
 
     x holds the 2 n_modes + 1 coefficients of the start.  traj_ids are the
     per-trajectory stream ids (distinct ids give independent noise under the
-    same seed).  Each record time must fall on its own step of the grid.
+    same seed).  Each record time must fall on its own step (record_steps).
     Rows run in blocks of BLOCK_ROWS, read at call time.  Results are
     bitwise independent of the block size and threads because every
     trajectory owns its stream and rows are written by index.  The blocks
@@ -360,25 +377,16 @@ def run_ensemble(
         record_times = integer_times(params.t_final)
     else:
         record_times = np.asarray(record_times, dtype=float)
-    rec_steps: dict[int, int] = {}
-    for i, t in enumerate(record_times):
-        n = _grid_step(float(t), params.dt)
-        if n is None or not 0 <= n <= params.n_steps:
-            raise ValueError(f"record time {t} is not on the step grid")
-        if n in rec_steps:
-            raise ValueError(f"record time {t} falls on step {n}, as record time "
-                             f"{record_times[rec_steps[n]]} does")
-        rec_steps[n] = i
+    rec_steps = record_steps(record_times, params)
 
     stepper = ExponentialEulerStepper(params)
     shape = (ids.size, record_times.size, n_slots)
     try:
         states = np.full(shape, np.nan)
     except MemoryError:
-        raise ValueError(
-            f"records of {shape[0]} trajectories at {shape[1]} times up to "
-            f"t_final = {fmt_float(params.t_final)} do not fit in memory"
-        ) from None
+        raise SettingError(("n_traj", "t_final", "times"), f"records of {shape[0]} trajectories "
+                           f"at {shape[1]} times up to t_final = {fmt_float(params.t_final)} "
+                           "do not fit in memory") from None
     out = EnsembleResult(
         params=params,
         traj_ids=ids,

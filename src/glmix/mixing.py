@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random
 
-from .field import block_text, csv_text, eigenvalues, fmt_float, row_norms
+from .field import SettingError, block_text, csv_text, eigenvalues, fmt_float, row_norms
 from .integrator import SimulationParams, run_ensemble
 
 __all__ = [
@@ -56,16 +56,32 @@ _FIT_MIN_POINTS = 4
 _OBS_ROWS = 128
 
 
+def check_weighting(gamma: float, p: float, params: SimulationParams) -> None:
+    """SettingError unless gamma <= alpha, p >= 1 and gamma is below the bound
+    under which row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma)
+    (rescaled to at most 1) with no overflow; l_N = 1 + 4 pi^2 N^2."""
+    n, alpha = params.n_modes, params.spectrum.alpha
+    log_l = 2.0 * math.log(n) + math.log(4.0 * math.pi**2 + 1 / n**2)
+    if math.log(2 * n + 1) + 2.0 * gamma * log_l >= math.log(np.finfo(float).max):
+        raise SettingError("gamma", f"gamma = {fmt_float(gamma)} makes the norm weight "
+                           f"l_N^(2 gamma) of n_modes = {n} overflow")
+    if not gamma <= alpha:  # NaN included
+        raise SettingError("gamma", f"gamma = {fmt_float(gamma)} exceeds the noise decay "
+                           f"exponent alpha = {fmt_float(alpha)}")
+    if not p >= 1.0:  # NaN included
+        raise SettingError("p", "p must be at least 1")
+
+
 @dataclass
 class EnsembleSpec:
     """Initial conditions, ensemble size, and the (gamma, p) weighting, all
     given by the caller (RunConfig holds the defaults).
 
-    gamma may not exceed the spectral decay exponent alpha of the noise, and
-    p must be at least 1 (resolve_config refuses both, naming their line,
-    before a run builds one).  Trajectory ids are allocated deterministically:
-    initial condition i owns the contiguous block [i n_traj, (i+1) n_traj);
-    ValueError naming n_traj if a block is more than memory holds.
+    n_traj must be at least 2, and check_weighting vets gamma and p;
+    resolve_config runs it too, so every subcommand refuses them.
+    Trajectory ids are allocated deterministically: initial condition i owns
+    the contiguous block [i n_traj, (i+1) n_traj); SettingError naming
+    n_traj if a block is more than memory holds.
     """
 
     initial_conditions: list
@@ -78,11 +94,8 @@ class EnsembleSpec:
         if not self.initial_conditions:
             raise ValueError("at least one initial condition is required")
         if self.n_traj < 2:
-            raise ValueError("n_traj must be at least 2")
-        if not self.gamma <= self.params.spectrum.alpha:  # NaN included
-            raise ValueError("gamma must not exceed the noise decay exponent alpha")
-        if not self.p >= 1.0:  # NaN included
-            raise ValueError("p must be at least 1")
+            raise SettingError("n_traj", "n_traj must be at least 2")
+        check_weighting(self.gamma, self.p, self.params)
 
     def traj_ids(self, ic_index: int) -> np.ndarray:
         lo = ic_index * self.n_traj
@@ -92,7 +105,8 @@ class EnsembleSpec:
                 return ids
         except (MemoryError, ValueError):  # ValueError: past numpy's index range
             pass
-        raise ValueError(f"n_traj = {self.n_traj} has more trajectories than memory holds")
+        raise SettingError("n_traj",
+                           f"n_traj = {self.n_traj} has more trajectories than memory holds")
 
 
 def observables(states: np.ndarray, gamma: float) -> np.ndarray:
@@ -334,11 +348,11 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
     each distance; ValueError naming p if a square in that error overflows.
     """
     if len(spec.initial_conditions) < 2:
-        raise ValueError("mixing_report needs two initial conditions")
+        raise SettingError(("ic1", "ic2"), "mixing needs two initial conditions, ic1 and ic2")
     params = spec.params
     times = np.asarray(times, dtype=float)
     if times.size < 4:
-        raise ValueError("need at least 4 report times")
+        raise SettingError(("times", "t_final"), "need at least 4 report times")
 
     # each start's states die with the _observable_rows call that projects them
     obs_a, obs_b = (

@@ -11,7 +11,7 @@ while q_k for k <= k_star (including the constant mode q_0) is only required
 to be nonnegative and may vanish.  The default configuration forces no mode
 below k = 4, so the low modes feel the noise only through the nonlinearity.
 A NoiseSpectrum is admissible by construction: building any other raises
-ValueError naming the first violated bound.
+SettingError naming the first violated bound and the keys that set it.
 
 The stochastic convolution W_L(t) = int_0^t e^{-L(t-s)} Q dW(s) is an
 independent Ornstein-Uhlenbeck process per coefficient slot, so a time step h
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .field import eigenvalues, mode_numbers
+from .field import SettingError, eigenvalues, mode_numbers
 
 __all__ = ["NoiseSpectrum", "trajectory_generator"]
 
@@ -48,10 +48,10 @@ class NoiseSpectrum:
     admissible by construction.  Every constant is the caller's: the run's
     defaults live in RunConfig.
 
-    Building one checks, in order: constant positivity, alpha floor, the beta
-    window (strict lower end, closed upper end), k_star sign, finiteness and
-    nonnegativity everywhere, and the two-sided tail bounds for k > k_star.
-    The first violated bound raises ValueError.
+    Building one checks, in order: n_modes >= 1, constant positivity, alpha
+    floor, the beta window (strict lower end, closed upper end), k_star sign,
+    finiteness and nonnegativity everywhere, and the two-sided tail bounds for
+    k > k_star.  The first violated bound raises SettingError.
     """
 
     q: np.ndarray
@@ -63,34 +63,40 @@ class NoiseSpectrum:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or q.size < 1:
+        if q.ndim != 1:
             raise ValueError("q must be a 1-d array of amplitudes q_0..q_N")
+        if q.size < 2:
+            raise SettingError("n_modes", "n_modes must be at least 1")
         object.__setattr__(self, "q", q)
         if not np.isfinite(self.c1) or self.c1 <= 0:
-            raise _inadmissible("c1_positive", "c1 must be positive", float(self.c1))
+            raise _inadmissible("c1", "c1_positive", "c1 must be positive", float(self.c1))
         if not np.isfinite(self.c2) or self.c2 <= 0:
-            raise _inadmissible("c2_positive", "c2 must be positive", float(self.c2))
+            raise _inadmissible("c2", "c2_positive", "c2 must be positive", float(self.c2))
         if not np.isfinite(self.alpha) or self.alpha < 2.0:
-            raise _inadmissible("alpha_floor", "alpha must be at least 2", float(self.alpha))
+            raise _inadmissible("alpha", "alpha_floor", "alpha must be at least 2",
+                                float(self.alpha))
         if not np.isfinite(self.beta) or not (self.alpha - 0.125 < self.beta <= self.alpha):
-            raise _inadmissible("beta_window", "beta must lie in (alpha - 1/8, alpha]",
-                                float(self.beta))
+            raise _inadmissible(("beta", "alpha"), "beta_window",
+                                "beta must lie in (alpha - 1/8, alpha]", float(self.beta))
         if self.k_star < 0:
-            raise _inadmissible("k_star_sign", "k_star must be nonnegative", int(self.k_star))
+            raise _inadmissible("k_star", "k_star_sign", "k_star must be nonnegative",
+                                int(self.k_star))
         if not np.all(np.isfinite(q)):
             k = int(np.flatnonzero(~np.isfinite(q))[0])
-            raise _inadmissible("q_finite", "q_k must be finite", float(q[k]), k)
+            raise _inadmissible((), "q_finite", "q_k must be finite", float(q[k]), k)
         neg = np.flatnonzero(q < 0)
         if neg.size:
             k = int(neg[0])
-            raise _inadmissible("q_nonnegative", "q_k must be nonnegative", float(q[k]), k)
-        for k in range(self.k_star + 1, q.size):
+            raise _inadmissible((), "q_nonnegative", "q_k must be nonnegative", float(q[k]), k)
+        for k in range(self.k_star + 1, q.size):  # c2 k^(-2 beta) is q_k unless overridden
             if q[k] < self.c1 * float(k) ** (-2.0 * self.alpha) * (1.0 - 1e-12):
-                raise _inadmissible("tail_lower", "q_k must be at least c1 * k^(-2 alpha) "
-                                    "for k > k_star", float(q[k]), k)
+                raise _inadmissible(("c1", "alpha", "c2", "beta"), "tail_lower",
+                                    "q_k must be at least c1 * k^(-2 alpha) for k > k_star",
+                                    float(q[k]), k)
             if q[k] > self.c2 * float(k) ** (-2.0 * self.beta) * (1.0 + 1e-12):
-                raise _inadmissible("tail_upper", "q_k must be at most c2 * k^(-2 beta) "
-                                    "for k > k_star", float(q[k]), k)
+                raise _inadmissible(("c2", "beta"), "tail_upper",
+                                    "q_k must be at most c2 * k^(-2 beta) for k > k_star",
+                                    float(q[k]), k)
 
     @property
     def n_modes(self) -> int:
@@ -109,9 +115,10 @@ class NoiseSpectrum:
         """
         try:
             k = np.arange(n_modes + 1, dtype=float)
-            q = np.zeros(n_modes + 1)
+            q = np.zeros(max(n_modes + 1, 0))  # empty below n_modes = 0, refused as such
         except (MemoryError, ValueError):  # ValueError: past numpy's index range
-            raise ValueError(f"n_modes = {n_modes} has more modes than memory holds") from None
+            raise SettingError("n_modes", f"n_modes = {n_modes} has more modes than memory "
+                               "holds") from None
         tail = k > max(k_star, 0)  # __post_init__ refuses k_star < 0; 0^(-2 beta) is never taken
         # a beta that overflows the power lies below its window, which __post_init__ refuses
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,13 +139,15 @@ class NoiseSpectrum:
         return self.per_slot() * np.sqrt(-np.expm1(-2.0 * ell * h) / (2.0 * ell))
 
 
-def _inadmissible(rule: str, bound: str, value, k: int | None = None) -> ValueError:
-    """The error naming a violated bound, one 'name = value' line each."""
+def _inadmissible(keys, rule: str, bound: str, value, k: int | None = None) -> SettingError:
+    """The error naming a violated bound, one 'name = value' line each; its
+    keys are those that set the bound, after q<k> for a bound on mode k."""
     lines = [f"violation = {rule}", f"bound = {bound}"]
     if k is not None:
         lines.append(f"k = {k}")
     lines.append(f"value = {value!r}")
-    return ValueError("inadmissible noise spectrum:\n" + "\n".join(lines))
+    keys = keys if k is None else (f"q{k}", *keys)
+    return SettingError(keys, "inadmissible noise spectrum:\n" + "\n".join(lines))
 
 
 def trajectory_generator(seed: int, trajectory_id: int) -> np.random.Generator:

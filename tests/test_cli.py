@@ -13,6 +13,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -444,10 +445,36 @@ def ensemble_configs(draw, sub):
     return "\n".join(["[model]", *model, "[ensemble]", *ensemble]) + "\n"
 
 
+# what a run may refuse only once it has stepped: the trajectories it lost,
+# and a p-th power (out of float range either way) or bootstrap square of
+# what it measured that overflows
+RUN_TIME_REFUSALS = re.compile(
+    r"all trajectories aborted for initial condition \d+"
+    r"|too many aborted trajectories at t = \S+"
+    r"|p = \S+: the p-th power of a trajectory norm (overflows|underflows to 0)"
+    r"|p = \S+: the square in a distance's bootstrap stderr overflows")
+
+
+def check_refusal(sub, text, printed):
+    """An exit 2 on config text prints 'error = config' and 'line N:', N a
+    line of the text that sets a key (only mixing with no start set names
+    none), or 'error = validation' and a run-time refusal."""
+    kind, _, message = printed.partition("\n")
+    if kind == "error = validation":
+        assert RUN_TIME_REFUSALS.fullmatch(message.rstrip("\n")), printed
+        return
+    assert kind == "error = config", printed
+    line = re.match(r"line (\d+): ", message)
+    if line is None:
+        assert sub == "mixing" and not re.search(r"^ic\d+ =", text, re.M), printed
+    else:
+        assert re.fullmatch(r"\w+ = .*", text.splitlines()[int(line[1]) - 1]), printed
+
+
 def run_and_rerun(sub, text):
     """Exit code of glmix sub on config text, with every warning an error.
-    An exit 2 must print an 'error =' line; an exit 0 or 1 must rerun from
-    its first file's header to the same exit code and the same files."""
+    An exit 2 must print what check_refusal allows; an exit 0 or 1 must
+    rerun from its first file's header to the same exit code and files."""
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), warnings.catch_warnings():
@@ -456,7 +483,7 @@ def run_and_rerun(sub, text):
                        "--out", str(Path(tmp, "a"))])
             assert rc in (0, 1, 2), out.getvalue()
             if rc == 2:
-                assert out.getvalue().startswith("error = "), out.getvalue()
+                check_refusal(sub, text, out.getvalue())
                 return rc
             names = sorted(os.listdir(Path(tmp, "a")))
             header = header_lines(Path(tmp, "a", names[0]))[1:]
@@ -1036,7 +1063,8 @@ def test_config_errors_exit_two_with_line_numbers(tmp_path, capsys):
                               "ic1 = zero\nic2 = scaled-random:1.0\nn_traj = 50\ntimes = 1 2 3 3\n")
     rc = main(["mixing", "--config", str(cfg), "--out", str(tmp_path / "times")])
     assert rc == 2 and not (tmp_path / "times").exists()
-    assert capsys.readouterr().out == "error = config\nline 9: times lists 3.0 twice\n"
+    assert capsys.readouterr().out == (
+        "error = config\nline 9: times lists 3.0 and 3.0, both on step 192 of the grid\n")
     # a weight l_4^(2 gamma) beyond float max: its inf times a zero coefficient
     # made simulate write a NaN norm and exit 0, moments report every
     # trajectory aborted and mixing every row non-finite
@@ -1057,13 +1085,14 @@ def test_inadmissible_spectrum_exits_two_naming_the_bound(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     text = capsys.readouterr().out
     assert rc == 2
-    assert "error = validation" in text
-    assert "violation = beta_window" in text
-    assert "beta must lie in (alpha - 1/8, alpha]" in text
+    assert text == ("error = config\nline 2: inadmissible noise spectrum:\n"
+                    "violation = beta_window\nbound = beta must lie in (alpha - 1/8, alpha]\n"
+                    "value = 1.5\n")
     # k^(-2 beta) overflowed with a RuntimeWarning, a traceback under -W error
     rc = main(["simulate", "--config", str(write_cfg(tmp_path, BETA_OVERFLOW)),
                "--out", str(tmp_path)])
-    assert rc == 2 and "violation = beta_window" in capsys.readouterr().out.splitlines()
+    assert rc == 2 and capsys.readouterr().out.splitlines()[:3] == [
+        "error = config", "line 4: inadmissible noise spectrum:", "violation = beta_window"]
 
 
 def run_exit_two(tmp_path, capsys, argv, cfg_text=None):
@@ -1079,19 +1108,18 @@ def run_exit_two(tmp_path, capsys, argv, cfg_text=None):
 
 def test_seed_outside_uint64_exits_two(tmp_path, capsys):
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nseed = -1\n")
-    assert "error = validation" in text
-    assert "seed must lie in [0, 2^64)" in text
+    assert text == "error = config\nline 2: seed must lie in [0, 2^64)\n"
 
 
 def test_non_finite_t_final_and_nan_guard_exit_two(tmp_path, capsys):
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = inf\n")
-    assert "error = validation" in text and "t_final must be finite" in text
-    # doeblin never builds the model, but echoing t_final's times must not crash
+    assert text == "error = config\nline 2: t_final must be finite\n"
+    # doeblin steps no model, but it refuses the configs simulate does
     cfg = f"[model]\nt_final = inf\n[doeblin]\nkernel = {KERNEL_FILE}\n"
     text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
-    assert "error = validation" in text and "t_final must be finite" in text
+    assert text == "error = config\nline 2: t_final must be finite\n"
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nblowup_guard = nan\n")
-    assert "error = validation" in text and "blowup_guard must be positive" in text
+    assert text == "error = config\nline 2: blowup_guard must be positive\n"
 
 
 def test_guard_whose_square_overflows_runs_judged_on_the_norm(tmp_path, capsys):
@@ -1129,9 +1157,9 @@ def test_guard_whose_square_underflows_exits_two_naming_the_limit(tmp_path, caps
     cfg = "[model]\nn_modes = 2\nblowup_guard = 1e-200\n\n[ensemble]\nic1 = 1e-190 0 0 0 0\nn_traj = 2\n"
     for sub in ("simulate", "moments", "mixing"):
         text = run_exit_two(tmp_path, capsys, [sub], cfg)
-        assert "error = validation" in text
-        assert ("blowup_guard = 1e-200 is below 1.4916681462400413e-154 = "
-                "sqrt(smallest normal float)") in text
+        assert text == ("error = config\nline 3: blowup_guard = 1e-200 is below "
+                        "1.4916681462400413e-154 = sqrt(smallest normal float), so its square "
+                        "underflows\n")
     assert not (tmp_path / "out" / "trajectories.csv").exists()
 
 
@@ -1154,7 +1182,7 @@ def test_mu0_length_mismatch_exits_two_naming_the_length(tmp_path, capsys):
                          ("1e308 1e308", "mu0 must be a probability measure")]:
         cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = {mu0}\n"
         text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
-        assert text == f"error = validation\n{message}\n"
+        assert text == f"error = config\nline 3: {message}\n"
         assert not (tmp_path / "out" / "certificate.txt").exists()
 
 
@@ -1173,14 +1201,13 @@ def test_doeblin_values_exit_two_naming_their_line(tmp_path, capsys):
     # a state past the kernel is known only once the kernel is read
     cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nK = 0 7\n"
     text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
-    assert text == "error = validation\nstate 7 out of range 0..1\n"
+    assert text == "error = config\nline 3: state 7 out of range 0..1\n"
 
 
 def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
     # 1e300 steps: the run used to start and never end
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\ndt = 1e-300\n")
-    assert "error = validation" in text
-    assert "dt = 1e-300 makes more steps than int64 holds" in text
+    assert text == "error = config\nline 2: dt = 1e-300 makes more steps than int64 holds\n"
 
 
 def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
@@ -1242,18 +1269,105 @@ ONE_START = "[model]\nn_modes = 2\nt_final = 4\n\n[ensemble]\nic1 = zero\nn_traj
 
 
 @pytest.mark.parametrize("sub, cfg, message", [
-    ("moments", ONE_TRAJ, "line 5: moments needs n_traj of at least 2"),
-    ("mixing", ONE_TRAJ + "ic1 = zero\nic2 = zero\n", "line 5: mixing needs n_traj of at least 2"),
-    ("mixing", ONE_START, "line 6: mixing needs two starts: ic1 and ic2 in [ensemble]"),
+    ("moments", ONE_TRAJ, "line 5: n_traj must be at least 2"),
+    ("mixing", ONE_TRAJ + "ic1 = zero\nic2 = zero\n", "line 5: n_traj must be at least 2"),
+    ("mixing", ONE_START, "line 6: mixing needs two initial conditions, ic1 and ic2"),
     ("mixing", ONE_START.replace("ic1", "ic3"),
-     "line 6: mixing needs two starts: ic1 and ic2 in [ensemble]"),
+     "line 6: mixing needs two initial conditions, ic1 and ic2"),
     ("mixing", "[model]\nn_modes = 2\nt_final = 4\n",
-     "mixing needs two starts: ic1 and ic2 in [ensemble]"),
+     "mixing needs two initial conditions, ic1 and ic2"),
 ], ids=["moments_n_traj", "mixing_n_traj", "mixing_ic1", "mixing_ic3", "mixing_default_start"])
 def test_one_trajectory_or_one_mixing_start_names_its_line(tmp_path, capsys, sub, cfg, message):
     text = run_exit_two(tmp_path, capsys, [sub], cfg)
     assert text == f"error = config\n{message}\n"
     assert not (tmp_path / "out").exists()
+
+
+SUBCOMMANDS = ["simulate", "moments", "mixing", "doeblin", "odecheck"]
+# the line numbers below count from this header
+REFUSED_MODEL = "[model]\nn_modes = 2\n"
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@pytest.mark.parametrize("rows, message", [
+    ("dt = 0.3\n", "line 3: dt must divide 1 exactly (1/dt integer)"),
+    ("t_final = 0.5\n", "line 3: t_final must be at least 1"),
+    ("seed = -1\n", "line 3: seed must lie in [0, 2^64)"),
+    ("blowup_guard = 0\n", "line 3: blowup_guard must be positive"),
+    ("alpha = 1\n", "line 3: inadmissible noise spectrum:\nviolation = alpha_floor\n"
+                    "bound = alpha must be at least 2\nvalue = 1.0"),
+    ("c1 = 0\n", "line 3: inadmissible noise spectrum:\nviolation = c1_positive\n"
+                 "bound = c1 must be positive\nvalue = 0.0"),
+    ("k_star = -1\n", "line 3: inadmissible noise spectrum:\nviolation = k_star_sign\n"
+                      "bound = k_star must be nonnegative\nvalue = -1"),
+    ("poly = 1 2 3\n", "line 3: need coefficients p_0..p_q with degree q >= 3"),
+    # 1.0000000001 is within 1e-9 of step 64 of dt = 1/64, as 1.0 is: simulate
+    # ran and echoed both, mixing refused them as a validation error
+    ("dt = 0.015625\nt_final = 4\n[ensemble]\ntimes = 1 1.0000000001 2 3\n",
+     "line 6: times lists 1.0 and 1.0000000001, both on step 64 of the grid"),
+], ids=["dt", "t_final", "seed", "blowup_guard", "alpha", "c1", "k_star", "poly", "times"])
+def test_refused_model_values_name_their_line_under_every_subcommand(
+        tmp_path, capsys, sub, rows, message):
+    # the library refused each as 'error = validation' with no line, under
+    # simulate, moments and mixing only
+    cfg = REFUSED_MODEL + rows + f"[doeblin]\nkernel = {KERNEL_FILE}\n"
+    text = run_exit_two(tmp_path, capsys, [sub], cfg)
+    assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def model_configs(draw):
+    """A [model] section of one to three keys, each taking a value of the
+    whole-config fuzz's pool (an integer key -1..3), then n_traj = 1, so that
+    simulate runs in milliseconds, and a valid [doeblin] kernel."""
+    ints = st.sampled_from(["-1", "0", "1", "2", "3"])
+    value = st.sampled_from(ORDINARY + EXTREME)
+    rows = {"n_modes": "2"}
+    keys = ["n_modes", "dt", "t_final", "poly", "alpha", "beta", "c1", "c2", "k_star", "seed",
+            "blowup_guard", "q0", "q2"]
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        if key == "poly":
+            cubic = "0 -1 0 1".split()
+            cubic[draw(st.integers(0, 3))] = draw(value)
+            rows[key] = " ".join(cubic)
+        else:
+            rows[key] = draw(ints if key in ("n_modes", "k_star", "seed") else value)
+    model = "".join(f"{key} = {v}\n" for key, v in rows.items())
+    return f"[model]\n{model}[ensemble]\nn_traj = 1\n[doeblin]\nkernel = {KERNEL_FILE}\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(model_configs())
+@example(REFUSED_MODEL + f"dt = 0.3\n[doeblin]\nkernel = {KERNEL_FILE}\n")
+def test_every_subcommand_refuses_the_model_configs_simulate_does(text):
+    # doeblin and odecheck never built the model, so they ran on configs that
+    # simulate refused
+    printed = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), text)
+        for sub in ("simulate", "doeblin", "odecheck"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main([sub, "--config", str(cfg), "--out", str(Path(tmp, sub))])
+            printed[sub] = out.getvalue()
+            if sub == "simulate" and rc != 2:
+                return
+            assert rc == 2 and not Path(tmp, sub).exists(), printed
+    assert printed["simulate"].startswith("error = config\nline "), printed
+    assert printed["doeblin"] == printed["odecheck"] == printed["simulate"]
+
+
+def test_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, capsys):
+    # odecheck printed its three case lines, then failed at its first write
+    # with '[Errno 17] File exists'
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        assert main(["odecheck", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            f"error = validation\n--out {out}: {afile} exists and is not a directory\n")
+    assert afile.read_text() == "kept\n"
 
 
 def test_refused_runs_make_no_out_directory(tmp_path, capsys):
@@ -1305,7 +1419,7 @@ def test_report_times_off_the_grid_or_past_t_final_name_their_line(tmp_path, cap
 def test_t_final_off_the_dt_grid_is_named(tmp_path, capsys):
     # it was reported as 'record time 1.001 is not on the step grid'
     text = run_exit_two(tmp_path, capsys, ["moments"], "[model]\nt_final = 1.001\n")
-    assert text == "error = validation\nt_final must be a multiple of dt\n"
+    assert text == "error = config\nline 2: t_final must be a multiple of dt\n"
 
 
 def test_modes_beyond_memory_exit_two(tmp_path, capsys):
@@ -1314,8 +1428,8 @@ def test_modes_beyond_memory_exit_two(tmp_path, capsys):
     for n_modes in ("100000000000", "9223372036854775807", "100000000000000000000000"):
         for sub in ("simulate", "moments", "mixing"):
             text = run_exit_two(tmp_path, capsys, [sub], f"[model]\nn_modes = {n_modes}\n")
-            assert text == ("error = validation\n"
-                            f"n_modes = {n_modes} has more modes than memory holds\n")
+            assert text == ("error = config\n"
+                            f"line 2: n_modes = {n_modes} has more modes than memory holds\n")
     # the row refuses an n_modes below 1 for every subcommand, naming its line
     for sub in ("simulate", "moments", "mixing", "doeblin", "odecheck"):
         text = run_exit_two(tmp_path, capsys, [sub], "[model]\nn_modes = 0\n")
@@ -1328,27 +1442,27 @@ def test_modes_beyond_memory_exit_two(tmp_path, capsys):
     for n_traj in ("100000000000", "9223372036854775807", "100000000000000000000000"):
         for sub in ("moments", "mixing"):
             text = run_exit_two(tmp_path, capsys, [sub], cfg.format(n_traj))
-            assert text == ("error = validation\n"
-                            f"n_traj = {n_traj} has more trajectories than memory holds\n")
+            assert text == ("error = config\n"
+                            f"line 9: n_traj = {n_traj} has more trajectories than memory holds\n")
             assert not (tmp_path / "out").exists()
 
 
 def test_integer_times_beyond_memory_exit_two(tmp_path, capsys):
     # 10^12 + 1 integer times need 7.28 TiB: numpy's allocation error used to escape;
     # at 1e300 numpy raises ValueError past its index range instead
-    text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\nt_final = 1e12\n")
-    assert "error = validation" in text
-    assert "t_final = 1000000000000.0 has more integer times than memory holds" in text
-    assert not (tmp_path / "out" / "trajectories.csv").exists()
     # the header is resolved before any work: no verdict or delta_prime line
     # comes before the error, and no file is written.  At 2^63 numpy made no
-    # times, and odecheck wrote a header 'times = ' that does not rerun
-    for t_final in ("1e+300", "9.223372036854776e+18"):
+    # times, and odecheck wrote a header 'times = ' that does not rerun; the
+    # model is now built first, and its steps do not fit in int64 either
+    for t_final, message in [
+        ("1e12", "t_final = 1000000000000.0 has more integer times than memory holds"),
+        ("1e+300", "dt = 0.00390625 makes more steps than int64 holds"),
+        ("9.223372036854776e+18", "dt = 0.00390625 makes more steps than int64 holds"),
+    ]:
         cfg = f"[model]\nt_final = {t_final}\n[doeblin]\nkernel = {KERNEL_FILE}\n"
         for sub in ("odecheck", "doeblin", "simulate", "moments", "mixing"):
             text = run_exit_two(tmp_path, capsys, [sub], cfg)
-            assert text == ("error = validation\n"
-                            f"t_final = {t_final} has more integer times than memory holds\n")
+            assert text == f"error = config\nline 2: {message}\n"
             assert not (tmp_path / "out").exists()
 
 

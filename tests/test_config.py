@@ -39,6 +39,7 @@ n_modes = 12
 dt = 0.015625
 t_final = 2
 beta = 1.9375
+k_star = 10
 q2 = 0.5
 q10 = 0.125
 
@@ -80,7 +81,7 @@ n_traj = 7
 [model]
 q1 = 0.5
 n_modes = 2
-poly = 0 1 0 -1
+poly = 0 1 0 2
 q0 = 1
 seed = 5
 """
@@ -90,7 +91,7 @@ PINNED_LINES = [
     "n_modes = 2",
     "dt = 0.00390625",
     "t_final = 1.0",
-    "poly = 0.0 1.0 0.0 -1.0",
+    "poly = 0.0 1.0 0.0 2.0",
     "alpha = 2.0",
     "beta = 2.0",
     "c1 = 1.0",
@@ -154,8 +155,8 @@ def test_parse_error_line_numbers():
     with pytest.raises(ConfigError, match="nonempty list"):
         resolve_config("[ensemble]\ntimes =\n")
     # a repeated report time would be recorded in one column only
-    with pytest.raises(ConfigError, match="line 3: times lists 3.0 twice"):
-        resolve_config("[ensemble]\nn_traj = 5\ntimes = 1 3 2 3.0\n")
+    with pytest.raises(ConfigError, match="^line 5: times lists 3.0 and 3.0, both on step 768 "):
+        resolve_config("[model]\nt_final = 3\n[ensemble]\nn_traj = 5\ntimes = 1 3 2 3.0\n")
     with pytest.raises(ConfigError, match=r"\[doeblin\] requires a kernel path"):
         resolve_config("[doeblin]\nm = 2\n")
     with pytest.raises(ConfigError, match="line 2: n_traj must be at least 1"):
@@ -214,10 +215,13 @@ def test_spectrum_matches_default_and_overrides():
     q = cfg.spectrum().q
     assert q[5] == 0.0025 and q[0] == 0.25
     assert q[4] == 2.0 * 4.0**-4.0
-    # an override past the tail bound is refused when the spectrum is made
-    cfg = resolve_config("[model]\nn_modes = 8\nq5 = 0.5\n")
-    with pytest.raises(ValueError, match="violation = tail_upper\n.*\nk = 5\nvalue = 0.5$"):
-        cfg.spectrum()
+    # an override past the tail bound is refused when the spectrum is made,
+    # which resolve_config does, naming the override's line
+    message = "violation = tail_upper\n.*\nk = 5\nvalue = 0.5$"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(n_modes=8, q_overrides={5: 0.5}).spectrum()
+    with pytest.raises(ConfigError, match="^line 3: inadmissible noise spectrum:\n" + message):
+        resolve_config("[model]\nn_modes = 8\nq05 = 0.5\n")
     # n_modes comes after the override, which is checked once n_modes is known
     message = "line 2: q80 override is outside 0..n_modes = 8"
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -275,7 +279,10 @@ def joined(values):
 
 @st.composite
 def run_configs(draw):
-    """Configs in canonical form, as resolve_config returns them for some text."""
+    """Configs in canonical form, as resolve_config returns them for some text:
+    an admissible spectrum (c1 <= c2, beta within 0.1 below alpha, overrides
+    between the tail bounds above k_star), an odd-degree polynomial with a
+    positive leading coefficient and a guard whose square is a normal float."""
     n_modes = draw(st.integers(1, 6))
     n_slots = 2 * n_modes + 1
     ic = st.one_of(
@@ -286,20 +293,31 @@ def run_configs(draw):
     dt = 2.0 ** -draw(st.integers(0, 10))
     t_final = float(draw(st.integers(1, 6)))
     steps = st.lists(st.integers(0, round(t_final / dt)), min_size=1, max_size=5, unique=True)
-    alpha = draw(FINITE)
+    alpha = draw(st.floats(2.0, 1e3))
+    beta = alpha - draw(st.floats(0.0, 0.1))
+    c1, c2 = sorted(draw(st.floats(1e-300, 1e300)) for _ in range(2))
+    k_star = draw(st.integers(0, 10))
+
+    def amplitude(k):  # free on the head, between the pinching curves on the tail
+        if k <= k_star:
+            return draw(NONNEGATIVE)
+        lo, hi = c1 * k ** (-2 * alpha), c2 * k ** (-2 * beta)
+        return lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+
+    odd = st.sampled_from([4, 6]).flatmap(lambda n: st.lists(FINITE, min_size=n, max_size=n))
     cfg = RunConfig(
         n_modes=n_modes,
         dt=dt,
         t_final=t_final,
-        poly=draw(st.none() | st.lists(FINITE, min_size=1, max_size=6)),
+        poly=draw(st.none() | odd.filter(lambda c: c[-1] > 0)),
         alpha=alpha,
-        beta=draw(FINITE),
-        c1=draw(FINITE),
-        c2=draw(FINITE),
-        k_star=draw(st.integers(-3, 10)),
+        beta=beta,
+        c1=c1,
+        c2=c2,
+        k_star=k_star,
         seed=draw(st.integers(0, 2**64 - 1)),
-        blowup_guard=draw(FINITE),
-        q_overrides=draw(st.dictionaries(st.integers(0, n_modes), FINITE, max_size=3)),
+        blowup_guard=draw(st.floats(1.5e-154, 1e308)),
+        q_overrides={k: amplitude(k) for k in draw(st.sets(st.integers(0, n_modes), max_size=3))},
         ics=draw(st.lists(ic, min_size=1, max_size=3)),
         n_traj=draw(st.integers(1, 10**6)),
         # resolve_config refuses a gamma above alpha, or one above 40, which
