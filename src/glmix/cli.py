@@ -8,8 +8,9 @@ is written by field.fmt_value.  --out is made by the first file written, so
 a run that writes none leaves no directory.  Exit 0: every enabled check
 passed; 1: a check failed (the output files are still written); 2: a bad
 command line (error = usage), a refused config value (error = config naming
-its line; the model, gamma, p and times alike under all five subcommands),
-or a bad kernel file, --out or float range (error = validation).
+its line before any output; the model, gamma, p and times under all five
+subcommands, any other value under the one that reads it), or a bad kernel
+file, --out or float range (error = validation).
 """
 
 from __future__ import annotations
@@ -168,10 +169,12 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
 
 
 def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    # the grid is unforced: its forcing_integral column keeps the file's layout
+    # solved before any line is printed, so a refusal prints only its error; the
+    # grid is unforced: its forcing_integral column keeps the file's layout
+    grid = [(q, c, y0, t, ode_comparison(q, c, y0, t)) for q, c, y0, t in
+            itertools.product(cfg.ode_qs, cfg.ode_cs, cfg.ode_y0s, cfg.ode_ts)]
     rows, bad = [], 0
-    for q, c, y0, t in itertools.product(cfg.ode_qs, cfg.ode_cs, cfg.ode_y0s, cfg.ode_ts):
-        r = ode_comparison(q, c, y0, t)
+    for q, c, y0, t, r in grid:
         rows.append((q, c, y0, t, r.y_final, 0.0, r.corrected_bound, r.literal_bound,
                      r.corrected_holds, r.literal_holds))
         print(block_text({"q": q, "c": c, "y0": y0, "t": t, "corrected_holds": r.corrected_holds,

@@ -159,12 +159,17 @@ def minorization(kernel: FiniteKernel, k, m: int) -> SmallSetCertificate | None:
 
     Returns the certificate with delta = sum_y min_{x in K} P^m(x,y) and nu
     the normalized column-minimum measure, or None when delta = 0.  No valid
-    pair for this (K, m) can have a larger delta.
+    pair for this (K, m) can have a larger delta.  SettingError naming m if
+    m < 1 or if P^m, whose row sums drift off 1 as m grows, fails _bad_row.
     """
     states = _as_state_tuple(k, kernel.n)
     if m < 1:
-        raise ValueError("m must be a positive integer")
-    pm = np.linalg.matrix_power(kernel.rows, m)
+        raise SettingError("m", "m must be at least 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm = np.linalg.matrix_power(kernel.rows, m)
+    bad = _bad_row(pm)
+    if bad is not None:
+        raise SettingError("m", f"P^m in float64 is not a kernel: {bad[1]}")
     colmin = pm[list(states), :].min(axis=0)
     delta = float(colmin.sum())
     if delta <= 0.0:

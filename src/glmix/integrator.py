@@ -316,10 +316,10 @@ def _run_block(
     abort_t = np.full(n, np.nan)
     gens = [trajectory_generator(seed, int(j)) for j in ids]
     buf = stepper.buffers((n,))
-    n_steps = params.n_steps
+    n_steps = max(rec_steps, default=0)  # no step after the last record
     # the fewest refills the longest slab allows, all of one length
     longest = max(1, min(256, n_steps, slab_bytes // (8 * n * n_slots)))
-    slab_len = -(-n_steps // -(-n_steps // longest))
+    slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
     noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
 
     if 0 in rec_steps:
@@ -360,13 +360,14 @@ def run_ensemble(
 
     x holds the 2 n_modes + 1 coefficients of the start.  traj_ids are the
     per-trajectory stream ids (distinct ids give independent noise under the
-    same seed).  Each record time must fall on its own step (record_steps).
-    Rows run in blocks of BLOCK_ROWS, read at call time.  Results are
-    bitwise independent of the block size and threads because every
-    trajectory owns its stream and rows are written by index.  The blocks
-    run on a pool of min(ensemble_workers(threads), blocks) workers, and
-    each block draws its normals in equal slabs of at most _SLAB_BYTES /
-    workers, so the slabs alive at once fit in _SLAB_BYTES.
+    same seed).  Each record time must fall on its own step (record_steps);
+    no step is taken after the last, so only the guard tripping by then
+    aborts a row.  Rows run in blocks of BLOCK_ROWS, read at call time.
+    Results are bitwise independent of the block size and threads because
+    every trajectory owns its stream and rows are written by index.  The
+    blocks run on a pool of min(ensemble_workers(threads), blocks) workers,
+    and each block draws its normals in equal slabs of at most _SLAB_BYTES
+    / workers, so the slabs alive at once fit in _SLAB_BYTES.
     """
     coeffs = np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -446,16 +447,19 @@ def ode_comparison(q: int, c: float, y0: float, t: float) -> OdeComparison:
     overflows or underflows, or its rounding would fail a bound that holds),
     and is inf only beyond float max.  A bound holds when y(t) exceeds it by
     at most _ODE_TOL = 1e-8 times the bound: y(t) is accurate to about 1e-13
-    relative, whatever its size.  q - 1 must convert to a float.
+    relative, whatever its size.  q - 1 must convert to a float; a refusal
+    is a SettingError naming the [odecheck] key: qs, cs, y0s or ts.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 3 and q % 2 == 1):
-        raise ValueError("q must be an odd integer >= 3")
+        raise SettingError("qs", "qs must be odd integers >= 3")
     try:
         k = float(q - 1)
     except OverflowError:
-        raise ValueError("q - 1 is too large for a float") from None
-    if not all(0 < v < math.inf for v in (c, y0, t)):  # NaN included
-        raise ValueError("c, y0 and t must be positive and finite")
+        raise SettingError("qs", "qs lists a q whose q - 1 is too large for a float") from None
+    for key, v in (("cs", c), ("y0s", y0), ("ts", t)):
+        if not 0 < v < math.inf:  # NaN included
+            what = "positive" if math.isfinite(v) else "finite"  # -inf and NaN are not
+            raise SettingError(key, f"{key} must be {what}")
 
     log_age = math.log(k) + math.log(c) + math.log(t) + k * math.log(y0)
     y = math.exp(math.log(y0) - float(np.logaddexp(0.0, log_age)) / k)

@@ -345,7 +345,8 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
     (distance between same-law halves), fits the exponential rate above
     that floor, and attaches a trajectory bootstrap (n_boot resamples of
     row indices) confidence interval for the rate and a standard error for
-    each distance; ValueError naming p if a square in that error overflows.
+    each distance; ValueError naming p if a square in that error overflows,
+    and SettingError before any step if n_boot is negative or past memory.
     """
     if len(spec.initial_conditions) < 2:
         raise SettingError(("ic1", "ic2"), "mixing needs two initial conditions, ic1 and ic2")
@@ -353,6 +354,13 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
     times = np.asarray(times, dtype=float)
     if times.size < 4:
         raise SettingError(("times", "t_final"), "need at least 4 report times")
+    if n_boot < 0:
+        raise SettingError("n_boot", "n_boot must be at least 0")
+    try:  # before any step
+        boot_d = np.empty((n_boot, times.size))
+    except (MemoryError, ValueError):  # ValueError: past numpy's index range
+        raise SettingError("n_boot", f"n_boot = {n_boot} makes a bootstrap table larger "
+                           "than memory holds") from None
 
     # each start's states die with the _observable_rows call that projects them
     obs_a, obs_b = (
@@ -386,7 +394,6 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
     # trajectory bootstrap: resample observable rows, ia then ib per (b, j)
     rng = np.random.default_rng([params.seed, 0xB007])
     boot_lams = []
-    boot_d = np.empty((n_boot, times.size))
     for b in range(n_boot):
         for j in range(times.size):
             ia = rng.integers(0, obs_a[j].shape[0], obs_a[j].shape[0])

@@ -1191,17 +1191,31 @@ def test_doeblin_values_exit_two_naming_their_line(tmp_path, capsys):
     # the error of opening the config's directory
     for body, message in [
         (f"kernel = {KERNEL_FILE}\nm = 0", "line 3: m must be at least 1"),
-        (f"kernel = {KERNEL_FILE}\nK = -1", "line 3: K must be at least 0"),
-        (f"kernel = {KERNEL_FILE}\nK = 0 -1", "line 3: K must be at least 0"),
+        (f"kernel = {KERNEL_FILE}\nK = -1", "line 3: state -1 out of range 0..1"),
+        (f"kernel = {KERNEL_FILE}\nK = 0 -1", "line 3: state -1 out of range 0..1"),
         ("kernel = ", "line 2: key 'kernel' expects a path"),
     ]:
         text = run_exit_two(tmp_path, capsys, ["doeblin"], f"[doeblin]\n{body}\n")
         assert text == f"error = config\n{message}\n"
     assert not (tmp_path / "out").exists()
-    # a state past the kernel is known only once the kernel is read
+    # a state past the kernel is known only once the kernel is read; simulate
+    # used to refuse K = -1 but not this
     cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nK = 0 7\n"
     text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
     assert text == "error = config\nline 3: state 7 out of range 0..1\n"
+
+
+@pytest.mark.parametrize("m", ["100000", "100000000", "100000000000000000000"])
+def test_m_whose_power_is_not_a_kernel_exits_two_naming_its_line(tmp_path, capsys, m):
+    # P^m's row sums drift off 1 by about m eps, then overflow: m = 10^5 wrote
+    # delta = 1.0000000000021467 and exited 0, m = 10^8 exited 2 with no line
+    # ('delta must lie in (0, 1]'), m = 10^20 warned of matmul overflow
+    cfg = f"[doeblin]\nkernel = {KERNEL_FILE}\nK = all\nm = {m}\n"
+    text = run_exit_two(tmp_path, capsys, ["doeblin"], cfg)
+    assert re.fullmatch(r"error = config\nline 4: P\^m in float64 is not a kernel: row 0"
+                        r"( sums to \S+, not 1 within 1e-12|: kernel entries must be finite)\n",
+                        text), text
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
@@ -1237,12 +1251,68 @@ def test_non_finite_inputs_exit_two_naming_their_line(tmp_path, capsys):
          "line 7: key 'ic2' has a radius that is not finite and nonnegative"),
         # the certificate was printed and written before the search rejected mu0
         ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = nan nan\n",
-         "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
+         "line 3: mu0 must be strictly positive on all states"),
         ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = inf 0\n",
-         "line 3: key 'mu0' lists a weight that is not finite and nonnegative"),
+         "line 3: mu0 must be strictly positive on all states"),
     ]:
         text = run_exit_two(tmp_path, capsys, [sub], cfg)
         assert text == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub, text, message", [
+    ("odecheck", "[odecheck]\nqs = 3\ncs = 1 nan\n", "line 3: cs must be finite"),
+    ("odecheck", "[odecheck]\ny0s = -inf\n", "line 2: y0s must be finite"),
+    ("odecheck", "[odecheck]\nqs = 3\ncs = 1\nts = 0.5 inf\n", "line 4: ts must be finite"),
+    ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = 0.5 nan\n",
+     "line 3: mu0 must be strictly positive on all states"),
+    ("doeblin", f"[doeblin]\nkernel = {KERNEL_FILE}\nmu0 = -0.5 1.5\n",
+     "line 3: mu0 must be strictly positive on all states"),
+], ids=["cs-nan", "y0s-neg-inf", "ts-inf", "mu0-nan", "mu0-negative"])
+def test_grid_and_weight_values_are_refused_by_their_subcommand(tmp_path, capsys, sub, text,
+                                                                message):
+    # resolve_config refused each of them, under every subcommand
+    assert run_exit_two(tmp_path, capsys, [sub], text) == f"error = config\n{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_values_are_refused_only_by_the_subcommand_that_reads_them(tmp_path, capsys):
+    # the config rows refused K, m, mu0, the [odecheck] grid and n_boot under
+    # every subcommand; a K past the kernel was refused by doeblin alone
+    cfg = write_cfg(tmp_path, (
+        "[model]\nn_modes = 2\ndt = 0.0625\nt_final = 4\n\n"
+        "[ensemble]\nic1 = zero\nic2 = scaled-random:1\nn_traj = 4\nn_boot = -3\n\n"
+        f"[doeblin]\nkernel = {KERNEL_FILE}\nK = -1\nm = 0\nmu0 = nan nan\n\n"
+        "[odecheck]\nqs = 4\ncs = 0\n"))
+    for sub, refusal in [("simulate", None), ("moments", None),
+                         ("mixing", "line 10: n_boot must be at least 0"),
+                         ("doeblin", "line 16: mu0 must be strictly positive on all states"),
+                         ("odecheck", "line 19: qs must be odd integers >= 3")]:
+        rc = main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)])
+        out = capsys.readouterr().out
+        if refusal is None:
+            assert rc in (0, 1) and "error" not in out
+            assert (tmp_path / sub).is_dir()
+        else:
+            assert rc == 2 and out == f"error = config\n{refusal}\n"
+            assert not (tmp_path / sub).exists()
+    # with n_boot mended, mixing runs too
+    text = cfg.read_text().replace("n_boot = -3", "n_boot = 2")
+    rc = main(["mixing", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "m")])
+    assert rc in (0, 1) and (tmp_path / "m" / "mixing.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_boot", ["1000000000000000", "100000000000000000000"])
+def test_n_boot_past_memory_exits_two_before_stepping(tmp_path, capsys, monkeypatch, n_boot):
+    # 10^15 raised _ArrayMemoryError (exit 1) once both starts had stepped, and
+    # 10^20 exited 2 as 'error = validation' with numpy's message and no line
+    monkeypatch.setattr("glmix.mixing.run_ensemble", lambda *a, **kw: pytest.fail("stepped"))
+    cfg = ("[model]\nn_modes = 2\nt_final = 4\n\n"
+           f"[ensemble]\nic1 = zero\nic2 = scaled-random:1\nn_traj = 4\nn_boot = {n_boot}\n")
+    text = run_exit_two(tmp_path, capsys, ["mixing"], cfg)
+    assert text == (f"error = config\nline 9: n_boot = {n_boot} makes a bootstrap table larger "
+                    "than memory holds\n")
     assert not (tmp_path / "out").exists()
 
 

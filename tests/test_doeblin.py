@@ -31,6 +31,7 @@ from glmix.doeblin import (
     two_small_compose,
     write_kernel,
 )
+from glmix.field import SettingError
 
 WORKED = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -135,8 +136,9 @@ def test_minorization_identical_rows_and_none():
     assert np.allclose(cert.nu, row, rtol=1e-15)
     identity = FiniteKernel(np.eye(2))
     assert minorization(identity, k=(0, 1), m=1) is None
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(SettingError, match="^m must be at least 1$") as err:
         minorization(kernel, k=(0,), m=0)
+    assert err.value.key == "m"
     with pytest.raises(ValueError, match="out of range"):
         minorization(kernel, k=(5,), m=1)
     with pytest.raises(ValueError, match="nonempty"):

@@ -26,6 +26,7 @@ import glmix.integrator as integrator
 import oracles
 from glmix.field import (
     DriftPolynomial,
+    SettingError,
     eigenvalues,
     fmt_value,
     norm_gamma,
@@ -327,6 +328,29 @@ def test_blowup_flags_and_stops_the_block(monkeypatch):
     assert params.n_steps == 256 and len(steps) == 1
 
 
+def test_block_stops_at_its_last_record_time(monkeypatch):
+    # the block used to step on to t_final after its last record
+    steps = []
+    step_block = ExponentialEulerStepper.step_block
+    monkeypatch.setattr(ExponentialEulerStepper, "step_block",
+                        lambda self, *args: steps.append(1) or step_block(self, *args))
+    params = params_of(n_modes=3, dt=1 / 64, t_final=4.0)
+    x = scaled_random_field(3, 2.0, 1.0)
+    full = run_ensemble(x, params, [0, 1])
+    assert len(steps) == 256  # one call per step of the block's two rows
+    for times, n_steps in (([0.0, 0.5, 1.0], 64), ([0.0], 0), ([2.0, 1.0], 128)):
+        steps.clear()
+        ens = run_ensemble(x, params, [0, 1], record_times=times)
+        assert len(steps) == n_steps
+        for j, t in enumerate(times):
+            if t in full.times:
+                assert np.array_equal(ens.states[:, j], full.states[:, int(t)])
+    # with no record times given, the last is floor(t_final)
+    steps.clear()
+    run_ensemble(x, params_of(n_modes=3, dt=1 / 64, t_final=2.5), [0])
+    assert len(steps) == 128
+
+
 def test_relaxation_from_large_initial_norm():
     # a start with weighted norm 1e4 relaxes inside the ball of radius 10
     # (both norms) by t = 1 under the default model
@@ -386,10 +410,12 @@ def test_ode_comparison_rejects_non_finite_inputs_before_integrating(monkeypatch
         raise AssertionError("integrated a non-finite input")
 
     monkeypatch.setattr(integrator.np, "logaddexp", never)
-    for args in ((math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
-                 (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
-        with pytest.raises(ValueError, match="c, y0 and t must be positive and finite"):
+    for args, key in (((math.inf, 1.0, 1.0), "cs"), ((math.nan, 1.0, 1.0), "cs"),
+                      ((1.0, math.inf, 1.0), "y0s"), ((1.0, 1.0, math.inf), "ts"),
+                      ((1.0, 1.0, math.nan), "ts")):
+        with pytest.raises(SettingError, match=f"^{key} must be finite$") as err:
             ode_comparison(3, *args)
+        assert err.value.key == key
 
 
 def test_ensemble_matches_single_trajectories():
