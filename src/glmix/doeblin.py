@@ -66,7 +66,7 @@ def _bad_row(rows: np.ndarray) -> tuple[int, str] | None:
 
 
 class FiniteKernel:
-    """Row-stochastic transition matrix on states 0..n-1."""
+    """Row-stochastic transition matrix on states 0..n-1, read-only."""
 
     def __init__(self, rows):
         rows = np.array(rows, dtype=float)
@@ -78,6 +78,17 @@ class FiniteKernel:
         rows.setflags(write=False)
         self.rows = rows
         self.n = rows.shape[0]
+        self._powers: dict[int, np.ndarray] = {}
+
+    def power(self, m: int) -> np.ndarray:
+        """P^m by np.linalg.matrix_power, computed on first use for each m
+        and kept read-only."""
+        pm = self._powers.get(m)
+        if pm is None:
+            pm = np.linalg.matrix_power(self.rows, m)
+            pm.setflags(write=False)
+            self._powers[m] = pm
+        return pm
 
     def __repr__(self):
         return f"FiniteKernel(n={self.n})"
@@ -135,7 +146,7 @@ class SmallSetCertificate:
         k = _as_state_tuple(self.K, kernel.n)
         if self.nu.size != kernel.n:
             raise ValueError("nu length does not match the kernel")
-        pm = np.linalg.matrix_power(kernel.rows, self.m)
+        pm = kernel.power(self.m)
         floor = self.delta * self.nu
         gap = pm[list(k), :] - floor[None, :]
         if gap.min() < -_TOL:
@@ -157,24 +168,26 @@ class SmallSetCertificate:
 def minorization(kernel: FiniteKernel, k, m: int) -> SmallSetCertificate | None:
     """Maximal minorization of P^m on K via column minima.
 
-    Returns the certificate with delta = sum_y min_{x in K} P^m(x,y) and nu
-    the normalized column-minimum measure, or None when delta = 0.  No valid
-    pair for this (K, m) can have a larger delta.  SettingError naming m if
-    m < 1 or if P^m, whose row sums drift off 1 as m grows, fails _bad_row.
+    Returns the certificate with delta = min(sum_y min_{x in K} P^m(x,y), 1)
+    and nu the normalized column-minimum measure, or None when the sum is 0.
+    The sum passes 1 only through P^m's rounding, within _bad_row's 1e-12;
+    P^m >= delta nu still holds entry by entry.  No valid pair for this
+    (K, m) can have a larger delta.  SettingError naming m if m < 1 or if
+    P^m, whose row sums drift off 1 as m grows, fails _bad_row.
     """
     states = _as_state_tuple(k, kernel.n)
     if m < 1:
         raise SettingError("m", "m must be at least 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        pm = np.linalg.matrix_power(kernel.rows, m)
+        pm = kernel.power(m)
     bad = _bad_row(pm)
     if bad is not None:
         raise SettingError("m", f"P^m in float64 is not a kernel: {bad[1]}")
     colmin = pm[list(states), :].min(axis=0)
-    delta = float(colmin.sum())
-    if delta <= 0.0:
+    total = float(colmin.sum())
+    if total <= 0.0:
         return None
-    cert = SmallSetCertificate(K=states, m=m, delta=delta, nu=colmin / delta)
+    cert = SmallSetCertificate(K=states, m=m, delta=min(total, 1.0), nu=colmin / total)
     cert.validate(kernel)
     return cert
 
@@ -201,7 +214,7 @@ def contraction_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> float:
     if cert.delta_prime is None:
         raise ValueError("contraction check requires delta_prime")
     cert.validate(kernel)
-    p2 = kernel.rows @ kernel.rows
+    p2 = kernel.power(2)
     worst = 0.0
     for x in range(kernel.n):
         diffs = p2[x + 1 :, :] - p2[x, :]

@@ -15,12 +15,13 @@ NoiseSpectrum.step_std(h) per slot.  With N == 0 the scheme is exact in
 distribution, and it is the recursion of the convolution path W_L.
 
 ExponentialEulerStepper holds the per-slot factors of one step, and one
-block loop advances (trajectories x slots) blocks of it through batched
-FFTs; it only steps, guards and records.  run_ensemble runs that loop and
-is the only way into it.  W_L is the drift-free run from zero on the same
-trajectory id, replace(params, poly=None, blowup_guard=inf): it is driven by
-the same draws as the model, so the remainder Psi = Phi - W_L satisfies
-Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step by step.
+block loop, a closure inside run_ensemble that takes only its slice of the
+rows, advances (trajectories x slots) blocks of it through batched FFTs; it
+only steps, guards and records.  W_L is the drift-free run from zero on the
+same trajectory id, replace(params, poly=None, blowup_guard=inf): it is
+driven by the same draws as the model, so the remainder Psi = Phi - W_L
+satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step
+by step.
 Each block allocates its work arrays once (a StepBuffers set and a slab of
 normal draws filled in place) and updates its state in place, so a step
 allocates no block-sized array.  The slabs of the blocks that run at once
@@ -34,7 +35,9 @@ guard.  A square that overflows passes that test only when guard * guard
 overflows too (a guard above sqrt(float max), or inf for none); then the
 row's norm decides, and a NaN, inf or above-guard norm aborts.  An aborted
 row is set to NaN and stays NaN, and a block stops stepping once all its
-rows have.
+rows have.  EnsembleResult.abort_times is the one abort record: each block
+writes the abort times of its rows into its slice of it, and a row lives
+while its entry is NaN; EnsembleResult.aborted is read off it.
 """
 
 from __future__ import annotations
@@ -229,18 +232,25 @@ class ExponentialEulerStepper:
 
 @dataclass
 class EnsembleResult:
-    """Integer-time records for a batch of trajectories from one start point."""
+    """Integer-time records for a batch of trajectories from one start point.
+
+    abort_times is the only abort record; aborted is computed from it.
+    """
 
     params: SimulationParams
     traj_ids: np.ndarray
     times: np.ndarray
     states: np.ndarray  # (n_traj, n_times, slots), NaN at and after abort
-    aborted: np.ndarray  # (n_traj,) bool
-    abort_times: np.ndarray
+    abort_times: np.ndarray  # (n_traj,) time the guard tripped, NaN for a row that never aborted
 
     @property
     def n_traj(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def aborted(self) -> np.ndarray:
+        """(n_traj,) bool, a new array: the rows with an abort time."""
+        return ~np.isnan(self.abort_times)
 
 
 def integer_times(t_final: float) -> np.ndarray:
@@ -298,57 +308,6 @@ BLOCK_ROWS = 512
 _SLAB_BYTES = 16 << 20
 
 
-def _run_block(
-    stepper: ExponentialEulerStepper,
-    x: np.ndarray,
-    seed: int,
-    ids: np.ndarray,
-    rec_steps: dict[int, int],
-    out: EnsembleResult,
-    rows: slice,
-    slab_bytes: int,
-):
-    params = stepper.params
-    n = ids.size
-    n_slots = x.size
-    u = np.tile(x, (n, 1))
-    alive = np.ones(n, dtype=bool)
-    abort_t = np.full(n, np.nan)
-    gens = [trajectory_generator(seed, int(j)) for j in ids]
-    buf = stepper.buffers((n,))
-    n_steps = max(rec_steps, default=0)  # no step after the last record
-    # the fewest refills the longest slab allows, all of one length
-    longest = max(1, min(256, n_steps, slab_bytes // (8 * n * n_slots)))
-    slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
-    noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
-
-    if 0 in rec_steps:
-        out.states[rows, rec_steps[0], :] = u
-
-    # a row that diverges within a step is left to the guard, not warned of;
-    # errstate is thread-local, so it is set in the worker
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step_no in range(1, n_steps + 1):
-            s = (step_no - 1) % slab_len
-            if s == 0:
-                m = min(slab_len, n_steps - step_no + 1)
-                for gen, slab in zip(gens, noise):
-                    gen.standard_normal(out=slab[:m])
-            stepper.step_block(u, noise[:, s, :], buf)
-            blown = stepper.blown_up(u) & alive
-            if blown.any():
-                abort_t[blown] = step_no * params.dt
-                u[blown] = np.nan
-                alive &= ~blown
-                if not alive.any():
-                    break  # this and the later records stay NaN, as out was made
-            if step_no in rec_steps:
-                out.states[rows, rec_steps[step_no], :] = u
-
-    out.aborted[rows] = ~alive
-    out.abort_times[rows] = abort_t
-
-
 def run_ensemble(
     x: np.ndarray,
     params: SimulationParams,
@@ -362,12 +321,14 @@ def run_ensemble(
     per-trajectory stream ids (distinct ids give independent noise under the
     same seed).  Each record time must fall on its own step (record_steps);
     no step is taken after the last, so only the guard tripping by then
-    aborts a row.  Rows run in blocks of BLOCK_ROWS, read at call time.
-    Results are bitwise independent of the block size and threads because
-    every trajectory owns its stream and rows are written by index.  The
-    blocks run on a pool of min(ensemble_workers(threads), blocks) workers,
-    and each block draws its normals in equal slabs of at most _SLAB_BYTES
-    / workers, so the slabs alive at once fit in _SLAB_BYTES.
+    aborts a row.  Rows run in slices of BLOCK_ROWS, read at call time, and
+    one closure steps a slice: it writes the slice's records into states and
+    its abort times into abort_times, its live rows being those still NaN
+    there.  Results are bitwise independent of the block size and threads
+    because every trajectory owns its stream and rows are written by index.
+    The blocks run on a pool of min(ensemble_workers(threads), blocks)
+    workers, and each block draws its normals in equal slabs of at most
+    _SLAB_BYTES / workers, so the slabs alive at once fit in _SLAB_BYTES.
     """
     coeffs = np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -388,32 +349,51 @@ def run_ensemble(
         raise SettingError(("n_traj", "t_final", "times"), f"records of {shape[0]} trajectories "
                            f"at {shape[1]} times up to t_final = {fmt_float(params.t_final)} "
                            "do not fit in memory") from None
-    out = EnsembleResult(
+    abort_times = np.full(ids.size, np.nan)
+    n_steps = max(rec_steps, default=0)  # no step after the last record
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, ids.size, BLOCK_ROWS)]
+    workers = min(ensemble_workers(threads), max(1, len(blocks)))
+
+    def run_block(rows: slice) -> None:
+        gens = [trajectory_generator(params.seed, int(j)) for j in ids[rows]]
+        n = len(gens)
+        u = np.tile(coeffs, (n, 1))
+        abort_t = abort_times[rows]  # a view; NaN while the row lives
+        buf = stepper.buffers((n,))
+        # the fewest refills the longest slab allows, all of one length
+        longest = max(1, min(256, n_steps, _SLAB_BYTES // workers // (8 * n * n_slots)))
+        slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
+        noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
+        if 0 in rec_steps:
+            states[rows, rec_steps[0]] = u
+        # a row that diverges within a step is left to the guard, not warned of;
+        # errstate is thread-local, so it is set in the worker
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step_no in range(1, n_steps + 1):
+                s = (step_no - 1) % slab_len
+                if s == 0:
+                    m = min(slab_len, n_steps - step_no + 1)
+                    for gen, slab in zip(gens, noise):
+                        gen.standard_normal(out=slab[:m])
+                stepper.step_block(u, noise[:, s, :], buf)
+                blown = stepper.blown_up(u) & np.isnan(abort_t)
+                if blown.any():
+                    abort_t[blown] = step_no * params.dt
+                    u[blown] = np.nan
+                    if not np.isnan(abort_t).any():
+                        break  # this and the later records stay NaN, as states was made
+                if step_no in rec_steps:
+                    states[rows, rec_steps[step_no]] = u
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_block, blocks))
+    return EnsembleResult(
         params=params,
         traj_ids=ids,
         times=record_times,
         states=states,
-        aborted=np.zeros(ids.size, dtype=bool),
-        abort_times=np.full(ids.size, np.nan),
+        abort_times=abort_times,
     )
-
-    blocks = [
-        (slice(lo, min(lo + BLOCK_ROWS, ids.size)), ids[lo : lo + BLOCK_ROWS])
-        for lo in range(0, ids.size, BLOCK_ROWS)
-    ]
-    workers = min(ensemble_workers(threads), max(1, len(blocks)))
-    slab_bytes = _SLAB_BYTES // workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _run_block, stepper, coeffs, params.seed, bid, rec_steps, out, rows,
-                slab_bytes,
-            )
-            for rows, bid in blocks
-        ]
-        for f in futures:
-            f.result()
-    return out
 
 
 # ---------------------------------------------------------------------------

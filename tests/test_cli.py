@@ -1218,6 +1218,18 @@ def test_m_whose_power_is_not_a_kernel_exits_two_naming_its_line(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_column_minima_summing_past_one_certify_delta_one(tmp_path, capsys):
+    # P^m's rounding lifts the column minima's sum past 1 within _bad_row's
+    # 1e-12: m = 10^4 certified delta = 1.0000000000002145
+    cfg = write_cfg(tmp_path, f"[doeblin]\nkernel = {KERNEL_FILE}\nK = all\nm = 10000\n")
+    out = tmp_path / "out"
+    assert main(["doeblin", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "\ndelta = 1.0\n" in capsys.readouterr().out
+    cert = parse_certificate((out / "certificate.txt").read_text())
+    assert cert.delta == 1.0
+    cert.validate(read_kernel(KERNEL_FILE))
+
+
 def test_step_count_beyond_int64_exits_two(tmp_path, capsys):
     # 1e300 steps: the run used to start and never end
     text = run_exit_two(tmp_path, capsys, ["simulate"], "[model]\ndt = 1e-300\n")

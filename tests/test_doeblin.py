@@ -167,6 +167,27 @@ def test_minorization_is_maximal_over_candidates():
         assert np.isclose(achieved, cert.delta, rtol=1e-12)
 
 
+def test_each_power_of_a_kernel_is_computed_once(monkeypatch):
+    # minorization computed P^m, then its validate computed it again
+    calls = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, m: calls.append(m) or matrix_power(a, m))
+    kernel = FiniteKernel(oracles.double_well_rows(64))
+    cert = minorization(kernel, range(kernel.n), 64)
+    assert calls == [64]
+    cert.validate(kernel)
+    assert calls == [64]
+    assert not kernel.power(64).flags.writeable
+    one = minorization(kernel, range(kernel.n), 1)
+    one = dataclasses.replace(one, delta_prime=condition_b(kernel, range(kernel.n)))
+    contraction_check(kernel, one)
+    contraction_check(kernel, one)
+    assert calls == [64, 1, 2]
+    # matrix_power(P, 2) is P @ P, so contraction_check reads the same bytes
+    assert np.array_equal(kernel.power(2), kernel.rows @ kernel.rows)
+
+
 def test_condition_b_cases():
     kernel = FiniteKernel(WORKED)
     assert condition_b(kernel, k=(0, 1)) == 1.0

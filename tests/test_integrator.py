@@ -435,6 +435,10 @@ CALM = np.full(9, 0.5)
 WILD = np.zeros(9)
 WILD[0] = 20.0
 DRIFT_FREE = replace(SMALL, poly=None)
+# q0 = 1 forces the constant mode and a guard of 1.3 trips for rows 1, 2, 3
+# and 7 of 0..8 from CALM, each at its own step, while the others live
+PARTIAL = replace(SMALL, spectrum=replace(SMALL.spectrum, q=np.r_[1.0, SMALL.spectrum.q[1:]]),
+                  blowup_guard=1.3)
 ENSEMBLE_FIELDS = ("states", "aborted", "abort_times")
 
 
@@ -455,8 +459,10 @@ def test_ensemble_is_bitwise_invariant_to_batching():
     big = params_of(n_modes=32)
     assert ExponentialEulerStepper(big).grid_points == 135
     for params, x, n_traj in ((SMALL, CALM, 7), (SMALL, WILD, 7), (DRIFT_FREE, CALM, 7),
-                              (big, scaled_random_field(32, 100.0), 13)):
+                              (big, scaled_random_field(32, 100.0), 13), (PARTIAL, CALM, 9)):
         kw = dict(traj_ids=range(n_traj))
+        if params is PARTIAL:
+            kw["record_times"] = every_step(params)
         base = run_ensemble(x, params, **kw)
         for block_size in (1, 3, 512):
             for threads in (1, 4):
@@ -466,7 +472,14 @@ def test_ensemble_is_bitwise_invariant_to_batching():
                 for name in ENSEMBLE_FIELDS:
                     assert np.array_equal(getattr(base, name), getattr(other, name),
                                           equal_nan=True), name
-        if x is WILD:
+        assert np.array_equal(base.aborted, ~np.isnan(base.abort_times))
+        for row, t_abort in zip(base.states, base.abort_times, strict=True):
+            after = base.times >= t_abort  # none for a row that never aborted
+            assert np.all(np.isnan(row[after])) and np.all(np.isfinite(row[~after]))
+        if params is PARTIAL:
+            assert np.flatnonzero(base.aborted).tolist() == [1, 2, 3, 7]
+            assert np.unique(base.abort_times[base.aborted]).size == 4
+        elif x is WILD:
             # every row aborts at the fourth step, and the block stops
             assert base.aborted.all()
             assert np.all(base.abort_times == 0.0625)
