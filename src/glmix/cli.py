@@ -11,6 +11,13 @@ command line (error = usage), a refused config value (error = config naming
 its line before any output; the model, gamma, p and times under all five
 subcommands, any other value under the one that reads it), or a bad kernel
 file, --out or float range (error = validation).
+
+--threads counts the ensemble workers of simulate, moments and mixing.
+numpy's BLAS starts on one thread unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or MKL_NUM_THREADS is set, as no
+glmix hot path calls threaded BLAS; export OPENBLAS_NUM_THREADS=<cores> for
+doeblin kernels of about 1000 states or more.  No thread setting changes an
+output byte.
 """
 
 from __future__ import annotations
@@ -19,7 +26,13 @@ import argparse
 import dataclasses
 import itertools
 import locale  # argparse's gettext imports it when main builds the parser
+import os
 from pathlib import Path
+
+# set before numpy loads its BLAS, whose idle worker threads otherwise spin
+# on spare cores after the import and after each threaded call; OpenBLAS,
+# MKL and BLIS read it, and a user's own thread variable still wins
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -50,6 +63,17 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's own prints to stderr and exits 2
         raise argparse.ArgumentError(None, message)
+
+
+def _worker_count(text: str) -> int:
+    """--threads: a whole number of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return n
 
 
 def _write(path: Path, header_lines: list[str], body: str) -> None:
@@ -206,7 +230,10 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="configuration file path")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="ensemble worker threads")
+        sp.add_argument("--threads", type=_worker_count, default=1,
+                        help="ensemble workers of simulate, moments and mixing (BLAS starts on "
+                        "one thread unless a thread variable is set); no thread setting "
+                        "changes an output byte")
     try:
         args = parser.parse_args(argv)
     except argparse.ArgumentError as err:

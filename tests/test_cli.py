@@ -190,6 +190,29 @@ def test_cli_import_loads_no_scipy_but_the_modules_its_calls_use(tmp_path):
         assert digests == QUICK_START_SHA256[sub]
 
 
+def test_cli_import_starts_blas_on_one_thread_unless_a_thread_variable_is_set():
+    # a fresh interpreter: the test process imported glmix.cli and so carries
+    # OMP_NUM_THREADS itself; numpy's OpenBLAS started a worker per extra core
+    code = ("import os, glmix.cli; "
+            "print(os.environ['OMP_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(glmix.__file__).parents[1])
+
+    def fresh(**extra):
+        run = subprocess.run([sys.executable, "-c", code], env=dict(env, **extra),
+                             capture_output=True, text=True, timeout=120, check=True)
+        variable, threads = run.stdout.split()
+        return variable, int(threads)
+
+    assert fresh()[0] == "1"
+    assert fresh(OMP_NUM_THREADS="3")[0] == "3"
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("thread counts need /proc/self/task and two usable cores")
+    assert fresh()[1] == 1
+    assert fresh(OPENBLAS_NUM_THREADS="2")[1] == 2
+
+
 def test_mixing_call_loads_no_numpy_ma(tmp_path):
     # np.median would import numpy.ma inside the call, in a fresh interpreter
     code = (
@@ -1468,9 +1491,11 @@ def test_refused_runs_make_no_out_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["simulate", "--threads", "x"], "--threads"), (["bogus"], "bogus"),
+    (["simulate", "--threads", "x"], "--threads"), (["simulate", "--threads", "0"], "--threads"),
+    (["odecheck", "--threads", "-3"], "--threads"), (["bogus"], "bogus"),
     (["simulate", "--nope", "1"], "--nope"), ([], "command"),
-], ids=["bad_value", "bad_subcommand", "bad_option", "no_subcommand"])
+], ids=["bad_value", "zero_threads", "negative_threads", "bad_subcommand", "bad_option",
+        "no_subcommand"])
 def test_bad_command_lines_exit_two_with_an_error_line(capsys, argv, named):
     # argparse raised SystemExit(2) out of main and printed only to stderr
     assert main(argv) == 2
