@@ -102,6 +102,8 @@ class DriftPolynomial:
             raise SettingError("poly", f"degree must be odd, got {degree}")
         self.coeffs = c
         self.degree = degree
+        self._reaction = -c  # coefficients of y - P(y)
+        self._reaction[1] += 1.0
 
     def nonlinearity(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """N(y) = y - P(y) pointwise, by Horner in place on out (not y).
@@ -109,8 +111,7 @@ class DriftPolynomial:
         Zero coefficients of y - P(y) cost no pass: the cubic [0, -1, 0, 1]
         takes four, ((-y) y + 2) y.  out is allocated when None.
         """
-        r = -self.coeffs
-        r[1] += 1.0
+        r = self._reaction
         out = np.multiply(y, r[-1], out=out)
         for c in r[-2:0:-1]:
             if c != 0.0:

@@ -14,20 +14,21 @@ with xi the exact stochastic-convolution increment, of standard deviation
 NoiseSpectrum.step_std(h) per slot.  With N == 0 the scheme is exact in
 distribution, and it is the recursion of the convolution path W_L.
 
-ExponentialEulerStepper holds the per-slot factors of one step, and one
-block loop, a closure inside run_ensemble that takes only its slice of the
-rows, advances (trajectories x slots) blocks of it through batched FFTs; it
-only steps, guards and records.  W_L is the drift-free run from zero on the
-same trajectory id, replace(params, poly=None, blowup_guard=inf): it is
-driven by the same draws as the model, so the remainder Psi = Phi - W_L
-satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L) to rounding error, step
-by step.
-Each block allocates its work arrays once (a StepBuffers set and a slab of
-normal draws filled in place) and updates its state in place, so a step
-allocates no block-sized array.  The slabs of the blocks that run at once
-share one budget, _SLAB_BYTES (16 MB) a call, so more workers draw shorter
-slabs; a block splits its steps into the fewest slabs its share allows, all
-of one length.  Each trajectory consumes its own stream
+ExponentialEulerStepper is the stepper of one block of rows: the per-slot
+factors of one step and, with a polynomial, the grid arrays its N(u) is
+computed in.  One block loop, a closure inside run_ensemble that takes only
+its slice of the rows, makes a stepper for its block and advances it through
+batched FFTs; it only steps, guards and records.  W_L is the drift-free run
+from zero on the same trajectory id, replace(params, poly=None,
+blowup_guard=inf): it is driven by the same draws as the model, so the
+remainder Psi = Phi - W_L satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L)
+to rounding error, step by step.
+Each block allocates its stepper and a slab of normal draws once, fills the
+slab in place, scales each step's spent draws in place and updates its state
+in place, so a step allocates no block-sized array.  The slabs of the blocks
+that run at once share one budget, _SLAB_BYTES (16 MB) a call, so more
+workers draw shorter slabs; a block splits its steps into the fewest slabs
+its share allows, all of one length.  Each trajectory consumes its own stream
 (noise.trajectory_generator), so results do not depend on block sizes, slab
 lengths, worker counts or thread schedules.  A row aborts at the first step
 after which its squared norm, one einsum pass, is NaN or above guard *
@@ -143,25 +144,12 @@ class SimulationParams:
             raise SettingError("seed", "seed must lie in [0, 2^64)")
 
 
-@dataclass
-class StepBuffers:
-    """Work arrays for stepping one block of rows in place.
-
-    One set per block, made by ExponentialEulerStepper.buffers and never
-    shared between threads.  The grid arrays are None without a polynomial.
-    """
-
-    slots: np.ndarray  # (rows, slots) step temporary
-    nonlin: np.ndarray | None = None  # (rows, slots) coefficients of N(u)
-    values: np.ndarray | None = None  # (rows, grid) values of u
-    reaction: np.ndarray | None = None  # (rows, grid) values of N(u)
-    spectrum: np.ndarray | None = None  # (rows, grid // 2 + 1) complex half spectrum
-
-
 class ExponentialEulerStepper:
-    """Precomputed per-slot factors for one step of the scheme."""
+    """The stepper of one block of coefficient rows, of shape lead + (slots,):
+    the per-slot factors of one step and, with a polynomial, the block's work
+    arrays for N(u).  Each block makes its own, so no two threads share one."""
 
-    def __init__(self, params: SimulationParams):
+    def __init__(self, params: SimulationParams, lead: tuple[int, ...] = ()):
         self.params = params
         self.n_modes = params.n_modes
         ell = eigenvalues(self.n_modes)
@@ -173,46 +161,35 @@ class ExponentialEulerStepper:
         self.guard_sq = guard * guard  # inf above sqrt(float max)
         if self.poly is not None:
             self.grid_points = dealias_points(self.n_modes, self.poly.degree)
+            grid = (*lead, self.grid_points)
+            self.nonlin = np.empty((*lead, 2 * self.n_modes + 1))  # coefficients of N(u)
+            self.values = np.empty(grid)  # grid values of u
+            self.reaction = np.empty(grid)  # grid values of N(u)
+            self.half_spectrum = np.empty((*lead, self.grid_points // 2 + 1), dtype=complex)
 
-    def buffers(self, lead: tuple[int, ...]) -> StepBuffers:
-        """Work arrays for coefficient blocks of shape lead + (slots,)."""
-        slots = (*lead, 2 * self.n_modes + 1)
-        if self.poly is None:
-            return StepBuffers(np.empty(slots))
-        grid = (*lead, self.grid_points)
-        return StepBuffers(
-            slots=np.empty(slots),
-            nonlin=np.empty(slots),
-            values=np.empty(grid),
-            reaction=np.empty(grid),
-            spectrum=np.empty((*lead, self.grid_points // 2 + 1), dtype=complex),
-        )
-
-    def nonlinearity(self, u: np.ndarray, buf: StepBuffers | None = None) -> np.ndarray:
-        """Coefficients of N(u) = u - P(u), dealiased, written to buf.nonlin
-        (to fresh arrays when buf is None)."""
-        if buf is None:
-            buf = self.buffers(u.shape[:-1])
+    def nonlinearity(self, u: np.ndarray) -> np.ndarray:
+        """Coefficients of N(u) = u - P(u), dealiased, for a u of the stepper's
+        shape, written to self.nonlin."""
         vals = coeffs_to_values(
-            u, self.n_modes, self.grid_points, out=buf.values, spectrum=buf.spectrum
+            u, self.n_modes, self.grid_points, out=self.values, spectrum=self.half_spectrum
         )
-        self.poly.nonlinearity(vals, out=buf.reaction)
+        self.poly.nonlinearity(vals, out=self.reaction)
         return values_to_coeffs(
-            buf.reaction, self.n_modes, out=buf.nonlin, spectrum=buf.spectrum
+            self.reaction, self.n_modes, out=self.nonlin, spectrum=self.half_spectrum
         )
 
-    def step_block(self, u: np.ndarray, g: np.ndarray, buf: StepBuffers) -> None:
-        """Advance a (rows, slots) block in place with unit normals g:
+    def step_block(self, u: np.ndarray, g: np.ndarray) -> None:
+        """Advance the block u in place with unit normals g, scaled in place:
         u <- decay u + phi N(u) + std g, summed in that order."""
         if self.poly is None:
             u *= self.decay
         else:
-            nonlin = self.nonlinearity(u, buf)
+            nonlin = self.nonlinearity(u)
             nonlin *= self.phi
             u *= self.decay
             u += nonlin
-        np.multiply(g, self.std, out=buf.slots)
-        u += buf.slots
+        g *= self.std
+        u += g
 
     def blown_up(self, u: np.ndarray) -> np.ndarray:
         """Guard mask of the rows whose squared norm, np.einsum("ij,ij->i",
@@ -322,10 +299,11 @@ def run_ensemble(
     same seed).  Each record time must fall on its own step (record_steps);
     no step is taken after the last, so only the guard tripping by then
     aborts a row.  Rows run in slices of BLOCK_ROWS, read at call time, and
-    one closure steps a slice: it writes the slice's records into states and
-    its abort times into abort_times, its live rows being those still NaN
-    there.  Results are bitwise independent of the block size and threads
-    because every trajectory owns its stream and rows are written by index.
+    one closure steps a slice with a stepper of its own: it writes the
+    slice's records into states and its abort times into abort_times, its
+    live rows being those still NaN there.  Results are bitwise independent
+    of the block size and threads because every trajectory owns its stream
+    and rows are written by index.
     The blocks run on a pool of min(ensemble_workers(threads), blocks)
     workers, and each block draws its normals in equal slabs of at most
     _SLAB_BYTES / workers, so the slabs alive at once fit in _SLAB_BYTES.
@@ -341,7 +319,6 @@ def run_ensemble(
         record_times = np.asarray(record_times, dtype=float)
     rec_steps = record_steps(record_times, params)
 
-    stepper = ExponentialEulerStepper(params)
     shape = (ids.size, record_times.size, n_slots)
     try:
         states = np.full(shape, np.nan)
@@ -359,7 +336,7 @@ def run_ensemble(
         n = len(gens)
         u = np.tile(coeffs, (n, 1))
         abort_t = abort_times[rows]  # a view; NaN while the row lives
-        buf = stepper.buffers((n,))
+        stepper = ExponentialEulerStepper(params, (n,))
         # the fewest refills the longest slab allows, all of one length
         longest = max(1, min(256, n_steps, _SLAB_BYTES // workers // (8 * n * n_slots)))
         slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
@@ -375,7 +352,7 @@ def run_ensemble(
                     m = min(slab_len, n_steps - step_no + 1)
                     for gen, slab in zip(gens, noise):
                         gen.standard_normal(out=slab[:m])
-                stepper.step_block(u, noise[:, s, :], buf)
+                stepper.step_block(u, noise[:, s, :])
                 blown = stepper.blown_up(u) & np.isnan(abort_t)
                 if blown.any():
                     abort_t[blown] = step_no * params.dt

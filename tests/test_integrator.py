@@ -27,12 +27,14 @@ import oracles
 from glmix.field import (
     DriftPolynomial,
     SettingError,
+    coeffs_to_values,
     eigenvalues,
     fmt_value,
     norm_gamma,
     row_norms,
     scaled_random_field,
     sup_norm_values,
+    values_to_coeffs,
 )
 from glmix.config import RunConfig
 from glmix.integrator import (
@@ -279,19 +281,63 @@ def test_remainder_recursion_is_exact_to_rounding():
     assert np.all(np.isfinite(states))
     # Psi = Phi - W_L obeys Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L): the noise
     # cancels, so every step's defect is rounding-level
-    stepper = ExponentialEulerStepper(params)
     psi = states - dense_wl
     wl = dense_wl[:-1]
+    stepper = ExponentialEulerStepper(params, wl.shape[:-1])  # sized to the batch
     pred = stepper.decay * psi[:-1] + stepper.phi * stepper.nonlinearity(psi[:-1] + wl)
     residual = float(np.max(np.abs(psi[1:] - pred)))
     assert residual <= 1e-12
-    # the batched prediction equals a per-record loop over the stepper's factors
+    # the batched prediction equals a per-record loop over the stepper's
+    # factors, by a stepper sized to single rows
+    single = ExponentialEulerStepper(params)
     worst = 0.0
     for n in range(len(psi) - 1):
         pred = stepper.decay * psi[n]
-        pred = pred + stepper.phi * stepper.nonlinearity(psi[n] + dense_wl[n])
+        pred = pred + stepper.phi * single.nonlinearity(psi[n] + dense_wl[n])
         worst = max(worst, float(np.max(np.abs(psi[n + 1] - pred))))
     assert residual == worst
+
+
+@pytest.mark.parametrize("cubic", [True, False])
+def test_step_block_gives_the_bytes_of_the_out_of_place_step(cubic):
+    # step_block computes N(u) in its stepper's arrays and scales its draws
+    # where they lie; the step computed with fresh arrays gives the same bytes,
+    # and so do two steppers of one model stepping two blocks in turn
+    params = params_of(n_modes=32, **({} if cubic else {"poly": None}))
+    rng = np.random.default_rng(35)
+    starts = [scale * rng.standard_normal((512, 65)) for scale in (0.5, 2.0)]
+    draws = [rng.standard_normal((3, 512, 65)) for _ in starts]
+    factors = ExponentialEulerStepper(params)
+
+    def out_of_place(u, g):
+        if not cubic:
+            return factors.decay * u + factors.std * g
+        values = coeffs_to_values(u, 32, factors.grid_points)
+        n_u = values_to_coeffs(params.poly.nonlinearity(values), 32)
+        return factors.decay * u + factors.phi * n_u + factors.std * g
+
+    def solo(u, gs):
+        stepper = ExponentialEulerStepper(params, (512,))
+        u = u.copy()
+        for g in gs:
+            stepper.step_block(u, g.copy())
+        return u
+
+    for u, gs in zip(starts, draws):
+        want = u
+        for g in gs:
+            want = out_of_place(want, g)
+        assert solo(u, gs).tobytes() == want.tobytes()
+    pair = [ExponentialEulerStepper(params, (512,)) for _ in starts]
+    us = [u.copy() for u in starts]
+    for k in range(3):
+        for stepper, u, gs in zip(pair, us, draws):
+            stepper.step_block(u, gs[k].copy())
+    for u, start, gs in zip(us, starts, draws):
+        assert u.tobytes() == solo(start, gs).tobytes()
+    # the drift-free stepper holds no work array; the cubic one its four
+    work = [a for a in vars(pair[0]).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert len(work) == (4 if cubic else 0)
 
 
 def test_recording_grid_and_state_access():
@@ -598,6 +644,16 @@ def test_run_ensemble_clamps_worker_threads(monkeypatch):
     want = min(3, len(os.sched_getaffinity(0)))
     assert workers == [want]
     assert np.array_equal(ens.states, run_ensemble(x, params, traj_ids=range(3)).states)
+
+
+def test_ensemble_workers_counts_cpus_without_an_affinity_query(monkeypatch):
+    # where os has no sched_getaffinity the cores are os.cpu_count(), and one
+    # when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert integrator.ensemble_workers(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert integrator.ensemble_workers(8) == 1
 
 
 def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
