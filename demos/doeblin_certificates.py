@@ -23,7 +23,6 @@ from glmix.doeblin import (
     invariant_measure,
     minorization,
     small_set_search,
-    two_small_compose,
 )
 
 
@@ -60,13 +59,6 @@ def main():
     gap = geometric_bound_check(kernel, cert)
     print(f"geometric bound 2 (1 - {eps:.2f})^floor(n/2) over n = 0..50: "
           f"worst distance-minus-bound {gap:.2e} (negative = slack)")
-
-    print("\n== composing two overlapping small sets ==")
-    half = minorization(kernel, [0], 1)
-    composed = two_small_compose(kernel, half, [1])
-    print(f"one-step certificate on {{0}}: delta = {half.delta}")
-    print(f"composed two-step certificate on {{0, 1}}: delta = {composed.delta}, "
-          f"m = {composed.m}")
 
     print("\n== constructive search on a 20-state band kernel ==")
     kernel20, mu0 = band_kernel_twenty()

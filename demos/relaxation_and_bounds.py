@@ -4,8 +4,8 @@ From a very large start the cubic damping dominates: the weighted norm of a
 run_ensemble trajectory collapses to order one within a fraction of a time
 unit, independently of the start size.  The second half of the script
 isolates the scalar mechanism behind that collapse, y' = -c y^q, and
-compares two candidate comparison constants against a high-resolution
-integration: the corrected constant ((q-1) c t)^(-1/(q-1)) always dominates
+compares two candidate comparison constants against the closed-form
+solution: the corrected constant ((q-1) c t)^(-1/(q-1)) always dominates
 the solution, while the variant with q in place of q-1 fails already for
 q = 3 at moderate y0.
 """

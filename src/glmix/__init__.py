@@ -4,7 +4,7 @@ minorization/coupling toolkit and ensemble mixing diagnostics.
 
 The package splits into six layers:
 
-- field: periodic spectral fields, norms, semigroup, drift polynomials,
+- field: periodic spectral fields, eigenvalues, norms, drift polynomials,
   dealiased transforms;
 - noise: admissible diagonal noise spectra and exact Ornstein-Uhlenbeck
   (stochastic convolution) sampling with per-trajectory streams;

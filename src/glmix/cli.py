@@ -193,19 +193,18 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
 
 
 def _cmd_odecheck(cfg: RunConfig, header: list[str], out: Path, threads: int) -> int:
-    # solved before any line is printed, so a refusal prints only its error; the
-    # grid is unforced: its forcing_integral column keeps the file's layout
+    # solved before any line is printed, so a refusal prints only its error
     grid = [(q, c, y0, t, ode_comparison(q, c, y0, t)) for q, c, y0, t in
             itertools.product(cfg.ode_qs, cfg.ode_cs, cfg.ode_y0s, cfg.ode_ts)]
     rows, bad = [], 0
     for q, c, y0, t, r in grid:
-        rows.append((q, c, y0, t, r.y_final, 0.0, r.corrected_bound, r.literal_bound,
+        rows.append((q, c, y0, t, r.y_final, r.corrected_bound, r.literal_bound,
                      r.corrected_holds, r.literal_holds))
         print(block_text({"q": q, "c": c, "y0": y0, "t": t, "corrected_holds": r.corrected_holds,
                           "literal_holds": r.literal_holds}, sep=" "), end="")
         bad += not r.corrected_holds
     _write(out / "odecheck.csv", header, csv_text(
-        ["q", "c", "y0", "t", "y_final", "forcing_integral", "corrected_bound", "literal_bound",
+        ["q", "c", "y0", "t", "y_final", "corrected_bound", "literal_bound",
          "corrected_holds", "literal_holds"], rows))
     print(f"wrote = {out / 'odecheck.csv'}")
     if bad:

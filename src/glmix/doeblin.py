@@ -11,10 +11,8 @@ geometric convergence bound toward the invariant measure.  validate()
 checks a certificate's claims entry by entry; the contraction factor and the
 geometric gap are measurements whose bounds follow from them.  A constructive
 search builds two-step certificates from the density threshold
-sets S_x = {y : p(x, y) > 1/2}, and a composition rule extends a
-certificate on an accessible set A to any set C that reaches A.  Total
-variation is normalized as the total mass of the absolute value, so
-distinct Dirac measures sit at distance 2.
+sets S_x = {y : p(x, y) > 1/2}.  Total variation is normalized as the total
+mass of the absolute value, so distinct Dirac measures sit at distance 2.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "invariant_measure",
     "search_weights",
     "small_set_search",
-    "two_small_compose",
     "drift_condition_check",
     "read_kernel",
     "write_kernel",
@@ -322,27 +319,6 @@ def small_set_search(kernel: FiniteKernel, mu0) -> SmallSetCertificate | None:
     nu = np.zeros(kernel.n)
     nu[c] = 1.0
     cert = SmallSetCertificate(K=(a,), m=2, delta=float(best), nu=nu)
-    cert.validate(kernel)
-    return cert
-
-
-def two_small_compose(
-    kernel: FiniteKernel, cert_a: SmallSetCertificate, c
-) -> SmallSetCertificate | None:
-    """Extend a certificate on an accessible set A to a set C reaching A.
-
-    P^{m+1}(x, .) >= P(x, A) delta nu for x in C, so C gets an (m+1)-step
-    certificate with delta scaled by min_{x in C} P(x, A); None when some
-    state of C cannot reach A in one step.
-    """
-    cert_a.validate(kernel)
-    c_states = _as_state_tuple(c, kernel.n)
-    reach = float(kernel.rows[np.ix_(c_states, cert_a.K)].sum(axis=1).min())
-    if reach <= 0.0:
-        return None
-    cert = SmallSetCertificate(
-        K=c_states, m=cert_a.m + 1, delta=cert_a.delta * reach, nu=cert_a.nu
-    )
     cert.validate(kernel)
     return cert
 

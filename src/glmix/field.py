@@ -48,9 +48,6 @@ __all__ = [
     "DriftPolynomial",
     "eigenvalues",
     "norm_gamma",
-    "apply_semigroup",
-    "smoothing_norm_check",
-    "basis_field",
     "scaled_random_field",
 ]
 
@@ -125,20 +122,6 @@ class DriftPolynomial:
         return f"DriftPolynomial({list(self.coeffs)})"
 
 
-def basis_field(n_modes: int, k: int, kind: str = "cos") -> np.ndarray:
-    """Coefficients of the basis vector e_0 (k = 0) or e_k^cos / e_k^sin."""
-    c = np.zeros(2 * n_modes + 1)
-    if k == 0:
-        c[0] = 1.0
-    elif kind == "cos":
-        c[2 * k - 1] = 1.0
-    elif kind == "sin":
-        c[2 * k] = 1.0
-    else:
-        raise ValueError("kind must be 'cos' or 'sin'")
-    return c
-
-
 # Fixed generator key so presets are stable across runs and user seeds.
 _PRESET_KEY = np.array([0x5CA1ED0000000001, 0], dtype=np.uint64)
 
@@ -186,28 +169,6 @@ def row_norms(states: np.ndarray, gamma: float) -> np.ndarray:
             rows = states[over] / scale[:, None]
             norms[over] = scale * np.sqrt(np.sum(w * rows * rows, axis=-1))
     return norms
-
-
-def apply_semigroup(u: np.ndarray, t: float) -> np.ndarray:
-    """e^{-Lt} u, exact per-mode decay factors e^{-l_k t}.  Requires t >= 0."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    return u * np.exp(-eigenvalues(u.size // 2) * t)
-
-
-def smoothing_norm_check(u: np.ndarray, t: float, gamma: float, sigma: float) -> bool:
-    """Check ||e^{-Lt} u||_{gamma+sigma} <= t^{-sigma} ||u||_gamma.
-
-    Valid regime sigma in (0, 1/2]; t must be positive.
-    """
-    if not 0.0 < sigma <= 0.5:
-        raise ValueError("sigma must lie in (0, 1/2]")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lhs = norm_gamma(apply_semigroup(u, t), gamma + sigma)
-    rhs = t ** (-sigma) * norm_gamma(u, gamma)
-    return bool(lhs <= rhs * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------

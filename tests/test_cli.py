@@ -136,7 +136,7 @@ QUICK_START_SHA256 = {
         "stdout": "b0b66925bbfcac49cc38e27f9f467548d8b7d8528648df0adda495a6e1861d45",
     },
     "odecheck": {
-        "odecheck.csv": "682ad8d2ca6aafd54cdb9269d135e873d513624bfe24984ef92247324302ff6a",
+        "odecheck.csv": "2436293de3051c9610127e17f4c71387473e3f9e42714bcfc9df587f79686161",
         "stdout": "ac0351e8009faada01d5dd9956bcc8e52badba2f3278ffdf32026fc10949acfd",
     },
 }
@@ -251,8 +251,7 @@ def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):
     assert "qs = 3 5 7" in head
     rows = body_lines(csv)
     assert rows[0] == (
-        "q,c,y0,t,y_final,forcing_integral,corrected_bound,literal_bound,"
-        "corrected_holds,literal_holds"
+        "q,c,y0,t,y_final,corrected_bound,literal_bound,corrected_holds,literal_holds"
     )
     assert len(rows) == 4
     for row in rows[1:]:
@@ -260,16 +259,15 @@ def test_odecheck_writes_grid_and_reports_both_verdicts(tmp_path, capsys):
         q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
         r = ode_comparison(q, c, y0, t)
         assert fields[4] == repr(r.y_final)
-        assert fields[5] == "0.0"  # the grid is unforced
-        assert fields[6] == repr(r.corrected_bound)
-        assert fields[7] == repr(r.literal_bound)
-        assert fields[8] == str(int(r.corrected_holds))
-        assert fields[9] == str(int(r.literal_holds))
+        assert fields[5] == repr(r.corrected_bound)
+        assert fields[6] == repr(r.literal_bound)
+        assert fields[7] == str(int(r.corrected_holds))
+        assert fields[8] == str(int(r.literal_holds))
     # the unforced witness row: literal constant (q c t)^{-1/(q-1)} sits
     # below the true solution while the corrected bound clears it
     witness = rows[1].split(",")
-    assert math.isclose(float(witness[7]), 1.5 ** -0.5, rel_tol=1e-12)
-    assert float(witness[6]) == 1.0
+    assert math.isclose(float(witness[6]), 1.5 ** -0.5, rel_tol=1e-12)
+    assert float(witness[5]) == 1.0
 
 
 def exact_decay(q, c, y0, t):
@@ -342,9 +340,9 @@ def test_odecheck_extreme_inputs_end_with_the_exact_decay(tmp_path, capsys, entr
     fields = body_lines(tmp_path / "out" / "odecheck.csv")[1].split(",")
     q, c, y0, t = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
     assert float(fields[4]) == pytest.approx(exact_decay(q, c, y0, t), rel=1e-12, abs=0.0)
-    assert float(fields[6]) == pytest.approx(exact_bound(q - 1, q, c, t), rel=1e-12, abs=0.0)
-    assert float(fields[7]) == pytest.approx(exact_bound(q, q, c, t), rel=1e-12, abs=0.0)
-    assert fields[8] == "1"  # the corrected bound holds
+    assert float(fields[5]) == pytest.approx(exact_bound(q - 1, q, c, t), rel=1e-12, abs=0.0)
+    assert float(fields[6]) == pytest.approx(exact_bound(q, q, c, t), rel=1e-12, abs=0.0)
+    assert fields[7] == "1"  # the corrected bound holds
 
 
 def test_odecheck_verdicts_are_relative_below_one(tmp_path, capsys):

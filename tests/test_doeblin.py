@@ -28,7 +28,6 @@ from glmix.doeblin import (
     parse_certificate,
     read_kernel,
     small_set_search,
-    two_small_compose,
     write_kernel,
 )
 from glmix.field import SettingError
@@ -488,33 +487,6 @@ def test_doeblin_command_on_a_512_state_kernel(tmp_path):
     assert rc == 0, out.getvalue()
     assert "search = found" in out.getvalue()
     assert time.monotonic() - t0 < 30.0
-
-
-def test_two_small_compose_worked_example():
-    kernel = FiniteKernel(WORKED)
-    cert_a = minorization(kernel, k=(0,), m=1)
-    assert cert_a.delta == 1.0
-    cert_c = two_small_compose(kernel, cert_a, c=(0, 1))
-    assert cert_c.K == (0, 1) and cert_c.m == 2
-    assert np.isclose(cert_c.delta, 0.2, rtol=1e-15)
-    assert np.array_equal(cert_c.nu, cert_a.nu)
-    # extending to the full space scales by the worst return probability
-    assert cert_c.delta == cert_a.delta * condition_b(kernel, cert_a.K)
-
-
-def test_two_small_compose_unreachable_and_random():
-    identity_ish = FiniteKernel([[1.0, 0.0], [0.0, 1.0]])
-    cert_a = minorization(identity_ish, k=(0,), m=1)
-    assert two_small_compose(identity_ish, cert_a, c=(1,)) is None
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        kernel = random_kernel(rng, n)
-        a = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-        cert_a = minorization(kernel, k=a, m=int(rng.integers(1, 3)))
-        cert_c = two_small_compose(kernel, cert_a, c=range(n))
-        assert cert_c is not None and cert_c.m == cert_a.m + 1
-        cert_c.validate(kernel)
 
 
 def birth_death_kernel():

@@ -17,8 +17,6 @@ from scipy.fft import next_fast_len
 import oracles
 from glmix.field import (
     DriftPolynomial,
-    apply_semigroup,
-    basis_field,
     block_text,
     coeffs_to_values,
     csv_text,
@@ -29,7 +27,6 @@ from glmix.field import (
     mode_numbers,
     norm_gamma,
     scaled_random_field,
-    smoothing_norm_check,
     sup_norm_values,
     values_to_coeffs,
 )
@@ -68,16 +65,15 @@ def test_eigenvalues_match_fd_richardson_oracle():
 
 def test_norm_gamma_zero_and_basis_cases():
     assert norm_gamma(np.zeros(17), 7.0) == 0.0
-    e1 = basis_field(8, 1, "cos")
+    e1 = np.eye(17)[1]  # e_1^cos
     assert norm_gamma(e1, 0.0) == 1.0
     # gamma = 1 on e_1 equals l_1 = 1 + 4 pi^2, cross-checked by the FD oracle
     l1 = norm_gamma(e1, 1.0)
     assert np.isclose(l1, 1.0 + 4.0 * np.pi**2, rtol=1e-14)
     assert np.isclose(l1, oracles.fd_eigenvalue_richardson(1), rtol=1e-8)
     assert np.isclose(l1, 40.4784, rtol=1e-4)
-    for k in range(9):
-        for kind in ("cos", "sin") if k else ("cos",):
-            assert np.isclose(norm_gamma(basis_field(8, k, kind), 0.0), 1.0)
+    for e in np.eye(17):
+        assert np.isclose(norm_gamma(e, 0.0), 1.0)
 
 
 def test_norm_gamma_parseval_and_quadrature():
@@ -115,54 +111,28 @@ def test_norm_gamma_monotone_in_gamma():
         assert norm_gamma(u, g1) <= norm_gamma(u, g2) * (1.0 + 1e-12)
 
 
-def test_apply_semigroup_identity_and_zero():
-    rng = np.random.default_rng(14)
-    u = random_field(5, rng)
-    assert np.array_equal(apply_semigroup(u, 0.0), u)
-    assert np.all(apply_semigroup(np.zeros(11), 3.0) == 0.0)
-    with pytest.raises(ValueError):
-        apply_semigroup(u, -0.1)
-
-
-def test_apply_semigroup_against_fd_time_stepping():
+def test_decay_factor_against_fd_heat_decay_and_smoothing_bound():
+    # e^{-Lt} acts on coefficients as the factors e^{-l_k t}, from which the
+    # stepper's decay is built; mode k decays as under u_t = u_xx - u
     for k in (1, 2):
-        t = 0.05
-        got = apply_semigroup(basis_field(8, k, "cos"), t)[2 * k - 1]
-        ref = oracles.fd_heat_decay(k, t)
-        assert np.isclose(got, ref, rtol=2e-2)
-    # closed-form spot value from the one-unit decay of mode 1
-    c = apply_semigroup(basis_field(8, 1, "cos"), 1.0)[1]
-    assert np.isclose(c, np.exp(-(1.0 + 4.0 * np.pi**2)), rtol=1e-12)
-    assert np.isclose(c, 2.63e-18, rtol=5e-3)
-
-
-def test_semigroup_composition_property():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        u = random_field(6, rng)
-        s, t = rng.uniform(0.0, 0.4, size=2)
-        once = apply_semigroup(u, s + t)
-        twice = apply_semigroup(apply_semigroup(u, s), t)
-        assert np.allclose(once, twice, rtol=1e-12, atol=1e-300)
-
-
-def test_smoothing_norm_check_cases():
-    assert smoothing_norm_check(basis_field(8, 1, "cos"), 1.0, 0.0, 0.5)
-    assert smoothing_norm_check(np.zeros(17), 0.3, 1.0, 0.25)
-    for k in range(1, 9):
-        for t in (0.01, 0.1, 1.0):
-            assert smoothing_norm_check(basis_field(8, k, "cos"), t, 0.0, 0.5)
+        got = np.exp(-eigenvalues(8) * 0.05)[2 * k - 1]
+        assert np.isclose(got, oracles.fd_heat_decay(k, 0.05), rtol=2e-2)
+    assert np.isclose(np.exp(-eigenvalues(8) * 1.0)[1], 2.63e-18, rtol=5e-3)
+    # smoothing: ||e^{-Lt} u||_{gamma+sigma} <= t^{-sigma} ||u||_gamma for
+    # sigma in (0, 1/2], on every slot's basis vector and on random fields
+    basis = np.eye(17)
+    for t in (0.01, 0.1, 1.0):
+        decayed = basis * np.exp(-eigenvalues(8) * t)
+        for e, v in zip(basis, decayed):
+            assert norm_gamma(v, 0.5) <= t**-0.5 * norm_gamma(e, 0.0) * (1.0 + 1e-12)
     rng = np.random.default_rng(16)
     for _ in range(25):
         u = random_field(12, rng)
         t = float(rng.uniform(0.005, 2.0))
         gamma = float(rng.uniform(-1.0, 2.0))
         sigma = float(rng.uniform(1e-3, 0.5))
-        assert smoothing_norm_check(u, t, gamma, sigma)
-    with pytest.raises(ValueError):
-        smoothing_norm_check(basis_field(8, 1, "cos"), 1.0, 0.0, 0.6)
-    with pytest.raises(ValueError):
-        smoothing_norm_check(basis_field(8, 1, "cos"), 0.0, 0.0, 0.5)
+        lhs = norm_gamma(u * np.exp(-eigenvalues(12) * t), gamma + sigma)
+        assert lhs <= t**-sigma * norm_gamma(u, gamma) * (1.0 + 1e-12)
 
 
 def test_grid_round_trip_minimal_and_oversampled():
@@ -238,7 +208,7 @@ def test_coeffs_to_values_matches_direct_summation():
     const = np.array([2.5, 0, 0, 0, 0, 0, 0])
     assert np.allclose(coeffs_to_values(const, 3, 16), 2.5)
     # a pure cosine mode samples to the cosine with amplitude sqrt(2/l_k)
-    e2 = basis_field(5, 2, "cos")
+    e2 = np.eye(11)[3]  # e_2^cos
     amp = np.sqrt(2.0 / (1.0 + 16.0 * np.pi**2))
     assert np.allclose(coeffs_to_values(e2, 5, 32), amp * np.cos(4 * np.pi * xs),
                        atol=1e-14)
@@ -370,17 +340,6 @@ def test_sup_norm_values_matches_scalar_version():
     batched = sup_norm_values(block, 5)
     single = [sup_norm_values(row, 5) for row in block]
     assert np.allclose(batched, single, rtol=1e-14)
-
-
-def test_basis_field_slots():
-    e0 = basis_field(3, 0)
-    assert e0[0] == 1.0 and np.all(e0[1:] == 0.0)
-    ec = basis_field(3, 2, "cos")
-    assert ec[3] == 1.0 and np.sum(ec != 0.0) == 1
-    es = basis_field(3, 2, "sin")
-    assert es[4] == 1.0 and np.sum(es != 0.0) == 1
-    with pytest.raises(ValueError):
-        basis_field(3, 1, "tan")
 
 
 def test_scaled_random_field_deterministic_and_normed():
