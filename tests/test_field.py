@@ -111,15 +111,24 @@ def test_norm_gamma_monotone_in_gamma():
         assert norm_gamma(u, g1) <= norm_gamma(u, g2) * (1.0 + 1e-12)
 
 
-def test_decay_factor_against_fd_heat_decay_and_smoothing_bound():
+def test_apply_semigroup_against_fd_time_stepping():
     # e^{-Lt} acts on coefficients as the factors e^{-l_k t}, from which the
     # stepper's decay is built; mode k decays as under u_t = u_xx - u
     for k in (1, 2):
         got = np.exp(-eigenvalues(8) * 0.05)[2 * k - 1]
         assert np.isclose(got, oracles.fd_heat_decay(k, 0.05), rtol=2e-2)
-    assert np.isclose(np.exp(-eigenvalues(8) * 1.0)[1], 2.63e-18, rtol=5e-3)
+    # closed-form spot value from the one-unit decay of mode 1
+    c = np.exp(-eigenvalues(8) * 1.0)[1]
+    assert np.isclose(c, np.exp(-(1.0 + 4.0 * np.pi**2)), rtol=1e-12)
+    assert np.isclose(c, 2.63e-18, rtol=5e-3)
+
+
+def test_smoothing_norm_check_cases():
     # smoothing: ||e^{-Lt} u||_{gamma+sigma} <= t^{-sigma} ||u||_gamma for
-    # sigma in (0, 1/2], on every slot's basis vector and on random fields
+    # sigma in (0, 1/2], on zero, on every slot's basis vector and on random
+    # fields
+    zero = np.zeros(17) * np.exp(-eigenvalues(8) * 0.3)
+    assert norm_gamma(zero, 1.25) <= 0.3**-0.25 * norm_gamma(np.zeros(17), 1.0)
     basis = np.eye(17)
     for t in (0.01, 0.1, 1.0):
         decayed = basis * np.exp(-eigenvalues(8) * t)
