@@ -25,10 +25,10 @@ remainder Psi = Phi - W_L satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L)
 to rounding error, step by step.
 Each block allocates its stepper and a slab of normal draws once, fills the
 slab in place, scales each step's spent draws in place and updates its state
-in place, so a step allocates no block-sized array.  The slabs of the blocks
-that run at once share one budget, _SLAB_BYTES (16 MB) a call, so more
-workers draw shorter slabs; a block splits its steps into the fewest slabs
-its share allows, all of one length.  Each trajectory consumes its own stream
+in place, so a step allocates no block-sized array.  Like its stepper, a
+block's slab is sized from the block alone: at most _SLAB_BYTES (8 MB), which
+the block fills with the fewest slabs of one length, whatever the worker
+count.  Each trajectory consumes its own stream
 (noise.trajectory_generator), so results do not depend on block sizes, slab
 lengths, worker counts or thread schedules.  A row aborts at the first step
 after which its squared norm, one einsum pass, is NaN or above guard *
@@ -274,15 +274,18 @@ def ensemble_workers(threads: int) -> int:
 # run_ensemble's rows per block
 BLOCK_ROWS = 512
 
-# One run_ensemble call holds at most 16 MB of normal draws: each of its w
-# workers' blocks draws in slabs of at most 256 steps and 16 MB / w (at least
-# one step), and splits its steps into the fewest such slabs, all of one
-# length.  So one worker draws the 256 steps of a 512 x 65 block in 5 slabs of
-# 52 steps, and two workers in 9 slabs of 29.  Smaller slabs cost time, since
-# each slab takes one standard_normal call per row and each call releases and
-# retakes the GIL: 4 MB per block raised the mixing-cubic benchmark's wall
-# time by about 12%.  write_trajectory_csv forms its groups in 1 MB.
-_SLAB_BYTES = 16 << 20
+# Each block draws its normals in slabs of at most 256 steps and 8 MB (at
+# least one step), and splits its steps into the fewest such slabs, all of one
+# length, so a run holds one slab per worker.  A 512 x 65 block draws its 256
+# steps in 9 slabs of 29 (7.7 MB) on any worker count; at 16 MB it would draw
+# 5 of 52 (13.8 MB) for under 2% less time.  Smaller slabs cost more time,
+# since each slab takes one standard_normal call per row and each call
+# releases and retakes the GIL: 4 MB per block raised the mixing-cubic
+# benchmark's wall time by about 12%.
+_SLAB_BYTES = 8 << 20
+
+# write_trajectory_csv's transient arrays for one group of trajectories
+_GROUP_BYTES = 1 << 20
 
 
 def run_ensemble(
@@ -306,7 +309,7 @@ def run_ensemble(
     and rows are written by index.
     The blocks run on a pool of min(ensemble_workers(threads), blocks)
     workers, and each block draws its normals in equal slabs of at most
-    _SLAB_BYTES / workers, so the slabs alive at once fit in _SLAB_BYTES.
+    _SLAB_BYTES, so the slabs alive at once fit in workers * _SLAB_BYTES.
     """
     coeffs = np.asarray(x, dtype=float)
     n_slots = 2 * params.n_modes + 1
@@ -338,7 +341,7 @@ def run_ensemble(
         abort_t = abort_times[rows]  # a view; NaN while the row lives
         stepper = ExponentialEulerStepper(params, (n,))
         # the fewest refills the longest slab allows, all of one length
-        longest = max(1, min(256, n_steps, _SLAB_BYTES // workers // (8 * n * n_slots)))
+        longest = max(1, min(256, n_steps, _SLAB_BYTES // (8 * n * n_slots)))
         slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
         noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
         if 0 in rec_steps:
@@ -459,7 +462,7 @@ def write_trajectory_csv(
     trajectory column.  Each result is written in groups of whole
     trajectories (at least one), and a group's rows go to the file before
     the next group is formed.  A group's transient arrays fit in
-    _SLAB_BYTES // 16 (1 MB): its finite rows, their three norms, and the
+    _GROUP_BYTES (1 MB): its finite rows, their three norms, and the
     sup-norm grid, half spectrum and |grid|.  So the writer holds one group
     besides the ensemble it is writing, and the text does not depend on how
     the trajectories are split into ensembles or groups.  norm_sup is the
@@ -483,7 +486,7 @@ def write_trajectory_csv(
 
     def write(fh, ens):  # its views of ens's records die when it returns
         times = np.array([fmt_float(t) for t in ens.times], dtype=object)
-        group = max(1, (_SLAB_BYTES // 16) // (row_bytes * max(1, len(times))))
+        group = max(1, _GROUP_BYTES // (row_bytes * max(1, len(times))))
         for lo in range(0, ens.n_traj, group):
             states = ens.states[lo : lo + group]
             finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)

@@ -12,7 +12,6 @@ import hashlib
 import math
 import os
 import re
-import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -569,12 +568,10 @@ def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
     kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1))
     # one block, one slab of every step
     base = run_ensemble(x, params, **kw)
-    # the budget is shared by the blocks running at once, one per worker
-    workers = min(integrator.ensemble_workers(threads), -(-7 // block_size))
     with pytest.MonkeyPatch.context() as mp:
         # full blocks draw slabs of at most slab_len steps; a shorter last block,
         # longer ones
-        mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len * workers)
+        mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len)
         mp.setattr(integrator, "BLOCK_ROWS", block_size)
         other = run_ensemble(x, params, threads=threads, **kw)
     for name in ENSEMBLE_FIELDS:
@@ -656,61 +653,51 @@ def test_ensemble_workers_counts_cpus_without_an_affinity_query(monkeypatch):
     assert integrator.ensemble_workers(8) == 1
 
 
-def test_draw_slabs_of_the_blocks_running_at_once_fit_one_budget(monkeypatch):
-    """A row's first standard_normal call fills its share of its block's
-    slab, and a thread runs one block at a time, so the slabs alive at once
-    are at most the largest of each thread's blocks.  Together they fit in
-    _SLAB_BYTES on any thread count, and the draws and records do not change."""
-    calls = []  # (trajectory id, thread, normals drawn), in call order
+def test_each_block_draws_in_slabs_of_its_own_budget(monkeypatch):
+    """A block's slab is sized from the block alone: on 1, 2 and 4 workers
+    every block refills as often, each of its slabs fits _SLAB_BYTES, and the
+    draws and records do not change."""
+    calls = []  # (trajectory id, normals drawn), in call order
 
     class Recording:
         def __init__(self, gen, tid):
             self._gen, self._tid = gen, tid
 
         def standard_normal(self, *, out):
-            calls.append((self._tid, threading.get_ident(), out.size))
+            calls.append((self._tid, out.size))
             return self._gen.standard_normal(out=out)
 
     make_generator = integrator.trajectory_generator
     monkeypatch.setattr(integrator, "trajectory_generator",
                         lambda seed, tid: Recording(make_generator(seed, tid), tid))
-    rows, n_traj, n_blocks = 4, 10, 3  # the last block has two rows
+    # as many workers as threads, whatever the cores
+    monkeypatch.setattr(integrator, "ensemble_workers", lambda threads: threads)
+    rows, n_traj = 4, 10  # blocks of 4, 4 and 2 rows
     row_step_bytes = 8 * CALM.size
-    # one worker: a full block's longest slab is 12 steps, so it draws its 64
-    # steps in 6 slabs of 11
     budget = row_step_bytes * rows * 12
     monkeypatch.setattr(integrator, "_SLAB_BYTES", budget)
     monkeypatch.setattr(integrator, "BLOCK_ROWS", rows)
+    # a full block's longest slab is 12 steps, so it draws its 64 steps in 6
+    # slabs of 11; the 2-row block's is 24, so it draws 3 slabs of 22
+    want_refills = [6] * 8 + [3] * 2
+    want_first = [CALM.size * 11] * 8 + [CALM.size * 22] * 2  # a row's first fill
     base = None
     for threads in (1, 2, 4):
         calls.clear()
         ens = run_ensemble(CALM, SMALL, range(n_traj), threads=threads)
-        workers = min(integrator.ensemble_workers(threads), n_blocks)
         first = {}
         drawn = dict.fromkeys(range(n_traj), 0)
         refills = dict.fromkeys(range(n_traj), 0)
-        for tid, thread, size in calls:
-            first.setdefault(tid, (thread, size))
+        for tid, size in calls:
+            first.setdefault(tid, size)
             drawn[tid] += size
             refills[tid] += 1
         # every row draws each of its 64 steps once
         assert drawn == dict.fromkeys(range(n_traj), SMALL.n_steps * CALM.size)
-        largest = {}  # thread -> its largest block slab in bytes
-        for b in range(n_blocks):
-            block = [first[tid] for tid in range(b * rows, min((b + 1) * rows, n_traj))]
-            assert len({thread for thread, _ in block}) == 1
-            slab = 8 * sum(size for _, size in block)
-            largest[block[0][0]] = max(largest.get(block[0][0], 0), slab)
-            # a block's longest slab is its workers-th of the budget in whole
-            # steps; it draws in the fewest refills that allows, of equal length
-            steps = (budget // workers) // (row_step_bytes * len(block))
-            longest = min(steps, SMALL.n_steps)
-            n_refills = -(-SMALL.n_steps // longest)
-            assert slab == row_step_bytes * len(block) * -(-SMALL.n_steps // n_refills)
-            for tid in range(b * rows, min((b + 1) * rows, n_traj)):
-                assert refills[tid] == n_refills
-        assert len(largest) <= workers
-        assert sum(largest.values()) <= budget
+        assert [refills[tid] for tid in range(n_traj)] == want_refills
+        assert [first[tid] for tid in range(n_traj)] == want_first
+        for lo in range(0, n_traj, rows):
+            assert 8 * sum(first[tid] for tid in range(lo, min(lo + rows, n_traj))) <= budget
         if base is None:
             base = ens
         for name in ENSEMBLE_FIELDS:
@@ -879,7 +866,7 @@ def test_trajectory_csv_text_is_pinned(tmp_path, monkeypatch, n_modes):
     write_trajectory_csv(tmp_path / "a.csv", results, 1.0, ["seed = 1"])
     assert (tmp_path / "a.csv").read_text() == want
     # one trajectory a group: four rows of 8 (2 N + 4) + 24 * 64 bytes fill 6528
-    monkeypatch.setattr(integrator, "_SLAB_BYTES", 16 * 6528)
+    monkeypatch.setattr(integrator, "_GROUP_BYTES", 6528)
     write_trajectory_csv(tmp_path / "b.csv", results, 1.0, ["seed = 1"])
     assert (tmp_path / "b.csv").read_text() == want
 
@@ -901,7 +888,7 @@ def test_trajectory_csv_is_independent_of_the_group_budget(tmp_path_factory, n_m
     group_bytes = data.draw(st.integers(0, 2 * 3 * 4 * row_bytes), label="budget")
     out = tmp_path_factory.getbasetemp() / "groups.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "_SLAB_BYTES", 16 * group_bytes)
+        mp.setattr(integrator, "_GROUP_BYTES", group_bytes)
         write_trajectory_csv(out, philox_writer_results(n_modes), 1.0, ["seed = 1"])
     assert out.read_text() == {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
 
