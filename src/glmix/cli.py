@@ -1,14 +1,16 @@
 """Command-line driver: simulate | moments | mixing | doeblin | odecheck.
 
-Every subcommand reads one configuration file (all keys optional, see the
-config module), writes its outputs under --out with the fully resolved
-configuration echoed as '#' comment lines in each file header, and prints a
-machine-readable key = value account of what happened; every value in them
-is written by field.fmt_value.  --out is made by the first file written, so
-a run that writes none leaves no directory.  Exit 0: every enabled check
-passed; 1: a check failed (the output files are still written); 2: a bad
-command line (error = usage), a refused config value (error = config naming
-its line before any output; the model, gamma, p and times under all five
+One parser reads the subcommand and the options --config, --out and
+--threads, which may come before or after it.  Every subcommand reads one
+configuration file (all keys optional, see the config module), writes its
+outputs under --out with the fully resolved configuration echoed as '#'
+comment lines in each file header, and prints a machine-readable
+key = value account of what happened; every value in them is written by
+field.fmt_value.  --out is made by the first file written, so a run that
+writes none leaves no directory.  Exit 0: every enabled check passed; 1: a
+check failed (the output files are still written); 2: a bad command line
+(error = usage), a refused config value (error = config naming its line
+before any output; the model, gamma, p and times under all five
 subcommands, any other value under the one that reads it), or a bad kernel
 file, --out or float range (error = validation).
 
@@ -224,12 +226,10 @@ def main(argv=None) -> int:
         description="Spectral Ginzburg-Landau simulator and finite-state "
         "minorization toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="configuration file path")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=_worker_count, default=1,
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="configuration file path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", type=_worker_count, default=1,
                         help="ensemble workers of simulate, moments and mixing (BLAS starts on "
                         "one thread unless a thread variable is set); no thread setting "
                         "changes an output byte")

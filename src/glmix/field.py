@@ -41,8 +41,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import numpy.fft
-import numpy.random
 
 __all__ = [
     "DriftPolynomial",

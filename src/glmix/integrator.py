@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -365,6 +364,7 @@ def run_ensemble(
                 if step_no in rec_steps:
                     states[rows, rec_steps[step_no]] = u
 
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by doeblin or odecheck
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_block, blocks))
     return EnsembleResult(

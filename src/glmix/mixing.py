@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.random
 
 from .field import SettingError, block_text, csv_text, eigenvalues, fmt_float, row_norms
 from .integrator import SimulationParams, run_ensemble

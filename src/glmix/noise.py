@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random
 
 from .field import SettingError, eigenvalues, mode_numbers
 

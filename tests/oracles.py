@@ -327,6 +327,24 @@ def double_well_rows(n, h=0.3, sigma=0.6):
     return w / w.sum(axis=1, keepdims=True)
 
 
+def geometric_gap_every_step(rows, mu_star, eps, horizon=50):
+    """(worst gap, the k attaining it) over every k = 0..horizon.
+
+    The gap at k is max_x ||P^k(x, .) - mu_star|| - 2 (1 - eps)^floor(k/2),
+    with P^k stepped by one product by P a step from the identity.
+    """
+    q = np.eye(rows.shape[0])
+    worst, k_worst = -np.inf, None
+    for k in range(horizon + 1):
+        if k:
+            q = q @ rows
+        dists = np.abs(q - mu_star[None, :]).sum(axis=1)
+        gap = float(dists.max() - 2.0 * (1.0 - eps) ** (k // 2))
+        if gap > worst:
+            worst, k_worst = gap, k
+    return worst, k_worst
+
+
 def law_distance_reference(obs_a, obs_b, p):
     """The histogram law distance binned axis by axis, as separate counts.
 

@@ -8,6 +8,7 @@ import contextlib
 import dataclasses
 import io
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +268,9 @@ def test_geometric_bound_worked_example():
                                delta_prime=1.0)
     worst = geometric_bound_check(kernel, cert)
     assert worst <= 1e-9
+    # decided at k = 50, from state 1: (4/3) 0.7^50 - 2 (0.7)^25 exactly
+    r = Fraction(7, 10) ** 25
+    assert abs(worst - float(Fraction(4, 3) * r * r - 2 * r)) < 1e-15
     # fifty steps of a 0.7-per-two-steps contraction land well inside 1e-3
     mu_star = invariant_measure(kernel)
     p50 = np.linalg.matrix_power(kernel.rows, 50)
@@ -297,6 +301,60 @@ def test_geometric_bound_is_none_where_float64_cannot_resolve_mu_star():
     with pytest.raises(ValueError, match="not unique"):
         invariant_measure(kernel)
     assert geometric_bound_check(kernel, cert) is None
+
+
+def one_step_certificate(kernel):
+    """The K = all, m = 1 certificate with delta_prime that glmix doeblin checks."""
+    states = range(kernel.n)
+    return dataclasses.replace(minorization(kernel, states, 1),
+                               delta_prime=condition_b(kernel, states))
+
+
+def test_geometric_bound_by_p_squared_matches_the_every_step_loop():
+    # the oracle steps P^k by one product by P over all 51 k, and
+    # geometric_bound_check by P^2 over the even k alone.  Where k = 0
+    # decides, both read the Dirac rows and must agree byte for byte.
+    # Elsewhere, with u = 2^-53 and gamma = n u / (1 - n u): a computed row
+    # of P^k is within k gamma of the exact one in l1 by either route (each
+    # product by a stochastic matrix adds at most gamma to a row of mass
+    # about 1, and does not grow an earlier error; P^2 itself is one
+    # product), and the distance to mu_* and the gap round by at most
+    # 4 gamma more for n >= 2, so the routes' even-k gaps differ by at most
+    # 2 (50 + 4) gamma.  An odd k exceeds the even k below it by at most
+    # r = ||mu_* P - mu_*||, which is not exactly 0 in float64, at the same
+    # bound.  So the two worst gaps differ by at most r + 2 (50 + 4) gamma.
+    rng = np.random.default_rng(12)
+    decided_at = []
+    for trial in range(90):
+        n = int(rng.integers(2, 13))
+        lazy = (0.0, 0.9, 0.99)[trial % 3]  # a lazier chain is decided at k = 0
+        rows = rng.random((n, n)) + 0.05
+        kernel = FiniteKernel(lazy * np.eye(n) + (1.0 - lazy) * rows / rows.sum(axis=1)[:, None])
+        cert = one_step_certificate(kernel)
+        gap = geometric_bound_check(kernel, cert)
+        mu = invariant_measure(kernel)
+        want, k = oracles.geometric_gap_every_step(kernel.rows, mu, cert.delta * cert.delta_prime)
+        decided_at.append(k)
+        if k == 0:
+            assert gap == want, (trial, gap, want)
+        else:
+            u = np.finfo(float).eps / 2.0
+            gamma = n * u / (1.0 - n * u)
+            r = np.abs(mu @ kernel.rows - mu).sum()
+            assert abs(gap - want) <= r + 2 * (50 + 4) * gamma, (trial, k, gap, want)
+    # both cases are exercised: the dense chains are decided at k = 50
+    assert 0 in decided_at and 50 in decided_at
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_geometric_bound_on_double_wells_keeps_its_bytes(n):
+    # the printed geometric_gap there is decided at k = 0 (-2 min mu_*)
+    kernel = FiniteKernel(oracles.double_well_rows(n))
+    cert = one_step_certificate(kernel)
+    want, k = oracles.geometric_gap_every_step(
+        kernel.rows, invariant_measure(kernel), cert.delta * cert.delta_prime)
+    assert k == 0
+    assert geometric_bound_check(kernel, cert) == want
 
 
 def test_small_set_search_worked_two_state():

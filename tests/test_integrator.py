@@ -6,6 +6,7 @@ forced comparison ODE y' = -c y^q + f), and the dealias-free polynomial
 convolution from tests/oracles.py for a hand-built single step.
 """
 
+import concurrent.futures
 import copy
 import functools
 import hashlib
@@ -626,12 +627,13 @@ def test_convolution_records_are_pinned(case):
 def test_run_ensemble_clamps_worker_threads(monkeypatch):
     workers = []
 
-    class Recording(integrator.ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(integrator, "ThreadPoolExecutor", Recording)
+    # run_ensemble imports the pool class at call time
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     params = quiet_params(n_modes=3)
     x = np.full(7, 0.5)
     with pytest.MonkeyPatch.context() as mp:
