@@ -187,9 +187,9 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
     if search is None:
         print("search = none")
     else:
-        _write(out / "search_certificate.txt", header, certificate_text(search))
-        print("search = found")
-        print(certificate_text(search), end="")
+        block = certificate_text(search)
+        _write(out / "search_certificate.txt", header, block)
+        print(f"search = found\n{block}", end="")
     print(f"wrote = {out / 'certificate.txt'}")
     return 0
 

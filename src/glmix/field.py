@@ -152,11 +152,11 @@ def norm_gamma(u: np.ndarray, gamma: float) -> float:
 
 
 def row_norms(states: np.ndarray, gamma: float) -> np.ndarray:
-    """||u||_gamma of each finite coefficient row on the last axis of states.
+    """||u||_gamma of each coefficient row on the last axis of states.
 
-    A row whose sum of squares overflows is summed again scaled by its
-    largest |c|, so its norm is inf only when the norm itself is beyond
-    float max.
+    A row with a NaN has norm NaN.  A row whose sum of squares overflows is
+    summed again scaled by its largest |c|, so its norm is inf only when the
+    norm itself is beyond float max.
     """
     w = eigenvalues((states.shape[-1] - 1) // 2) ** (2.0 * gamma)
     with np.errstate(over="ignore"):

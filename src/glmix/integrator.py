@@ -460,17 +460,18 @@ def write_trajectory_csv(
     ensemble's rows are written before the next is taken, and the writer
     keeps no reference to an ensemble it has written.  Rows carry a
     trajectory column.  Each result is written in groups of whole
-    trajectories (at least one), and a group's rows go to the file before
-    the next group is formed.  A group's transient arrays fit in
-    _GROUP_BYTES (1 MB): its finite rows, their three norms, and the
-    sup-norm grid, half spectrum and |grid|.  So the writer holds one group
-    besides the ensemble it is writing, and the text does not depend on how
-    the trajectories are split into ensembles or groups.  norm_sup is the
-    field.sup_norm_values grid maximum (8 points per mode, at least 64
-    points).  Every cell is what field.fmt_value writes, by a %d/%r format
-    string (the hot loop's own copy of the rule).  Aborted spans appear as
-    rows with aborted = 1 and empty numeric fields.  If results fails after
-    the file is opened, the partial file is removed.  Returns None.
+    trajectories (at least one), each a view of its records in file order,
+    and a group's rows go to the file before the next group is formed.  Its
+    transient arrays fit in _GROUP_BYTES (1 MB): the three norms of every
+    record, aborted ones too, and the sup-norm grid, half spectrum and
+    |grid|.  So the writer holds one group besides the ensemble it is
+    writing, and the text does not depend on how the trajectories are split
+    into ensembles or groups.  norm_sup is the field.sup_norm_values grid
+    maximum (8 points per mode, at least 64 points).  Every cell is what
+    field.fmt_value writes, by a %d/%r format string (the hot loop's own
+    copy of the rule).  Aborted (non-finite) records appear as rows with
+    aborted = 1 and empty numeric fields.  If results fails after the file
+    is opened, the partial file is removed.  Returns None.
     """
     ensembles = iter(results)
     ens = next(ensembles, None)
@@ -481,30 +482,26 @@ def write_trajectory_csv(
     coeff_names = ["c0", "a1", "b1", "a2", "b2", "a3"][:n_coeff_cols]
     finite_row = "%d,%s,%r,%r,%r,0" + ",%r" * n_coeff_cols + "\n"
     aborted_row = "%d,%s,,,,1" + "," * n_coeff_cols + "\n"
-    # a finite row: its coefficients and three norms, and 24 bytes a sup-norm point
+    # a record: its coefficients and three norms, and 24 bytes a sup-norm point
     row_bytes = 8 * (2 * n_modes + 4) + 24 * sup_points(n_modes)
 
     def write(fh, ens):  # its views of ens's records die when it returns
-        times = np.array([fmt_float(t) for t in ens.times], dtype=object)
+        times = [fmt_float(t) for t in ens.times]
         group = max(1, _GROUP_BYTES // (row_bytes * max(1, len(times))))
         for lo in range(0, ens.n_traj, group):
             states = ens.states[lo : lo + group]
-            finite = np.all(np.isfinite(states), axis=-1)  # (group, n_times)
-            u = states[finite]  # finite rows, trajectory-major like the file
-            norm_0, norm_gamma = row_norms(u, 0.0), row_norms(u, gamma)
+            u = states.reshape(-1, states.shape[-1])  # a view, trajectory-major like the file
             with np.errstate(over="ignore"):  # a grid value beyond float max is inf
                 norm_sup = sup_norm_values(u, n_modes)
-            tids = np.broadcast_to(ens.traj_ids[lo : lo + group, None], finite.shape)
-            ts = np.broadcast_to(times, finite.shape)
-            rows = np.empty(finite.shape, dtype=object)
-            rows[finite] = list(map(finite_row.__mod__, zip(
-                tids[finite].tolist(), ts[finite].tolist(), norm_0.tolist(),
-                norm_gamma.tolist(), norm_sup.tolist(), *u[:, :n_coeff_cols].T.tolist(),
-            )))
-            rows[~finite] = list(map(aborted_row.__mod__, zip(
-                tids[~finite].tolist(), ts[~finite].tolist()
-            )))
-            fh.write("".join(rows.ravel().tolist()))
+            records = zip(
+                np.repeat(ens.traj_ids[lo : lo + group], len(times)).tolist(),
+                times * len(states), row_norms(u, 0.0).tolist(),
+                row_norms(u, gamma).tolist(), norm_sup.tolist(), *u[:, :n_coeff_cols].T.tolist(),
+            )
+            fh.write("".join([
+                finite_row % rec if ok else aborted_row % rec[:2]
+                for ok, rec in zip(np.all(np.isfinite(u), axis=-1).tolist(), records)
+            ]))
 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w")

@@ -318,27 +318,24 @@ class MixingReport:
 
 def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
     """Observable rows of the finite (n_traj, n_times, slots) records, one
-    array per time; none of them is a view of states.  Each time's rows are
-    projected _OBS_ROWS at a time, which observables does row by row, so the
-    temporaries stay small beside the records."""
+    array per time; none of them is a view of states.  Every record, aborted
+    (NaN) ones too, is projected _OBS_ROWS at a time, which observables does
+    row by row, so the temporaries stay small beside the records; each time
+    then keeps the rows of its finite records."""
     keep = np.all(np.isfinite(states), axis=-1)
-    out = []
-    for j in range(states.shape[1]):
-        rows = np.flatnonzero(keep[:, j])
-        out.append(np.concatenate([
-            observables(states[rows[lo : lo + _OBS_ROWS], j], gamma)
-            for lo in range(0, max(1, rows.size), _OBS_ROWS)
-        ]))
-    return out
+    flat = states.reshape(-1, states.shape[-1])
+    obs = np.concatenate([observables(flat[lo : lo + _OBS_ROWS], gamma)
+                          for lo in range(0, len(flat), _OBS_ROWS)]).reshape(*keep.shape, -1)
+    return [obs[keep[:, j], j] for j in range(keep.shape[1])]
 
 
 def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
 
     Runs one ensemble for each of the first two initial conditions (later
-    ones are not simulated).  Each ensemble's finite rows are projected to
-    observables once per requested integer time as soon as it is stepped,
-    so the first start's states are freed before the second steps.  From
+    ones are not simulated).  Each ensemble's records are projected to
+    observables as soon as it is stepped, and each time keeps its finite
+    ones, so the first start's states are freed before the second steps.  From
     those rows it computes the weighted histogram distance at each time,
     estimates the statistical floor by half-splitting each ensemble
     (distance between same-law halves), fits the exponential rate above

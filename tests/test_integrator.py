@@ -926,21 +926,27 @@ def test_trajectory_csv_consumes_an_iterable_lazily(tmp_path):
 
 def writer_peak_bytes(tmp_path, n_traj):
     """tracemalloc peak of writing n_traj drift-free trajectories (8 modes,
-    records at t = 0 and 1)."""
+    records at t = 0 and 1) from each of two starts.  The second forces the
+    constant mode (q0 = 0.5) under a guard of 0.45, so about 44% of its
+    trajectories cross the guard mid-run and their t = 1 records are NaN."""
     params = params_of(n_modes=8, dt=1.0 / 16.0, poly=None, seed=3)
-    ens = run_ensemble(np.full(17, 0.1), params, range(n_traj))
+    aborting = params_of(n_modes=8, dt=1.0 / 16.0, poly=None, seed=3, blowup_guard=0.45,
+                         q_overrides={0: 0.5})
+    results = [run_ensemble(np.full(17, 0.1), p, range(n_traj)) for p in (params, aborting)]
+    assert 0.3 < np.mean(results[1].abort_times < 1.0) < 0.6
     tracemalloc.start()
     try:
-        write_trajectory_csv(tmp_path / f"{n_traj}.csv", [ens], 1.0, ["seed = 3"])
+        write_trajectory_csv(tmp_path / f"{n_traj}.csv", results, 1.0, ["seed = 3"])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_records(tmp_path):
-    # 4,000 and 32,000 trajectories hold 1.1 and 8.7 MB of records; a writer
-    # that builds the whole text peaks near 7 times the records, and one group
-    # of at most 1 MB of work arrays peaks below 0.9 MB
+    # 4,000 and 32,000 trajectories hold 1.1 and 8.7 MB of records a start; a
+    # writer that builds the whole text peaks near 7 times the records, and
+    # one group of at most 1 MB of work arrays peaks below 0.9 MB, whether
+    # its records are live or aborted (NaN)
     small, large = (writer_peak_bytes(tmp_path, n) for n in (4000, 32000))
     assert large < 1.2e6 and small < 1.2e6
     assert abs(large - small) <= 0.1 * max(large, small)

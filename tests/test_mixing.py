@@ -87,6 +87,32 @@ def test_observables_norm_of_a_row_whose_squares_overflow():
     assert obs[1, 0] == 5.0
 
 
+def test_observable_rows_keep_each_times_finite_records():
+    """_observable_rows projects every record, aborted (NaN) ones too, and
+    keeps per time the rows of the finite records: bitwise the projection of
+    those records alone, in trajectory order, none a view of the states.  A
+    finite record whose gamma-norm overflows is kept with an inf norm, for
+    law_distance to refuse."""
+    rng = np.random.default_rng(11)
+    n_traj, n_times = 300, 3  # 900 records: seven full _OBS_ROWS chunks and a partial one
+    states = rng.normal(size=(n_traj, n_times, 9))
+    # trajectories abort at their own times: NaN at and after the abort
+    for i, j in zip(rng.choice(n_traj, 60, replace=False), rng.integers(0, n_times, 60)):
+        states[i, j:] = np.nan
+    states[7, 1] = 1e306  # finite, with ||u||_1 beyond float max
+    keep = np.all(np.isfinite(states), axis=-1)
+    assert keep[7, 1] and len({tuple(col) for col in keep.T}) == n_times
+    got = mixing._observable_rows(states, 1.0)
+    assert len(got) == n_times
+    for j, obs in enumerate(got):
+        want = observables(states[keep[:, j], j], 1.0)
+        assert obs.shape == want.shape and obs.tobytes() == want.tobytes()
+        assert not np.shares_memory(obs, states)
+    assert got[1][:, 0].tolist().count(math.inf) == 1
+    with pytest.raises(ValueError, match="non-finite rows"):
+        law_distance(got[1], got[0], 2.0)
+
+
 def test_law_distance_basic_properties():
     rng = np.random.default_rng(0)
     a = observables(rng.normal(size=(300, 9)), gamma=1.0)
