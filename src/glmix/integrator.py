@@ -25,12 +25,14 @@ remainder Psi = Phi - W_L satisfies Psi' = e^{-Lh} Psi + phi(h) N(Psi + W_L)
 to rounding error, step by step.
 Each block allocates its stepper and a slab of normal draws once, fills the
 slab in place, scales each step's spent draws in place and updates its state
-in place, so a step allocates no block-sized array.  Like its stepper, a
+in place, so a step allocates no block-sized array.  It records only
+run_ensemble's observe of its rows: the coefficients for simulate, the
+observables for mixing, a norm power for moments.  Like its stepper, a
 block's slab is sized from the block alone: at most _SLAB_BYTES (8 MB), which
 the block fills with the fewest slabs of one length, whatever the worker
-count.  Each trajectory consumes its own stream
-(noise.trajectory_generator), so results do not depend on block sizes, slab
-lengths, worker counts or thread schedules.  A row aborts at the first step
+count.  Each trajectory consumes its own stream (noise.trajectory_generator),
+so results do not depend on block sizes, slab lengths, worker counts or
+thread schedules.  A row aborts at the first step
 after which its squared norm, one einsum pass, is NaN or above guard *
 guard.  A square that overflows passes that test only when guard * guard
 overflows too (a guard above sqrt(float max), or inf for none); then the
@@ -161,9 +163,11 @@ class ExponentialEulerStepper:
         if self.poly is not None:
             self.grid_points = dealias_points(self.n_modes, self.poly.degree)
             grid = (*lead, self.grid_points)
-            self.nonlin = np.empty((*lead, 2 * self.n_modes + 1))  # coefficients of N(u)
             self.values = np.empty(grid)  # grid values of u
             self.reaction = np.empty(grid)  # grid values of N(u)
+            # coefficients of N(u): the flat head of reaction, dead after its rfft
+            slots = math.prod(lead) * (2 * self.n_modes + 1)
+            self.nonlin = self.reaction.reshape(-1)[:slots].reshape(*lead, -1)
             self.half_spectrum = np.empty((*lead, self.grid_points // 2 + 1), dtype=complex)
 
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
@@ -210,13 +214,15 @@ class ExponentialEulerStepper:
 class EnsembleResult:
     """Integer-time records for a batch of trajectories from one start point.
 
-    abort_times is the only abort record; aborted is computed from it.
+    A record is run_ensemble's observe of a coefficient row (the row itself
+    by default).  abort_times is the only abort record; aborted is computed
+    from it.
     """
 
     params: SimulationParams
     traj_ids: np.ndarray
     times: np.ndarray
-    states: np.ndarray  # (n_traj, n_times, slots), NaN at and after abort
+    states: np.ndarray  # (n_traj, n_times, k) records, NaN at and after abort
     abort_times: np.ndarray  # (n_traj,) time the guard tripped, NaN for a row that never aborted
 
     @property
@@ -293,6 +299,7 @@ def run_ensemble(
     traj_ids,
     record_times=None,
     threads: int = 1,
+    observe=None,
 ) -> EnsembleResult:
     """Integrate an ensemble from one initial condition.
 
@@ -300,12 +307,16 @@ def run_ensemble(
     per-trajectory stream ids (distinct ids give independent noise under the
     same seed).  Each record time must fall on its own step (record_steps);
     no step is taken after the last, so only the guard tripping by then
-    aborts a row.  Rows run in slices of BLOCK_ROWS, read at call time, and
-    one closure steps a slice with a stepper of its own: it writes the
-    slice's records into states and its abort times into abort_times, its
-    live rows being those still NaN there.  Results are bitwise independent
-    of the block size and threads because every trajectory owns its stream
-    and rows are written by index.
+    aborts a row.  observe maps a block's (n, 2 n_modes + 1) coefficient
+    rows to its (n, k) records, row by row and a NaN row to a NaN row, at
+    each record step, so states is (n_traj, n_times, k); None records the
+    rows themselves.  k is read from observe of a NaN row, so the start is
+    observed only where time 0 is recorded.  Rows run in slices of
+    BLOCK_ROWS, read at call time, and one closure steps a slice with a
+    stepper of its own: it writes the slice's records into states and its
+    abort times into abort_times, its live rows being those still NaN there.
+    Results are bitwise independent of the block size and threads because
+    every trajectory owns its stream and rows are written by index.
     The blocks run on a pool of min(ensemble_workers(threads), blocks)
     workers, and each block draws its normals in equal slabs of at most
     _SLAB_BYTES, so the slabs alive at once fit in workers * _SLAB_BYTES.
@@ -320,8 +331,11 @@ def run_ensemble(
     else:
         record_times = np.asarray(record_times, dtype=float)
     rec_steps = record_steps(record_times, params)
+    if observe is None:
+        observe = lambda u: u  # the coefficient rows themselves
+    n_cols = observe(np.full((1, n_slots), np.nan)).shape[-1]
 
-    shape = (ids.size, record_times.size, n_slots)
+    shape = (ids.size, record_times.size, n_cols)
     try:
         states = np.full(shape, np.nan)
     except MemoryError:
@@ -344,7 +358,7 @@ def run_ensemble(
         slab_len = -(-n_steps // max(1, -(-n_steps // longest)))
         noise = np.empty((n, slab_len, n_slots))  # per row: the next slab_len steps
         if 0 in rec_steps:
-            states[rows, rec_steps[0]] = u
+            states[rows, rec_steps[0]] = observe(u)
         # a row that diverges within a step is left to the guard, not warned of;
         # errstate is thread-local, so it is set in the worker
         with np.errstate(over="ignore", invalid="ignore"):
@@ -362,7 +376,7 @@ def run_ensemble(
                     if not np.isnan(abort_t).any():
                         break  # this and the later records stay NaN, as states was made
                 if step_no in rec_steps:
-                    states[rows, rec_steps[step_no]] = u
+                    states[rows, rec_steps[step_no]] = observe(u)
 
     from concurrent.futures import ThreadPoolExecutor  # not loaded by doeblin or odecheck
     with ThreadPoolExecutor(max_workers=workers) as pool:

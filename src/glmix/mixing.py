@@ -2,7 +2,9 @@
 
 The distance between laws of the field at a fixed time cannot be estimated
 in the full state space, so every state is first projected to the observable
-vector O(u) = (||u||_gamma, c0, a1, b1, a2, b2), once per report time.
+vector O(u) = (||u||_gamma, c0, a1, b1, a2, b2), once per report time, by
+the ensemble block that steps it (run_ensemble's observe); a moment table's
+blocks record one norm power per trajectory.
 Distances are histogram total-variation estimates between these observable
 rows, always weighted by V_{gamma,p}(u) = ||u||_gamma^p + 1 evaluated at
 bin centers of the norm axis, as the paper's weighted variation norm is;
@@ -51,8 +53,6 @@ _Z = 1.96
 # _FIT_MIN_POINTS of them.
 _FIT_WINDOW = 4.0
 _FIT_MIN_POINTS = 4
-# Records projected to observables at once by mixing_report.
-_OBS_ROWS = 128
 
 
 def check_weighting(gamma: float, p: float, params: SimulationParams) -> None:
@@ -185,9 +185,9 @@ class MomentTable:
 
 
 def _norm_power(states: np.ndarray, gamma: float, p: float) -> np.ndarray:
-    """||x||_gamma^p of each record, NaN for an aborted one.  ValueError
-    naming p when the p-th power of a finite record overflows, or that of a
-    nonzero norm underflows to 0."""
+    """||x||_gamma^p of each coefficient row, NaN for an aborted (NaN) one.
+    ValueError naming p when the p-th power of a finite row overflows, or
+    that of a nonzero norm underflows to 0."""
     w = eigenvalues((states.shape[-1] - 1) // 2) ** (2.0 * gamma)
     with np.errstate(over="ignore"):
         sq = np.sum(w * states * states, axis=-1)
@@ -205,7 +205,8 @@ def moment_bound(spec: EnsembleSpec, threads: int = 1) -> MomentTable:
     """Monte Carlo table of E ||Phi_t(x)||_gamma^p per initial condition, at
     t = t_final of spec.params.
 
-    Runs one ensemble per initial condition, estimates the moment with its
+    Runs one ensemble per initial condition, whose blocks record the p-th
+    power of each trajectory's norm, estimates the moment with its
     standard error (aborted trajectories are excluded and counted), and
     reports whether the estimates are uniform across initial conditions:
     pairwise ratios at most 2 and the 1.96-stderr confidence intervals
@@ -215,10 +216,11 @@ def moment_bound(spec: EnsembleSpec, threads: int = 1) -> MomentTable:
     n = len(spec.initial_conditions)
     est, se, n_aborted = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
     for i, ic in enumerate(spec.initial_conditions):
-        ens = run_ensemble(
-            ic, spec.params, spec.traj_ids(i), record_times=[t], threads=threads
-        )
-        vals = _norm_power(ens.states[:, 0], spec.gamma, spec.p)
+        # a block's overflowing power raises its ValueError through the pool
+        vals = run_ensemble(
+            ic, spec.params, spec.traj_ids(i), record_times=[t], threads=threads,
+            observe=lambda u: _norm_power(u, spec.gamma, spec.p)[:, None],
+        ).states[:, 0, 0]
         kept = vals[~np.isnan(vals)]  # run_ensemble records an abort as NaN
         n_aborted[i] = spec.n_traj - kept.size
         if kept.size == 0:
@@ -316,28 +318,16 @@ class MixingReport:
     fit: RateFit
 
 
-def _observable_rows(states: np.ndarray, gamma: float) -> list[np.ndarray]:
-    """Observable rows of the finite (n_traj, n_times, slots) records, one
-    array per time; none of them is a view of states.  Every record, aborted
-    (NaN) ones too, is projected _OBS_ROWS at a time, which observables does
-    row by row, so the temporaries stay small beside the records; each time
-    then keeps the rows of its finite records."""
-    keep = np.all(np.isfinite(states), axis=-1)
-    flat = states.reshape(-1, states.shape[-1])
-    obs = np.concatenate([observables(flat[lo : lo + _OBS_ROWS], gamma)
-                          for lo in range(0, len(flat), _OBS_ROWS)]).reshape(*keep.shape, -1)
-    return [obs[keep[:, j], j] for j in range(keep.shape[1])]
-
-
 def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> MixingReport:
     """Distance decay between the first two initial conditions of spec.
 
     Runs one ensemble for each of the first two initial conditions (later
-    ones are not simulated).  Each ensemble's records are projected to
-    observables as soon as it is stepped, and each time keeps its finite
-    ones, so the first start's states are freed before the second steps.  From
-    those rows it computes the weighted histogram distance at each time,
-    estimates the statistical floor by half-splitting each ensemble
+    ones are not simulated), whose blocks record observable rows; each time
+    keeps those whose norm is not NaN.  A live row is finite, an aborted one
+    all NaN, and row_norms is NaN exactly when its row holds a NaN, so a
+    finite row whose norm overflows is kept for law_distance to refuse.
+    From those rows it computes the weighted histogram distance at each
+    time, estimates the statistical floor by half-splitting each ensemble
     (distance between same-law halves), fits the exponential rate above
     that floor, and attaches a trajectory bootstrap (n_boot resamples of
     row indices) confidence interval for the rate and a standard error for
@@ -358,11 +348,14 @@ def mixing_report(spec: EnsembleSpec, times, n_boot: int, threads: int = 1) -> M
         raise SettingError("n_boot", f"n_boot = {n_boot} makes a bootstrap table larger "
                            "than memory holds") from None
 
-    # each start's states die with the _observable_rows call that projects them
+    def kept(records):  # per time, the records whose norm is not NaN
+        return [records[~np.isnan(records[:, j, 0]), j] for j in range(times.size)]
+
+    # each start's records die with its kept call; observables is looked up
+    # at each call, so a patched one is called
     obs_a, obs_b = (
-        _observable_rows(run_ensemble(
-            ic, params, spec.traj_ids(i), record_times=times, threads=threads
-        ).states, spec.gamma)
+        kept(run_ensemble(ic, params, spec.traj_ids(i), record_times=times, threads=threads,
+                          observe=lambda u: observables(u, spec.gamma)).states)
         for i, ic in enumerate(spec.initial_conditions[:2])
     )
     for j, t in enumerate(times):

@@ -750,10 +750,16 @@ def test_simulate_writes_finite_norms_for_a_start_whose_squares_overflow(tmp_pat
     ("gamma = 2\np = 120\n",
      "the p-th moment of initial condition 0 overflows in its mean or stderr"),
 ], ids=["power_overflows", "power_underflows", "stderr_overflows"])
-def test_moments_out_of_float_range_exit_two_naming_p(tmp_path, capsys, rows, message):
+def test_moments_out_of_float_range_exit_two_naming_p(tmp_path, capsys, monkeypatch, rows,
+                                                      message):
     cfg = ("[model]\nn_modes = 4\ndt = 0.0625\n\n[ensemble]\nic1 = zero\n"
            "ic2 = scaled-random:1\nn_traj = 20\n" + rows)
     text = run_exit_two(tmp_path, capsys, ["moments"], cfg)
+    assert text == f"error = validation\n{message}\n"
+    # blocks of 8 rows on two threads: the powers of each of the three blocks
+    # are checked in a worker, and their error comes through the pool
+    monkeypatch.setattr("glmix.integrator.BLOCK_ROWS", 8)
+    text = run_exit_two(tmp_path, capsys, ["moments", "--threads", "2"], cfg)
     assert text == f"error = validation\n{message}\n"
 
 

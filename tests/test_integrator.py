@@ -44,6 +44,7 @@ from glmix.integrator import (
     run_ensemble,
     write_trajectory_csv,
 )
+from glmix.mixing import observables
 from sup_windows import window_sup
 
 
@@ -193,8 +194,27 @@ def test_records_that_do_not_fit_in_memory_raise_value_errors():
     with pytest.raises(ValueError, match=r"t_final = 1e\+16 has more integer times"):
         integer_times(1e16)
     params = quiet_params(n_modes=1000, t_final=1e5, dt=1.0)
-    with pytest.raises(ValueError, match="records of 1000000 trajectories at 100001 times"):
+    with pytest.raises(SettingError,
+                       match="records of 1000000 trajectories at 100001 times") as err:
         run_ensemble(np.zeros(2001), params, traj_ids=range(10**6))
+    assert err.value.key == ("n_traj", "t_final", "times")
+
+
+def test_observed_records_hold_only_their_columns():
+    """Recording 6 observables instead of 65 coefficients takes the peak of
+    2048 trajectories at 11 times down by at least 0.9 of the bytes saved."""
+    params = params_of(n_modes=32, dt=1.0 / 16.0, t_final=10.0)
+    peaks = []
+    for observe in (None, lambda u: observables(u, 1.0)):
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(np.zeros(65), params, range(2048), observe=observe)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape[:2] == (2048, 11) and not ens.aborted.any()
+        del ens
+    assert peaks[0] - peaks[1] >= 0.9 * 2048 * 11 * (65 - 6) * 8
 
 
 def test_pure_decay_matches_semigroup():
@@ -556,29 +576,45 @@ def test_block_whose_rows_all_abort_stops_at_that_step(monkeypatch):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     wild=st.booleans(),
-    drift=st.booleans(),
+    model=st.sampled_from(["cubic", "drift-free", "guarded"]),
+    observe=st.booleans(),
     block_size=st.integers(1, 8),
     threads=st.sampled_from([1, 2, 4]),
     slab_len=st.integers(1, SMALL.n_steps),
 )
 def test_ensemble_is_bitwise_invariant_to_blocks_threads_and_slabs(
-    wild, drift, block_size, threads, slab_len
+    wild, model, observe, block_size, threads, slab_len
 ):
+    """Records and aborts do not depend on the blocks, threads or slabs; with
+    observe, each block records the observables of its coefficient rows,
+    bitwise, and an aborted row's records are NaN."""
     x = WILD if wild else CALM
-    params = SMALL if drift else DRIFT_FREE
-    kw = dict(traj_ids=range(7), record_times=SMALL.dt * np.arange(SMALL.n_steps + 1))
-    # one block, one slab of every step
+    params = {"cubic": SMALL, "drift-free": DRIFT_FREE, "guarded": PARTIAL}[model]
+    kw = dict(traj_ids=range(7), record_times=every_step(SMALL))
+    # one block, one slab of every step, the coefficient rows themselves
     base = run_ensemble(x, params, **kw)
     with pytest.MonkeyPatch.context() as mp:
         # full blocks draw slabs of at most slab_len steps; a shorter last block,
         # longer ones
         mp.setattr(integrator, "_SLAB_BYTES", 8 * block_size * x.size * slab_len)
         mp.setattr(integrator, "BLOCK_ROWS", block_size)
-        other = run_ensemble(x, params, threads=threads, **kw)
-    for name in ENSEMBLE_FIELDS:
+        other = run_ensemble(x, params, threads=threads,
+                             observe=(lambda u: observables(u, 1.0)) if observe else None, **kw)
+    want = base.states
+    if observe:
+        want = observables(want.reshape(-1, x.size), 1.0).reshape(*want.shape[:2], -1)
+    assert np.array_equal(want, other.states, equal_nan=True)
+    for name in ("aborted", "abort_times"):
         assert np.array_equal(getattr(base, name), getattr(other, name), equal_nan=True), name
-    # without drift WILD relaxes; with it every row aborts
-    assert base.aborted.all() if wild and drift else not base.aborted.any()
+    after = base.times >= base.abort_times[:, None]  # none for a row that never aborted
+    assert np.isnan(other.states[after]).all() and np.isfinite(other.states[~after]).all()
+    # without drift WILD relaxes; with it every row aborts, and under the
+    # guarded model's forcing CALM's rows 1, 2 and 3 abort, each at its own step
+    if model == "guarded" and not wild:
+        assert np.flatnonzero(base.aborted).tolist() == [1, 2, 3]
+        assert np.unique(base.abort_times[base.aborted]).size == 3
+    else:
+        assert base.aborted.all() if wild and model != "drift-free" else not base.aborted.any()
 
 
 def wl_pin_cases():

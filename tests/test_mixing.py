@@ -87,30 +87,42 @@ def test_observables_norm_of_a_row_whose_squares_overflow():
     assert obs[1, 0] == 5.0
 
 
-def test_observable_rows_keep_each_times_finite_records():
-    """_observable_rows projects every record, aborted (NaN) ones too, and
-    keeps per time the rows of the finite records: bitwise the projection of
-    those records alone, in trajectory order, none a view of the states.  A
-    finite record whose gamma-norm overflows is kept with an inf norm, for
-    law_distance to refuse."""
-    rng = np.random.default_rng(11)
-    n_traj, n_times = 300, 3  # 900 records: seven full _OBS_ROWS chunks and a partial one
-    states = rng.normal(size=(n_traj, n_times, 9))
-    # trajectories abort at their own times: NaN at and after the abort
-    for i, j in zip(rng.choice(n_traj, 60, replace=False), rng.integers(0, n_times, 60)):
-        states[i, j:] = np.nan
-    states[7, 1] = 1e306  # finite, with ||u||_1 beyond float max
-    keep = np.all(np.isfinite(states), axis=-1)
-    assert keep[7, 1] and len({tuple(col) for col in keep.T}) == n_times
-    got = mixing._observable_rows(states, 1.0)
-    assert len(got) == n_times
-    for j, obs in enumerate(got):
-        want = observables(states[keep[:, j], j], 1.0)
-        assert obs.shape == want.shape and obs.tobytes() == want.tobytes()
-        assert not np.shares_memory(obs, states)
-    assert got[1][:, 0].tolist().count(math.inf) == 1
+def test_observable_rows_keep_each_times_finite_records(monkeypatch):
+    """mixing_report's blocks record observable rows, and each report time
+    keeps those whose norm is not NaN: bitwise the observables of that
+    time's finite coefficient records, in trajectory order.  A finite record
+    whose gamma-norm overflows is kept with an inf norm, for law_distance to
+    refuse."""
+    # q0 = 0.5 forces the constant mode and a guard of 1.5 aborts some
+    # trajectories of each start, each at its own step
+    params = small_params(t_final=4.0, q_overrides={0: 0.5}, blowup_guard=1.5)
+    spec = EnsembleSpec([np.zeros(17), scaled_random_field(8, 0.5)], n_traj=150,
+                        params=params, gamma=1.0, p=2.0)
+    times = [1.0, 2.0, 3.0, 4.0]
+    pairs = []
+    real = mixing.law_distance
+    monkeypatch.setattr(mixing, "law_distance",
+                        lambda a, b, p: pairs.append((a, b)) or real(a, b, p))
+    mixing_report(spec, times, n_boot=0)
+    dropped = set()
+    for i, ic in enumerate(spec.initial_conditions):
+        states = run_ensemble(ic, params, spec.traj_ids(i), record_times=times).states
+        keep = np.all(np.isfinite(states), axis=-1)
+        dropped.add(tuple((~keep).sum(axis=0)))
+        for j in range(len(times)):  # the distances come first, one pair per time
+            want = observables(states[keep[:, j], j], 1.0)
+            got = pairs[j][i]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert all(n[0] < n[-1] for n in dropped)  # more are dropped at later times
+
+    # the gamma = 2 norm of this drift-free start is beyond float max at t = 0
+    big = small_params(t_final=3.0, poly=None, blowup_guard=1e308)
+    spec = EnsembleSpec([np.zeros(17), scaled_random_field(8, 1e305)], n_traj=10,
+                        params=big, gamma=2.0, p=2.0)
+    start = observables(spec.initial_conditions[1][None], 2.0)
+    assert start[0, 0] == math.inf and np.isfinite(start[0, 1:]).all()
     with pytest.raises(ValueError, match="non-finite rows"):
-        law_distance(got[1], got[0], 2.0)
+        mixing_report(spec, [0.0, 1.0, 2.0, 3.0], n_boot=0)
 
 
 def test_law_distance_basic_properties():
