@@ -176,13 +176,10 @@ def _cmd_doeblin(cfg: RunConfig, header: list[str], out: Path, threads: int) -> 
     _write(out / "certificate.txt", header, block)
     print(block, end="")
     if cert.delta_prime is not None:
-        eps = cert.delta * cert.delta_prime
         print(block_text({"contraction_factor": contraction_check(kernel, cert)}), end="")
-        # a tiny eps leaves 1 - eps == 1, and the bound 2 (1 - eps)^(k/2) at 2
-        if 0.0 < 1.0 - eps < 1.0:
-            gap = geometric_bound_check(kernel, cert)
-            if gap is not None:  # None: mu_* is not resolvable in float64
-                print(block_text({"geometric_gap": gap}), end="")
+        gap = geometric_bound_check(kernel, cert)
+        if gap is not None:  # None: a vacuous bound, or mu_* not resolvable in float64
+            print(block_text({"geometric_gap": gap}), end="")
     search = small_set_search(kernel, mu0)
     if search is None:
         print("search = none")

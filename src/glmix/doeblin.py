@@ -67,8 +67,8 @@ class FiniteKernel:
 
     def __init__(self, rows):
         rows = np.array(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-            raise ValueError("kernel must be a square matrix")
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or not rows.size:
+            raise ValueError("kernel must be a nonempty square matrix")
         bad = _bad_row(rows)
         if bad is not None:
             raise ValueError(bad[1])
@@ -86,9 +86,6 @@ class FiniteKernel:
             pm.setflags(write=False)
             self._powers[m] = pm
         return pm
-
-    def __repr__(self):
-        return f"FiniteKernel(n={self.n})"
 
 
 def _as_state_tuple(k, n: int) -> tuple[int, ...]:
@@ -108,7 +105,8 @@ class SmallSetCertificate:
     nu is a probability vector on the states, stored as a read-only float
     array.  delta_prime, when present, additionally claims
     min_x P(x, K) >= delta_prime.  Both claims are checked entry by entry by
-    validate().
+    validate().  delta lies in (0, 1], and delta_prime in (0, 1 + 1e-9]:
+    condition_b's sum over part of a row can round past 1 + 1e-12.
     """
 
     K: tuple[int, ...]
@@ -123,7 +121,7 @@ class SmallSetCertificate:
             raise ValueError("K must be sorted distinct state indices")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not (0.0 < self.delta <= 1.0 + 1e-9):
+        if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
         nu = np.array(self.nu, dtype=float)
         if nu.ndim != 1:
@@ -224,14 +222,16 @@ def invariant_measure(kernel: FiniteKernel) -> np.ndarray:
     """Exact stationary distribution of the kernel, as a weight vector.
 
     One SVD of P^T - I gives both the uniqueness check (exactly one
-    singular value at zero; a kernel with more than one stationary
-    distribution, such as the identity or a disconnected chain, is
-    rejected) and the solution of mu P = mu: the right singular vector of
-    that zero singular value, scaled to mass 1.
+    singular value at zero, that is at most max(n eps s_max, 1e-12); a
+    kernel with more than one stationary distribution, such as the identity
+    or a disconnected chain, is rejected) and the solution of mu P = mu: the
+    right singular vector of that zero singular value, scaled to mass 1.
+    Weights below 1e-15 in magnitude are rounding and set to 0;
+    RuntimeError if a weight is then negative or mu P - mu is above 1e-12.
     """
     n = kernel.n
     _, svals, vt = np.linalg.svd(kernel.rows.T - np.eye(n))
-    tol = max(n * np.finfo(float).eps * (svals[0] if svals.size else 1.0), 1e-12)
+    tol = max(n * np.finfo(float).eps * svals[0], 1e-12)
     if np.sum(svals <= tol) != 1:
         raise ValueError("stationary distribution is not unique")
     mu = vt[-1] / vt[-1].sum()
@@ -251,18 +251,18 @@ def geometric_bound_check(kernel: FiniteKernel, cert: SmallSetCertificate) -> fl
     contraction_check's coupling against mu_* keeps the gap <= 0 up to
     rounding.  Only k = 0, 2, .. are stepped, by the cached P^2: an odd k
     is no worse, as ||nu P|| <= ||nu|| for nu = P^(k-1)(x, .) - mu_* and
-    the bound is equal at k - 1 and k.  A 1 - delta delta_prime outside
-    (0, 1) raises: it is 1 when the product is too small to change it, and
-    the bound is then the trivial 2.  None when float64 cannot resolve mu_*,
-    which the certificate proves unique: invariant_measure rejects nearly
-    closed classes.
+    the bound is equal at k - 1 and k.  None when 1 - delta delta_prime is
+    outside (0, 1), where it is 1 when the product is too small to change it
+    and the bound is the trivial 2, and None when float64 cannot resolve
+    mu_*, which the certificate proves unique: invariant_measure rejects
+    nearly closed classes.
     """
     if cert.m != 1 or cert.delta_prime is None:
         raise ValueError("geometric bound requires a one-step certificate with delta_prime")
     cert.validate(kernel)
     eps = cert.delta * cert.delta_prime
     if not (0.0 < 1.0 - eps < 1.0):
-        raise ValueError("1 - delta delta_prime must lie in (0, 1)")
+        return None
     try:
         mu_star = invariant_measure(kernel)
     except (ValueError, RuntimeError):

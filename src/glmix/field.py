@@ -116,9 +116,6 @@ class DriftPolynomial:
             out += r[0]
         return out
 
-    def __repr__(self):
-        return f"DriftPolynomial({list(self.coeffs)})"
-
 
 # Fixed generator key so presets are stable across runs and user seeds.
 _PRESET_KEY = np.array([0x5CA1ED0000000001, 0], dtype=np.uint64)

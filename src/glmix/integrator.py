@@ -501,7 +501,7 @@ def write_trajectory_csv(
 
     def write(fh, ens):  # its views of ens's records die when it returns
         times = [fmt_float(t) for t in ens.times]
-        group = max(1, _GROUP_BYTES // (row_bytes * max(1, len(times))))
+        group = max(1, _GROUP_BYTES // (row_bytes * len(times)))  # simulate records t = 0, 1, ..
         for lo in range(0, ens.n_traj, group):
             states = ens.states[lo : lo + group]
             u = states.reshape(-1, states.shape[-1])  # a view, trajectory-major like the file

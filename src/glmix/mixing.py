@@ -293,8 +293,7 @@ def fit_rate(times, distances, floor: float) -> RateFit:
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     log_c, lam = float(coef[0]), float(coef[1])
     resid = y - a @ coef
-    dof = max(tt.size - 2, 1)
-    s2 = float(resid @ resid) / dof
+    s2 = float(resid @ resid) / (tt.size - 2)  # at least 4 points are used
     se = math.sqrt(s2 / float(np.sum((tt - tt.mean()) ** 2)))
     return RateFit(
         lam=lam, intercept=math.exp(log_c),

@@ -915,17 +915,22 @@ def test_doeblin_without_section_is_a_config_failure(tmp_path, capsys):
 
 
 def test_doeblin_vacuous_geometric_bound_is_skipped(tmp_path, capsys):
-    # delta = 4e-20 and delta' = 1: 1 - delta delta' rounds to 1, so the bound
-    # 2 (1 - delta delta')^(k/2) is 2 and proves nothing, and the two nearly
-    # closed wells leave no numerically unique stationary distribution
-    (tmp_path / "k.txt").write_text("4\n" + "0.5 0.5 1e-20 1e-20\n" * 2
-                                    + "1e-20 1e-20 0.5 0.5\n" * 2)
-    cfg = write_cfg(tmp_path, "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
-    rc = main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    text = capsys.readouterr().out
-    assert rc == 0
-    assert "contraction_factor = 1.0" in text
-    assert "failure" not in text and "geometric_gap" not in text
+    # delta = 4e-20 (or 3e-20) and delta' = 1: 1 - delta delta' rounds to 1, so
+    # the bound 2 (1 - delta delta')^(k/2) is 2 and proves nothing.  The two
+    # nearly closed wells also leave no numerically unique stationary
+    # distribution; the 3-cycle's uniform one is resolved, so only the vacuous
+    # bound skips its gap
+    for i, kernel in enumerate([
+        "4\n" + "0.5 0.5 1e-20 1e-20\n" * 2 + "1e-20 1e-20 0.5 0.5\n" * 2,
+        "3\n1e-20 1.0 1e-20\n1e-20 1e-20 1.0\n1.0 1e-20 1e-20\n",
+    ]):
+        (tmp_path / "k.txt").write_text(kernel)
+        cfg = write_cfg(tmp_path, "[doeblin]\nkernel = k.txt\nK = all\nm = 1\n")
+        rc = main(["doeblin", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")])
+        text = capsys.readouterr().out
+        assert rc == 0
+        assert "contraction_factor = 1.0" in text
+        assert "failure" not in text and "geometric_gap" not in text
 
 
 UNRESOLVABLE_WELLS = ([[0.4999999999999, 0.4999999999999, 1e-13, 1e-13]] * 2

@@ -132,8 +132,9 @@ def test_resolved_lines_are_pinned():
 
 
 def test_parse_error_line_numbers():
-    with pytest.raises(ConfigError, match="line 1: malformed section header"):
-        resolve_config("[model\n")
+    for text in ("[model\n", "[]\n"):
+        with pytest.raises(ConfigError, match="line 1: malformed section header"):
+            resolve_config(text)
     with pytest.raises(ConfigError, match=r"line 3: duplicate section \[model\]"):
         resolve_config("[model]\nn_modes = 4\n[model]\n")
     with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
@@ -146,8 +147,9 @@ def test_parse_error_line_numbers():
         resolve_config("[model]\ndt = 0.5\ndt = 0.25\n")
     with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
         resolve_config("[model]\nbogus = 1\n")
-    with pytest.raises(ConfigError, match=r"line 1: unknown section \[junk\]"):
-        resolve_config("[junk]\n")
+    for name in ("junk", "x"):
+        with pytest.raises(ConfigError, match=rf"line 1: unknown section \[{name}\]"):
+            resolve_config(f"[{name}]\n")
     with pytest.raises(ConfigError, match="expects a int"):
         resolve_config("[model]\nn_modes = eight\n")
     with pytest.raises(ConfigError, match="expects a float"):

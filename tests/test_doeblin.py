@@ -42,14 +42,20 @@ def random_kernel(rng, n):
 
 
 def test_kernel_validation_and_protection():
-    with pytest.raises(ValueError, match="square"):
-        FiniteKernel([[0.5, 0.5]])
+    # invariant_measure reads the largest singular value, so a kernel has a state
+    for rows in ([[0.5, 0.5]], np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="nonempty square"):
+            FiniteKernel(rows)
     with pytest.raises(ValueError, match="finite"):
         FiniteKernel([[np.inf, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match="nonnegative"):
         FiniteKernel([[1.5, -0.5], [0.5, 0.5]])
     with pytest.raises(ValueError, match="row 1 sums to"):
         FiniteKernel([[0.5, 0.5], [0.6, 0.5]])
+    # rows must sum to 1 within 1e-12
+    FiniteKernel([[0.5, 0.5 + 0.5e-12], [0.5, 0.5 - 0.5e-12]])
+    with pytest.raises(ValueError, match="row 0 sums to"):
+        FiniteKernel([[0.5, 0.5 + 1.5e-12], [0.5, 0.5]])
     kernel = FiniteKernel(WORKED)
     assert kernel.n == 2
     with pytest.raises(ValueError):
@@ -64,9 +70,12 @@ def test_certificate_nu_validation():
             cert.nu[0] = 1.0
     for weights, match in (([[1.0]], "vector"), ([np.nan, 1.0], "nonnegative"),
                            ([-0.1, 1.1], "nonnegative"), ([0.25, 0.25], "probability"),
-                           ([np.inf, 0.0], "probability"), ([1e308, 1e308], "probability")):
+                           ([np.inf, 0.0], "probability"), ([1e308, 1e308], "probability"),
+                           ([0.5, 0.5 + 1.5e-9], "probability")):
         with pytest.raises(ValueError, match=match):
             SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=weights)
+    # nu sums to 1 within 1e-9
+    SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=[0.5, 0.5 + 0.5e-9])
 
 
 def test_certificate_field_validation():
@@ -81,8 +90,11 @@ def test_certificate_field_validation():
         SmallSetCertificate(K=(0,), m=1, delta=1.5, nu=nu)
     with pytest.raises(ValueError, match="probability"):
         SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=[0.5, 0.1])
-    with pytest.raises(ValueError, match="delta_prime"):
-        SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=nu, delta_prime=0.0)
+    for delta_prime in (1.0 + 0.5e-12, 1.0 + 1e-9):
+        SmallSetCertificate(K=(0,), m=1, delta=1.0, nu=nu, delta_prime=delta_prime)
+    for delta_prime in (0.0, 1.0 + 1.5e-9, 1.5):
+        with pytest.raises(ValueError, match="delta_prime"):
+            SmallSetCertificate(K=(0,), m=1, delta=0.5, nu=nu, delta_prime=delta_prime)
 
 
 def test_certificate_validate_rejects_false_claims():
@@ -99,6 +111,11 @@ def test_certificate_validate_rejects_false_claims():
     short = SmallSetCertificate(K=(0,), m=1, delta=0.2, nu=[1.0])
     with pytest.raises(ValueError, match="length"):
         short.validate(kernel)
+    # either claim may overstate the kernel by 1e-12: P(0, 1) = 0 against
+    # delta nu(1) = 1e-12, and P(0, K) = 0 against delta_prime = 1e-12
+    tight = FiniteKernel([[1.0, 0.0], [0.5, 0.5]])
+    SmallSetCertificate(K=(0,), m=1, delta=1.0, nu=[1.0 - 1e-12, 1e-12]).validate(tight)
+    SmallSetCertificate(K=(1,), m=1, delta=0.5, nu=[0.0, 1.0], delta_prime=1e-12).validate(tight)
 
 
 def test_validate_messages_print_plain_floats():
@@ -194,6 +211,17 @@ def test_condition_b_cases():
     assert condition_b(kernel, k=(0,)) == 0.2
     stuck = FiniteKernel([[1.0, 0.0], [1.0, 0.0]])
     assert condition_b(stuck, k=(1,)) == 0.0
+    # each row sums to 1 within 1e-12, but its part on K (all but state 8)
+    # sums in another order and rounds one ulp past 1 + 1e-12; glmix doeblin
+    # still makes that delta_prime a certificate
+    row = [0.1, 0.4, 0.05 + 1e-12, 0.05, 0.05, 0.05, 0.05, 0.2, 0.0, 0.05]
+    edge = FiniteKernel([row] * len(row))
+    k = (0, 1, 2, 3, 4, 5, 6, 7, 9)
+    dprime = condition_b(edge, k)
+    assert dprime > 1.0 + 1e-12
+    cert = dataclasses.replace(minorization(edge, k, 1), delta_prime=dprime)
+    cert.validate(edge)
+    assert geometric_bound_check(edge, cert) is None
 
 
 def test_contraction_check_worked_example():
@@ -253,12 +281,55 @@ def test_invariant_measure_cases():
     ])
     with pytest.raises(ValueError, match="not unique"):
         invariant_measure(block)
+    # two states swapping at rate e: P^T - I has singular values 2e and 0,
+    # and the second counts as zero at or below 1e-12
+    for e, unique in ((0.75e-12, True), (0.4e-12, False)):
+        swap = FiniteKernel([[1.0 - e, e], [e, 1.0 - e]])
+        if unique:
+            assert np.allclose(invariant_measure(swap), 0.5, atol=1e-3)
+        else:
+            with pytest.raises(ValueError, match="not unique"):
+                invariant_measure(swap)
+    # with 500 states, 498 of them entering state 0, the zero threshold is
+    # n eps s_max = 2.5e-12, above 1e-12: the swap's 1.4e-12 counts as zero
+    big = np.zeros((500, 500))
+    big[2:, 0] = 1.0
+    big[:2, :2] = [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]
+    with pytest.raises(ValueError, match="not unique"):
+        invariant_measure(FiniteKernel(big))
     rng = np.random.default_rng(4)
     for _ in range(50):
         k = random_kernel(rng, int(rng.integers(2, 8)))
         mu = invariant_measure(k)
         assert np.max(np.abs(mu @ k.rows - mu)) <= 1e-12
         assert np.isclose(mu.sum(), 1.0, atol=1e-12)
+    # state 0 is transient: the SVD leaves weights of order 1e-17, of either
+    # sign, that are rounding and read 0
+    for _ in range(50):
+        rows = rng.random((4, 4)) + 0.05
+        rows[:, 0] = 0.0
+        mu = invariant_measure(FiniteKernel(rows / rows.sum(axis=1, keepdims=True)))
+        assert mu[0] == 0.0 and np.isclose(mu.sum(), 1.0, atol=1e-12)
+    # a weight of 1.5e-15 is mass, not rounding
+    a = 7.5e-16
+    assert invariant_measure(FiniteKernel([[1.0 - a, a], [0.5, 0.5]]))[1] > 1e-15
+    # a transient state left at rate 1e-6 reads about +-3e-12 or more: what
+    # is returned is never negative, and a negative weight is refused even
+    # where its residual is about 3e-17
+    refused = 0
+    for _ in range(20):
+        rows = rng.random((4, 4)) + 0.05
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[0] = [1.0 - 1e-6, 1e-6, 0.0, 0.0]
+        k = FiniteKernel(rows)
+        try:
+            mu = invariant_measure(k)
+        except RuntimeError:
+            refused += 1
+            continue
+        assert np.all(mu >= 0.0) and np.max(np.abs(mu @ k.rows - mu)) <= 1e-12
+    assert refused
 
 
 def test_geometric_bound_worked_example():
@@ -280,10 +351,16 @@ def test_geometric_bound_worked_example():
 def test_geometric_bound_validation():
     row = [0.5, 0.5]
     const = FiniteKernel([row, row])
-    cert = SmallSetCertificate(K=(0, 1), m=1, delta=1.0,
-                               nu=row, delta_prime=1.0)
-    with pytest.raises(ValueError, match="lie in"):
-        geometric_bound_check(const, cert)
+    # 1 - delta delta_prime outside (0, 1) leaves no bound to check: it is 0,
+    # below 0, or 1 where the product is too small to change it (a 3-cycle
+    # with 1e-20 off the cycle, whose mu_* is uniform and resolved)
+    for delta_prime in (1.0, 1.0 + 0.5e-12):
+        cert = SmallSetCertificate(K=(0, 1), m=1, delta=1.0, nu=row, delta_prime=delta_prime)
+        assert geometric_bound_check(const, cert) is None
+    e = 1e-20
+    cycle = FiniteKernel([[e, 1.0 - 2 * e, e], [e, e, 1.0 - 2 * e], [1.0 - 2 * e, e, e]])
+    assert np.allclose(invariant_measure(cycle), 1.0 / 3.0)
+    assert geometric_bound_check(cycle, one_step_certificate(cycle)) is None
     kernel = FiniteKernel(WORKED)
     two_step = SmallSetCertificate(K=(0, 1), m=2, delta=0.3,
                                    nu=[0.5, 0.5],
@@ -412,6 +489,10 @@ def test_small_set_search_mu0_validation():
         small_set_search(kernel, [0.5, np.nan])
     with pytest.raises(ValueError, match="probability"):
         small_set_search(kernel, [0.5, np.inf])
+    # the weights sum to 1 within 1e-9
+    small_set_search(kernel, [0.5, 0.5 + 0.5e-9])
+    with pytest.raises(ValueError, match="probability"):
+        small_set_search(kernel, [0.5, 0.5 + 1.5e-9])
 
 
 def test_small_set_search_soundness_on_random_kernels():

@@ -80,10 +80,13 @@ def test_params_validation():
         params_of(n_modes=0)
     with pytest.raises(ValueError, match="dt"):
         params_of(dt=0.0)
-    with pytest.raises(ValueError, match="dt"):
-        params_of(dt=2.0)
-    with pytest.raises(ValueError, match="divide"):
-        params_of(dt=0.3)
+    for dt in (1.5, 2.0):
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, 1\]"):
+            params_of(dt=dt)
+    # 2/3 divides t_final = 2 but not 1, so t = 1 would fall off the grid
+    for dt, t_final in ((0.3, 1.0), (2.0 / 3.0, 2.0)):
+        with pytest.raises(ValueError, match="divide"):
+            params_of(dt=dt, t_final=t_final)
     with pytest.raises(ValueError, match="t_final"):
         params_of(t_final=0.5)
     with pytest.raises(ValueError, match="inadmissible noise spectrum:"):
@@ -108,12 +111,22 @@ def test_params_validation():
             params_of(blowup_guard=guard)
     with pytest.raises(ValueError, match="multiple"):
         params_of(dt=0.5, t_final=1.25)
-    # 1/dt overflows to inf at the smallest subnormal
-    for dt in (1e-300, 5e-324):
+    # a time is on the grid within 1e-9
+    assert params_of(dt=0.5, t_final=2.0 + 0.5e-9).n_steps == 4
+    with pytest.raises(ValueError, match="multiple"):
+        params_of(dt=0.5, t_final=2.0 + 1.5e-9)
+    # 2^63 steps are one too many; 1/dt overflows to inf at the smallest subnormal
+    for dt in (2.0**-63, 1e-300, 5e-324):
         with pytest.raises(ValueError, match="more steps than int64 holds"):
             params_of(dt=dt)
     p = params_of(dt=1.0 / 128.0, t_final=3.0)
     assert p.n_steps == 384
+    # a seed is a uint64
+    for seed in (0, 2**64 - 1):
+        assert params_of(seed=seed).seed == seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            params_of(seed=seed)
 
 
 def guard_mask_rows(guard, rng):
@@ -360,6 +373,24 @@ def test_step_block_gives_the_bytes_of_the_out_of_place_step(cubic):
     assert len(work) == (4 if cubic else 0)
 
 
+@pytest.mark.parametrize("cubic", [True, False])
+def test_step_block_allocates_less_than_one_of_its_arrays(cubic):
+    # a cubic step on 512 x 65 allocated 197,904 bytes, under one 512 x 135
+    # grid array (552,960); with fresh transform arrays it peaked at 2,127,600.
+    # The drift-free step allocated 66,624, under one 512 x 65 block (266,240)
+    params = params_of(n_modes=32, **({} if cubic else {"poly": None}))
+    stepper = ExponentialEulerStepper(params, (512,))
+    rng = np.random.default_rng(41)
+    u, g = 0.5 * rng.standard_normal((512, 65)), rng.standard_normal((512, 65))
+    tracemalloc.start()
+    try:
+        stepper.step_block(u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 512 * (stepper.grid_points if cubic else 65)
+
+
 def test_recording_grid_and_state_access():
     params = quiet_params(n_modes=2, t_final=3.0)
     ens = run_ensemble(np.ones(5), params, [0])
@@ -450,6 +481,10 @@ def test_ode_comparison_closed_form_grid():
                 exact = (y0 ** (1 - q) + (q - 1) * c * t) ** (-1.0 / (q - 1))
                 assert np.isclose(res.y_final, exact, rtol=1e-8)
                 assert res.corrected_holds
+    # a bound holds when y(t) exceeds it by at most 1e-8 of it: y0 = 1 +
+    # 1.5e-8 puts y(1) 5e-9 above the literal bound, y0 = 1 + 4.5e-8 1.5e-8
+    for y0, holds in ((1.0 + 1.5e-8, True), (1.0 + 4.5e-8, False)):
+        assert ode_comparison(3, 1.0, y0, 1.0).literal_holds is holds
 
 
 def test_ode_comparison_forcing_and_validation():
@@ -742,6 +777,37 @@ def test_each_block_draws_in_slabs_of_its_own_budget(monkeypatch):
             assert np.array_equal(getattr(base, name), getattr(ens, name), equal_nan=True)
 
 
+@pytest.mark.parametrize("rows, n_modes, t_last, refills, slab", [
+    (512, 32, 1.0, 9, 29),  # a 512 x 65 block fits 31 steps in 8 MB: 9 slabs of 29
+    (2, 32, 1.0, 1, 256),  # at most 256 steps a slab: one slab
+    (2, 32, 1.00390625, 2, 129),  # 257 steps: two slabs
+    (512, 1024, 1.0, 2, 1),  # one step of 512 x 2049 is over 8 MB: a slab is still one step
+])
+def test_each_block_slab_on_the_real_budget(monkeypatch, rows, n_modes, t_last, refills, slab):
+    """Each row of a block draws the fewest slabs of at most 256 steps and 8
+    MB for the block, at least one step, all of one length."""
+    calls = {}
+
+    class Recording:
+        def __init__(self, gen, tid):
+            self._gen, self._tid = gen, tid
+
+        def standard_normal(self, *, out):
+            calls.setdefault(self._tid, []).append(out.shape[0])
+            return self._gen.standard_normal(out=out)
+
+    make_generator = integrator.trajectory_generator
+    monkeypatch.setattr(integrator, "trajectory_generator",
+                        lambda seed, tid: Recording(make_generator(seed, tid), tid))
+    dt = 1.0 / (2 if n_modes == 1024 else 256)
+    params = params_of(n_modes=n_modes, dt=dt, t_final=t_last, poly=None)
+    run_ensemble(np.zeros(2 * n_modes + 1), params, range(rows), record_times=[t_last],
+                 observe=lambda u: u[:, :1])
+    steps = round(t_last / dt)
+    assert calls[0] == [slab] * (refills - 1) + [steps - slab * (refills - 1)]
+    assert all(calls[tid] == calls[0] for tid in range(rows))
+
+
 def test_ensemble_record_times_and_windows():
     params = params_of(n_modes=3, dt=1.0 / 32.0, t_final=2.0)
     x = np.zeros(7)
@@ -761,6 +827,15 @@ def test_ensemble_record_times_and_windows():
         with pytest.raises(ValueError, match=re.escape(f"times lists 1.0 and {times[-1]!r}, "
                                                        "both on step 32 of the grid")):
             run_ensemble(x, params, traj_ids=[0], record_times=times)
+    # an integer within 1e-9 above t_final is still reached
+    assert integer_times(2.0 - 0.5e-9).tolist() == [0.0, 1.0, 2.0]
+    assert integer_times(2.0 - 1.5e-9).tolist() == [0.0, 1.0]
+    # a time 1e-9 from a step is on it
+    assert integrator.record_steps([1e-9], params) == {0: 0}
+    # no record time, no step: a start beyond the guard is not aborted
+    far = run_ensemble(np.full(7, 10.0), params_of(n_modes=3, blowup_guard=1.0), [0],
+                       record_times=[])
+    assert far.states.shape == (1, 0, 7) and np.isnan(far.abort_times).all()
 
 
 def test_trajectory_csv_format_and_round_trip(tmp_path):
@@ -929,6 +1004,26 @@ def test_trajectory_csv_is_independent_of_the_group_budget(tmp_path_factory, n_m
         mp.setattr(integrator, "_GROUP_BYTES", group_bytes)
         write_trajectory_csv(out, philox_writer_results(n_modes), 1.0, ["seed = 1"])
     assert out.read_text() == {4: PINNED_CSV_4_MODES, 2: PINNED_CSV_2_MODES}[n_modes]
+
+
+@pytest.mark.parametrize("n_modes, t_final, n_traj, rows", [
+    # a record takes 8 (2 N + 4) bytes of coefficients and norms and 24 a
+    # sup-norm point: 1696 at N = 8 (64 points), so 309 trajectories of two
+    # records fill 1 MB
+    (8, 1.0, 700, 618),
+    # 101 records at N = 64 (512 points) take 1.35 MB: one trajectory a group
+    (64, 100.0, 3, 101),
+])
+def test_trajectory_csv_groups_fill_the_budget(tmp_path, monkeypatch, n_modes, t_final,
+                                               n_traj, rows):
+    seen = []
+    real = integrator.sup_norm_values
+    monkeypatch.setattr(integrator, "sup_norm_values",
+                        lambda u, n: seen.append(u.shape[0]) or real(u, n))
+    params = params_of(n_modes=n_modes, dt=1.0, t_final=t_final, poly=None)
+    ens = run_ensemble(np.zeros(2 * n_modes + 1), params, range(n_traj))
+    write_trajectory_csv(tmp_path / "a.csv", [ens], 1.0, [])
+    assert seen[0] == rows and sum(seen) == n_traj * ens.times.size
 
 
 def test_trajectory_csv_consumes_an_iterable_lazily(tmp_path):

@@ -6,7 +6,9 @@ analytic 1-D Gaussian total-variation value via erf, and exact synthetic
 exponential tracks for the rate fitter.
 """
 
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from glmix.config import RunConfig
 from glmix.integrator import run_ensemble
 from glmix.mixing import (
     EnsembleSpec,
+    check_weighting,
     MixingReport,
     RateFit,
     fit_rate,
@@ -65,6 +68,18 @@ def test_ensemble_spec_validation_and_ids():
                         n_traj=50, params=params, gamma=1.0, p=2.0)
     assert np.array_equal(spec.traj_ids(0), np.arange(0, 50))
     assert np.array_equal(spec.traj_ids(1), np.arange(50, 100))
+
+
+def test_gamma_is_refused_exactly_where_the_norm_weight_overflows():
+    # row_norms sums 2N + 1 squares weighted at most l_N^(2 gamma), l_N = 1 +
+    # 4 pi^2 N^2: a gamma 1e-9 below the bound is kept, 1e-9 above refused
+    for n in (4, 32):
+        params = RunConfig(n_modes=n, alpha=300.0, beta=300.0).params()
+        edge = ((math.log(np.finfo(float).max) - math.log(2 * n + 1))
+                / (2.0 * math.log(1.0 + 4.0 * math.pi**2 * n**2)))
+        check_weighting(edge * (1.0 - 1e-9), 2.0, params)
+        with pytest.raises(ValueError, match="overflow"):
+            check_weighting(edge * (1.0 + 1e-9), 2.0, params)
 
 
 def test_observables_content():
@@ -284,6 +299,8 @@ def test_fit_rate_exact_exponential():
     assert np.isclose(fit.lam, 0.5, atol=1e-10)
     assert np.isclose(fit.intercept, 3.0, rtol=1e-10)
     assert fit.ci_low <= 0.5 <= fit.ci_high
+    # an exact exponential leaves no residual, so the interval is the rate
+    assert fit.ci_high - fit.ci_low < 1e-9
 
 
 def test_fit_rate_with_noise_floor():
@@ -294,6 +311,20 @@ def test_fit_rate_with_noise_floor():
     fit = fit_rate(times, d, floor=1e-3)
     assert fit.identifiable
     assert abs(fit.lam - 0.5) / 0.5 < 0.10
+    # the OLS interval: slope +- 1.96 standard errors, with n_used - 2
+    # degrees of freedom, over the points at or above 4 floors
+    used = d >= 4e-3
+    tt, y = times[used], np.log(d[used])
+    slope, icept = np.polyfit(tt, y, 1)
+    rss = float(np.sum((y - (icept + slope * tt)) ** 2))
+    se = math.sqrt(rss / (tt.size - 2) / float(np.sum((tt - tt.mean()) ** 2)))
+    assert fit.n_used == tt.size
+    assert math.isclose(fit.lam, -slope, rel_tol=1e-9)
+    assert math.isclose(fit.ci_low, -slope - 1.96 * se, rel_tol=1e-9)
+    assert math.isclose(fit.ci_high, -slope + 1.96 * se, rel_tol=1e-9)
+    # a point at exactly 4 floors is in the window
+    edge = fit_rate(times[:5], [9.0, 7.0, 5.0, 4.5, 4.0], floor=1.0)
+    assert edge.identifiable and edge.n_used == 5
 
 
 def test_fit_rate_unidentifiable_and_errors():
@@ -335,6 +366,32 @@ def test_moment_bound_uniform_for_moderate_starts():
     assert table.max_ratio < 1.5
     for stderr, n_aborted in zip(table.stderr, table.n_aborted, strict=True):
         assert stderr > 0.0 and n_aborted == 0
+
+
+def test_moment_verdicts_on_given_estimates(monkeypatch):
+    """moment_bound's table for prescribed per-trajectory powers (NaN for an
+    aborted trajectory), with run_ensemble replaced by those records."""
+
+    def table(*starts):
+        def run(ic, params, ids, record_times, threads, observe):
+            return types.SimpleNamespace(states=np.array(starts[int(ids[0]) // 4])[:, None, None])
+
+        monkeypatch.setattr(mixing, "run_ensemble", run)
+        spec = EnsembleSpec([np.zeros(17)] * len(starts), n_traj=4, params=small_params(),
+                            gamma=1.0, p=2.0)
+        return moment_bound(spec)
+
+    # estimates whose ratio is 2 are uniform, 2.5 are not
+    assert table([1.0] * 4, [2.0] * 4).ratio_ok
+    assert not table([1.0] * 4, [2.5] * 4).ratio_ok
+    # means 1 and 1.29, stderr 0.0577 each: 1.96-stderr intervals are
+    # disjoint, though the ratio is within 2
+    spread = table([0.9, 1.1, 0.9, 1.1], [1.19, 1.39, 1.19, 1.39])
+    assert spread.ratio_ok and not spread.ci_overlap_ok and not spread.uniform
+    # one kept trajectory has no stderr; two have their sample one
+    few = table([3.0, np.nan, np.nan, np.nan], [2.0, 4.0, np.nan, np.nan])
+    assert few.estimate.tolist() == [3.0, 3.0] and few.n_aborted.tolist() == [3, 2]
+    assert few.stderr.tolist() == [0.0, 1.0]
 
 
 def test_moment_bound_time_validation():
@@ -470,6 +527,56 @@ def test_mixing_report_simulates_only_the_first_two_starts(monkeypatch):
         assert len(calls) == 2
         texts.append((report_csv(report), report_summary(report)))
     assert texts[0] == texts[1]
+
+
+def synthetic_records(monkeypatch, n, live=()):
+    """mixing.run_ensemble replaced by records of one norm column: start 0
+    holds frac(i g), g the golden ratio, at every time, evenly spread on
+    [0, 1) in either half; start 1 the same shifted by 0.9 e^(-t/2).  At
+    report time j, the rows from live[j] on are aborted (NaN)."""
+    base = (np.arange(n) * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0
+
+    def run(ic, params, ids, record_times, threads, observe):
+        shift = int(ids[0]) // n * 0.9 * np.exp(-0.5 * np.asarray(record_times))
+        states = (base[:, None] + shift[None, :])[:, :, None]
+        for j, k in enumerate(live):
+            states[k:, j] = np.nan
+        return types.SimpleNamespace(states=states)
+
+    monkeypatch.setattr(mixing, "run_ensemble", run)
+    return EnsembleSpec([np.zeros(17)] * 2, n_traj=n, params=small_params(t_final=4.0),
+                        gamma=1.0, p=2.0)
+
+
+def test_mixing_report_on_synthetic_records(monkeypatch):
+    spec = synthetic_records(monkeypatch, 4000)
+    fits = []
+    real = mixing.fit_rate
+    monkeypatch.setattr(mixing, "fit_rate",
+                        lambda *args, **kw: fits.append(real(*args, **kw)) or fits[-1])
+    # 10 resamples, each identifiable: the 10 the bootstrap interval needs
+    report = mixing_report(spec, TIMES, 10)
+    assert len(fits) == 11 and all(f.identifiable for f in fits)
+    assert report.fit.method == "bootstrap" and report.fit.ci_low > 0.0
+    # the interval is the 2.5 and 97.5 percentiles of the resampled rates
+    want = np.percentile([f.lam for f in fits[1:]], [2.5, 97.5]).tolist()
+    assert [report.fit.ci_low, report.fit.ci_high] == want
+    # of 40 resamples, at least 20 must be identifiable
+    for lost, method in ((20, "bootstrap"), (21, "ols")):
+        fits.clear()
+        monkeypatch.setattr(mixing, "fit_rate", lambda *args, **kw: fits.append(
+            real(*args, **kw)) or dataclasses.replace(
+                fits[-1], identifiable=fits[-1].identifiable and not 1 < len(fits) <= lost + 1))
+        assert mixing_report(spec, TIMES, 40).fit.method == method
+    # two resamples give each distance a stderr, one gives none
+    assert np.all(mixing_report(spec, TIMES, 2).distance_stderr > 0.0)
+    assert np.all(mixing_report(spec, TIMES, 1).distance_stderr == 0.0)
+    # two live rows at a time are enough, one is not
+    spec = synthetic_records(monkeypatch, 4000, live=[4000, 4000, 2])
+    mixing_report(spec, TIMES, 0)
+    spec = synthetic_records(monkeypatch, 4000, live=[4000, 4000, 1])
+    with pytest.raises(ValueError, match="too many aborted trajectories at t = 3.0"):
+        mixing_report(spec, TIMES, 0)
 
 
 def test_mixing_report_validation():
